@@ -42,9 +42,10 @@ for N in range(5, 22, 2):
 print("\nper-mode ratio ~ R_hull/rho: the singular content of this field sits")
 print("exactly on the expansion disk r = 0.5, so the ratio approaches 1/6.")
 
-# the same coefficients evaluate the field off the measurement circle
+# the same coefficients evaluate the field off the measurement circle; the
+# field holds one coefficient row per source, here a single one
 mf = solve_modal(modal_rhs(rec, 21), 3.0, 0.5, sys)
 x = np.array([2.83, 0.4])
 print("\nfield at", x, ":")
-print("  truncated expansion:", eval_field(mf, x))
+print("  truncated expansion:", eval_field(mf, x)[0])
 print("  analytic solution:  ", truth.eval(x))

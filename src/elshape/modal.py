@@ -22,8 +22,10 @@ nonzero for every integer n, so the coefficients follow in closed form.
 Radial derivatives use kappa_{xi,n}(r) = alpha_{xi,n}'(r)
 = k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R).
 
-Coefficient arrays are ordered n = -N..N throughout.  ModalField instances
-are immutable after construction and all evaluators are pure.
+Coefficient arrays are ordered n = -N..N along their last axis; leading
+axes (one row per source for a record) pass through every evaluator, which
+builds its Hankel tables once for all rows.  ModalField instances are
+immutable after construction and all evaluators are pure.
 """
 
 import json
@@ -103,6 +105,11 @@ def _polar(x):
 # data types
 # ---------------------------------------------------------------------------
 
+def _check_coefficients(N: int, a: np.ndarray, b: np.ndarray):
+    if a.shape[-1:] != (2 * N + 1,) or b.shape != a.shape:
+        raise ValueError("coefficient arrays must share a shape (..., 2N+1)")
+
+
 @dataclass(frozen=True)
 class ModalRhs:
     """Projections of circle data onto U_n and V_n, orders -N..N."""
@@ -112,8 +119,7 @@ class ModalRhs:
     f_s: np.ndarray
 
     def __post_init__(self):
-        if self.f_p.shape != (2 * self.N + 1,) or self.f_s.shape != (2 * self.N + 1,):
-            raise ValueError("coefficient arrays must have length 2N+1")
+        _check_coefficients(self.N, self.f_p, self.f_s)
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,7 @@ class ModalField:
     def __post_init__(self):
         if not (0.0 < self.R < self.rho):
             raise ValueError("need 0 < R < rho")
-        if self.phat_p.shape != (2 * self.N + 1,) or self.phat_s.shape != (
-            2 * self.N + 1,
-        ):
-            raise ValueError("coefficient arrays must have length 2N+1")
+        _check_coefficients(self.N, self.phat_p, self.phat_s)
 
     @property
     def orders(self) -> np.ndarray:
@@ -146,8 +149,8 @@ class ModalField:
             "rho": self.rho,
             "lame": {"lambda": self.sys.lam, "mu": self.sys.mu, "omega": self.sys.omega},
             "coefficients": {
-                "p": [[c.real, c.imag] for c in self.phat_p],
-                "s": [[c.real, c.imag] for c in self.phat_s],
+                "p": np.stack([self.phat_p.real, self.phat_p.imag], -1).tolist(),
+                "s": np.stack([self.phat_s.real, self.phat_s.imag], -1).tolist(),
             },
         }
 
@@ -159,9 +162,9 @@ class ModalField:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModalField":
         sys = LameSystem(doc["lame"]["lambda"], doc["lame"]["mu"], doc["lame"]["omega"])
-        cp = np.array([complex(re, im) for re, im in doc["coefficients"]["p"]])
-        cs = np.array([complex(re, im) for re, im in doc["coefficients"]["s"]])
-        return cls(N=doc["N"], R=doc["R"], rho=doc["rho"], sys=sys, phat_p=cp, phat_s=cs)
+        cp, cs = (np.asarray(doc["coefficients"][w], dtype=float) for w in "ps")
+        return cls(N=doc["N"], R=doc["R"], rho=doc["rho"], sys=sys,
+                   phat_p=cp[..., 0] + 1j * cp[..., 1], phat_s=cs[..., 0] + 1j * cs[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +172,12 @@ class ModalField:
 # ---------------------------------------------------------------------------
 
 def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
-    """Project single-source full-circle data onto the U_n / V_n frame.
+    """Project full-circle data onto the U_n / V_n frame, one row per source.
 
     On an equispaced receiver grid the trapezoid rule is the exact discrete
     Fourier transform, so the projections are exact for band-limited data
     up to the aliasing order.
     """
-    if rec.n_sources != 1:
-        raise ConfigError("modal_rhs expects a single-source record slice")
     if not rec.is_full_aperture:
         raise ConfigError("modal_rhs needs full aperture; use limited_aperture_fit")
     theta = rec.receivers
@@ -187,56 +188,60 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     if not np.allclose(gaps, 2.0 * np.pi / m, rtol=0.0, atol=1e-9):
         raise ConfigError("modal_rhs needs equispaced receivers")
 
-    v = rec.values[0]
+    g_r, g_t = _frame_components(rec)
+    n = np.arange(-N, N + 1)
+    phase = np.exp(-1j * theta[:, None] * n[None, :])         # (M, 2N+1)
+    return ModalRhs(N=N, f_p=g_r @ phase / m, f_s=g_t @ phase / m)
+
+
+def _frame_components(rec: ScatterRecord):
+    """Radial and tangential components of the data, each (n_sources, M)."""
+    theta = rec.receivers
     e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     e_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    g_r = np.sum(v * e_r, axis=-1)
-    g_t = np.sum(v * e_t, axis=-1)
+    return np.sum(rec.values * e_r, axis=-1), np.sum(rec.values * e_t, axis=-1)
 
-    n = np.arange(-N, N + 1)
-    phase = np.exp(-1j * n[:, None] * theta[None, :])
-    f_p = phase @ g_r / m
-    f_s = phase @ g_t / m
-    return ModalRhs(N=N, f_p=f_p, f_s=f_s)
+
+def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
+    """(alpha_p, beta_p, alpha_s, beta_s) at the data radius, orders -N..N."""
+    r = np.array([rho])
+    alpha_p, beta_p, _ = _hankel_table(sys.k_p, R, N, r, False)
+    alpha_s, beta_s, _ = _hankel_table(sys.k_s, R, N, r, False)
+    return alpha_p[:, 0], beta_p[:, 0], alpha_s[:, 0], beta_s[:, 0]
+
+
+def _circle_mode(n: int, rho: float, R: float, sys: LameSystem):
+    """The four circle-table entries of the single order n."""
+    return tuple(tab[n + abs(n)] for tab in _circle_tables(rho, R, abs(n), sys))
+
+
+def _lambda(n, rho, ap, bp, a_s, bs):
+    return (n / rho) ** 2 - ap * a_s / (bp * bs)
 
 
 def modal_matrix(n: int, rho: float, R: float, sys: LameSystem) -> np.ndarray:
     """Per-mode 2x2 system matrix evaluated at the data radius."""
-    alpha_p, beta_p, _ = _hankel_table(sys.k_p, R, abs(n), np.array([rho]), False)
-    alpha_s, beta_s, _ = _hankel_table(sys.k_s, R, abs(n), np.array([rho]), False)
-    idx = n + abs(n)
-    ap, bp = alpha_p[idx, 0], beta_p[idx, 0]
-    a_s, bs = alpha_s[idx, 0], beta_s[idx, 0]
+    ap, bp, a_s, bs = _circle_mode(n, rho, R, sys)
     fac = 1j * n / rho
     return np.array([[ap, fac * bs], [fac * bp, -a_s]])
 
 
 def lambda_n(n: int, rho: float, R: float, sys: LameSystem) -> complex:
     """Per-mode determinant factor n^2/rho^2 - alpha_p alpha_s / (beta_p beta_s)."""
-    alpha_p, beta_p, _ = _hankel_table(sys.k_p, R, abs(n), np.array([rho]), False)
-    alpha_s, beta_s, _ = _hankel_table(sys.k_s, R, abs(n), np.array([rho]), False)
-    idx = n + abs(n)
-    return (n / rho) ** 2 - (alpha_p[idx, 0] * alpha_s[idx, 0]) / (
-        beta_p[idx, 0] * beta_s[idx, 0]
-    )
+    return _lambda(n, rho, *_circle_mode(n, rho, R, sys))
 
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
-    """Invert the per-mode 2x2 systems in closed form.
+    """Invert the per-mode 2x2 systems in closed form, for every row of rhs.
 
     The inverse is written through Lambda_n beta_{p,n} beta_{s,n} rather
     than via a generic solver so the arithmetic path is reproducible.
     """
     N = rhs.N
-    r_arr = np.array([rho])
-    alpha_p, beta_p, _ = _hankel_table(sys.k_p, R, N, r_arr, False)
-    alpha_s, beta_s, _ = _hankel_table(sys.k_s, R, N, r_arr, False)
-    ap, bp = alpha_p[:, 0], beta_p[:, 0]
-    a_s, bs = alpha_s[:, 0], beta_s[:, 0]
+    ap, bp, a_s, bs = _circle_tables(rho, R, N, sys)
     n = np.arange(-N, N + 1)
 
-    lam = (n / rho) ** 2 - ap * a_s / (bp * bs)
-    denom = lam * bp * bs
+    denom = _lambda(n, rho, ap, bp, a_s, bs) * bp * bs
     bad = (np.abs(denom) < 1e-300) | ~np.isfinite(denom)
     if np.any(bad):
         raise SolveError(
@@ -253,12 +258,12 @@ def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalFi
 # ---------------------------------------------------------------------------
 
 def _mode_amplitudes(mf: ModalField, r: np.ndarray, want_kappa: bool):
-    """Tables and signed orders shared by the evaluators."""
+    """Tables (2N+1, P), signed orders and mode amplitudes lead + (2N+1, P)."""
     alpha_p, beta_p, kappa_p = _hankel_table(mf.sys.k_p, mf.R, mf.N, r, want_kappa)
     alpha_s, beta_s, kappa_s = _hankel_table(mf.sys.k_s, mf.R, mf.N, r, want_kappa)
     n = np.arange(-mf.N, mf.N + 1, dtype=float)[:, None]
-    cp = mf.phat_p[:, None]
-    cs = mf.phat_s[:, None]
+    cp = mf.phat_p[..., None]
+    cs = mf.phat_s[..., None]
     a_mode = alpha_p * cp + (1j * n / r[None, :]) * beta_s * cs
     b_mode = (1j * n / r[None, :]) * beta_p * cp - alpha_s * cs
     return n, cp, cs, (alpha_p, beta_p, kappa_p), (alpha_s, beta_s, kappa_s), a_mode, b_mode
@@ -275,22 +280,22 @@ def _frame_to_cartesian(a, b, theta):
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
-    """Truncated scattered field at x (shape (..., 2)), |x| > R."""
+    """Truncated scattered field at x (shape (..., 2)), |x| > R: lead + (..., 2)."""
     r, theta = _polar(x)
-    shape = r.shape
+    shape = mf.phat_p.shape[:-1] + r.shape
     r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
     _check_outside(mf, r)
     n, _, _, _, _, a_mode, b_mode = _mode_amplitudes(mf, r, False)
     phase = np.exp(1j * n * theta[None, :])
-    a = np.sum(a_mode * phase, axis=0)
-    b = np.sum(b_mode * phase, axis=0)
+    a = np.sum(a_mode * phase, axis=-2)
+    b = np.sum(b_mode * phase, axis=-2)
     return _frame_to_cartesian(a, b, theta).reshape(shape + (2,))
 
 
 def eval_polar_derivs(mf: ModalField, x):
     """(d/dr v, d/dtheta v) at x, both as Cartesian component vectors."""
     r, theta = _polar(x)
-    shape = r.shape
+    shape = mf.phat_p.shape[:-1] + r.shape
     r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
     _check_outside(mf, r)
     n, cp, cs, tab_p, tab_s, a_mode, b_mode = _mode_amplitudes(mf, r, True)
@@ -302,11 +307,11 @@ def eval_polar_derivs(mf: ModalField, x):
     db_mode = (1j * n) * (alpha_p / rr - beta_p / rr ** 2) * cp - kappa_s * cs
 
     phase = np.exp(1j * n * theta[None, :])
-    dr_a = np.sum(da_mode * phase, axis=0)
-    dr_b = np.sum(db_mode * phase, axis=0)
+    dr_a = np.sum(da_mode * phase, axis=-2)
+    dr_b = np.sum(db_mode * phase, axis=-2)
     # d/dtheta mixes the frame: U_n' = in U_n + V_n, V_n' = in V_n - U_n
-    dt_a = np.sum((1j * n * a_mode - b_mode) * phase, axis=0)
-    dt_b = np.sum((a_mode + 1j * n * b_mode) * phase, axis=0)
+    dt_a = np.sum((1j * n * a_mode - b_mode) * phase, axis=-2)
+    dt_b = np.sum((a_mode + 1j * n * b_mode) * phase, axis=-2)
 
     d_r = _frame_to_cartesian(dr_a, dr_b, theta).reshape(shape + (2,))
     d_t = _frame_to_cartesian(dt_a, dt_b, theta).reshape(shape + (2,))
@@ -314,7 +319,7 @@ def eval_polar_derivs(mf: ModalField, x):
 
 
 def eval_gradient(mf: ModalField, x) -> np.ndarray:
-    """Cartesian Jacobian, entry (i, j) = d v_i / d x_j, shape (..., 2, 2)."""
+    """Cartesian Jacobian, entry (i, j) = d v_i / d x_j, shape lead + (..., 2, 2)."""
     r, theta = _polar(x)
     d_r, d_t = eval_polar_derivs(mf, x)
     ct = np.cos(theta)[..., None]
@@ -336,11 +341,11 @@ def limited_aperture_fit(
 
     Stacks the field representation at every receiver into an
     overdetermined complex system for the 2(2N+1) coefficients.  The
-    Tikhonov weight is ``reg`` times the largest singular value; with
-    reg = 0 and full-aperture data this reproduces the projection route.
+    design matrix does not depend on the source, so one SVD serves every
+    source of the record.  The Tikhonov weight is ``reg`` times the
+    largest singular value; with reg = 0 and full-aperture data this
+    reproduces the projection route.
     """
-    if rec.n_sources != 1:
-        raise ConfigError("limited_aperture_fit expects a single-source record slice")
     if reg < 0.0:
         raise ConfigError("reg must be nonnegative")
     theta = rec.receivers
@@ -354,45 +359,43 @@ def limited_aperture_fit(
     R_ref = rho / 6.0 if R is None else R
     if not 0.0 < R_ref < rho:
         raise ConfigError("reference radius must lie in (0, rho)")
-    alpha_p, beta_p, _ = _hankel_table(rec.sys.k_p, R_ref, N, np.array([rho]), False)
-    alpha_s, beta_s, _ = _hankel_table(rec.sys.k_s, R_ref, N, np.array([rho]), False)
+    ap, bp, a_s, bs = _circle_tables(rho, R_ref, N, rec.sys)
     n = np.arange(-N, N + 1, dtype=float)
     fac = 1j * n / rho
 
     phase = np.exp(1j * n[None, :] * theta[:, None])          # (M, 2N+1)
     a = np.zeros((2 * m, n_unknowns), dtype=complex)
-    a[0::2, : 2 * N + 1] = phase * alpha_p[:, 0][None, :]
-    a[0::2, 2 * N + 1 :] = phase * (fac * beta_s[:, 0])[None, :]
-    a[1::2, : 2 * N + 1] = phase * (fac * beta_p[:, 0])[None, :]
-    a[1::2, 2 * N + 1 :] = phase * (-alpha_s[:, 0])[None, :]
+    a[0::2, : 2 * N + 1] = phase * ap[None, :]
+    a[0::2, 2 * N + 1 :] = phase * (fac * bs)[None, :]
+    a[1::2, : 2 * N + 1] = phase * (fac * bp)[None, :]
+    a[1::2, 2 * N + 1 :] = phase * (-a_s)[None, :]
 
-    v = rec.values[0]
-    e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    e_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    b = np.zeros(2 * m, dtype=complex)
-    b[0::2] = np.sum(v * e_r, axis=-1)
-    b[1::2] = np.sum(v * e_t, axis=-1)
+    g_r, g_t = _frame_components(rec)
+    b = np.zeros((rec.n_sources, 2 * m), dtype=complex)
+    b[:, 0::2] = g_r
+    b[:, 1::2] = g_t
 
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
         raise SolveError("zero design matrix in aperture fit")
     lam = reg * s[0]
     filt = s / (s * s + lam * lam)
-    x = vh.conj().T @ (filt * (u.conj().T @ b))
+    # one row per source: x^T = b^T conj(u) diag(filt) conj(vh)
+    x = ((b @ u.conj()) * filt) @ vh.conj()
     return ModalField(
         N=N,
         R=R_ref,
         rho=rho,
         sys=rec.sys,
-        phat_p=x[: 2 * N + 1],
-        phat_s=x[2 * N + 1 :],
+        phat_p=x[:, : 2 * N + 1],
+        phat_s=x[:, 2 * N + 1 :],
     )
 
 
 def extract_field(
     rec: ScatterRecord, N: int, R: float, reg: float = 1e-8
 ) -> ModalField:
-    """One-source extraction, choosing projection or arc fit by aperture."""
+    """One field for the whole record, by projection or arc fit by aperture."""
     if rec.is_full_aperture:
         rhs = modal_rhs(rec, N)
         return solve_modal(rhs, rec.rho, R, rec.sys)

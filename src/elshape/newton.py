@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig
-from .elastic import LameSystem, grad_incident_field, incident_field
+from .elastic import LameSystem, PointSource, grad_incident_field, incident_field
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
 from .geometry import ParametricCurve, radial_curve
-from .modal import eval_field, eval_gradient, extract_field
+from .modal import ModalField, eval_field, eval_gradient, extract_field
 from .records import ScatterRecord
 
 #: a relative update exceeding this declares the run divergent
@@ -102,7 +102,7 @@ def gram_weights(degree: int) -> np.ndarray:
 
 
 def assemble_system(
-    mfs,
+    field: ModalField,
     srcs,
     curve: StarCurve,
     t_grid: np.ndarray,
@@ -110,12 +110,14 @@ def assemble_system(
 ):
     """Stacked real linearization: returns (A, rhs) with A dc + rhs = 0 rows.
 
-    Rows run over sources, collocation angles, field components and Re/Im,
-    so A has 4 * len(srcs) * len(t_grid) rows and 2*degree+1 columns.
+    ``field`` holds one coefficient row per source in ``srcs``, which share
+    one polarization.  Rows run over sources, collocation angles, field
+    components and Re/Im, so A has 4 * len(srcs) * len(t_grid) rows and
+    2*degree+1 columns.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     radii = curve.radius(t_grid)
-    bad = radii <= _common_R(mfs)
+    bad = radii <= field.R
     if np.any(bad):
         raise DomainError(
             f"iterate point inside expansion disk at t={t_grid[bad][0]:.4f}"
@@ -124,31 +126,27 @@ def assemble_system(
     xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
     basis = basis_matrix(t_grid, curve.degree)
 
-    blocks_a = []
-    blocks_r = []
-    for i, (mf, src) in enumerate(zip(mfs, srcs)):
-        try:
-            u = eval_field(mf, pts) + incident_field(pts, src, sys)
-            jac = eval_gradient(mf, pts) + grad_incident_field(pts, src, sys)
-        except DomainError as exc:
-            raise DomainError(f"source {i}: {exc}") from exc
-        du = np.einsum("pij,pj->pi", jac, xhat)
-        # complex rows: du[p, c] * B[p, :] dc = -u[p, c]
-        rows = du[:, :, None] * basis[:, None, :]
-        blocks_a.append(rows.reshape(-1, basis.shape[1]))
-        blocks_r.append(u.reshape(-1))
-    a_c = np.concatenate(blocks_a, axis=0)
-    r_c = np.concatenate(blocks_r, axis=0)
+    # the incident field depends on x - z only, so all sources are evaluated
+    # at once as one source at the origin seen from the points shifted by
+    # -z, an (S, P, 2) array
+    shifted = pts - np.array([src.location for src in srcs])[:, None, :]
+    origin = PointSource((0.0, 0.0), _shared_polarization(srcs))
+    u = eval_field(field, pts) + incident_field(shifted, origin, sys)
+    jac = eval_gradient(field, pts) + grad_incident_field(shifted, origin, sys)
+    du = np.einsum("spij,pj->spi", jac, xhat)
+    # complex rows: du[s, p, c] * B[p, :] dc = -u[s, p, c]
+    a_c = (du[..., None] * basis[:, None, :]).reshape(-1, basis.shape[1])
+    r_c = u.reshape(-1)
     a = np.concatenate([a_c.real, a_c.imag], axis=0)
     rhs = np.concatenate([r_c.real, r_c.imag], axis=0)
     return a, rhs
 
 
-def _common_R(mfs) -> float:
-    rs = {mf.R for mf in mfs}
-    if len(rs) > 1:
-        raise ConfigError("modal fields disagree on the expansion radius")
-    return rs.pop() if rs else 0.0
+def _shared_polarization(srcs) -> tuple:
+    pols = {src.polarization for src in srcs}
+    if len(pols) != 1:
+        raise ConfigError("sources must share one polarization")
+    return pols.pop()
 
 
 def newton_step(a: np.ndarray, rhs: np.ndarray, damping: float = 1.0, reg: float = 0.0):
@@ -230,11 +228,6 @@ class ReconRun:
         )
 
 
-def extract_all_fields(rec: ScatterRecord, N: int, R: float, fit_reg: float):
-    """Per-source modal fields; extraction is independent of the iterate."""
-    return [extract_field(rec.source_slice(i), N, R, fit_reg) for i in range(rec.n_sources)]
-
-
 def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     """Run the full iteration on a clean record.
 
@@ -256,7 +249,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
 
     echo = cfg.echo()
     try:
-        fields = extract_all_fields(rec, N, R, cfg.resolve_fit_reg())
+        field = extract_field(rec, N, R, cfg.resolve_fit_reg())
     except (SolveError, ConfigError, DomainError, AliasingError) as exc:
         return ReconRun(
             curves=(guess,),
@@ -274,7 +267,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
 
     for _ in range(cfg["max_iter"]):
         try:
-            a, rhs = assemble_system(fields, rec.sources, current, t_grid, cfg.sys)
+            a, rhs = assemble_system(field, rec.sources, current, t_grid, cfg.sys)
             dc = newton_step(a, rhs, cfg["damping"], cfg["reg"])
         except (SolveError, DomainError) as exc:
             return ReconRun(

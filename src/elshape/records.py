@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastic import LameSystem, PointSource
+from .errors import ConfigError
 
 FULL_APERTURE = (0.0, 2.0 * np.pi)
 
@@ -38,17 +39,19 @@ class ScatterRecord:
         rec = np.asarray(self.receivers, dtype=float)
         val = np.asarray(self.values, dtype=complex)
         if val.shape != (len(self.sources), rec.size, 2):
-            raise ValueError(
+            raise ConfigError(
                 f"values shape {val.shape} does not match "
                 f"{len(self.sources)} sources x {rec.size} receivers"
             )
+        if not (np.isfinite(self.rho) and np.all(np.isfinite(rec)) and np.all(np.isfinite(val))):
+            raise ConfigError("rho, receivers and values must be finite")
         if rec.size and (np.any(rec < 0.0) or np.any(rec >= 2.0 * np.pi)):
-            raise ValueError("receiver angles must lie in [0, 2*pi)")
+            raise ConfigError("receiver angles must lie in [0, 2*pi)")
         if rec.size and np.any(np.diff(rec) <= 0.0):
-            raise ValueError("receiver angles must be strictly increasing")
+            raise ConfigError("receiver angles must be strictly increasing")
         lo, hi = self.aperture
         if not (hi > lo and hi - lo <= 2.0 * np.pi + 1e-12):
-            raise ValueError("aperture must satisfy lo < hi <= lo + 2*pi")
+            raise ConfigError("aperture must satisfy lo < hi <= lo + 2*pi")
         object.__setattr__(self, "receivers", rec)
         object.__setattr__(self, "values", val)
 
@@ -64,17 +67,6 @@ class ScatterRecord:
     def is_full_aperture(self) -> bool:
         lo, hi = self.aperture
         return bool(hi - lo >= 2.0 * np.pi - 1e-12)
-
-    def source_slice(self, i: int) -> "ScatterRecord":
-        """Single-source view of this record."""
-        return ScatterRecord(
-            rho=self.rho,
-            sys=self.sys,
-            sources=(self.sources[i],),
-            receivers=self.receivers,
-            values=self.values[i : i + 1],
-            aperture=self.aperture,
-        )
 
     def polarization(self) -> np.ndarray:
         pols = {s.polarization for s in self.sources}

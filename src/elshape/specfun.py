@@ -7,8 +7,8 @@ by scipy.special (cephes/amos), which meets the 1e-12 relative accuracy
 target on the working range 0 <= n <= 60, 1e-3 <= t <= 100.
 
 Conventions:
-  * negative orders are resolved by the reflection C_{-n} = (-1)^n C_n,
-    valid for J, Y and H^(1) alike;
+  * negative integer orders go straight to scipy, whose result equals the
+    reflection C_{-n} = (-1)^n C_n (valid for J, Y and H^(1) alike) exactly;
   * H_n^(1)'(t) = H_{n-1}^(1)(t) - (n/t) H_n^(1)(t);
   * H_n^(1)''(t) = -(1/t) H_n^(1)'(t) - (1 - n^2/t^2) H_n^(1)(t)
     (the Bessel differential equation).
@@ -41,34 +41,29 @@ def _check_argument(t):
     return t
 
 
-def _reflect(n):
-    """Split an integer order array into (|n|, sign factor (-1)^n for n<0)."""
+def _check_order(n):
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer):
         raise DomainError("order must be integer")
-    sign = np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
-    return np.abs(n), sign
+    return n
 
 
 def bessel_j(n, t):
     """Bessel function of the first kind J_n(t), integer n, t > 0."""
     t = _check_argument(t)
-    m, sign = _reflect(n)
-    return sign * _sp.jv(m, t)
+    return _sp.jv(_check_order(n), t)
 
 
 def bessel_y(n, t):
     """Bessel function of the second kind Y_n(t), integer n, t > 0."""
     t = _check_argument(t)
-    m, sign = _reflect(n)
-    return sign * _sp.yv(m, t)
+    return _sp.yv(_check_order(n), t)
 
 
 def hankel1(n, t):
     """Hankel function of the first kind H_n^(1)(t) = J_n(t) + i Y_n(t)."""
     t = _check_argument(t)
-    m, sign = _reflect(n)
-    return sign * _sp.hankel1(m, t)
+    return _sp.hankel1(_check_order(n), t)
 
 
 def hankel1_d1(n, t):

@@ -93,7 +93,6 @@ def boundary_error(cfg: ReconstructionConfig, run) -> float:
     if cfg["shape"] in ("disk", "custom"):
         if cfg["shape"] == "disk":
             return radial_l2(recon, cfg["shape.radius"])
-        coeffs = cfg.shape_coeffs()
         t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         truth_pts = truth.point(t)
         truth_r = np.linalg.norm(truth_pts, axis=-1)

@@ -210,6 +210,21 @@ class TestRecordSerialization:
                 aperture=(0.0, 2 * np.pi),
             )
 
+    @pytest.mark.parametrize("field", ["rho", "receivers", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        kwargs = dict(
+            rho=3.0, sys=SYS5, sources=(SRC,), receivers=np.array([0.0, 1.0]),
+            values=np.zeros((1, 2, 2), dtype=complex), aperture=(0.0, 2 * np.pi),
+        )
+        if field == "rho":
+            kwargs["rho"] = bad
+        else:
+            kwargs[field] = kwargs[field].copy()
+            kwargs[field].flat[-1] = bad
+        with pytest.raises(ConfigError):
+            ScatterRecord(**kwargs)
+
     def test_mixed_polarizations_rejected_on_save(self, tmp_path):
         rec = ScatterRecord(
             rho=3.0, sys=SYS5,

@@ -137,6 +137,20 @@ class TestReconstructCommand:
         ])
         assert code == 3
 
+    def test_nan_record_is_validation_error(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        doc = json.loads((root / "record.json").read_text())
+        doc["values"][0][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "reconstruct", "--config", str(cfg),
+            "--record", str(bad), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_rerun_byte_identical(self, workspace, tmp_path_factory):
         root, cfg = workspace
         out_a = tmp_path_factory.mktemp("a")

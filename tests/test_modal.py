@@ -5,7 +5,7 @@ import pytest
 
 from elshape.elastic import LameSystem, PointSource
 from elshape.errors import AliasingError, ConfigError, DomainError, SolveError
-from elshape.forward import disk_series, record_from_disk_series
+from elshape.forward import disk_series, record_from_disk_series, ring_sources
 from elshape.modal import (
     ModalField,
     bracket,
@@ -94,17 +94,6 @@ class TestModalRhs:
         )
         with pytest.raises(ConfigError):
             modal_rhs(rec, N=4)
-
-    def test_multi_source_record_refused(self):
-        theta, e_r, _ = grid_vectors(32)
-        rec = ScatterRecord(
-            rho=RHO, sys=SYS5, sources=(SRC, SRC),
-            receivers=theta, values=np.zeros((2, 32, 2), complex),
-            aperture=(0.0, 2 * np.pi),
-        )
-        with pytest.raises(ConfigError):
-            modal_rhs(rec, N=4)
-
 
 class TestModalMatrix:
     def test_zero_mode_decouples(self):
@@ -332,6 +321,48 @@ class TestLimitedApertureFit:
             limited_aperture_fit(rec, 10, reg=0.0)
 
 
+@pytest.fixture(scope="module", params=["full", "arc"])
+def multi_record(request):
+    """20-source disk-series record, full aperture or the arc [pi/4, 7pi/4]."""
+    aperture = (0.0, 2.0 * np.pi) if request.param == "full" else (np.pi / 4, 7 * np.pi / 4)
+    srcs = ring_sources(20, RHO, POL)
+    return record_from_disk_series(1.0, srcs, SYS5, RHO, 128, aperture=aperture)
+
+
+class TestBatchedField:
+    def test_rows_match_single_source_extraction(self, multi_record):
+        rec = multi_record
+        field = extract_field(rec, 8, 0.5)
+        assert field.phat_p.shape == field.phat_s.shape == (20, 17)
+        for i in range(rec.n_sources):
+            single = ScatterRecord(
+                rho=rec.rho, sys=rec.sys, sources=rec.sources[i : i + 1],
+                receivers=rec.receivers, values=rec.values[i : i + 1],
+                aperture=rec.aperture,
+            )
+            ref = extract_field(single, 8, 0.5)
+            for got, want in ((field.phat_p[i], ref.phat_p[0]), (field.phat_s[i], ref.phat_s[0])):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_evaluators_match_per_row(self, multi_record):
+        field = extract_field(multi_record, 8, 0.5)
+        theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        pts = 1.7 * np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(4, 4, 2)
+        values = eval_field(field, pts)
+        jac = eval_gradient(field, pts)
+        assert values.shape == (20, 4, 4, 2)
+        assert jac.shape == (20, 4, 4, 2, 2)
+        for i in range(20):
+            row = ModalField(
+                N=8, R=0.5, rho=RHO, sys=SYS5,
+                phat_p=field.phat_p[i], phat_s=field.phat_s[i],
+            )
+            want_v = eval_field(row, pts)
+            want_j = eval_gradient(row, pts)
+            assert np.max(np.abs(values[i] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+            assert np.max(np.abs(jac[i] - want_j)) <= 1e-12 * np.max(np.abs(want_j))
+
+
 class TestChooseTruncation:
     def test_bracket_definition(self):
         # largest integer smaller than x + 1
@@ -365,17 +396,28 @@ class TestChooseTruncation:
 
 class TestModalFieldSerialization:
     def test_roundtrip(self, tmp_path, random_field):
-        path = tmp_path / "field.json"
-        random_field.save(path)
         import json
 
-        back = ModalField.from_json_dict(json.loads(path.read_text()))
-        assert np.array_equal(back.phat_p, random_field.phat_p)
-        assert np.array_equal(back.phat_s, random_field.phat_s)
-        assert back.N == random_field.N
-        assert back.R == random_field.R
-        assert back.rho == random_field.rho
-        assert back.sys == random_field.sys
+        rng = np.random.default_rng(9)
+        c = rng.normal(size=(2, 3, 4, 21)) + 1j * rng.normal(size=(2, 3, 4, 21))
+        batched = ModalField(N=10, R=0.5, rho=RHO, sys=SYS5, phat_p=c[0], phat_s=c[1])
+        for field in (random_field, batched):
+            path = tmp_path / "field.json"
+            field.save(path)
+            back = ModalField.from_json_dict(json.loads(path.read_text()))
+            assert np.array_equal(back.phat_p, field.phat_p)
+            assert np.array_equal(back.phat_s, field.phat_s)
+            assert back.N == field.N
+            assert back.R == field.R
+            assert back.rho == field.rho
+            assert back.sys == field.sys
+
+    def test_one_dimensional_layout_unchanged(self, random_field):
+        import json
+
+        doc = random_field.to_json_dict()["coefficients"]
+        for got, coeffs in ((doc["p"], random_field.phat_p), (doc["s"], random_field.phat_s)):
+            assert json.dumps(got) == json.dumps([[c.real, c.imag] for c in coeffs])
 
 
 class TestDecayAndNoise:

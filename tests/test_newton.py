@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from elshape.config import ReconstructionConfig
-from elshape.elastic import LameSystem, PointSource
-from elshape.errors import DomainError, SolveError
+from elshape.elastic import LameSystem, PointSource, grad_incident_field, incident_field
+from elshape.errors import ConfigError, DomainError, SolveError
 from elshape.forward import record_from_disk_series, ring_sources
-from elshape.modal import modal_rhs, solve_modal
+from elshape.modal import ModalField, eval_field, eval_gradient, extract_field, modal_rhs, solve_modal
 from elshape.newton import (
     ReconRun,
     StarCurve,
     assemble_system,
     basis_matrix,
     basis_row,
-    extract_all_fields,
     newton_step,
     reconstruct,
     relative_update,
@@ -100,50 +99,87 @@ def disk_setup():
     """Analytic single-source disk data with an N=25 modal field."""
     src = PointSource((3.0, 0.0), POL)
     rec = record_from_disk_series(1.0, (src,), SYS5, 3.0, 128)
-    mf = solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)
-    return rec, [mf], (src,)
+    field = solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)
+    return rec, field, (src,)
 
 
 class TestAssembleSystem:
     def test_dimensions(self, disk_setup):
-        _, mfs, srcs = disk_setup
+        _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(mfs, srcs, StarCurve.circle(1.5, 8), t_grid, SYS5)
+        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.5, 8), t_grid, SYS5)
         assert a.shape == (4 * 1 * 64, 17)
         assert rhs.shape == (4 * 1 * 64,)
 
     def test_residual_small_on_true_boundary(self, disk_setup):
         # the inward continuation amplifies the receiver-grid rounding
         # floor by ~(rho/r)^N ~ 8e11 at N=25, so ~6e-5 is the honest level
-        _, mfs, srcs = disk_setup
+        _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        _, rhs = assemble_system(mfs, srcs, StarCurve.circle(1.0, 8), t_grid, SYS5)
+        _, rhs = assemble_system(field, srcs, StarCurve.circle(1.0, 8), t_grid, SYS5)
         assert np.max(np.abs(rhs)) <= 1e-4
 
     def test_zero_step_iff_zero_rhs(self, disk_setup):
-        _, mfs, srcs = disk_setup
+        _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(mfs, srcs, StarCurve.circle(1.3, 8), t_grid, SYS5)
+        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.3, 8), t_grid, SYS5)
         dc = newton_step(a, np.zeros_like(rhs), reg=0.0)
         assert np.max(np.abs(dc)) == 0.0
         dc2 = newton_step(a, rhs, reg=0.0)
         assert np.max(np.abs(dc2)) > 0.0
 
     def test_quadrature_refinement_stable(self, disk_setup):
-        _, mfs, srcs = disk_setup
+        _, field, srcs = disk_setup
         curve = StarCurve.circle(1.2, 8)
         sols = []
         for m in (64, 128):
             t_grid = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-            a, rhs = assemble_system(mfs, srcs, curve, t_grid, SYS5)
+            a, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
             sols.append(newton_step(a, rhs, reg=0.0))
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-6
 
     def test_point_inside_expansion_disk_named(self, disk_setup):
-        _, mfs, srcs = disk_setup
+        _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         with pytest.raises(DomainError):
-            assemble_system(mfs, srcs, StarCurve.circle(0.4, 8), t_grid, SYS5)
+            assemble_system(field, srcs, StarCurve.circle(0.4, 8), t_grid, SYS5)
+
+
+    def test_rows_stack_per_source_linearizations(self):
+        # reference: the linearization built one source at a time
+        srcs = ring_sources(3, 3.0, POL)
+        rec = record_from_disk_series(1.0, srcs, SYS5, 3.0, 128)
+        field = extract_field(rec, 10, 0.5)
+        curve = StarCurve.circle(1.3, 4)
+        t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        a, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
+
+        pts = curve.point(t_grid)
+        xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
+        basis = basis_matrix(t_grid, 4)
+        rows_a, rows_r = [], []
+        for i, src in enumerate(srcs):
+            row = ModalField(
+                N=10, R=0.5, rho=3.0, sys=SYS5,
+                phat_p=field.phat_p[i], phat_s=field.phat_s[i],
+            )
+            u = eval_field(row, pts) + incident_field(pts, src, SYS5)
+            jac = eval_gradient(row, pts) + grad_incident_field(pts, src, SYS5)
+            du = np.einsum("pij,pj->pi", jac, xhat)
+            rows_a.append((du[:, :, None] * basis[:, None, :]).reshape(-1, basis.shape[1]))
+            rows_r.append(u.reshape(-1))
+        a_c, r_c = np.concatenate(rows_a), np.concatenate(rows_r)
+        want_a = np.concatenate([a_c.real, a_c.imag])
+        want_r = np.concatenate([r_c.real, r_c.imag])
+        assert np.max(np.abs(a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+        assert np.max(np.abs(rhs - want_r)) <= 1e-12 * np.max(np.abs(want_r))
+
+    def test_mixed_polarizations_refused(self, disk_setup):
+        _, field, (src,) = disk_setup
+        other = PointSource(src.location, (1.0, 0.0))
+        t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        with pytest.raises(ConfigError):
+            assemble_system(field, (src, other), StarCurve.circle(1.5, 8), t_grid, SYS5)
 
 
 class TestOneStepContraction:
@@ -151,10 +187,10 @@ class TestOneStepContraction:
     def test_disk_radius_error_contracts(self, err0):
         src = PointSource((3.0, 0.0), POL)
         rec = record_from_disk_series(1.0, (src,), SYS5, 3.0, 128)
-        mfs = [solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)]
+        field = solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(1.0 + err0, 8)
-        a, rhs = assemble_system(mfs, (src,), start, t_grid, SYS5)
+        a, rhs = assemble_system(field, (src,), start, t_grid, SYS5)
         dc = newton_step(a, rhs, damping=1.0, reg=1e-10)
         new_err = abs(start.coeffs[0] + dc[0] - 1.0)
         assert new_err <= 0.6 * err0
@@ -163,10 +199,10 @@ class TestOneStepContraction:
         # low frequency: radius-2 guess is inside the Newton basin
         src = PointSource((3.0, 0.0), POL)
         rec = record_from_disk_series(1.0, (src,), SYS1, 3.0, 128)
-        mfs = [solve_modal(modal_rhs(rec, 15), 3.0, 0.8, SYS1)]
+        field = solve_modal(modal_rhs(rec, 15), 3.0, 0.8, SYS1)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(2.0, 8)
-        a, rhs = assemble_system(mfs, (src,), start, t_grid, SYS1)
+        a, rhs = assemble_system(field, (src,), start, t_grid, SYS1)
         dc = newton_step(a, rhs, damping=1.0, reg=1e-10)
         assert abs(2.0 + dc[0] - 1.0) < 1.0
 
@@ -230,8 +266,6 @@ class TestReconstruct:
         assert run.iterations == 0
 
     def test_mismatched_rho_refused(self, disk_record):
-        from elshape.errors import ConfigError
-
         with pytest.raises(ConfigError):
             reconstruct(disk_record, disk_config(rho=4.0, **{"guess.radius": 2.0}))
 
@@ -250,13 +284,6 @@ class TestReconstruct:
         assert back.termination == run.termination
         assert back.e_history == run.e_history
         assert np.array_equal(back.final.coeffs, run.final.coeffs)
-
-
-class TestExtractAllFields:
-    def test_one_field_per_source(self, disk_record):
-        fields = extract_all_fields(disk_record, 10, 0.8, 1e-8)
-        assert len(fields) == disk_record.n_sources
-        assert all(f.N == 10 and f.R == 0.8 for f in fields)
 
 
 def test_wrapped_aperture_reconstruction():
