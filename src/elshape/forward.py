@@ -14,9 +14,11 @@ Two independent routes produce scattered fields for a rigid obstacle
   and the rigid condition couples them modewise through 2x2 systems.
 
 The pair cross-validates itself and keeps inversion tests free of the
-inverse crime.  ``simulate`` packages per-source solves into a
-ScatterRecord; ``add_noise`` applies the multiplicative per-component
-noise model  v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
+inverse crime.  ``simulate`` makes one MFS solve for all sources (one
+collocation matrix, one least-squares solve with a right-hand side per
+source, one receiver table) and packages it into a ScatterRecord;
+``add_noise`` applies the multiplicative per-component noise model
+v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
 """
 
 import warnings
@@ -40,39 +42,63 @@ RESIDUAL_WARN = 1e-6
 
 @dataclass(frozen=True)
 class MfsSolution:
-    """Charge layout and fitted strengths for one source's scattered field."""
+    """Charge layout and fitted strengths for the scattered fields of S sources.
+
+    Arrays carry a leading source axis ``lead``: ``()`` when one source was
+    solved, ``(S,)`` for a sequence.
+    """
 
     charges: np.ndarray     # (n_charges, 2)
-    strengths: np.ndarray   # (n_charges, 2) complex
-    residual: float         # max residual on the collocation grid
+    strengths: np.ndarray   # lead + (n_charges, 2) complex
+    residuals: np.ndarray   # lead; max residual on the collocation grid
     sys: LameSystem
 
     def __post_init__(self):
-        if self.charges.shape != self.strengths.shape:
+        if self.strengths.shape[-2:] != self.charges.shape:
             raise ValueError("one strength vector per charge point required")
 
+    @property
+    def residual(self) -> float:
+        """Worst collocation residual over the sources."""
+        return float(np.max(self.residuals, initial=0.0))
+
     def eval(self, x) -> np.ndarray:
-        """Scattered displacement at x (shape (..., 2))."""
+        """Scattered displacement at x (shape (..., 2)): lead + x.shape[:-1] + (2,)."""
         x = np.asarray(x, dtype=float)
-        g = green_tensor(x[..., None, :], self.charges, self.sys)
-        return np.einsum("...jkl,jl->...k", g, self.strengths)
+        g = _charge_matrix(x.reshape(-1, 2), self.charges, self.sys)
+        lead = self.strengths.shape[:-2]
+        coef = self.strengths.reshape(-1, g.shape[1])
+        return (coef @ g.T).reshape(lead + x.shape[:-1] + (2,))
+
+
+def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
+    """G(x_i, y_j) laid out with rows (point, component), columns (charge, component)."""
+    g = green_tensor(x[:, None, :], charges[None, :, :], sys)
+    return g.transpose(0, 2, 1, 3).reshape(2 * len(x), 2 * len(charges))
 
 
 def solve_mfs(
     curve: ParametricCurve,
-    src: PointSource,
+    sources,
     sys: LameSystem,
     n_collocation: int = 128,
     n_charges: int = 64,
     shrink: float = 0.8,
     warn_above: float | None = RESIDUAL_WARN,
 ) -> MfsSolution:
-    """Fit interior charges so that u_inc + v vanishes on the boundary."""
+    """Fit interior charges so that u_inc + v vanishes on the boundary.
+
+    ``sources`` is one PointSource or a sequence of them.  The collocation
+    matrix does not depend on the source, so it is built once and one
+    least-squares solve fits every source's right-hand side.
+    """
+    single = isinstance(sources, PointSource)
+    srcs = (sources,) if single else tuple(sources)
     if not 0.0 < shrink < 1.0:
         raise ConfigError("shrink must lie in (0, 1)")
     if n_collocation < n_charges:
         raise ConfigError("need at least as many collocation points as charges")
-    if curve.contains(src.xy):
+    if any(curve.contains(src.xy) for src in srcs):
         raise ConfigError("source point lies inside the obstacle")
 
     centroid = curve.centroid()
@@ -81,27 +107,30 @@ def solve_mfs(
     t_col = np.linspace(0.0, 2.0 * np.pi, n_collocation, endpoint=False)
     colloc = curve.point(t_col)
 
-    g = green_tensor(colloc[:, None, :], charges[None, :, :], sys)
-    a = g.transpose(0, 2, 1, 3).reshape(2 * n_collocation, 2 * n_charges)
-    b = -incident_field(colloc, src, sys).reshape(-1)
+    a = _charge_matrix(colloc, charges, sys)
+    # column s is -u_inc of source s on the grid, each with its own polarization
+    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
+    pol = np.array([src.polarization for src in srcs], dtype=complex).reshape(-1, 2)
+    u_inc = green_tensor(colloc[None], z[:, None], sys) @ pol[:, None, :, None]
+    b = -u_inc.reshape(len(srcs), 2 * n_collocation).T
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
     if rank == 0:
         raise SolveError("rank-deficient MFS collocation matrix")
-    residual = float(np.max(np.abs(a @ coef - b)))
-    if warn_above is not None and residual > warn_above:
+    residuals = np.max(np.abs(a @ coef - b), axis=0)
+    if warn_above is not None and np.any(residuals > warn_above):
+        worst = int(np.argmax(residuals))
         warnings.warn(
-            f"MFS collocation residual {residual:.3e} exceeds {warn_above:.0e}",
+            f"MFS collocation residual {residuals[worst]:.3e} exceeds {warn_above:.0e} "
+            f"(source {worst} of {len(srcs)})",
             stacklevel=2,
         )
-    return MfsSolution(
-        charges=charges,
-        strengths=coef.reshape(n_charges, 2),
-        residual=residual,
-        sys=sys,
-    )
+    strengths = coef.T.reshape(len(srcs), n_charges, 2)
+    if single:
+        strengths, residuals = strengths[0], residuals[0]
+    return MfsSolution(charges=charges, strengths=strengths, residuals=residuals, sys=sys)
 
 
 def boundary_residual(
@@ -270,35 +299,24 @@ def simulate(
     warn_above: float | None = RESIDUAL_WARN,
     residual_log: list | None = None,
 ) -> ScatterRecord:
-    """Measure the per-source MFS scattered field on the receiver arc."""
+    """Measure every source's MFS scattered field on the receiver arc (one solve)."""
     if rho <= curve.max_radius():
         raise ConfigError("measurement radius must exceed the obstacle")
     theta = receiver_angles(n_receivers, aperture)
     pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
-    values = np.zeros((len(sources), n_receivers, 2), dtype=complex)
-    worst = 0.0
-    for i, src in enumerate(sources):
-        sol = solve_mfs(curve, src, sys, n_collocation, n_charges, shrink, None)
-        worst = max(worst, sol.residual)
-        if residual_log is not None:
-            residual_log.append(sol.residual)
-        values[i] = sol.eval(pts)
-    if warn_above is not None and worst > warn_above:
-        warnings.warn(
-            f"worst MFS collocation residual over {len(sources)} sources: "
-            f"{worst:.3e} (> {warn_above:.0e})",
-            stacklevel=2,
-        )
-    rec = ScatterRecord(
+    sources = tuple(sources)
+    sol = solve_mfs(curve, sources, sys, n_collocation, n_charges, shrink, warn_above)
+    if residual_log is not None:
+        residual_log.extend(float(r) for r in sol.residuals)
+    return ScatterRecord(
         rho=rho,
         sys=sys,
-        sources=tuple(sources),
+        sources=sources,
         receivers=theta,
-        values=values,
+        values=sol.eval(pts),
         aperture=tuple(aperture),
     )
-    return rec
 
 
 def ring_sources(

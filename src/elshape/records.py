@@ -99,24 +99,32 @@ class ScatterRecord:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScatterRecord":
-        sys = LameSystem(doc["lame"]["lambda"], doc["lame"]["mu"], doc["lame"]["omega"])
-        pol = tuple(doc["polarization"])
-        sources = tuple(
-            PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
-        )
-        raw = np.asarray(doc["values"], dtype=float)
-        if raw.size:
-            values = raw[..., 0::2] + 1j * raw[..., 1::2]
-        else:
-            values = np.zeros((len(sources), len(doc["receivers"]), 2), dtype=complex)
-        return cls(
-            rho=doc["rho"],
-            sys=sys,
-            sources=sources,
-            receivers=np.asarray(doc["receivers"], dtype=float),
-            values=values,
-            aperture=tuple(doc["aperture"]),
-        )
+        """Record from its JSON layout; a malformed document raises ConfigError."""
+        try:
+            sys = LameSystem(doc["lame"]["lambda"], doc["lame"]["mu"], doc["lame"]["omega"])
+            pol = tuple(doc["polarization"])
+            sources = tuple(
+                PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
+            )
+            raw = np.asarray(doc["values"], dtype=float)
+            if raw.size:
+                values = raw[..., 0::2] + 1j * raw[..., 1::2]
+            else:
+                values = np.zeros((len(sources), len(doc["receivers"]), 2), dtype=complex)
+            return cls(
+                rho=doc["rho"],
+                sys=sys,
+                sources=sources,
+                receivers=np.asarray(doc["receivers"], dtype=float),
+                values=values,
+                aperture=tuple(doc["aperture"]),
+            )
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"record is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed record: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ScatterRecord":

@@ -9,7 +9,9 @@ A sweep file is an ordinary experiment config plus three list-valued keys:
 Each (aperture, delta) cell simulates one clean record, reconstructs once
 per seed and reports the median boundary error against the configured
 truth (radial L2 for star-shaped truths, symmetric Hausdorff otherwise).
-Cell failures are recorded in the output row and the sweep continues.
+A cell that fails with a package error (bad configuration, domain,
+singularity, aliasing or solve failure) is recorded in the output row and
+the sweep continues; any other exception propagates.
 Cells are independent, so they can run in a process pool.
 """
 
@@ -20,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig, make_shape, parse_config_text
-from .errors import ConfigError
+from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
 from .forward import ring_sources, simulate
 from .metrics import curve_hausdorff, radial_l2
 from .newton import reconstruct
 
 SWEEP_KEYS = ("sweep.apertures", "sweep.deltas", "sweep.seeds")
+
+#: package errors a cell records as failed; anything else is a bug and propagates
+CELL_ERRORS = (ConfigError, DomainError, SolveError, SingularityError, AliasingError)
 
 CSV_HEADER = [
     "aperture_lo",
@@ -125,7 +130,7 @@ def run_cell(base: dict, aperture, delta: float, seeds) -> list:
             converged += run.termination == "converged"
         med = float(np.median(errors)) if errors else float("nan")
         return [aperture[0], aperture[1], delta, len(seeds), med, converged, "ok"]
-    except Exception as exc:  # cell isolation: record and continue
+    except CELL_ERRORS as exc:  # cell isolation: record and continue
         return [aperture[0], aperture[1], delta, len(seeds), float("nan"), 0,
                 f"failed: {type(exc).__name__}: {exc}"]
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from elshape import forward
 from elshape.elastic import LameSystem, PointSource, incident_field
 from elshape.errors import ConfigError, DomainError
 from elshape.forward import (
@@ -17,7 +18,7 @@ from elshape.forward import (
     simulate,
     solve_mfs,
 )
-from elshape.geometry import disk, kite
+from elshape.geometry import disk, kite, starfish
 from elshape.records import ScatterRecord
 
 SYS5 = LameSystem(1.0, 1.0, 5.0)
@@ -70,6 +71,55 @@ class TestSolveMfs:
     def test_bad_shrink_rejected(self):
         with pytest.raises(ConfigError):
             solve_mfs(disk(1.0), SRC, SYS5, 64, 32, 1.2)
+
+
+MIXED = tuple(
+    PointSource((3.0 * np.cos(a), 3.0 * np.sin(a)), pol)
+    for a, pol in zip(
+        (0.3, 1.9, 3.5, 5.0), ((1.0, 0.0), (0.0, 1.0), POL, (0.6, -0.8))
+    )
+)
+
+
+def rel_max(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBatchedMfs:
+    @pytest.fixture(scope="class")
+    def batched(self):
+        return solve_mfs(starfish(), MIXED, SYS5, 192, 96, 0.85, warn_above=None)
+
+    def test_rows_match_single_source_solves(self, batched):
+        pts = circle_points(3.0, 64)
+        assert batched.strengths.shape == (len(MIXED), 96, 2)
+        assert batched.residuals.shape == (len(MIXED),)
+        values = batched.eval(pts)
+        assert values.shape == (len(MIXED), 64, 2)
+        for i, src in enumerate(MIXED):
+            one = solve_mfs(starfish(), src, SYS5, 192, 96, 0.85, warn_above=None)
+            assert rel_max(batched.strengths[i], one.strengths) <= 1e-10
+            assert rel_max(values[i], one.eval(pts)) <= 1e-10
+            assert batched.residuals[i] == pytest.approx(one.residual, rel=1e-6)
+        assert batched.residual == max(batched.residuals)
+
+    def test_single_source_keeps_unbatched_shapes(self):
+        sol = solve_mfs(disk(1.0), SRC, SYS5, 64, 32, 0.7, warn_above=None)
+        assert sol.strengths.shape == (32, 2)
+        assert isinstance(sol.residual, float)
+        assert sol.eval(circle_points(3.0, 5)).shape == (5, 2)
+        assert sol.eval(np.array([3.0, 1.0])).shape == (2,)
+
+    def test_one_warning_names_worst_source(self):
+        match = r"MFS collocation residual .* \(source \d of 5\)"
+        with pytest.warns(UserWarning, match=match) as caught:
+            solve_mfs(kite(), ring_sources(5, 3.0, POL), SYS5, 128, 64, 0.8)
+        assert len(caught) == 1
+
+    def test_any_source_inside_rejected(self):
+        srcs = (SRC, PointSource((0.2, 0.0), POL))
+        with pytest.raises(ConfigError):
+            solve_mfs(disk(1.0), srcs, SYS5, 64, 32, 0.7)
 
 
 class TestDiskSeries:
@@ -128,6 +178,32 @@ class TestSimulate:
                        shrink=0.7)
         assert rec.n_sources == 0
         assert rec.values.shape == (0, 16, 2)
+
+    def test_residual_log_in_source_order(self):
+        srcs = ring_sources(5, 3.0, POL)
+        log = []
+        simulate(kite(), srcs, SYS5, 3.0, 16, n_collocation=128, n_charges=64,
+                 shrink=0.8, warn_above=None, residual_log=log)
+        single = [solve_mfs(kite(), s, SYS5, 128, 64, 0.8, None).residual for s in srcs]
+        assert np.allclose(log, single, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("n_sources", [1, 7])
+    def test_one_factorization_per_record(self, monkeypatch, n_sources):
+        # a per-source loop would scale both counts with the number of sources
+        calls = {"lstsq": 0, "green_tensor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(forward.np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(forward, "green_tensor", counted("green_tensor", forward.green_tensor))
+        simulate(disk(1.0), ring_sources(n_sources, 3.0, POL), SYS5, 3.0, 16,
+                 n_collocation=32, n_charges=16, shrink=0.7, warn_above=None)
+        # collocation matrix, right-hand sides, receiver table
+        assert calls == {"lstsq": 1, "green_tensor": 3}
 
     def test_rho_must_exceed_obstacle(self):
         with pytest.raises(ConfigError):

@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from elshape import sweep
 from elshape.cli import main
+from elshape.errors import SolveError
 from elshape.geometry import disk, kite, radial_curve
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
 from elshape.records import ScatterRecord
 from elshape.svgout import overlay_svg
-from elshape.sweep import parse_sweep_text, run_sweep, write_sweep_csv
+from elshape.sweep import parse_sweep_text, run_cell, run_sweep, write_sweep_csv
 
 DISK_CFG = """
 shape = disk
@@ -151,6 +153,25 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.pop("rho"),
+        lambda doc: doc.update(rho="three"),
+        lambda doc: doc["values"][0].pop(),
+        lambda doc: doc["lame"].update(mu=0.0),
+    ], ids=["missing_key", "non_numeric_rho", "ragged_values", "zero_mu"])
+    def test_malformed_record_is_validation_error(self, workspace, tmp_path, capsys, corrupt):
+        root, cfg = workspace
+        doc = json.loads((root / "record.json").read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "reconstruct", "--config", str(cfg),
+            "--record", str(bad), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_rerun_byte_identical(self, workspace, tmp_path_factory):
         root, cfg = workspace
         out_a = tmp_path_factory.mktemp("a")
@@ -267,6 +288,21 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0][-1] == "ok"
         assert rows[1][-1].startswith("failed")
+
+    def test_only_package_errors_recorded(self, monkeypatch):
+        base = parse_sweep_text(DISK_CFG).base
+
+        def raising(exc):
+            def fake_simulate(*args, **kwargs):
+                raise exc
+            return fake_simulate
+
+        monkeypatch.setattr(sweep, "simulate", raising(TypeError("bug")))
+        with pytest.raises(TypeError, match="bug"):
+            run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
+        monkeypatch.setattr(sweep, "simulate", raising(SolveError("no fit")))
+        row = run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
+        assert row[-1] == "failed: SolveError: no fit"
 
     def test_noise_column_monotone(self, tmp_path):
         text = (
