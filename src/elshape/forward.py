@@ -11,7 +11,8 @@ Two independent routes produce scattered fields for a rigid obstacle
 * ``disk_series`` solves the disk case exactly: the incident potentials
   are expanded about the origin in the regular Bessel basis (addition
   theorem for H_0^(1)), the scattered potentials in the outgoing basis,
-  and the rigid condition couples them modewise through 2x2 systems.
+  and the rigid condition couples them modewise through 2x2 systems,
+  solved in closed form for every mode and source at once.
 
 The pair cross-validates itself and keeps inversion tests free of the
 inverse crime.  ``simulate`` makes one MFS solve for all sources (one
@@ -134,31 +135,40 @@ def solve_mfs(
 
 
 def boundary_residual(
-    sol: MfsSolution, curve: ParametricCurve, src: PointSource, sys: LameSystem, n: int
+    sol: MfsSolution, curve: ParametricCurve, sources, sys: LameSystem, n: int
 ) -> float:
-    """Max |u_inc + v| on an n-point boundary grid (solution quality probe)."""
+    """Max |u_inc + v| on an n-point boundary grid over all sources (quality probe).
+
+    ``sources`` matches the solution's source axis: one PointSource for a
+    one-source solution, else the sequence that was solved.
+    """
+    srcs = (sources,) if isinstance(sources, PointSource) else tuple(sources)
+    if len(srcs) != np.size(sol.residuals):
+        raise ConfigError(
+            f"{len(srcs)} sources given for a solution of {np.size(sol.residuals)}"
+        )
     pts = curve.sample(n)
-    total = sol.eval(pts) + incident_field(pts, src, sys)
-    return float(np.max(np.abs(total)))
+    u_inc = np.stack([incident_field(pts, src, sys) for src in srcs])
+    return float(np.max(np.abs(sol.eval(pts) + u_inc)))
 
 
 # ---------------------------------------------------------------------------
 # analytic disk solution
 # ---------------------------------------------------------------------------
 
-def _bessel_j_dj(orders: np.ndarray, t: np.ndarray):
-    j = specfun.bessel_j(orders, t)
-    j_prev = specfun.bessel_j(orders - 1, t)
-    return j, j_prev - (orders / t) * j
+def _value_and_derivative(fn, n_modes: int, t):
+    """C_m(t) and C_m'(t) = C_{m-1}(t) - (m/t) C_m(t) for m = -M..M.
+
+    One call of ``fn`` (a cylinder function of integer order) fills orders
+    -M-1..M; both tables have shape (2M+1,) + np.shape(t).
+    """
+    t = np.asarray(t, dtype=float)
+    m = np.arange(-n_modes - 1, n_modes + 1).reshape((-1,) + (1,) * t.ndim)
+    c = fn(m, t)
+    return c[1:], c[:-1] - (m[1:] / t) * c[1:]
 
 
-def _hankel_h_dh(orders: np.ndarray, t: np.ndarray):
-    h = specfun.hankel1(orders, t)
-    h_prev = specfun.hankel1(orders - 1, t)
-    return h, h_prev - (orders / t) * h
-
-
-def _incident_potential_coeffs(src: PointSource, sys: LameSystem, n_modes: int):
+def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
     """Bessel-basis coefficients of the incident potentials about the origin.
 
     Differentiating the addition-theorem expansion of (i/4) H_0(k|x - z|)
@@ -169,107 +179,108 @@ def _incident_potential_coeffs(src: PointSource, sys: LameSystem, n_modes: int):
                       -/+ conj(P) H_{m-1}(k|z|) e^{-i(m-1) t_z} ]
 
     with P = p1 + i p2, c = -i k / (8 w^2) for 'p' (minus sign inside) and
-    c = k / (8 w^2) for 's' (plus sign inside).
+    c = k / (8 w^2) for 's' (plus sign inside).  Returns (S, 2M+1) arrays,
+    one row per source, from one Hankel call per branch.
     """
-    z = src.xy
-    rz = np.hypot(z[0], z[1])
-    tz = np.arctan2(z[1], z[0])
-    p_cplx = src.p[0] + 1j * src.p[1]
+    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
+    pol = np.array([src.polarization for src in srcs], dtype=float).reshape(-1, 2)
+    rz = np.hypot(z[:, 0], z[:, 1])[:, None]
+    tz = np.arctan2(z[:, 1], z[:, 0])[:, None]
+    p_cplx = (pol[:, 0] + 1j * pol[:, 1])[:, None]
     m = np.arange(-n_modes, n_modes + 1)
-    out = {}
-    for branch, k in (("p", sys.k_p), ("s", sys.k_s)):
-        h_up = specfun.hankel1(m + 1, np.full(m.shape, k * rz))
-        h_dn = specfun.hankel1(m - 1, np.full(m.shape, k * rz))
-        term_up = p_cplx * h_up * np.exp(-1j * (m + 1) * tz)
-        term_dn = np.conj(p_cplx) * h_dn * np.exp(-1j * (m - 1) * tz)
-        if branch == "p":
-            out[branch] = (-1j * k / (8.0 * sys.omega**2)) * (term_up - term_dn)
-        else:
-            out[branch] = (k / (8.0 * sys.omega**2)) * (term_up + term_dn)
-    return out["p"], out["s"]
+    out = []
+    for k, sign, c in ((sys.k_p, -1.0, -1j), (sys.k_s, 1.0, 1.0)):
+        # orders -M-1..M+1: H_{m-1} is columns 0..2M, H_{m+1} columns 2..2M+2
+        h = specfun.hankel1(np.arange(-n_modes - 1, n_modes + 2)[None, :], k * rz)
+        term_up = p_cplx * h[:, 2:] * np.exp(-1j * (m + 1) * tz)
+        term_dn = np.conj(p_cplx) * h[:, :-2] * np.exp(-1j * (m - 1) * tz)
+        out.append((c * k / (8.0 * sys.omega**2)) * (term_up + sign * term_dn))
+    return out
 
 
 @dataclass(frozen=True)
 class DiskField:
-    """Exact scattered field of a rigid disk, evaluable for |x| >= radius."""
+    """Exact scattered fields of a rigid disk, evaluable for |x| >= radius.
+
+    Coefficients carry a leading source axis ``lead``: ``()`` for one
+    source, ``(S,)`` for a sequence.
+    """
 
     radius: float
     sys: LameSystem
-    b_p: np.ndarray   # outgoing-basis coefficients, orders -M..M
+    b_p: np.ndarray   # lead + (2M+1,) outgoing-basis coefficients, orders -M..M
     b_s: np.ndarray
 
     @property
     def n_modes(self) -> int:
-        return (self.b_p.size - 1) // 2
+        return (self.b_p.shape[-1] - 1) // 2
 
     def eval(self, x) -> np.ndarray:
+        """Scattered displacement at x (shape (..., 2)): lead + x.shape[:-1] + (2,)."""
         x = np.asarray(x, dtype=float)
         r = np.hypot(x[..., 0], x[..., 1])
         theta = np.arctan2(x[..., 1], x[..., 0])
-        shape = r.shape
+        shape = self.b_p.shape[:-1] + r.shape
         r = np.atleast_1d(r).ravel()
         theta = np.atleast_1d(theta).ravel()
         if np.any(r < self.radius * (1.0 - 1e-12)):
             raise DomainError("disk series evaluated inside the disk")
 
-        m = np.arange(-self.n_modes, self.n_modes + 1)
-        a = np.zeros(r.size, dtype=complex)
-        b = np.zeros(r.size, dtype=complex)
-        for branch, k, coef in (("p", self.sys.k_p, self.b_p), ("s", self.sys.k_s, self.b_s)):
-            h, dh = _hankel_h_dh(m[:, None], k * r[None, :])
-            if branch == "p":
-                a = a + np.sum(coef[:, None] * k * dh * np.exp(1j * m[:, None] * theta), axis=0)
-                b = b + np.sum(
-                    coef[:, None] * (1j * m[:, None] / r[None, :]) * h
-                    * np.exp(1j * m[:, None] * theta),
-                    axis=0,
-                )
-            else:
-                a = a + np.sum(
-                    coef[:, None] * (1j * m[:, None] / r[None, :]) * h
-                    * np.exp(1j * m[:, None] * theta),
-                    axis=0,
-                )
-                b = b - np.sum(coef[:, None] * k * dh * np.exp(1j * m[:, None] * theta), axis=0)
+        # the Hankel tables depend on r only: evaluate them on the distinct
+        # radii (a receiver circle has a few) and scatter back
+        r_uniq, back = np.unique(r, return_inverse=True)
+        m = np.arange(-self.n_modes, self.n_modes + 1)[:, None]
+        phase = np.exp(1j * m * theta)
+        # per branch: radial part k H_m' and tangential part (i m / r) H_m
+        radial, tangential = [], []
+        for k, coef in ((self.sys.k_p, self.b_p), (self.sys.k_s, self.b_s)):
+            h, dh = _value_and_derivative(specfun.hankel1, self.n_modes, k * r_uniq)
+            radial.append(coef @ (k * dh[:, back] * phase))
+            tangential.append(coef @ ((1j * m / r) * h[:, back] * phase))
+        a = radial[0] + tangential[1]
+        b = tangential[0] - radial[1]
         ct, st = np.cos(theta), np.sin(theta)
         vec = np.stack([a * ct - b * st, a * st + b * ct], axis=-1)
         return vec.reshape(shape + (2,))
 
 
-def disk_series(
-    radius: float, src: PointSource, sys: LameSystem, n_modes: int = 40
-) -> DiskField:
-    """Exact scattered field outside a rigid disk centered at the origin."""
+def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:
+    """Exact scattered fields outside a rigid disk centered at the origin.
+
+    ``sources`` is one PointSource or a sequence of them.  The rim tables do
+    not depend on the source, and the per-mode 2x2 rigid-boundary systems
+    are solved in closed form for every mode and source at once.
+    """
+    single = isinstance(sources, PointSource)
+    srcs = (sources,) if single else tuple(sources)
     if radius <= 0.0:
         raise DomainError("disk radius must be positive")
-    rz = float(np.hypot(*src.xy))
-    if rz <= radius:
+    if any(np.hypot(*src.xy) <= radius for src in srcs):
         raise DomainError("source must lie outside the disk")
 
-    a_p, a_s = _incident_potential_coeffs(src, sys, n_modes)
+    a_p, a_s = _incident_potential_coeffs(srcs, sys, n_modes)
     m = np.arange(-n_modes, n_modes + 1)
-    tp = np.full(m.shape, sys.k_p * radius)
-    ts = np.full(m.shape, sys.k_s * radius)
-    jp, djp = _bessel_j_dj(m, tp)
-    js, djs = _bessel_j_dj(m, ts)
-    hp, dhp = _hankel_h_dh(m, tp)
-    hs, dhs = _hankel_h_dh(m, ts)
+    jp, djp = _value_and_derivative(specfun.bessel_j, n_modes, sys.k_p * radius)
+    js, djs = _value_and_derivative(specfun.bessel_j, n_modes, sys.k_s * radius)
+    hp, dhp = _value_and_derivative(specfun.hankel1, n_modes, sys.k_p * radius)
+    hs, dhs = _value_and_derivative(specfun.hankel1, n_modes, sys.k_s * radius)
 
+    # u_inc + v = 0 at r = radius, per mode:
+    #   [k_p H_p'   fac H_s ] [b_p]     [k_p J_p' a_p + fac J_s a_s ]
+    #   [fac H_p   -k_s H_s'] [b_s] = - [fac J_p a_p  - k_s J_s' a_s]
+    # solved for c = b H(k radius), which keeps every entry O(m)
     fac = 1j * m / radius
-    b_p = np.zeros(m.size, dtype=complex)
-    b_s = np.zeros(m.size, dtype=complex)
-    for i in range(m.size):
-        mat = np.array(
-            [[sys.k_p * dhp[i], fac[i] * hs[i]], [fac[i] * hp[i], -sys.k_s * dhs[i]]]
-        )
-        rhs = -np.array(
-            [
-                sys.k_p * djp[i] * a_p[i] + fac[i] * js[i] * a_s[i],
-                fac[i] * jp[i] * a_p[i] - sys.k_s * djs[i] * a_s[i],
-            ]
-        )
-        sol = np.linalg.solve(mat, rhs)
-        b_p[i], b_s[i] = sol[0], sol[1]
+    g_p = sys.k_p * dhp / hp
+    g_s = sys.k_s * dhs / hs
+    det = -g_p * g_s - fac * fac
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise SolveError("degenerate rigid-disk mode system")
+    rhs_r = -(sys.k_p * djp * a_p + fac * js * a_s)
+    rhs_t = -(fac * jp * a_p - sys.k_s * djs * a_s)
+    b_p = (-g_s * rhs_r - fac * rhs_t) / (det * hp)
+    b_s = (g_p * rhs_t - fac * rhs_r) / (det * hs)
+    if single:
+        b_p, b_s = b_p[0], b_s[0]
     return DiskField(radius=radius, sys=sys, b_p=b_p, b_s=b_s)
 
 
@@ -338,20 +349,18 @@ def record_from_disk_series(
     aperture=FULL_APERTURE,
     n_modes: int = 40,
 ) -> ScatterRecord:
-    """ScatterRecord filled from the analytic disk solution (oracle route)."""
+    """ScatterRecord filled from the analytic disk solution (one series solve)."""
     if radius >= rho:
         raise ConfigError("measurement radius must exceed the disk")
     theta = receiver_angles(n_receivers, aperture)
     pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    values = np.zeros((len(sources), n_receivers, 2), dtype=complex)
-    for i, src in enumerate(sources):
-        values[i] = disk_series(radius, src, sys, n_modes).eval(pts)
+    sources = tuple(sources)
     return ScatterRecord(
         rho=rho,
         sys=sys,
-        sources=tuple(sources),
+        sources=sources,
         receivers=theta,
-        values=values,
+        values=disk_series(radius, sources, sys, n_modes).eval(pts),
         aperture=tuple(aperture),
     )
 

@@ -210,9 +210,10 @@ def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
     return alpha_p[:, 0], beta_p[:, 0], alpha_s[:, 0], beta_s[:, 0]
 
 
-def _circle_mode(n: int, rho: float, R: float, sys: LameSystem):
-    """The four circle-table entries of the single order n."""
-    return tuple(tab[n + abs(n)] for tab in _circle_tables(rho, R, abs(n), sys))
+def _circle_mode(n, rho: float, R: float, sys: LameSystem):
+    """The four circle-table entries of order n (an int or an integer array)."""
+    N = int(np.max(np.abs(n)))
+    return tuple(tab[np.add(n, N)] for tab in _circle_tables(rho, R, N, sys))
 
 
 def _lambda(n, rho, ap, bp, a_s, bs):
@@ -226,8 +227,12 @@ def modal_matrix(n: int, rho: float, R: float, sys: LameSystem) -> np.ndarray:
     return np.array([[ap, fac * bs], [fac * bp, -a_s]])
 
 
-def lambda_n(n: int, rho: float, R: float, sys: LameSystem) -> complex:
-    """Per-mode determinant factor n^2/rho^2 - alpha_p alpha_s / (beta_p beta_s)."""
+def lambda_n(n, rho: float, R: float, sys: LameSystem):
+    """Per-mode determinant factor n^2/rho^2 - alpha_p alpha_s / (beta_p beta_s).
+
+    ``n`` is an int (complex result) or an integer array (array of the same
+    shape, from one table of orders up to max |n|).
+    """
     return _lambda(n, rho, *_circle_mode(n, rho, R, sys))
 
 

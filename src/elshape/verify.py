@@ -186,8 +186,8 @@ def check_lambda_nonvanishing() -> CheckResult:
     for omega in (1.0, 5.0):
         for R in (0.3, 0.5, 0.8):
             sys = LameSystem(1.0, 1.0, omega)
-            for n in range(0, 41):
-                smallest = min(smallest, abs(lambda_n(n, 3.0, R, sys)))
+            lam = lambda_n(np.arange(0, 41), 3.0, R, sys)
+            smallest = min(smallest, float(np.min(np.abs(lam))))
     return _result("lambda_nonvanishing", smallest > 0.0, smallest, 0.0,
                    "min |Lambda_n| over omega, R, |n| <= 40", t0)
 

@@ -121,6 +121,25 @@ class TestBatchedMfs:
         with pytest.raises(ConfigError):
             solve_mfs(disk(1.0), srcs, SYS5, 64, 32, 0.7)
 
+    def test_boundary_residual_is_max_over_sources(self):
+        srcs = ring_sources(3, 3.0, POL)
+        sol = solve_mfs(disk(1.0), srcs, SYS5, 128, 64, 0.8)
+        single = [
+            boundary_residual(solve_mfs(disk(1.0), s, SYS5, 128, 64, 0.8), disk(1.0), s, SYS5, 512)
+            for s in srcs
+        ]
+        assert max(single) <= 1e-6
+        got = boundary_residual(sol, disk(1.0), srcs, SYS5, 512)
+        assert got == pytest.approx(max(single), rel=1e-6)
+
+    def test_boundary_residual_needs_one_source_per_row(self):
+        srcs = ring_sources(3, 3.0, POL)
+        sol = solve_mfs(disk(1.0), srcs, SYS5, 64, 32, 0.7, warn_above=None)
+        with pytest.raises(ConfigError):
+            boundary_residual(sol, disk(1.0), srcs[0], SYS5, 64)
+        with pytest.raises(ConfigError):
+            boundary_residual(sol, disk(1.0), srcs[:2], SYS5, 64)
+
 
 class TestDiskSeries:
     def test_rigid_boundary_condition(self):
@@ -152,6 +171,71 @@ class TestDiskSeries:
         a = disk_series(1.0, SRC, SYS5, 40).eval(pts)
         b = disk_series(1.0, SRC, SYS5, 50).eval(pts)
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+MIXED7 = tuple(
+    PointSource((r * np.cos(a), r * np.sin(a)), pol)
+    for r, a, pol in zip(
+        (3.0, 2.5, 4.0, 1.5, 3.0, 2.0, 5.0),
+        (0.0, 0.9, 1.7, 2.6, 3.5, 4.4, 5.3),
+        ((1.0, 0.0), (0.0, 1.0), POL, (0.6, -0.8), (-1.0, 2.0), (0.1, 0.1), (0.0, 0.0)),
+    )
+)
+
+
+class TestBatchedDiskSeries:
+    @pytest.fixture(scope="class")
+    def batched(self):
+        return disk_series(1.0, MIXED7, SYS5, 40)
+
+    def test_rows_match_single_source_series(self, batched):
+        rng = np.random.default_rng(5)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+        off = rng.uniform(1.1, 4.0, 40)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        assert len(np.unique(np.hypot(off[:, 0], off[:, 1]))) == 40
+        circle = circle_points(3.0, 128)
+        assert batched.b_p.shape == batched.b_s.shape == (7, 81)
+        for pts in (circle, off):
+            values = batched.eval(pts)
+            assert values.shape == (7, len(pts), 2)
+            for i, src in enumerate(MIXED7[:-1]):
+                one = disk_series(1.0, src, SYS5, 40)
+                assert rel_max(batched.b_p[i], one.b_p) <= 1e-12
+                assert rel_max(batched.b_s[i], one.b_s) <= 1e-12
+                assert rel_max(values[i], one.eval(pts)) <= 1e-12
+            # the zero-polarization source scatters nothing
+            assert np.max(np.abs(values[-1])) == 0.0
+
+    def test_single_source_keeps_unbatched_shapes(self):
+        fld = disk_series(1.0, SRC, SYS5, 20)
+        assert fld.b_p.shape == fld.b_s.shape == (41,)
+        assert fld.n_modes == 20
+        assert fld.eval(circle_points(3.0, 5)).shape == (5, 2)
+        assert fld.eval(np.array([3.0, 1.0])).shape == (2,)
+        assert fld.eval(np.ones((2, 3, 2))).shape == (2, 3, 2)
+        assert disk_series(1.0, (SRC,), SYS5, 20).eval(np.ones((2, 3, 2))).shape == (1, 2, 3, 2)
+
+    def test_any_source_inside_rejected(self):
+        with pytest.raises(DomainError):
+            disk_series(1.0, MIXED7 + (PointSource((0.0, 0.5), POL),), SYS5)
+
+    @pytest.mark.parametrize("n_sources,n_receivers", [(1, 16), (7, 16), (1, 128), (7, 128)])
+    def test_hankel_calls_independent_of_sources_and_receivers(
+        self, monkeypatch, n_sources, n_receivers
+    ):
+        # a per-source or per-point loop would scale the count
+        calls = []
+        hankel1 = forward.specfun.hankel1
+
+        def counted(n, t):
+            calls.append(1)
+            return hankel1(n, t)
+
+        monkeypatch.setattr(forward.specfun, "hankel1", counted)
+        rec = record_from_disk_series(1.0, MIXED7[:n_sources], SYS5, 5.5, n_receivers)
+        assert rec.values.shape == (n_sources, n_receivers, 2)
+        # incident coefficients, rim tables and receiver tables, one per branch each
+        assert len(calls) == 6
 
 
 class TestSimulate:

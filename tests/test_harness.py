@@ -9,6 +9,7 @@ import pytest
 from elshape import sweep
 from elshape.cli import main
 from elshape.errors import SolveError
+from elshape.forward import disk_series
 from elshape.geometry import disk, kite, radial_curve
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
 from elshape.records import ScatterRecord
@@ -53,6 +54,14 @@ class TestForwardCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle check" in out
+        # per-source reference: one single-source series per row of the record
+        rec = ScatterRecord.load(root / "record.json")
+        pts = rec.rho * np.stack([np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1)
+        gaps = []
+        for i, src in enumerate(rec.sources):
+            oracle = disk_series(1.0, src, rec.sys, 40).eval(pts)
+            gaps.append(np.linalg.norm(rec.values[i] - oracle) / np.linalg.norm(oracle))
+        assert f"max relative L2 discrepancy {max(gaps):.3e}" in out
 
     def test_kite_benchmark_counts(self, tmp_path):
         cfg = tmp_path / "kite.cfg"
