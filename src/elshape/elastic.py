@@ -103,8 +103,7 @@ def _separation(x, y):
 def _phi_radial(k, r, order):
     """Radial derivatives of Phi(r) = (i/4) H_0^(1)(k r) up to ``order``."""
     t = k * r
-    h0 = specfun.hankel1(0, t)
-    h1 = specfun.hankel1(1, t)
+    h0, h1 = specfun.hankel1_table(1, t)
     c = 0.25j
     out = [c * h0]
     if order >= 1:
@@ -123,7 +122,7 @@ def helmholtz_phi(branch, x, y, sys: LameSystem):
     """Scalar kernel (i/4) H_0^(1)(k_branch |x - y|), branch in {'p','s'}."""
     _, r = _separation(x, y)
     k = sys.wavenumber(branch)
-    return 0.25j * specfun.hankel1(0, k * r)
+    return 0.25j * specfun.hankel1_table(0, k * r)[0]
 
 
 def green_tensor(x, z, sys: LameSystem):

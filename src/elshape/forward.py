@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .elastic import LameSystem, PointSource, green_tensor, incident_field
+from .elastic import LameSystem, PointSource, green_tensor
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
+from .elastic import incident_field  # noqa: F401
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve
 from .records import FULL_APERTURE, ScatterRecord
@@ -72,6 +74,14 @@ class MfsSolution:
         return (coef @ g.T).reshape(lead + x.shape[:-1] + (2,))
 
 
+def _incident_fields(x, srcs, sys: LameSystem) -> np.ndarray:
+    """u_inc of every source at the points x (P, 2), each with its own
+    polarization: shape (S, P, 2), from one green_tensor call."""
+    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
+    pol = np.array([src.polarization for src in srcs], dtype=complex).reshape(-1, 2)
+    return (green_tensor(x[None], z[:, None], sys) @ pol[:, None, :, None])[..., 0]
+
+
 def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
     """G(x_i, y_j) laid out with rows (point, component), columns (charge, component)."""
     g = green_tensor(x[:, None, :], charges[None, :, :], sys)
@@ -109,11 +119,8 @@ def solve_mfs(
     colloc = curve.point(t_col)
 
     a = _charge_matrix(colloc, charges, sys)
-    # column s is -u_inc of source s on the grid, each with its own polarization
-    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
-    pol = np.array([src.polarization for src in srcs], dtype=complex).reshape(-1, 2)
-    u_inc = green_tensor(colloc[None], z[:, None], sys) @ pol[:, None, :, None]
-    b = -u_inc.reshape(len(srcs), 2 * n_collocation).T
+    # column s is -u_inc of source s on the grid
+    b = -_incident_fields(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
@@ -148,8 +155,7 @@ def boundary_residual(
             f"{len(srcs)} sources given for a solution of {np.size(sol.residuals)}"
         )
     pts = curve.sample(n)
-    u_inc = np.stack([incident_field(pts, src, sys) for src in srcs])
-    return float(np.max(np.abs(sol.eval(pts) + u_inc)))
+    return float(np.max(np.abs(sol.eval(pts) + _incident_fields(pts, srcs, sys))))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ Radial derivatives use kappa_{xi,n}(r) = alpha_{xi,n}'(r)
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
-builds its Hankel tables once for all rows.  ModalField instances are
-immutable after construction and all evaluators are pure.
+builds its Hankel tables (``specfun.hankel1_table``) once for all rows, on
+the distinct radii of its points.  ModalField instances are immutable
+after construction and all evaluators are pure.
 """
 
 import json
@@ -64,34 +65,29 @@ def _hankel_table(k: float, R: float, N: int, r: np.ndarray, want_kappa: bool):
     """alpha, beta (and kappa) tables of shape (2N+1, P) for orders -N..N.
 
     All three are even in n (numerator and denominator flip sign together
-    under n -> -n), so only orders 0..N are evaluated.
+    under n -> -n), so only orders 0..N are evaluated, and only on the
+    distinct radii (a circle of points has a few), then scattered back.
     """
-    orders = np.arange(0, N + 1)
-    t = k * np.asarray(r, dtype=float)
-    h = specfun.hankel1(orders[:, None], t[None, :])          # (N+1, P)
-    h_minus1 = -h[1] if N >= 1 else -specfun.hankel1(1, t)
-    h_prev = np.concatenate([h_minus1[None, :], h[:-1]], axis=0)
-    hp = h_prev - (orders[:, None] / t[None, :]) * h
-
-    denom = specfun.hankel1(orders, np.full(orders.shape, k * R))
+    denom = specfun.hankel1_table(N, k * R)
     if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
         raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
     denom = denom[:, None]
 
-    beta = h / denom
-    alpha = k * hp / denom
-    mirror = slice(None, None, -1)
+    orders = np.arange(0, N + 1)[:, None]
+    r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
+    t = k * r_uniq
+    h_all = specfun.hankel1_table(max(N, 1), t)               # orders 0..max(N, 1)
+    h = h_all[: N + 1]
+    h_prev = np.concatenate([-h_all[1:2], h_all[:N]], axis=0)  # H_{-1} = -H_1
+    hp = h_prev - (orders / t) * h
 
-    def full(tab):
-        return np.concatenate([tab[1:][mirror], tab], axis=0)
-
-    out = [full(alpha), full(beta)]
+    tabs = [k * hp / denom, h / denom]
     if want_kappa:
-        hpp = -hp / t[None, :] - (1.0 - (orders[:, None] / t[None, :]) ** 2) * h
-        out.append(full(k * k * hpp / denom))
-    else:
-        out.append(None)
-    return out
+        hpp = -hp / t - (1.0 - (orders / t) ** 2) * h
+        tabs.append(k * k * hpp / denom)
+    mirror = slice(None, None, -1)
+    out = [np.concatenate([tab[1:][mirror], tab], axis=0)[:, back] for tab in tabs]
+    return out if want_kappa else out + [None]
 
 
 def _polar(x):

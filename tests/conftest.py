@@ -1,11 +1,7 @@
 """Shared pytest wiring: surface acceptance-criterion results in the
 terminal summary regardless of output capture."""
 
-ACCEPTANCE_LINES = []
-
-
-def record_acceptance_line(line: str) -> None:
-    ACCEPTANCE_LINES.append(line)
+from acceptance_log import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -30,7 +30,7 @@ from elshape import verify
 import oracles
 
 
-from conftest import record_acceptance_line
+from acceptance_log import record_acceptance_line
 
 
 def report(criterion, passed, detail):

@@ -184,6 +184,20 @@ class TestEvalField:
         values2 = eval_field(back, pts)
         assert np.max(np.abs(values2 - values)) <= 1e-11 * np.max(np.abs(values))
 
+    def test_circle_points_match_per_point_evaluation(self, random_field):
+        # the tables are built once per distinct radius and scattered back;
+        # two circles, so a misplaced table row shows
+        theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        pts = np.concatenate([RHO * circle, 1.7 * circle])
+        assert 2 < np.unique(np.hypot(pts[:, 0], pts[:, 1])).size < 20
+        values = eval_field(random_field, pts)
+        jac = eval_gradient(random_field, pts)
+        want_v = np.stack([eval_field(random_field, p) for p in pts])
+        want_j = np.stack([eval_gradient(random_field, p) for p in pts])
+        assert np.max(np.abs(values - want_v)) <= 1e-14 * np.max(np.abs(want_v))
+        assert np.max(np.abs(jac - want_j)) <= 1e-14 * np.max(np.abs(want_j))
+
     def test_inside_expansion_disk_rejected(self):
         mf = ModalField(
             N=0, R=0.5, rho=RHO, sys=SYS5,

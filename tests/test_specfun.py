@@ -184,3 +184,60 @@ class TestLnGamma:
             specfun.ln_gamma(0.0)
         with pytest.raises(DomainError):
             specfun.ln_gamma(-2.0)
+
+
+class TestHankelTable:
+    ORDERS = np.arange(0, 61)
+    ARGS = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 55.0, 100.0])
+
+    @pytest.fixture(scope="class")
+    def mp_grid(self):
+        return np.array([[oracles.mp_hankel1(int(n), t) for t in self.ARGS] for n in self.ORDERS])
+
+    def test_matches_mpmath_on_working_range(self, mp_grid):
+        got = specfun.hankel1_table(60, self.ARGS)
+        assert got.shape == (61, self.ARGS.size)
+        assert np.max(np.abs(got - mp_grid) / np.abs(mp_grid)) <= 1e-13
+
+    def test_matches_amos_on_working_range(self):
+        got = specfun.hankel1_table(60, self.ARGS)
+        want = specfun.hankel1(self.ORDERS[:, None], self.ARGS[None, :])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_low_orders_and_shapes(self):
+        t = np.linspace(0.3, 9.0, 12).reshape(3, 4)
+        h0 = specfun.hankel1_table(0, t)
+        h1 = specfun.hankel1_table(1, t)
+        assert h0.shape == (1, 3, 4) and h1.shape == (2, 3, 4)
+        assert np.array_equal(h0[0], h1[0])
+        for n in (0, 1):
+            want = specfun.hankel1(n, t)
+            assert np.max(np.abs(h1[n] - want) / np.abs(want)) <= 1e-14
+        assert specfun.hankel1_table(3, 2.0).shape == (4,)
+        assert complex(specfun.hankel1_table(0, 1.0)[0]) == pytest.approx(
+            complex(J0_AT_1, Y0_AT_1), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, [1.0, 0.0]])
+    def test_rejects_bad_arguments(self, t):
+        with pytest.raises(DomainError):
+            specfun.hankel1_table(2, t)
+
+    @pytest.mark.parametrize("N", [-1, 1.5])
+    def test_rejects_bad_table_order(self, N):
+        with pytest.raises(DomainError):
+            specfun.hankel1_table(N, 1.0)
+
+    def test_overflow_is_non_finite_and_ends_in_modal_guard(self):
+        from elshape.elastic import LameSystem
+        from elshape.errors import SolveError
+        from elshape.modal import ModalField, eval_field
+
+        assert not np.all(np.isfinite(specfun.hankel1_table(250, 1e-2)))
+        N = 250
+        mf = ModalField(
+            N=N, R=0.01, rho=3.0, sys=LameSystem(1.0, 1.0, 1.0),
+            phat_p=np.ones(2 * N + 1, complex), phat_s=np.ones(2 * N + 1, complex),
+        )
+        with pytest.raises(SolveError):
+            eval_field(mf, np.array([[2.0, 0.0]]))
