@@ -18,6 +18,7 @@ from .elastic import (
     green_tensor,
     helmholtz_phi,
     incident_field,
+    incident_field_directional,
 )
 from .forward import (
     MfsSolution,
@@ -37,6 +38,7 @@ from .modal import (
     eval_field,
     eval_gradient,
     eval_polar_derivs,
+    eval_radial,
     extract_field,
     limited_aperture_fit,
     modal_matrix,
@@ -47,7 +49,6 @@ from .newton import (
     ReconRun,
     StarCurve,
     assemble_system,
-    basis_row,
     newton_step,
     reconstruct,
     relative_update,
@@ -63,6 +64,7 @@ __all__ = [
     "green_tensor",
     "incident_field",
     "grad_incident_field",
+    "incident_field_directional",
     "ParametricCurve",
     "kite",
     "starfish",
@@ -83,12 +85,12 @@ __all__ = [
     "solve_modal",
     "eval_field",
     "eval_polar_derivs",
+    "eval_radial",
     "eval_gradient",
     "limited_aperture_fit",
     "extract_field",
     "choose_truncation",
     "StarCurve",
-    "basis_row",
     "assemble_system",
     "newton_step",
     "relative_update",

@@ -131,6 +131,12 @@ class ReconstructionConfig:
             errors.append("epsilon: must be positive")
         if g["np"] < 1:
             errors.append("np: trigonometric degree must be >= 1")
+        if g["collocation.n"] < 2 * g["np"] + 1:
+            # fewer points alias the boundary basis (sin(np t) vanishes on a
+            # 2 np grid), leaving a coefficient the data cannot fix
+            errors.append(
+                f"collocation.n: need >= 2 np + 1 = {2 * g['np'] + 1} points"
+            )
         if g["n_receivers"] < 4:
             errors.append("n_receivers: must be >= 4")
         if g["n_sources"] < 0:

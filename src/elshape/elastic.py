@@ -147,31 +147,45 @@ def incident_field(x, src: PointSource, sys: LameSystem):
     return g @ np.asarray(src.p, dtype=complex)
 
 
-def grad_incident_field(x, src: PointSource, sys: LameSystem):
-    """Jacobian of the incident field: entry (i, j) is d u_i / d x_j."""
+def incident_field_directional(x, src: PointSource, sys: LameSystem, e):
+    """(G(x, z) p, its derivative along e) from one radial table per wavenumber.
+
+    ``e`` broadcasts against x, one direction per point.  The derivative
+    contracts the third-derivative tensor of the radial g = Phi_s - Phi_p
+    with p and e:
+
+        sum_jk T_ijk p_k e_j = (B/r) (d_i (p.e) + (d.e) p_i + (d.p) e_i)
+                               + (dB/dr - 2B/r) (d.p) (d.e) d_i,
+
+    with B = g'' - g'/r.
+    """
     diff, r = _separation(x, src.xy)
     d = diff / r[..., None]
+    e = np.asarray(e, dtype=float)
     p = src.p
 
-    _, dphs, d2phs, d3phs = _phi_radial(sys.k_s, r, 3)
+    phs, dphs, d2phs, d3phs = _phi_radial(sys.k_s, r, 3)
     _, dphp, d2php, d3php = _phi_radial(sys.k_p, r, 3)
     dg = dphs - dphp
     d2g = d2phs - d2php
     d3g = d3phs - d3php
 
-    # third-derivative tensor of radial g, contracted with p:
-    #   sum_k T_ikj p_k = (B/r)(d_i p_j + d_j p_i + (d.p) delta_ij)
-    #                     + (B' - 2B/r) (d.p) d_i d_j
     B = d2g - dg / r
     Bp = d3g - d2g / r + dg / (r * r)
-    dp = np.sum(d * p, axis=-1)
+    # radial factors against the trailing component axis
+    phs, dphs, dg, B, Bp, r = (f[..., None] for f in (phs, dphs, dg, B, Bp, r))
+    dp = np.sum(d * p, axis=-1, keepdims=True)
+    de = np.sum(d * e, axis=-1, keepdims=True)
+    pe = np.sum(p * e, axis=-1, keepdims=True)
 
-    eye = np.eye(2)
-    ddT = d[..., :, None] * d[..., None, :]
-    dpT = d[..., :, None] * p[None, :]
-    pdT = p[:, None] * d[..., None, :]
-    tv = (B / r)[..., None, None] * (dpT + pdT + dp[..., None, None] * eye)
-    tv = tv + ((Bp - 2.0 * B / r) * dp)[..., None, None] * ddT
+    value = (phs / sys.mu) * p + ((dg / r) * p + B * dp * d) / sys.omega ** 2
+    tv = (B / r) * (d * pe + de * p + dp * e) + (Bp - 2.0 * B / r) * dp * de * d
+    deriv = (dphs * de / sys.mu) * p + tv / sys.omega ** 2
+    return value, deriv
 
-    grad_s_part = dphs[..., None, None] * (p[:, None] * d[..., None, :])
-    return grad_s_part / sys.mu + tv / sys.omega ** 2
+
+def grad_incident_field(x, src: PointSource, sys: LameSystem):
+    """Jacobian of the incident field: entry (i, j) is d u_i / d x_j."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    _, deriv = incident_field_directional(x, src, sys, np.eye(2))
+    return np.swapaxes(deriv, -1, -2)

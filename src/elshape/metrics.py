@@ -1,10 +1,14 @@
 """Boundary error metrics between a reconstruction and the true curve.
 
-Star-shaped truths compare radial functions in L2 over the circle; the
-kite is not star-shaped about the origin, so general truths use the
-symmetric Hausdorff distance between dense boundary samples.  Arc
-variants restrict both sample sets to a polar-angle window, which is how
-limited-aperture runs are scored on the illuminated side only.
+Truths given by a radial function of the polar angle (the disk, custom
+radial coefficients) compare radial functions in L2 over the circle.  The
+starfish and the kite are star-shaped about the origin too, but are
+parameterized by a parameter other than the polar angle (the kite,
+x(s) = (cos s + 0.65 cos 2s - 0.65, 1.5 sin s), has no closed-form
+r(theta)), so general truths use the symmetric Hausdorff distance between
+dense boundary samples, which needs only points.  Arc variants restrict
+both sample sets to a polar-angle window, which is how limited-aperture
+runs are scored on the illuminated side only.
 """
 
 import numpy as np

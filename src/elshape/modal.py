@@ -25,8 +25,9 @@ Radial derivatives use kappa_{xi,n}(r) = alpha_{xi,n}'(r)
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
 builds its Hankel tables (``specfun.hankel1_table``) once for all rows, on
-the distinct radii of its points.  ModalField instances are immutable
-after construction and all evaluators are pure.
+the distinct radii of its points, and contracts the source-independent
+basis they span with [phat_p, phat_s] in one matrix product.  ModalField
+instances are immutable after construction and all evaluators are pure.
 """
 
 import json
@@ -48,6 +49,7 @@ __all__ = [
     "lambda_n",
     "solve_modal",
     "eval_field",
+    "eval_radial",
     "eval_polar_derivs",
     "eval_gradient",
     "limited_aperture_fit",
@@ -258,65 +260,70 @@ def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalFi
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _mode_amplitudes(mf: ModalField, r: np.ndarray, want_kappa: bool):
-    """Tables (2N+1, P), signed orders and mode amplitudes lead + (2N+1, P)."""
-    alpha_p, beta_p, kappa_p = _hankel_table(mf.sys.k_p, mf.R, mf.N, r, want_kappa)
-    alpha_s, beta_s, kappa_s = _hankel_table(mf.sys.k_s, mf.R, mf.N, r, want_kappa)
-    n = np.arange(-mf.N, mf.N + 1, dtype=float)[:, None]
-    cp = mf.phat_p[..., None]
-    cs = mf.phat_s[..., None]
-    a_mode = alpha_p * cp + (1j * n / r[None, :]) * beta_s * cs
-    b_mode = (1j * n / r[None, :]) * beta_p * cp - alpha_s * cs
-    return n, cp, cs, (alpha_p, beta_p, kappa_p), (alpha_s, beta_s, kappa_s), a_mode, b_mode
-
-
 def _check_outside(mf: ModalField, r: np.ndarray):
     if np.any(r <= mf.R):
         raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
 
 
-def _frame_to_cartesian(a, b, theta):
+def _evaluate(mf: ModalField, x, kinds) -> list:
+    """Field quantities of ``kinds`` at x, each lead + (..., 2) Cartesian.
+
+    ``kinds`` holds "value", "d_r" and "d_theta" in any order.  Per kind,
+    the U_n / V_n amplitudes of a unit p and a unit s coefficient, times
+    e^{in theta} and rotated to Cartesian components, form a basis that does
+    not depend on the source; one (lead, 2(2N+1)) @ (2(2N+1), kinds * P * 2)
+    product with [phat_p, phat_s] evaluates every row.
+    """
+    r, theta = _polar(x)
+    shape = mf.phat_p.shape[:-1] + r.shape
+    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
+    _check_outside(mf, r)
+    alpha_p, beta_p, kappa_p = _hankel_table(mf.sys.k_p, mf.R, mf.N, r, "d_r" in kinds)
+    alpha_s, beta_s, kappa_s = _hankel_table(mf.sys.k_s, mf.R, mf.N, r, "d_r" in kinds)
+    n = np.arange(-mf.N, mf.N + 1, dtype=float)[:, None]
+    inr = 1j * n / r
+    value = ((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))
+
+    frames = []  # per kind: ((a_p, b_p), (a_s, b_s)), each (2N+1, P)
+    for kind in kinds:
+        if kind == "value":
+            frames.append(value)
+        elif kind == "d_r":
+            frames.append((
+                (kappa_p, 1j * n * (alpha_p / r - beta_p / r ** 2)),
+                (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa_s),
+            ))
+        else:  # d/dtheta mixes the frame: U_n' = in U_n + V_n, V_n' = in V_n - U_n
+            frames.append(tuple((1j * n * a - b, a + 1j * n * b) for a, b in value))
+
     ct, st = np.cos(theta), np.sin(theta)
-    return np.stack([a * ct - b * st, a * st + b * ct], axis=-1)
+    phase = np.exp(1j * n * theta)
+    # basis[w, n, i, p, c]: component c at point p of kinds[i] for a unit
+    # coefficient of order n in potential w (0 = p, 1 = s)
+    basis = np.empty((2, n.size, len(kinds), r.size, 2), dtype=complex)
+    for i, frame in enumerate(frames):
+        for w, (a, b) in enumerate(frame):
+            basis[w, :, i, :, 0] = (a * ct - b * st) * phase
+            basis[w, :, i, :, 1] = (a * st + b * ct) * phase
+    coeffs = np.concatenate([mf.phat_p, mf.phat_s], axis=-1)
+    out = coeffs @ basis.reshape(2 * (2 * mf.N + 1), -1)
+    out = out.reshape(coeffs.shape[:-1] + (len(kinds), r.size, 2))
+    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(len(kinds))]
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
     """Truncated scattered field at x (shape (..., 2)), |x| > R: lead + (..., 2)."""
-    r, theta = _polar(x)
-    shape = mf.phat_p.shape[:-1] + r.shape
-    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
-    _check_outside(mf, r)
-    n, _, _, _, _, a_mode, b_mode = _mode_amplitudes(mf, r, False)
-    phase = np.exp(1j * n * theta[None, :])
-    a = np.sum(a_mode * phase, axis=-2)
-    b = np.sum(b_mode * phase, axis=-2)
-    return _frame_to_cartesian(a, b, theta).reshape(shape + (2,))
+    return _evaluate(mf, x, ("value",))[0]
+
+
+def eval_radial(mf: ModalField, x):
+    """(v, d/dr v) at x from one set of Hankel tables, as Cartesian vectors."""
+    return tuple(_evaluate(mf, x, ("value", "d_r")))
 
 
 def eval_polar_derivs(mf: ModalField, x):
     """(d/dr v, d/dtheta v) at x, both as Cartesian component vectors."""
-    r, theta = _polar(x)
-    shape = mf.phat_p.shape[:-1] + r.shape
-    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
-    _check_outside(mf, r)
-    n, cp, cs, tab_p, tab_s, a_mode, b_mode = _mode_amplitudes(mf, r, True)
-    alpha_p, beta_p, kappa_p = tab_p
-    alpha_s, beta_s, kappa_s = tab_s
-    rr = r[None, :]
-
-    da_mode = kappa_p * cp + (1j * n) * (alpha_s / rr - beta_s / rr ** 2) * cs
-    db_mode = (1j * n) * (alpha_p / rr - beta_p / rr ** 2) * cp - kappa_s * cs
-
-    phase = np.exp(1j * n * theta[None, :])
-    dr_a = np.sum(da_mode * phase, axis=-2)
-    dr_b = np.sum(db_mode * phase, axis=-2)
-    # d/dtheta mixes the frame: U_n' = in U_n + V_n, V_n' = in V_n - U_n
-    dt_a = np.sum((1j * n * a_mode - b_mode) * phase, axis=-2)
-    dt_b = np.sum((a_mode + 1j * n * b_mode) * phase, axis=-2)
-
-    d_r = _frame_to_cartesian(dr_a, dr_b, theta).reshape(shape + (2,))
-    d_t = _frame_to_cartesian(dt_a, dt_b, theta).reshape(shape + (2,))
-    return d_r, d_t
+    return tuple(_evaluate(mf, x, ("d_r", "d_theta")))
 
 
 def eval_gradient(mf: ModalField, x) -> np.ndarray:

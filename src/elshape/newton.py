@@ -8,14 +8,28 @@ Candidate boundaries are star-shaped with trigonometric radial functions
 The rigid condition says the total field u = u_inc + v vanishes on the
 true boundary.  With the modal approximation of v available everywhere
 outside B_R, linearizing u along the radial direction at each collocation
-point gives, per source s and angle t,
+point t_p gives, per source s,
 
-    u(r(t) xhat) + [ (grad u)(r(t) xhat) . xhat ]  B(t) dc  =  0,
+    u(r(t_p) xhat) + d_r u(r(t_p) xhat)  B(t_p) dc  =  0,
 
-four real equations per (s, t) once split into components and Re/Im.  One
-damped least-squares solve per iteration updates the coefficients; modal
-coefficients are extracted once per run since the data live on the
-measurement circle and do not depend on the iterate.
+four real equations per (s, t_p) once split into components and Re/Im.
+Only u and its radial derivative du = (grad u) . xhat enter, so each
+iterate makes one value + d_r pass per field.  The 4 S P equations reduce
+exactly to P: with, per point,
+
+    w_p = sum_{s,c} |du|^2,   g_p = Re sum_{s,c} conj(du) u,
+    rho_p^2 = sum_{s,c} |u|^2 - g_p^2 / w_p  >= 0   (Cauchy-Schwarz),
+
+every dc satisfies
+
+    sum_{s,p,c} |du B(t_p) dc + u|^2
+        = sum_p (sqrt(w_p) B(t_p) dc + g_p / sqrt(w_p))^2 + sum_p rho_p^2,
+
+so the (P + 1)-row system [sqrt(w) B; 0] dc + [g / sqrt(w); sqrt(sum rho^2)]
+has the full system's singular values, least-squares step and residual
+norm.  One damped least-squares solve per iteration updates the
+coefficients; modal coefficients are extracted once per run since the data
+live on the measurement circle and do not depend on the iterate.
 
 Iterates must keep min_t r(t) > R; a violating step is halved up to five
 times before the run is declared divergent.  The loop stops when the
@@ -29,12 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig
-from .elastic import LameSystem, PointSource, grad_incident_field, incident_field
+from .elastic import LameSystem, PointSource, incident_field_directional
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
 from .geometry import ParametricCurve, radial_curve
-from .modal import ModalField, eval_field, eval_gradient, extract_field
+from .modal import ModalField, eval_radial, extract_field
 from .records import ScatterRecord
+
+# not called here: the benchmark tracer (perfbench/spans.py) wraps these names
+from .elastic import grad_incident_field, incident_field  # noqa: F401
+from .modal import eval_field, eval_gradient  # noqa: F401
 
 #: a relative update exceeding this declares the run divergent
 DIVERGENCE_GUARD = 10.0
@@ -80,11 +98,6 @@ class StarCurve:
         return radial_curve(self.coeffs, "star")
 
 
-def basis_row(t: float, degree: int) -> np.ndarray:
-    """(1, cos t, ..., cos Jt, sin t, ..., sin Jt) of length 2J+1."""
-    return basis_matrix(np.atleast_1d(np.asarray(t, dtype=float)), degree)[0]
-
-
 def basis_matrix(t: np.ndarray, degree: int) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     j = np.arange(1, degree + 1)
@@ -108,12 +121,12 @@ def assemble_system(
     t_grid: np.ndarray,
     sys: LameSystem,
 ):
-    """Stacked real linearization: returns (A, rhs) with A dc + rhs = 0 rows.
+    """Reduced linearization: returns (A, rhs) with ||A dc + rhs|| minimal.
 
     ``field`` holds one coefficient row per source in ``srcs``, which share
-    one polarization.  Rows run over sources, collocation angles, field
-    components and Re/Im, so A has 4 * len(srcs) * len(t_grid) rows and
-    2*degree+1 columns.
+    one polarization.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
+    2*degree+1 columns; the last rhs entry carries the part of the boundary
+    residual no step can reach, so ||rhs|| is the full residual ||u||.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     radii = curve.radius(t_grid)
@@ -131,14 +144,19 @@ def assemble_system(
     # -z, an (S, P, 2) array
     shifted = pts - np.array([src.location for src in srcs])[:, None, :]
     origin = PointSource((0.0, 0.0), _shared_polarization(srcs))
-    u = eval_field(field, pts) + incident_field(shifted, origin, sys)
-    jac = eval_gradient(field, pts) + grad_incident_field(shifted, origin, sys)
-    du = np.einsum("spij,pj->spi", jac, xhat)
-    # complex rows: du[s, p, c] * B[p, :] dc = -u[s, p, c]
-    a_c = (du[..., None] * basis[:, None, :]).reshape(-1, basis.shape[1])
-    r_c = u.reshape(-1)
-    a = np.concatenate([a_c.real, a_c.imag], axis=0)
-    rhs = np.concatenate([r_c.real, r_c.imag], axis=0)
+    v, dv = eval_radial(field, pts)
+    u_inc, du_inc = incident_field_directional(shifted, origin, sys, xhat)
+    u, du = v + u_inc, dv + du_inc
+
+    w = np.sum(du.real ** 2 + du.imag ** 2, axis=(0, 2))
+    g = np.sum(du.real * u.real + du.imag * u.imag, axis=(0, 2))
+    sqrt_w = np.sqrt(w)
+    # where du vanishes the row is zero and the point's residual is remainder
+    g_scaled = np.divide(g, sqrt_w, out=np.zeros_like(g), where=w > 0.0)
+    rho2 = np.sum(u.real ** 2 + u.imag ** 2, axis=(0, 2)) - g_scaled ** 2
+    a = np.concatenate([sqrt_w[:, None] * basis, np.zeros((1, basis.shape[1]))])
+    # rho2 >= 0 holds up to round-off
+    rhs = np.append(g_scaled, np.sqrt(np.sum(np.maximum(rho2, 0.0))))
     return a, rhs
 
 

@@ -83,6 +83,7 @@ class TestValidation:
             {"truncation.mode": "magic"},
             {"stop.rule": "theoretical"},    # needs stop.c1 > 0
             {"r_policy.mode": "fixed", "r_policy.value": 2.0},  # >= guess radius
+            {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
         ],
     )
     def test_invariants_rejected(self, bad):

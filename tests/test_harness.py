@@ -125,6 +125,17 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "lame.omega" in err and "mismatch" in err
 
+    def test_aliasing_collocation_grid_refused(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(DISK_CFG + "collocation.n = 16\n")
+        code = main([
+            "reconstruct", "--config", str(cfg),
+            "--record", str(root / "record.json"), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "collocation.n" in capsys.readouterr().err
+
     def test_partial_aperture_flagged(self, tmp_path, capsys):
         cfg = tmp_path / "quarter.cfg"
         cfg.write_text(

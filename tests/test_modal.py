@@ -13,6 +13,7 @@ from elshape.modal import (
     eval_field,
     eval_gradient,
     eval_polar_derivs,
+    eval_radial,
     extract_field,
     lambda_n,
     limited_aperture_fit,
@@ -293,6 +294,45 @@ class TestEvalGradient:
             phat_p=np.zeros(5, complex), phat_s=np.zeros(5, complex),
         )
         assert np.max(np.abs(eval_gradient(mf, np.array([1.0, 1.0])))) == 0.0
+
+
+class TestEvalRadial:
+    def _check(self, field, pts):
+        v, d_r = eval_radial(field, pts)
+        want_v = eval_field(field, pts)
+        want_d = eval_polar_derivs(field, pts)[0]
+        assert v.shape == d_r.shape == want_v.shape
+        assert np.max(np.abs(v - want_v)) <= 1e-14 * np.max(np.abs(want_v))
+        assert np.max(np.abs(d_r - want_d)) <= 1e-14 * np.max(np.abs(want_d))
+        return v, d_r
+
+    def test_one_dimensional_field_matches_per_point(self, random_field):
+        theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        radii = 1.2 + 0.4 * np.cos(3.0 * theta)
+        pts = radii[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        v, d_r = self._check(random_field, pts)
+        for i, p in enumerate(pts):
+            v_p, d_p = eval_radial(random_field, p)
+            assert v_p.shape == d_p.shape == (2,)
+            assert np.max(np.abs(v_p - v[i])) <= 1e-14 * np.max(np.abs(v))
+            assert np.max(np.abs(d_p - d_r[i])) <= 1e-14 * np.max(np.abs(d_r))
+
+    def test_batched_field_matches_rows(self, multi_record):
+        field = extract_field(multi_record, 8, 0.5)
+        theta = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        pts = (1.5 + 0.3 * np.sin(2.0 * theta))[:, None] * np.stack(
+            [np.cos(theta), np.sin(theta)], axis=-1
+        )
+        v, d_r = self._check(field, pts)
+        assert v.shape == (20, 12, 2)
+        for i in (0, 7, 19):
+            row = ModalField(
+                N=8, R=0.5, rho=RHO, sys=SYS5,
+                phat_p=field.phat_p[i], phat_s=field.phat_s[i],
+            )
+            v_i, d_i = eval_radial(row, pts)
+            assert np.max(np.abs(v_i - v[i])) <= 1e-14 * np.max(np.abs(v[i]))
+            assert np.max(np.abs(d_i - d_r[i])) <= 1e-14 * np.max(np.abs(d_r[i]))
 
 
 class TestLimitedApertureFit:
