@@ -11,8 +11,8 @@ dotted keys for grouping:
 
 Unknown keys are rejected with their path, since silent typos are the
 main hazard in flat config files.  Numeric invariants are enforced at
-build time (rho > guess radius > R > 0, delta in [0,1), epsilon > 0,
-degree >= 1).
+build time (every float finite, rho > guess radius > R > 0, delta in
+[0,1), epsilon > 0, degree >= 1).
 """
 
 import math
@@ -111,6 +111,10 @@ class ReconstructionConfig:
 
     def _validate(self):
         g = self.raw
+        # a nan or inf would slip through every comparison below
+        bad = [k for k, (t, _) in CONFIG_SCHEMA.items() if t is float and not math.isfinite(g[k])]
+        if bad:
+            raise ConfigError("; ".join(f"{k}: must be finite" for k in bad))
         errors = []
         if g["shape"] not in ("disk", "kite", "starfish", "custom"):
             errors.append(f"shape: unknown shape '{g['shape']}'")
@@ -119,6 +123,8 @@ class ReconstructionConfig:
                 c = self.shape_coeffs()
                 if c.size % 2 == 0 or c.size < 1:
                     errors.append("shape.coeffs: need odd number of coefficients")
+                if not np.all(np.isfinite(c)):
+                    errors.append("shape.coeffs: must be finite")
             except ValueError:
                 errors.append("shape.coeffs: expected comma-separated floats")
         if g["lame.mu"] <= 0.0 or g["lame.lambda"] + g["lame.mu"] <= 0.0:

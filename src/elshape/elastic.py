@@ -51,13 +51,6 @@ class LameSystem:
         object.__setattr__(self, "k_p", self.omega / np.sqrt(self.lam + 2.0 * self.mu))
         object.__setattr__(self, "k_s", self.omega / np.sqrt(self.mu))
 
-    def wavenumber(self, branch):
-        if branch == "p":
-            return self.k_p
-        if branch == "s":
-            return self.k_s
-        raise ValueError(f"branch must be 'p' or 's', got {branch!r}")
-
 
 @dataclass(frozen=True)
 class PointSource:
@@ -116,13 +109,6 @@ def _phi_radial(k, r, order):
         d3 = -d2 / t + (1.0 / (t * t) - 1.0) * d1
         out.append(c * k ** 3 * d3)
     return out
-
-
-def helmholtz_phi(branch, x, y, sys: LameSystem):
-    """Scalar kernel (i/4) H_0^(1)(k_branch |x - y|), branch in {'p','s'}."""
-    _, r = _separation(x, y)
-    k = sys.wavenumber(branch)
-    return 0.25j * specfun.hankel1_table(0, k * r)[0]
 
 
 def green_tensor(x, z, sys: LameSystem):

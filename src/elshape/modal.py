@@ -26,11 +26,11 @@ Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
 builds its Hankel tables (``specfun.hankel1_table``) once for all rows, on
 the distinct radii of its points, and contracts the source-independent
-basis they span with [phat_p, phat_s] in one matrix product.  ModalField
+basis they span with [phat_p, phat_s] in one matrix product.  The arc fit
+uses the same basis at the receivers as its design matrix.  ModalField
 instances are immutable after construction and all evaluators are pure.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,7 +45,6 @@ __all__ = [
     "ModalRhs",
     "ModalField",
     "modal_rhs",
-    "modal_matrix",
     "lambda_n",
     "solve_modal",
     "eval_field",
@@ -136,34 +135,6 @@ class ModalField:
             raise ValueError("need 0 < R < rho")
         _check_coefficients(self.N, self.phat_p, self.phat_s)
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "R": self.R,
-            "rho": self.rho,
-            "lame": {"lambda": self.sys.lam, "mu": self.sys.mu, "omega": self.sys.omega},
-            "coefficients": {
-                "p": np.stack([self.phat_p.real, self.phat_p.imag], -1).tolist(),
-                "s": np.stack([self.phat_s.real, self.phat_s.imag], -1).tolist(),
-            },
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModalField":
-        sys = LameSystem(doc["lame"]["lambda"], doc["lame"]["mu"], doc["lame"]["omega"])
-        cp, cs = (np.asarray(doc["coefficients"][w], dtype=float) for w in "ps")
-        return cls(N=doc["N"], R=doc["R"], rho=doc["rho"], sys=sys,
-                   phat_p=cp[..., 0] + 1j * cp[..., 1], phat_s=cs[..., 0] + 1j * cs[..., 1])
-
 
 # ---------------------------------------------------------------------------
 # extraction
@@ -186,18 +157,13 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     if not np.allclose(gaps, 2.0 * np.pi / m, rtol=0.0, atol=1e-9):
         raise ConfigError("modal_rhs needs equispaced receivers")
 
-    g_r, g_t = _frame_components(rec)
+    # radial and tangential components of the data, each (n_sources, M)
+    e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    e_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    g_r, g_t = np.sum(rec.values * e_r, axis=-1), np.sum(rec.values * e_t, axis=-1)
     n = np.arange(-N, N + 1)
     phase = np.exp(-1j * theta[:, None] * n[None, :])         # (M, 2N+1)
     return ModalRhs(N=N, f_p=g_r @ phase / m, f_s=g_t @ phase / m)
-
-
-def _frame_components(rec: ScatterRecord):
-    """Radial and tangential components of the data, each (n_sources, M)."""
-    theta = rec.receivers
-    e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    e_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    return np.sum(rec.values * e_r, axis=-1), np.sum(rec.values * e_t, axis=-1)
 
 
 def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
@@ -208,21 +174,8 @@ def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
     return alpha_p[:, 0], beta_p[:, 0], alpha_s[:, 0], beta_s[:, 0]
 
 
-def _circle_mode(n, rho: float, R: float, sys: LameSystem):
-    """The four circle-table entries of order n (an int or an integer array)."""
-    N = int(np.max(np.abs(n)))
-    return tuple(tab[np.add(n, N)] for tab in _circle_tables(rho, R, N, sys))
-
-
 def _lambda(n, rho, ap, bp, a_s, bs):
     return (n / rho) ** 2 - ap * a_s / (bp * bs)
-
-
-def modal_matrix(n: int, rho: float, R: float, sys: LameSystem) -> np.ndarray:
-    """Per-mode 2x2 system matrix evaluated at the data radius."""
-    ap, bp, a_s, bs = _circle_mode(n, rho, R, sys)
-    fac = 1j * n / rho
-    return np.array([[ap, fac * bs], [fac * bp, -a_s]])
 
 
 def lambda_n(n, rho: float, R: float, sys: LameSystem):
@@ -231,7 +184,8 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
     ``n`` is an int (complex result) or an integer array (array of the same
     shape, from one table of orders up to max |n|).
     """
-    return _lambda(n, rho, *_circle_mode(n, rho, R, sys))
+    N = int(np.max(np.abs(n)))
+    return _lambda(n, rho, *(tab[np.add(n, N)] for tab in _circle_tables(rho, R, N, sys)))
 
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
@@ -265,22 +219,18 @@ def _check_outside(mf: ModalField, r: np.ndarray):
         raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
 
 
-def _evaluate(mf: ModalField, x, kinds) -> list:
-    """Field quantities of ``kinds`` at x, each lead + (..., 2) Cartesian.
+def _basis(N: int, R: float, sys: LameSystem, r, theta, kinds) -> np.ndarray:
+    """Source-independent basis, shape (2(2N+1), len(kinds), P, 2).
 
-    ``kinds`` holds "value", "d_r" and "d_theta" in any order.  Per kind,
-    the U_n / V_n amplitudes of a unit p and a unit s coefficient, times
-    e^{in theta} and rotated to Cartesian components, form a basis that does
-    not depend on the source; one (lead, 2(2N+1)) @ (2(2N+1), kinds * P * 2)
-    product with [phat_p, phat_s] evaluates every row.
+    Entry [w (2N+1) + N + n, i, p, c] is Cartesian component c at the point
+    (r_p, theta_p) of kinds[i] for a unit coefficient of order n in
+    potential w (0 = p, 1 = s): the U_n / V_n amplitudes times e^{in theta},
+    rotated to Cartesian components.  ``kinds`` holds "value", "d_r" and
+    "d_theta" in any order; r and theta are 1-D of length P.
     """
-    r, theta = _polar(x)
-    shape = mf.phat_p.shape[:-1] + r.shape
-    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
-    _check_outside(mf, r)
-    alpha_p, beta_p, kappa_p = _hankel_table(mf.sys.k_p, mf.R, mf.N, r, "d_r" in kinds)
-    alpha_s, beta_s, kappa_s = _hankel_table(mf.sys.k_s, mf.R, mf.N, r, "d_r" in kinds)
-    n = np.arange(-mf.N, mf.N + 1, dtype=float)[:, None]
+    alpha_p, beta_p, kappa_p = _hankel_table(sys.k_p, R, N, r, "d_r" in kinds)
+    alpha_s, beta_s, kappa_s = _hankel_table(sys.k_s, R, N, r, "d_r" in kinds)
+    n = np.arange(-N, N + 1, dtype=float)[:, None]
     inr = 1j * n / r
     value = ((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))
 
@@ -298,15 +248,27 @@ def _evaluate(mf: ModalField, x, kinds) -> list:
 
     ct, st = np.cos(theta), np.sin(theta)
     phase = np.exp(1j * n * theta)
-    # basis[w, n, i, p, c]: component c at point p of kinds[i] for a unit
-    # coefficient of order n in potential w (0 = p, 1 = s)
     basis = np.empty((2, n.size, len(kinds), r.size, 2), dtype=complex)
     for i, frame in enumerate(frames):
         for w, (a, b) in enumerate(frame):
             basis[w, :, i, :, 0] = (a * ct - b * st) * phase
             basis[w, :, i, :, 1] = (a * st + b * ct) * phase
+    return basis.reshape(2 * n.size, len(kinds), r.size, 2)
+
+
+def _evaluate(mf: ModalField, x, kinds) -> list:
+    """Field quantities of ``kinds`` at x, each lead + (..., 2) Cartesian.
+
+    One (lead, 2(2N+1)) @ (2(2N+1), kinds * P * 2) product of
+    [phat_p, phat_s] with the basis evaluates every row.
+    """
+    r, theta = _polar(x)
+    shape = mf.phat_p.shape[:-1] + r.shape
+    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
+    _check_outside(mf, r)
+    basis = _basis(mf.N, mf.R, mf.sys, r, theta, kinds)
     coeffs = np.concatenate([mf.phat_p, mf.phat_s], axis=-1)
-    out = coeffs @ basis.reshape(2 * (2 * mf.N + 1), -1)
+    out = coeffs @ basis.reshape(basis.shape[0], -1)
     out = out.reshape(coeffs.shape[:-1] + (len(kinds), r.size, 2))
     return [out[..., i, :, :].reshape(shape + (2,)) for i in range(len(kinds))]
 
@@ -347,12 +309,12 @@ def limited_aperture_fit(
 ) -> ModalField:
     """Least-squares coefficient fit for arc data, with optional ridge.
 
-    Stacks the field representation at every receiver into an
-    overdetermined complex system for the 2(2N+1) coefficients.  The
-    design matrix does not depend on the source, so one SVD serves every
-    source of the record.  The Tikhonov weight is ``reg`` times the
-    largest singular value; with reg = 0 and full-aperture data this
-    reproduces the projection route.
+    The design matrix is the evaluators' basis at the receivers: one row
+    per Cartesian component, one column per coefficient, 2(2N+1) in all.
+    It does not depend on the source, so one SVD serves every source of
+    the record.  The Tikhonov weight is ``reg`` times the largest singular
+    value; with reg = 0 and full-aperture data this reproduces the
+    projection route.
     """
     if reg < 0.0:
         raise ConfigError("reg must be nonnegative")
@@ -367,21 +329,9 @@ def limited_aperture_fit(
     R_ref = rho / 6.0 if R is None else R
     if not 0.0 < R_ref < rho:
         raise ConfigError("reference radius must lie in (0, rho)")
-    ap, bp, a_s, bs = _circle_tables(rho, R_ref, N, rec.sys)
-    n = np.arange(-N, N + 1, dtype=float)
-    fac = 1j * n / rho
-
-    phase = np.exp(1j * n[None, :] * theta[:, None])          # (M, 2N+1)
-    a = np.zeros((2 * m, n_unknowns), dtype=complex)
-    a[0::2, : 2 * N + 1] = phase * ap[None, :]
-    a[0::2, 2 * N + 1 :] = phase * (fac * bs)[None, :]
-    a[1::2, : 2 * N + 1] = phase * (fac * bp)[None, :]
-    a[1::2, 2 * N + 1 :] = phase * (-a_s)[None, :]
-
-    g_r, g_t = _frame_components(rec)
-    b = np.zeros((rec.n_sources, 2 * m), dtype=complex)
-    b[:, 0::2] = g_r
-    b[:, 1::2] = g_t
+    basis = _basis(N, R_ref, rec.sys, np.full(m, rho), theta, ("value",))
+    a = basis.reshape(n_unknowns, 2 * m).T
+    b = rec.values.reshape(rec.n_sources, 2 * m)
 
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:

@@ -235,16 +235,6 @@ class ReconRun:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ReconRun":
-        return cls(
-            curves=tuple(StarCurve(np.array(c)) for c in doc["coefficients"]),
-            e_history=tuple(doc["e_history"]),
-            termination=doc["termination"],
-            config=doc["config"],
-            note=doc.get("note", ""),
-        )
-
 
 def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     """Run the full iteration on a clean record.

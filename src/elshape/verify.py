@@ -224,12 +224,21 @@ def decay_profile(
     return np.array(errs), scale
 
 
+def decay_slope(orders, errs, scale: float) -> float:
+    """Fitted log-slope of ``errs`` over the orders whose error lies above
+    the float64 round-off floor 30 eps * scale; nan if fewer than 4 do."""
+    keep = errs > 30.0 * np.finfo(float).eps * scale
+    if np.count_nonzero(keep) < 4:
+        return float("nan")
+    return float(np.polyfit(np.asarray(orders)[keep], np.log(errs[keep]), 1)[0])
+
+
 def check_truncation_decay() -> CheckResult:
-    """Fitted log-slope over N in [13, 21] against -ln(rho/R) + 0.15."""
+    """Log-slope over N in [13, 21], above the floor, against -ln(rho/R) + 0.15."""
     t0 = time.time()
     orders = np.arange(13, 22)
-    errs, _ = decay_profile(np.sqrt(8.0), (16.0, 0.0), LameSystem(1, 1, 1.0), 0.5, orders)
-    slope = float(np.polyfit(orders, np.log(errs), 1)[0])
+    errs, scale = decay_profile(np.sqrt(8.0), (16.0, 0.0), LameSystem(1, 1, 1.0), 0.5, orders)
+    slope = decay_slope(orders, errs, scale)
     bound = -np.log(6.0) + 0.15
     return _result("truncation_decay_slope", slope <= bound, slope, bound,
                    "log-slope of ||v - v_N|| on the data circle, R=0.5", t0)

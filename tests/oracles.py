@@ -74,6 +74,27 @@ def mp_ln_gamma(x: float) -> float:
     return float(mpmath.loggamma(x))
 
 
+def modal_matrix(n: int, rho: float, R: float, sys) -> np.ndarray:
+    """Per-mode 2x2 system [[alpha_p, (in/rho) beta_s], [(in/rho) beta_p, -alpha_s]]
+    at the data radius, from mpmath Hankel values.
+
+    alpha = k H_n'(k rho) / H_n(k R) and beta = H_n(k rho) / H_n(k R), with
+    H_n'(t) = H_{n-1}(t) - (n/t) H_n(t).
+    """
+
+    def alpha_beta(k):
+        t = mpmath.mpf(k) * rho
+        den = mpmath.hankel1(n, mpmath.mpf(k) * R)
+        h = mpmath.hankel1(n, t)
+        hp = mpmath.hankel1(n - 1, t) - (n / t) * h
+        return complex(k * hp / den), complex(h / den)
+
+    ap, bp = alpha_beta(sys.k_p)
+    a_s, bs = alpha_beta(sys.k_s)
+    fac = 1j * n / rho
+    return np.array([[ap, fac * bs], [fac * bp, -a_s]])
+
+
 def central_diff(f, x: float, h: float) -> complex:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -84,11 +84,18 @@ class TestValidation:
             {"stop.rule": "theoretical"},    # needs stop.c1 > 0
             {"r_policy.mode": "fixed", "r_policy.value": 2.0},  # >= guess radius
             {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
+            {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
         ],
     )
     def test_invariants_rejected(self, bad):
         with pytest.raises(ConfigError):
             ReconstructionConfig(bad)
+
+    @pytest.mark.parametrize("key", ["lame.omega", "epsilon", "shape.radius", "rho"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_with_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            ReconstructionConfig({key: value})
 
     def test_error_message_carries_field_path(self):
         with pytest.raises(ConfigError, match="guess.radius"):

@@ -9,10 +9,10 @@ from elshape.elastic import (
     PointSource,
     grad_incident_field,
     green_tensor,
-    helmholtz_phi,
     incident_field,
     incident_field_directional,
 )
+from elshape.elastic import _phi_radial
 from elshape.errors import SingularityError
 
 import oracles
@@ -39,35 +39,58 @@ class TestLameSystem:
 
 
 class TestHelmholtzPhi:
+    """The scalar kernel Phi = (i/4) H_0^(1)(k r) behind the Green tensor."""
+
     def test_unit_wavenumber_value(self):
-        # lambda = mu = 1, omega = sqrt(3) gives k_p = 1
-        sys = LameSystem(1.0, 1.0, np.sqrt(3.0))
-        got = helmholtz_phi("p", np.array([1.0, 0.0]), np.array([0.0, 0.0]), sys)
+        got = _phi_radial(1.0, np.array(1.0), 0)[0]
         assert complex(got) == pytest.approx(0.25j * complex(specfun.hankel1(0, 1.0)))
 
     def test_symmetry_in_arguments(self):
+        # the kernel sees only |x - y|, so swapping the points changes nothing
         x = np.array([0.3, 1.7])
         y = np.array([-1.1, 0.4])
-        assert helmholtz_phi("s", x, y, SYS5) == helmholtz_phi("s", y, x, SYS5)
+        assert np.array_equal(green_tensor(x, y, SYS5), green_tensor(y, x, SYS5))
 
     @pytest.mark.parametrize("branch", ["p", "s"])
     def test_helmholtz_residual(self, branch):
         y = np.zeros(2)
         x = np.array([2.0, 0.0])
-        k = SYS5.wavenumber(branch)
+        k = {"p": SYS5.k_p, "s": SYS5.k_s}[branch]
 
         def phi(pt):
-            return helmholtz_phi(branch, pt, y, SYS5)
+            return _phi_radial(k, np.linalg.norm(pt - y), 0)[0]
 
         resid = oracles.laplacian_5pt(phi, x, 1e-3) + k * k * phi(x)
         assert abs(resid) <= 1e-4 * abs(k * k * phi(x))
 
     def test_coincident_points_rejected(self):
         with pytest.raises(SingularityError):
-            helmholtz_phi("p", np.zeros(2), np.zeros(2), SYS5)
+            green_tensor(np.zeros(2), np.zeros(2), SYS5)
 
 
 class TestGreenTensor:
+    def test_value_against_closed_form(self):
+        # G = (i/8) [ (H_0(k_s r) I + H_2(k_s r) D) / mu
+        #            + (H_0(k_p r) I - H_2(k_p r) D) / (lambda + 2 mu) ],
+        # D = 2 d d^T - I, from grad grad^T H_0(k r) = (k^2/2)(H_2 D - H_0 I);
+        # unequal Lame constants pin the tensor's scale
+        sys = LameSystem(2.0, 0.5, 3.0)
+        x, z = np.array([1.5, 1.0]), np.array([0.1, -0.2])
+        r = np.linalg.norm(x - z)
+        d = (x - z) / r
+        eye = np.eye(2)
+        D = 2.0 * np.outer(d, d) - eye
+
+        def h(n, k):
+            return complex(specfun.hankel1(n, k * r))
+
+        want = 0.125j * (
+            (h(0, sys.k_s) * eye + h(2, sys.k_s) * D) / sys.mu
+            + (h(0, sys.k_p) * eye - h(2, sys.k_p) * D) / (sys.lam + 2.0 * sys.mu)
+        )
+        got = green_tensor(x, z, sys)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_symmetric(self):
         g = green_tensor(np.array([1.5, 1.0]), np.array([0.1, -0.2]), SYS5)
         assert np.array_equal(g, g.T)

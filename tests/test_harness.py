@@ -84,6 +84,13 @@ class TestForwardCommand:
         cfg.write_text("aperture.lo = 2.0\naperture.hi = 1.0\n")
         assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("line", ["lame.omega = nan", "epsilon = nan", "shape.radius = inf"])
+    def test_non_finite_value_is_validation_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"shape = disk\n{line}\n")
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     def test_unknown_key_is_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("shape = disk\nrecievers = 12\n")
