@@ -36,8 +36,6 @@ def _out_dir(args) -> Path:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.__class__({**cfg.raw, "seed": args.seed})
     curve = make_shape(cfg)
     srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
     n_col, n_chg, shrink = cfg.mfs_params()
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fwd = sub.add_parser("forward", help="simulate scattered-field data")
     p_fwd.add_argument("--config", required=True)
     p_fwd.add_argument("--out-dir", default=".")
-    p_fwd.add_argument("--seed", type=int, default=None)
     p_fwd.add_argument("--verify-oracle", action="store_true",
                        help="check disk records against the analytic series")
     p_fwd.set_defaults(func=cmd_forward)

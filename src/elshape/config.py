@@ -11,8 +11,8 @@ dotted keys for grouping:
 
 Unknown keys are rejected with their path, since silent typos are the
 main hazard in flat config files.  Numeric invariants are enforced at
-build time (every float finite, rho > guess radius > R > 0, delta in
-[0,1), epsilon > 0, degree >= 1).
+build time (every float finite, a nonzero polarization, rho > guess
+radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1).
 """
 
 import math
@@ -131,6 +131,8 @@ class ReconstructionConfig:
             errors.append("lame: need mu > 0 and lambda + mu > 0")
         if g["lame.omega"] <= 0.0:
             errors.append("lame.omega: must be positive")
+        if g["polarization.x"] == 0.0 and g["polarization.y"] == 0.0:
+            errors.append("polarization.x, polarization.y: must not both be zero")
         if not 0.0 <= g["delta"] < 1.0:
             errors.append("delta: must lie in [0, 1)")
         if g["epsilon"] <= 0.0:
@@ -221,12 +223,12 @@ class ReconstructionConfig:
             shrink if shrink > 0.0 else by_shape[2],
         )
 
-    def resolve_R(self, guess_min_radius: float | None = None) -> float:
+    def resolve_R(self) -> float:
         """Expansion radius from the policy; auto mode clamps to sane bounds."""
         g = self.raw
         if g["r_policy.mode"] == "fixed":
             return g["r_policy.value"]
-        base = g["guess.radius"] if guess_min_radius is None else guess_min_radius
+        base = g["guess.radius"]
         return float(np.clip(g["r_policy.fraction"] * base, 0.1, 0.9 * base))
 
     def resolve_fit_reg(self) -> float:

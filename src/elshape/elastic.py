@@ -133,22 +133,24 @@ def incident_field(x, src: PointSource, sys: LameSystem):
     return g @ np.asarray(src.p, dtype=complex)
 
 
-def incident_field_directional(x, src: PointSource, sys: LameSystem, e):
+def incident_field_directional(x, srcs, sys: LameSystem, e):
     """(G(x, z) p, its derivative along e) from one radial table per wavenumber.
 
-    ``e`` broadcasts against x, one direction per point.  The derivative
-    contracts the third-derivative tensor of the radial g = Phi_s - Phi_p
-    with p and e:
+    Both are (S,) + x.shape arrays, one row per source in ``srcs``, each
+    with its own polarization.  ``e`` broadcasts against x, one direction
+    per point.  The derivative contracts the third-derivative tensor of the
+    radial g = Phi_s - Phi_p with p and e:
 
         sum_jk T_ijk p_k e_j = (B/r) (d_i (p.e) + (d.e) p_i + (d.p) e_i)
                                + (dB/dr - 2B/r) (d.p) (d.e) d_i,
 
     with B = g'' - g'/r.
     """
-    diff, r = _separation(x, src.xy)
+    shape = (len(srcs),) + (1,) * (np.ndim(x) - 1) + (2,)  # broadcasts against x
+    p = np.reshape([src.polarization for src in srcs], shape)
+    diff, r = _separation(x, np.reshape([src.location for src in srcs], shape))
     d = diff / r[..., None]
     e = np.asarray(e, dtype=float)
-    p = src.p
 
     phs, dphs, d2phs, d3phs = _phi_radial(sys.k_s, r, 3)
     _, dphp, d2php, d3php = _phi_radial(sys.k_p, r, 3)
@@ -173,5 +175,5 @@ def incident_field_directional(x, src: PointSource, sys: LameSystem, e):
 def grad_incident_field(x, src: PointSource, sys: LameSystem):
     """Jacobian of the incident field: entry (i, j) is d u_i / d x_j."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    _, deriv = incident_field_directional(x, src, sys, np.eye(2))
-    return np.swapaxes(deriv, -1, -2)
+    _, deriv = incident_field_directional(x, (src,), sys, np.eye(2))
+    return np.swapaxes(deriv[0], -1, -2)

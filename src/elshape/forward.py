@@ -23,7 +23,7 @@ v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -379,11 +379,4 @@ def add_noise(rec: ScatterRecord, delta: float, seed: int) -> ScatterRecord:
     r1 = rng.uniform(-1.0, 1.0, rec.values.shape)
     r2 = rng.uniform(-1.0, 1.0, rec.values.shape)
     noisy = rec.values + delta * r1 * np.abs(rec.values) * np.exp(1j * np.pi * r2)
-    return ScatterRecord(
-        rho=rec.rho,
-        sys=rec.sys,
-        sources=rec.sources,
-        receivers=rec.receivers,
-        values=noisy,
-        aperture=rec.aperture,
-    )
+    return replace(rec, values=noisy)

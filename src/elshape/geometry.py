@@ -7,8 +7,8 @@ parameter interval [0, 2*pi).  The two benchmark obstacles are
     starfish: x(t) = (1.5 cos t + 0.15 cos 4t + 0.15 cos 6t,
                       1.5 sin t - 0.15 sin 4t + 0.15 sin 6t)
 
-Radial curves r(t) (cos t, sin t) with trigonometric r are built from
-coefficient vectors ordered (a0, a_1..a_J, b_1..b_J).
+Radial curves r(t) (cos t, sin t) with trigonometric r are ``StarCurve``s,
+built from coefficient vectors ordered (a0, a_1..a_J, b_1..b_J).
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ParametricCurve", "kite", "starfish", "disk", "radial_curve"]
+__all__ = [
+    "ParametricCurve", "StarCurve", "basis_matrix", "kite", "starfish", "disk", "radial_curve",
+]
+
+#: grid of the StarCurve admissibility check min_t r(t)
+ADMISSIBILITY_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -106,36 +111,72 @@ def disk(radius: float = 1.0) -> ParametricCurve:
     return ParametricCurve(point, tangent, f"disk({radius:g})")
 
 
+@dataclass(frozen=True)
+class StarCurve:
+    """Trigonometric radial boundary r(t) = B(t) . coeffs with
+    B(t) = (1, cos t, ..., cos Jt, sin t, ..., sin Jt)."""
+
+    coeffs: np.ndarray  # (2*degree + 1,) ordered (a0, a_1.., b_1..)
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError("coefficient vector must be 1-d with odd length")
+        object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def circle(cls, radius: float, degree: int) -> "StarCurve":
+        c = np.zeros(2 * degree + 1)
+        c[0] = radius
+        return cls(c)
+
+    @property
+    def degree(self) -> int:
+        return (self.coeffs.size - 1) // 2
+
+    def radius(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return (basis_matrix(t, self.degree) @ self.coeffs).reshape(t.shape)
+
+    def point(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        r = self.radius(t)
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+    def tangent(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        r = self.radius(t)
+        dr = (_basis_derivative(t, self.degree) @ self.coeffs).reshape(t.shape)
+        return np.stack(
+            [dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)], axis=-1
+        )
+
+    def min_radius(self, n: int = ADMISSIBILITY_GRID) -> float:
+        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return float(np.min(self.radius(t)))
+
+    def as_curve(self) -> ParametricCurve:
+        return radial_curve(self.coeffs, "star")
+
+
+def basis_matrix(t, degree: int) -> np.ndarray:
+    """Rows B(t) at the parameters t, shape (t.size, 2*degree + 1)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float)).reshape(-1, 1)
+    jt = t * np.arange(1, degree + 1)
+    return np.concatenate([np.ones_like(t), np.cos(jt), np.sin(jt)], axis=1)
+
+
+def _basis_derivative(t, degree: int) -> np.ndarray:
+    """Rows B'(t), laid out as in basis_matrix."""
+    t = np.atleast_1d(np.asarray(t, dtype=float)).reshape(-1, 1)
+    j = np.arange(1, degree + 1)
+    return np.concatenate([np.zeros_like(t), -j * np.sin(t * j), j * np.cos(t * j)], axis=1)
+
+
 def radial_curve(coeffs, name: str = "radial") -> ParametricCurve:
     """Curve r(t)(cos t, sin t) with r = a0 + sum a_j cos jt + b_j sin jt.
 
     ``coeffs`` is ordered (a0, a_1..a_J, b_1..b_J) with odd total length.
     """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size % 2 == 0:
-        raise ValueError("coefficient vector must be 1-d with odd length")
-    deg = (c.size - 1) // 2
-    a0, a, b = c[0], c[1 : deg + 1], c[deg + 1 :]
-    j = np.arange(1, deg + 1)
-
-    def radius(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return a0 + np.sum(a * np.cos(j * t) + b * np.sin(j * t), axis=-1)
-
-    def dradius(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return np.sum(-a * j * np.sin(j * t) + b * j * np.cos(j * t), axis=-1)
-
-    def point(t):
-        t = np.asarray(t, dtype=float)
-        r = radius(t)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def tangent(t):
-        t = np.asarray(t, dtype=float)
-        r, dr = radius(t), dradius(t)
-        return np.stack(
-            [dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)], axis=-1
-        )
-
-    return ParametricCurve(point, tangent, name)
+    star = StarCurve(coeffs)
+    return ParametricCurve(star.point, star.tangent, name)

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig
-from .elastic import LameSystem, PointSource, incident_field_directional
+from .elastic import LameSystem, incident_field_directional
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
-from .geometry import ParametricCurve, radial_curve
+from .geometry import StarCurve, basis_matrix
 from .modal import ModalField, eval_radial, extract_field
 from .records import ScatterRecord
 
@@ -56,55 +56,6 @@ from .modal import eval_field, eval_gradient  # noqa: F401
 
 #: a relative update exceeding this declares the run divergent
 DIVERGENCE_GUARD = 10.0
-#: grid used for the iterate admissibility check
-ADMISSIBILITY_GRID = 256
-
-
-@dataclass(frozen=True)
-class StarCurve:
-    """Trigonometric radial boundary r(t) = B(t) . coeffs."""
-
-    coeffs: np.ndarray  # (2*degree + 1,) ordered (a0, a_1.., b_1..)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise ValueError("coefficient vector must be 1-d with odd length")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def circle(cls, radius: float, degree: int) -> "StarCurve":
-        c = np.zeros(2 * degree + 1)
-        c[0] = radius
-        return cls(c)
-
-    @property
-    def degree(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    def radius(self, t) -> np.ndarray:
-        return basis_matrix(np.asarray(t, dtype=float), self.degree) @ self.coeffs
-
-    def point(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        r = self.radius(t)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def min_radius(self, n: int = ADMISSIBILITY_GRID) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return float(np.min(self.radius(t)))
-
-    def as_curve(self) -> ParametricCurve:
-        return radial_curve(self.coeffs, "star")
-
-
-def basis_matrix(t: np.ndarray, degree: int) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    j = np.arange(1, degree + 1)
-    ones = np.ones((t.size, 1))
-    return np.concatenate(
-        [ones, np.cos(t[:, None] * j), np.sin(t[:, None] * j)], axis=1
-    )
 
 
 def gram_weights(degree: int) -> np.ndarray:
@@ -123,8 +74,8 @@ def assemble_system(
 ):
     """Reduced linearization: returns (A, rhs) with ||A dc + rhs|| minimal.
 
-    ``field`` holds one coefficient row per source in ``srcs``, which share
-    one polarization.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
+    ``field`` holds one coefficient row per source in ``srcs``, each with
+    its own polarization.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
     2*degree+1 columns; the last rhs entry carries the part of the boundary
     residual no step can reach, so ||rhs|| is the full residual ||u||.
     """
@@ -139,13 +90,8 @@ def assemble_system(
     xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
     basis = basis_matrix(t_grid, curve.degree)
 
-    # the incident field depends on x - z only, so all sources are evaluated
-    # at once as one source at the origin seen from the points shifted by
-    # -z, an (S, P, 2) array
-    shifted = pts - np.array([src.location for src in srcs])[:, None, :]
-    origin = PointSource((0.0, 0.0), _shared_polarization(srcs))
     v, dv = eval_radial(field, pts)
-    u_inc, du_inc = incident_field_directional(shifted, origin, sys, xhat)
+    u_inc, du_inc = incident_field_directional(pts, srcs, sys, xhat)
     u, du = v + u_inc, dv + du_inc
 
     w = np.sum(du.real ** 2 + du.imag ** 2, axis=(0, 2))
@@ -158,13 +104,6 @@ def assemble_system(
     # rho2 >= 0 holds up to round-off
     rhs = np.append(g_scaled, np.sqrt(np.sum(np.maximum(rho2, 0.0))))
     return a, rhs
-
-
-def _shared_polarization(srcs) -> tuple:
-    pols = {src.polarization for src in srcs}
-    if len(pols) != 1:
-        raise ConfigError("sources must share one polarization")
-    return pols.pop()
 
 
 def newton_step(a: np.ndarray, rhs: np.ndarray, damping: float = 1.0, reg: float = 0.0):
@@ -250,69 +189,46 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         rec = add_noise(rec, cfg["delta"], cfg["seed"])
 
     guess = StarCurve.circle(cfg["guess.radius"], cfg["np"])
-    R = cfg.resolve_R(guess.min_radius())
-    if guess.min_radius() <= R:
-        raise ConfigError("initial guess must strictly contain the expansion disk")
+    R = cfg.resolve_R()
     N = cfg.resolve_truncation()
+    curves = [guess]
+    e_hist = []
 
-    echo = cfg.echo()
+    def finish(termination: str, note: str = "") -> ReconRun:
+        return ReconRun(tuple(curves), tuple(e_hist), termination, cfg.echo(), note)
+
     try:
         field = extract_field(rec, N, R, cfg.resolve_fit_reg())
     except (SolveError, ConfigError, DomainError, AliasingError) as exc:
-        return ReconRun(
-            curves=(guess,),
-            e_history=(),
-            termination="modal_failure",
-            config=echo,
-            note=str(exc),
-        )
+        return finish("modal_failure", str(exc))
 
     t_grid = np.linspace(0.0, 2.0 * np.pi, cfg["collocation.n"], endpoint=False)
-    curves = [guess]
-    e_hist = []
-    termination = "max_iterations"
     current = guess
-
     for _ in range(cfg["max_iter"]):
         try:
             a, rhs = assemble_system(field, rec.sources, current, t_grid, cfg.sys)
             dc = newton_step(a, rhs, cfg["damping"], cfg["reg"])
         except (SolveError, DomainError) as exc:
-            return ReconRun(
-                curves=tuple(curves),
-                e_history=tuple(e_hist),
-                termination="diverged",
-                config=echo,
-                note=str(exc),
-            )
+            return finish("diverged", str(exc))
 
         candidate = StarCurve(current.coeffs + dc)
-        tries = 0
-        while candidate.min_radius() <= R and tries < 5:
+        for _ in range(5):
+            if candidate.min_radius() > R:
+                break
             dc = 0.5 * dc
             candidate = StarCurve(current.coeffs + dc)
-            tries += 1
         if candidate.min_radius() <= R:
-            termination = "diverged"
-            break
+            return finish("diverged")
 
         e_m = relative_update(dc, current.coeffs)
         current = candidate
         curves.append(current)
         e_hist.append(e_m)
         if e_m > DIVERGENCE_GUARD:
-            termination = "diverged"
-            break
+            return finish("diverged")
         if _stopped(cfg, dc, e_m):
-            termination = "converged"
-            break
-
-    return ReconRun(
-        curves=tuple(curves),
-        e_history=tuple(e_hist),
-        termination=termination,
-        config=echo,
-    )
+            return finish("converged")
+    return finish("max_iterations")
 
 
 def _stopped(cfg: ReconstructionConfig, dc: np.ndarray, e_m: float) -> bool:

@@ -25,7 +25,7 @@ from .config import ReconstructionConfig, make_shape, parse_config_text
 from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
 from .forward import ring_sources, simulate
 from .metrics import curve_hausdorff, radial_l2
-from .newton import reconstruct
+from .newton import StarCurve, reconstruct
 
 SWEEP_KEYS = ("sweep.apertures", "sweep.deltas", "sweep.seeds")
 
@@ -93,16 +93,12 @@ def load_sweep(path) -> SweepSpec:
 
 
 def boundary_error(cfg: ReconstructionConfig, run) -> float:
-    truth = make_shape(cfg)
     recon = run.final.as_curve()
-    if cfg["shape"] in ("disk", "custom"):
-        if cfg["shape"] == "disk":
-            return radial_l2(recon, cfg["shape.radius"])
-        t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        truth_pts = truth.point(t)
-        truth_r = np.linalg.norm(truth_pts, axis=-1)
-        return radial_l2(recon, lambda tt: np.interp(tt, t, truth_r))
-    return curve_hausdorff(recon, truth)
+    if cfg["shape"] == "disk":
+        return radial_l2(recon, cfg["shape.radius"])
+    if cfg["shape"] == "custom":
+        return radial_l2(recon, StarCurve(cfg.shape_coeffs()).radius)
+    return curve_hausdorff(recon, make_shape(cfg))
 
 
 def run_cell(base: dict, aperture, delta: float, seeds) -> list:

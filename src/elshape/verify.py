@@ -44,11 +44,11 @@ class CheckResult:
     measured: float
     bound: float
     detail: str
-    seconds: float
+    seconds: float = 0.0  # set by run_battery
 
 
-def _result(name, passed, measured, bound, detail, t0):
-    return CheckResult(name, bool(passed), float(measured), float(bound), detail, time.time() - t0)
+def _result(name, passed, measured, bound, detail):
+    return CheckResult(name, bool(passed), float(measured), float(bound), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,6 @@ ARG_GRID = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0])
 
 
 def check_wronskian() -> CheckResult:
-    t0 = time.time()
     worst = 0.0
     for t in ARG_GRID:
         n = ORDER_GRID
@@ -71,11 +70,10 @@ def check_wronskian() -> CheckResult:
         target = 2.0 / (np.pi * t)
         worst = max(worst, float(np.max(np.abs(j * yp - jp * y - target)) / target))
     return _result("wronskian", worst <= 1e-10, worst, 1e-10,
-                   "max relative Wronskian defect on the (n, t) grid", t0)
+                   "max relative Wronskian defect on the (n, t) grid")
 
 
 def check_recurrence() -> CheckResult:
-    t0 = time.time()
     worst = 0.0
     for t in ARG_GRID:
         n = ORDER_GRID
@@ -86,24 +84,22 @@ def check_recurrence() -> CheckResult:
         allowed = np.abs(h) * np.maximum(1, n)
         worst = max(worst, float(np.max(resid / allowed)))
     return _result("recurrence_closure", worst <= 1e-9, worst, 1e-9,
-                   "three-term recurrence residual relative to |H_n| max(1,n)", t0)
+                   "three-term recurrence residual relative to |H_n| max(1,n)")
 
 
 def check_magnitude_monotone() -> CheckResult:
-    t0 = time.time()
     worst = 0.0
     for n in ORDER_GRID:
         mags = np.abs(specfun.hankel1(n, ARG_GRID))
         ratio = mags[1:] / mags[:-1]  # should be <= 1 + 1e-12
         worst = max(worst, float(np.max(ratio)))
     return _result("magnitude_monotone", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
-                   "max |H_n(t2)|/|H_n(t1)| over t1 <= t2", t0)
+                   "max |H_n(t2)|/|H_n(t1)| over t1 <= t2")
 
 
 def check_derivative_bound() -> CheckResult:
     # |H_{n-1}| <= |H_n| underpins this bound, so it needs n >= 1 (at n = 0
     # it fails for small t; the analysis treats the n = 0 mode separately)
-    t0 = time.time()
     worst = 0.0
     for t in ARG_GRID:
         n = ORDER_GRID[1:]
@@ -111,12 +107,11 @@ def check_derivative_bound() -> CheckResult:
         hp = np.abs(specfun.hankel1_d1(n, t))
         worst = max(worst, float(np.max(hp / ((1.0 + n / t) * h))))
     return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
-                   "max |H_n'| / ((1+n/t)|H_n|), n >= 1", t0)
+                   "max |H_n'| / ((1+n/t)|H_n|), n >= 1")
 
 
 def check_tail_sandwich() -> CheckResult:
     """1/2 <= pi t^n |H_n| / (3 2^{n-1} Gamma(n)) <= e^t for n > (e t + 1)/2."""
-    t0 = time.time()
     lo_worst, hi_worst = np.inf, -np.inf
     for t in (0.5, 1.0, 2.0, 5.0, 10.0):
         n_min = int(np.floor((np.e * t + 1.0) / 2.0)) + 1
@@ -130,12 +125,11 @@ def check_tail_sandwich() -> CheckResult:
         hi_worst = max(hi_worst, float(np.max(log_ratio - t)))
     passed = lo_worst >= 0.0 and hi_worst <= 0.0
     return _result("tail_sandwich", passed, min(lo_worst, -hi_worst), 0.0,
-                   "log-space margins of the large-order magnitude sandwich", t0)
+                   "log-space margins of the large-order magnitude sandwich")
 
 
 def check_second_derivative_bound() -> CheckResult:
     """|H_n''(t)| <= ((2n^2 + t)/t^2) |H_n(t)| for n >= max(2, 4t)."""
-    t0 = time.time()
     worst = 0.0
     for t in (0.3, 0.5, 1.0, 2.0, 5.0):
         n_min = max(2, int(np.ceil(4.0 * t)))
@@ -145,7 +139,7 @@ def check_second_derivative_bound() -> CheckResult:
         bound = (2.0 * n * n + t) / (t * t) * h
         worst = max(worst, float(np.max(hpp / bound)))
     return _result("second_derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
-                   "max |H_n''| / (((2n^2+t)/t^2)|H_n|) in the working regime", t0)
+                   "max |H_n''| / (((2n^2+t)/t^2)|H_n|) in the working regime")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +161,6 @@ def tail_sum(N: int, tau: float) -> float:
 
 
 def check_tail_sum_bound() -> CheckResult:
-    t0 = time.time()
     worst = 0.0
     cells = 0
     for tau in (1.2, 1.5, 2.0, 3.0):
@@ -177,11 +170,10 @@ def check_tail_sum_bound() -> CheckResult:
             worst = max(worst, s / bound)
             cells += 1
     return _result("tail_sum_bound", worst <= 1.0, worst, 1.0,
-                   f"max S/bound over {cells} (N, tau) cells", t0)
+                   f"max S/bound over {cells} (N, tau) cells")
 
 
 def check_lambda_nonvanishing() -> CheckResult:
-    t0 = time.time()
     smallest = np.inf
     for omega in (1.0, 5.0):
         for R in (0.3, 0.5, 0.8):
@@ -189,7 +181,7 @@ def check_lambda_nonvanishing() -> CheckResult:
             lam = lambda_n(np.arange(0, 41), 3.0, R, sys)
             smallest = min(smallest, float(np.min(np.abs(lam))))
     return _result("lambda_nonvanishing", smallest > 0.0, smallest, 0.0,
-                   "min |Lambda_n| over omega, R, |n| <= 40", t0)
+                   "min |Lambda_n| over omega, R, |n| <= 40")
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +227,12 @@ def decay_slope(orders, errs, scale: float) -> float:
 
 def check_truncation_decay() -> CheckResult:
     """Log-slope over N in [13, 21], above the floor, against -ln(rho/R) + 0.15."""
-    t0 = time.time()
     orders = np.arange(13, 22)
     errs, scale = decay_profile(np.sqrt(8.0), (16.0, 0.0), LameSystem(1, 1, 1.0), 0.5, orders)
     slope = decay_slope(orders, errs, scale)
     bound = -np.log(6.0) + 0.15
     return _result("truncation_decay_slope", slope <= bound, slope, bound,
-                   "log-slope of ||v - v_N|| on the data circle, R=0.5", t0)
+                   "log-slope of ||v - v_N|| on the data circle, R=0.5")
 
 
 def _field_l2_norm(rec: ScatterRecord, N: int, R: float) -> float:
@@ -275,15 +266,13 @@ def noise_halving_ratios(n_trials: int = 20, N: int = 7) -> np.ndarray:
 
 
 def check_noise_scaling() -> CheckResult:
-    t0 = time.time()
     med = float(np.median(noise_halving_ratios()))
     passed = 0.35 <= med <= 0.65
     return _result("noise_scaling_linear", passed, med, 0.5,
-                   "median error ratio when halving delta 0.05 -> 0.025", t0)
+                   "median error ratio when halving delta 0.05 -> 0.025")
 
 
 def check_noise_statistics() -> CheckResult:
-    t0 = time.time()
     sys = LameSystem(1.0, 1.0, 5.0)
     rng_values = np.random.default_rng(7)
     values = (
@@ -298,7 +287,7 @@ def check_noise_statistics() -> CheckResult:
     ratio = np.abs(noisy.values - rec.values) / (0.05 * np.abs(rec.values))
     mean = float(np.mean(ratio))
     return _result("noise_statistics", 0.45 <= mean <= 0.55, mean, 0.5,
-                   "mean perturbation modulus / (delta |v|) over 10^4 components", t0)
+                   "mean perturbation modulus / (delta |v|) over 10^4 components")
 
 
 def mfs_series_discrepancy(omega: float) -> float:
@@ -317,10 +306,9 @@ def mfs_series_discrepancy(omega: float) -> float:
 
 
 def check_forward_oracle() -> CheckResult:
-    t0 = time.time()
     worst = max(mfs_series_discrepancy(1.0), mfs_series_discrepancy(5.0))
     return _result("forward_oracle_equivalence", worst <= 1e-6, worst, 1e-6,
-                   "MFS vs analytic disk series, unit disk, omega in {1, 5}", t0)
+                   "MFS vs analytic disk series, unit disk, omega in {1, 5}")
 
 
 def modal_roundtrip_errors(N: int = 30, n_receivers: int = 128):
@@ -353,11 +341,10 @@ def modal_roundtrip_errors(N: int = 30, n_receivers: int = 128):
 
 
 def check_modal_roundtrip() -> CheckResult:
-    t0 = time.time()
     rt_err, grad_err = modal_roundtrip_errors()
     passed = rt_err <= 1e-11 and grad_err <= 1e-6
     return _result("modal_roundtrip", passed, rt_err, 1e-11,
-                   f"value round-trip {rt_err:.2e}, gradient vs FD {grad_err:.2e} (<= 1e-6)", t0)
+                   f"value round-trip {rt_err:.2e}, gradient vs FD {grad_err:.2e} (<= 1e-6)")
 
 
 ALL_CHECKS = [
@@ -378,4 +365,9 @@ ALL_CHECKS = [
 
 
 def run_battery():
-    return [check() for check in ALL_CHECKS]
+    results = []
+    for check in ALL_CHECKS:
+        t0 = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+    return results

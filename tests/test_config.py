@@ -85,6 +85,7 @@ class TestValidation:
             {"r_policy.mode": "fixed", "r_policy.value": 2.0},  # >= guess radius
             {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
             {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
+            {"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
         ],
     )
     def test_invariants_rejected(self, bad):
@@ -105,15 +106,15 @@ class TestValidation:
 class TestResolution:
     def test_r_policy_auto_fraction(self):
         cfg = ReconstructionConfig({"guess.radius": 2.0})
-        assert cfg.resolve_R(2.0) == pytest.approx(0.8)
+        assert cfg.resolve_R() == pytest.approx(0.8)
 
     def test_r_policy_auto_clamped_low(self):
         cfg = ReconstructionConfig({"guess.radius": 0.2, "rho": 3.0})
-        assert cfg.resolve_R(0.2) == pytest.approx(0.1)
+        assert cfg.resolve_R() == pytest.approx(0.1)
 
     def test_r_policy_fixed(self):
         cfg = ReconstructionConfig({"r_policy.mode": "fixed", "r_policy.value": 0.45})
-        assert cfg.resolve_R(1.0) == 0.45
+        assert cfg.resolve_R() == 0.45
 
     def test_truncation_modes(self):
         assert ReconstructionConfig({"delta": 0.05}).resolve_truncation() == 7

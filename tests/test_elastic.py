@@ -200,7 +200,7 @@ class TestIncidentFieldDirectional:
         angles = rng.uniform(0.0, 2.0 * np.pi, size=30)
         e = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         src = PointSource((0.0, 0.0), POL)
-        value, deriv = incident_field_directional(x, src, SYS5, e)
+        value, deriv = (f[0] for f in incident_field_directional(x, (src,), SYS5, e))
         want_v = incident_field(x, src, SYS5)
         want_d = np.einsum("spij,pj->spi", grad_incident_field(x, src, SYS5), e)
         assert value.shape == deriv.shape == (5, 30, 2)
@@ -215,6 +215,21 @@ class TestIncidentFieldDirectional:
             x = z + rng.uniform(0.5, 8.0) * np.array([np.cos(a), np.sin(a)])
             e = np.array([np.cos(b), np.sin(b)])
             src = PointSource(tuple(z), tuple(rng.normal(size=2)))
-            _, deriv = incident_field_directional(x, src, SYS5, e)
+            deriv = incident_field_directional(x, (src,), SYS5, e)[1][0]
             fd = oracles.central_diff(lambda h: incident_field(x + h * e, src, SYS5), 0.0, 1e-5)
             assert np.max(np.abs(deriv - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_sources_with_own_polarizations(self):
+        # each source keeps its polarization; rows match one-source calls
+        rng = np.random.default_rng(14)
+        srcs = [PointSource(tuple(rng.uniform(2.5, 3.5, size=2)), tuple(rng.normal(size=2)))
+                for _ in range(3)]
+        x = rng.uniform(-1.5, 1.5, size=(4, 7, 2))
+        e = rng.normal(size=(4, 7, 2))
+        value, deriv = incident_field_directional(x, srcs, SYS5, e)
+        assert value.shape == deriv.shape == (3, 4, 7, 2)
+        for i, src in enumerate(srcs):
+            v1, d1 = incident_field_directional(x, (src,), SYS5, e)
+            assert np.array_equal(value[i], v1[0]) and np.array_equal(deriv[i], d1[0])
+            want_v = incident_field(x, src, SYS5)
+            assert np.max(np.abs(value[i] - want_v)) <= 1e-13 * np.max(np.abs(want_v))

@@ -7,16 +7,19 @@ from elshape.geometry import disk, kite, radial_curve, starfish
 
 import oracles
 
+RADIAL = pytest.param(lambda: radial_curve([1.5, 0.2, -0.1, 0.05, 0.3]), id="radial_curve")
 
-@pytest.mark.parametrize("make", [kite, starfish, lambda: disk(1.3)])
+
+@pytest.mark.parametrize("make", [kite, starfish, lambda: disk(1.3), RADIAL])
 def test_closed_and_periodic(make):
     curve = make()
     a = curve.point(0.0)
     b = curve.point(2.0 * np.pi)
+    assert a.shape == b.shape == (2,)
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("make", [kite, starfish, lambda: disk(0.7)])
+@pytest.mark.parametrize("make", [kite, starfish, lambda: disk(0.7), RADIAL])
 def test_tangent_matches_finite_difference(make):
     curve = make()
     for t in (0.0, 0.9, 2.2, 4.0, 5.9):

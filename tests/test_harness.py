@@ -9,10 +9,12 @@ import pytest
 
 from elshape import sweep
 from elshape.cli import main
+from elshape.config import ReconstructionConfig
 from elshape.errors import SolveError
 from elshape.forward import disk_series
 from elshape.geometry import disk, kite, radial_curve
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
+from elshape.newton import ReconRun, StarCurve
 from elshape.records import ScatterRecord
 from elshape.svgout import overlay_svg
 from elshape.sweep import parse_sweep_text, run_cell, run_sweep, write_sweep_csv
@@ -95,6 +97,13 @@ class TestForwardCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("shape = disk\nrecievers = 12\n")
         assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    def test_zero_polarization_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("shape = disk\nn_sources = 2\npolarization.x = 0\npolarization.y = 0\n")
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "polarization.x, polarization.y" in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
 
 
 class TestReconstructCommand:
@@ -288,6 +297,28 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify_mod, "ALL_CHECKS", [failing])
         assert main(["verify"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestBoundaryError:
+    CUSTOM = ReconstructionConfig({"shape": "custom", "shape.coeffs": "1.4, 0.2, 0.0, 0.1, 0.05"})
+
+    @staticmethod
+    def run_of(coeffs):
+        return ReconRun((StarCurve(coeffs),), (), "converged", {})
+
+    def test_custom_truth_reads_zero_on_itself(self):
+        err = sweep.boundary_error(self.CUSTOM, self.run_of(self.CUSTOM.shape_coeffs()))
+        assert err <= 1e-12
+
+    def test_custom_truth_reads_radius_offset(self):
+        shifted = self.CUSTOM.shape_coeffs() + [0.01, 0.0, 0.0, 0.0, 0.0]
+        err = sweep.boundary_error(self.CUSTOM, self.run_of(shifted))
+        assert abs(err - 0.01) <= 1e-12
+
+    def test_disk_truth_reads_radius_gap(self):
+        cfg = ReconstructionConfig({"shape": "disk", "shape.radius": 1.0})
+        err = sweep.boundary_error(cfg, self.run_of(StarCurve.circle(1.2, 3).coeffs))
+        assert abs(err - 0.2) <= 1e-12
 
 
 class TestSweep:

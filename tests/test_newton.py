@@ -189,12 +189,18 @@ class TestAssembleSystem:
             got_norm = np.linalg.norm(a @ dc + rhs)
             assert abs(got_norm - want_norm) <= 1e-12 * want_norm
 
-    def test_mixed_polarizations_refused(self, disk_setup):
-        _, field, (src,) = disk_setup
-        other = PointSource(src.location, (1.0, 0.0))
-        t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        with pytest.raises(ConfigError):
-            assemble_system(field, (src, other), StarCurve.circle(1.5, 8), t_grid, SYS5)
+    def test_mixed_polarizations(self):
+        # sources with different polarizations: ||rhs|| is the full residual
+        # ||u|| with u built from per-source incident_field calls
+        srcs = (PointSource((3.0, 0.0), POL), PointSource((0.0, 3.0), (1.0, 0.0)))
+        rec = record_from_disk_series(1.0, srcs, SYS5, 3.0, 128)
+        field = extract_field(rec, 10, 0.5)
+        curve = StarCurve.circle(1.3, 4)
+        t_grid = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        _, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
+        pts = curve.point(t_grid)
+        u = eval_field(field, pts) + np.stack([incident_field(pts, s, SYS5) for s in srcs])
+        assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
 
 
 class TestOneStepContraction:

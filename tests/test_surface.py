@@ -3,13 +3,19 @@
 The demos and the README import from ``elshape`` and its modules, and the
 benchmark tracer (``perfbench/spans.py``) swaps module attributes where
 the pipeline looks them up.  Deleting any of those names breaks them
-outside this suite; these tests make it break here too.
+outside this suite; these tests make it break here too.  Each demo also
+runs end to end, so that a changed signature breaks here and not only in
+the demo.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +68,21 @@ def test_tracer_lookup_sites_exist():
     original = forward.simulate, newton.reconstruct
     spans.install(spans.Tracer()).close()
     assert (forward.simulate, newton.reconstruct) == original
+
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # a copy, so the demo writes its out_* files into tmp_path
+    script = shutil.copy(demo, tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
