@@ -20,6 +20,7 @@ print(f"compressional wavenumber k_p = {sys.k_p:.6f}  (omega / sqrt(lambda + 2 m
 print(f"shear wavenumber         k_s = {sys.k_s:.6f}  (omega / sqrt(mu))")
 
 src = PointSource(location=(3.0, 0.0), polarization=(np.sqrt(0.5), np.sqrt(0.5)))
+srcs = (src,)  # the field functions take a source sequence, one row per source
 x = np.array([1.0, 0.8])
 
 g = green_tensor(x, src.xy, sys)
@@ -27,7 +28,7 @@ print("\nG(x, z) at x =", x, "z =", src.xy)
 print(g)
 print("symmetry defect:", np.max(np.abs(g - g.T)))
 
-u = incident_field(x, src, sys)
+u = incident_field(x, srcs, sys)[0]
 print("\nincident displacement u = G p:", u)
 
 # the gradient is assembled from radial derivatives of the kernels, no
@@ -37,12 +38,12 @@ fd = np.zeros((2, 2), dtype=complex)
 for j in range(2):
     e = np.zeros(2)
     e[j] = h
-    fd[:, j] = (incident_field(x + e, src, sys) - incident_field(x - e, src, sys)) / (2 * h)
-jac = grad_incident_field(x, src, sys)
+    fd[:, j] = (incident_field(x + e, srcs, sys) - incident_field(x - e, srcs, sys))[0] / (2 * h)
+jac = grad_incident_field(x, srcs, sys)[0]
 print("gradient vs finite differences:", np.max(np.abs(jac - fd)) / np.max(np.abs(fd)))
 
 # cylindrical spreading: |u| ~ r^(-1/2) far from the source
-far = incident_field(src.xy + np.array([50.0, 0.0]), src, sys)
-farther = incident_field(src.xy + np.array([200.0, 0.0]), src, sys)
+far = incident_field(src.xy + np.array([50.0, 0.0]), srcs, sys)
+farther = incident_field(src.xy + np.array([200.0, 0.0]), srcs, sys)
 print("\n|u(50)| / |u(200)| =", np.max(np.abs(far)) / np.max(np.abs(farther)),
       "(expect ~2 from the half-power law)")

@@ -19,14 +19,14 @@ from elshape.forward import boundary_residual
 from elshape.geometry import disk, kite
 
 sys = LameSystem(1.0, 1.0, 5.0)
-src = PointSource((3.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5)))
+srcs = (PointSource((3.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5))),)
 
-sol = solve_mfs(disk(1.0), src, sys, n_collocation=128, n_charges=64, shrink=0.7)
+sol = solve_mfs(disk(1.0), srcs, sys, n_collocation=128, n_charges=64, shrink=0.7)
 print("unit disk, 64 charges at shrink 0.7:")
 print("  collocation residual:", f"{sol.residual:.3e}")
-print("  residual on a 4x finer grid:", f"{boundary_residual(sol, disk(1.0), src, sys, 512):.3e}")
+print("  residual on a 4x finer grid:", f"{boundary_residual(sol, disk(1.0), srcs, sys, 512):.3e}")
 
-oracle = disk_series(1.0, src, sys, n_modes=40)
+oracle = disk_series(1.0, srcs, sys, n_modes=40)
 theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 v_mfs = sol.eval(pts)
@@ -40,7 +40,7 @@ import warnings
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    weak = solve_mfs(kite(), src, sys, 128, 64, 0.8)
-    strong = solve_mfs(kite(), src, sys, 512, 256, 0.92)
+    weak = solve_mfs(kite(), srcs, sys, 128, 64, 0.8)
+    strong = solve_mfs(kite(), srcs, sys, 512, 256, 0.92)
 print("\nkite residuals: 64 charges", f"{weak.residual:.2e}",
       " / 256 charges", f"{strong.residual:.2e}")

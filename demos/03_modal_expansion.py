@@ -20,11 +20,11 @@ from elshape import (
 from elshape.forward import disk_series
 
 sys = LameSystem(1.0, 1.0, 1.0)
-src = PointSource((16.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5)))
+srcs = (PointSource((16.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5))),)
 radius = np.sqrt(8.0)
 
-rec = record_from_disk_series(radius, (src,), sys, rho=3.0, n_receivers=256, n_modes=60)
-truth = disk_series(radius, src, sys, n_modes=60)
+rec = record_from_disk_series(radius, srcs, sys, rho=3.0, n_receivers=256, n_modes=60)
+truth = disk_series(radius, srcs, sys, n_modes=60)
 pts = 3.0 * np.stack([np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1)
 exact = truth.eval(pts)
 scale = np.sqrt(np.mean(np.sum(np.abs(exact) ** 2, axis=-1)))
@@ -43,9 +43,9 @@ print("\nper-mode ratio ~ R_hull/rho: the singular content of this field sits")
 print("exactly on the expansion disk r = 0.5, so the ratio approaches 1/6.")
 
 # the same coefficients evaluate the field off the measurement circle; the
-# field holds one coefficient row per source, here a single one
+# field, like the series, holds one row per source, here a single one
 mf = solve_modal(modal_rhs(rec, 21), 3.0, 0.5, sys)
 x = np.array([2.83, 0.4])
 print("\nfield at", x, ":")
 print("  truncated expansion:", eval_field(mf, x)[0])
-print("  analytic solution:  ", truth.eval(x))
+print("  analytic solution:  ", truth.eval(x)[0])

@@ -16,7 +16,7 @@ from .config import load_config, make_shape
 from .errors import ConfigError, DomainError, SolveError
 from .forward import disk_series, ring_sources, simulate
 from .metrics import curve_hausdorff
-from .newton import StarCurve, reconstruct
+from .newton import reconstruct
 from .records import ScatterRecord
 from .svgout import overlay_svg
 from .sweep import load_sweep, run_sweep, write_sweep_csv
@@ -36,6 +36,9 @@ def _out_dir(args) -> Path:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
+    if args.verify_oracle and cfg["shape"] != "disk":
+        print("--verify-oracle requires shape = disk", file=_sys.stderr)
+        return EXIT_VALIDATION
     curve = make_shape(cfg)
     srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
     n_col, n_chg, shrink = cfg.mfs_params()
@@ -56,9 +59,6 @@ def cmd_forward(args) -> int:
     print(f"wrote {path} ({rec.n_sources} sources x {rec.n_receivers} receivers)")
 
     if args.verify_oracle:
-        if cfg["shape"] != "disk":
-            print("--verify-oracle requires shape = disk", file=_sys.stderr)
-            return EXIT_VALIDATION
         fld_pts = rec.rho * np.stack(
             [np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1
         )
@@ -119,14 +119,14 @@ def cmd_reconstruct(args) -> int:
         for i, e in enumerate(run.e_history, start=1):
             writer.writerow([i, repr(float(e))])
 
-    exact_pts = make_shape(cfg).sample(512)
+    truth = make_shape(cfg)
     svg = overlay_svg(
         rho=rec.rho,
         aperture=rec.aperture,
         sources_xy=np.array([s.location for s in rec.sources]),
         final_pts=run.final.point(t),
-        initial_pts=StarCurve.circle(cfg["guess.radius"], cfg["np"]).point(t),
-        exact_pts=exact_pts,
+        initial_pts=run.curves[0].point(t),
+        exact_pts=truth.sample(512),
         title=f"termination: {run.termination} ({run.iterations} iterations)",
     )
     (out / "overlay.svg").write_text(svg)
@@ -134,7 +134,7 @@ def cmd_reconstruct(args) -> int:
     if not rec.is_full_aperture:
         lo, hi = rec.aperture
         print(f"partial aperture [{lo:.4f}, {hi:.4f}) with {rec.n_receivers} receivers")
-    err = curve_hausdorff(run.final.as_curve(), make_shape(cfg))
+    err = curve_hausdorff(run.final.as_curve(), truth)
     print(
         f"termination: {run.termination} after {run.iterations} iterations; "
         f"hausdorff vs configured truth {err:.4f}"

@@ -11,8 +11,9 @@ dotted keys for grouping:
 
 Unknown keys are rejected with their path, since silent typos are the
 main hazard in flat config files.  Numeric invariants are enforced at
-build time (every float finite, a nonzero polarization, rho > guess
-radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1).
+build time (every float finite, a nonzero polarization, at least one
+source, rho > guess radius > R > 0, delta in [0,1), epsilon > 0,
+degree >= 1).
 """
 
 import math
@@ -147,8 +148,8 @@ class ReconstructionConfig:
             )
         if g["n_receivers"] < 4:
             errors.append("n_receivers: must be >= 4")
-        if g["n_sources"] < 0:
-            errors.append("n_sources: must be >= 0")
+        if g["n_sources"] < 1:
+            errors.append("n_sources: must be >= 1")
         if not (g["aperture.hi"] > g["aperture.lo"]):
             errors.append("aperture: need lo < hi")
         if g["aperture.hi"] - g["aperture.lo"] > 2.0 * math.pi + 1e-12:

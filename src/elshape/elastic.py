@@ -19,6 +19,7 @@ by differentiating the Bessel equation once.  No finite differences are
 used outside the test suite.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
+The incident-field functions take a sequence of S sources and prepend (S,).
 All functions are pure.
 """
 
@@ -127,10 +128,14 @@ def green_tensor(x, z, sys: LameSystem):
     return (phs / sys.mu)[..., None, None] * eye + hess / sys.omega ** 2
 
 
-def incident_field(x, src: PointSource, sys: LameSystem):
-    """Displacement G(x, z) p of the point source, shape (..., 2)."""
-    g = green_tensor(x, src.xy, sys)
-    return g @ np.asarray(src.p, dtype=complex)
+def incident_field(x, srcs, sys: LameSystem):
+    """Displacements G(x, z) p of the sources in ``srcs``, each with its own
+    polarization: shape (S,) + x.shape, from one green_tensor call."""
+    x = np.asarray(x, dtype=float)
+    shape = (len(srcs),) + (1,) * (x.ndim - 1) + (2,)  # broadcasts against x
+    z = np.reshape([src.location for src in srcs], shape)
+    p = np.reshape([src.polarization for src in srcs], shape).astype(complex)
+    return (green_tensor(x, z, sys) @ p[..., None])[..., 0]
 
 
 def incident_field_directional(x, srcs, sys: LameSystem, e):
@@ -172,8 +177,9 @@ def incident_field_directional(x, srcs, sys: LameSystem, e):
     return value, deriv
 
 
-def grad_incident_field(x, src: PointSource, sys: LameSystem):
-    """Jacobian of the incident field: entry (i, j) is d u_i / d x_j."""
+def grad_incident_field(x, srcs, sys: LameSystem):
+    """Jacobians of the sources' incident fields, shape (S,) + x.shape + (2,):
+    entry (..., i, j) is d u_i / d x_j."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    _, deriv = incident_field_directional(x, (src,), sys, np.eye(2))
-    return np.swapaxes(deriv[0], -1, -2)
+    _, deriv = incident_field_directional(x, srcs, sys, np.eye(2))
+    return np.swapaxes(deriv, -1, -2)

@@ -28,9 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .elastic import LameSystem, PointSource, green_tensor
-# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
-from .elastic import incident_field  # noqa: F401
+from .elastic import LameSystem, PointSource, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve
 from .records import FULL_APERTURE, ScatterRecord
@@ -45,19 +43,15 @@ RESIDUAL_WARN = 1e-6
 
 @dataclass(frozen=True)
 class MfsSolution:
-    """Charge layout and fitted strengths for the scattered fields of S sources.
-
-    Arrays carry a leading source axis ``lead``: ``()`` when one source was
-    solved, ``(S,)`` for a sequence.
-    """
+    """Charge layout and fitted strengths for the scattered fields of S sources."""
 
     charges: np.ndarray     # (n_charges, 2)
-    strengths: np.ndarray   # lead + (n_charges, 2) complex
-    residuals: np.ndarray   # lead; max residual on the collocation grid
+    strengths: np.ndarray   # (S, n_charges, 2) complex
+    residuals: np.ndarray   # (S,); max residual on the collocation grid
     sys: LameSystem
 
     def __post_init__(self):
-        if self.strengths.shape[-2:] != self.charges.shape:
+        if self.strengths.shape[1:] != self.charges.shape:
             raise ValueError("one strength vector per charge point required")
 
     @property
@@ -66,20 +60,11 @@ class MfsSolution:
         return float(np.max(self.residuals, initial=0.0))
 
     def eval(self, x) -> np.ndarray:
-        """Scattered displacement at x (shape (..., 2)): lead + x.shape[:-1] + (2,)."""
+        """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
         x = np.asarray(x, dtype=float)
         g = _charge_matrix(x.reshape(-1, 2), self.charges, self.sys)
-        lead = self.strengths.shape[:-2]
         coef = self.strengths.reshape(-1, g.shape[1])
-        return (coef @ g.T).reshape(lead + x.shape[:-1] + (2,))
-
-
-def _incident_fields(x, srcs, sys: LameSystem) -> np.ndarray:
-    """u_inc of every source at the points x (P, 2), each with its own
-    polarization: shape (S, P, 2), from one green_tensor call."""
-    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
-    pol = np.array([src.polarization for src in srcs], dtype=complex).reshape(-1, 2)
-    return (green_tensor(x[None], z[:, None], sys) @ pol[:, None, :, None])[..., 0]
+        return (coef @ g.T).reshape(self.strengths.shape[:1] + x.shape)
 
 
 def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
@@ -99,12 +84,11 @@ def solve_mfs(
 ) -> MfsSolution:
     """Fit interior charges so that u_inc + v vanishes on the boundary.
 
-    ``sources`` is one PointSource or a sequence of them.  The collocation
-    matrix does not depend on the source, so it is built once and one
+    ``sources`` is a sequence of S point sources.  The collocation matrix
+    does not depend on the source, so it is built once and one
     least-squares solve fits every source's right-hand side.
     """
-    single = isinstance(sources, PointSource)
-    srcs = (sources,) if single else tuple(sources)
+    srcs = tuple(sources)
     if not 0.0 < shrink < 1.0:
         raise ConfigError("shrink must lie in (0, 1)")
     if n_collocation < n_charges:
@@ -120,7 +104,7 @@ def solve_mfs(
 
     a = _charge_matrix(colloc, charges, sys)
     # column s is -u_inc of source s on the grid
-    b = -_incident_fields(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
+    b = -incident_field(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
@@ -136,26 +120,19 @@ def solve_mfs(
             stacklevel=2,
         )
     strengths = coef.T.reshape(len(srcs), n_charges, 2)
-    if single:
-        strengths, residuals = strengths[0], residuals[0]
     return MfsSolution(charges=charges, strengths=strengths, residuals=residuals, sys=sys)
 
 
 def boundary_residual(
     sol: MfsSolution, curve: ParametricCurve, sources, sys: LameSystem, n: int
 ) -> float:
-    """Max |u_inc + v| on an n-point boundary grid over all sources (quality probe).
-
-    ``sources`` matches the solution's source axis: one PointSource for a
-    one-source solution, else the sequence that was solved.
-    """
-    srcs = (sources,) if isinstance(sources, PointSource) else tuple(sources)
-    if len(srcs) != np.size(sol.residuals):
-        raise ConfigError(
-            f"{len(srcs)} sources given for a solution of {np.size(sol.residuals)}"
-        )
+    """Max |u_inc + v| on an n-point boundary grid over the sources that
+    were solved (quality probe)."""
+    srcs = tuple(sources)
+    if len(srcs) != len(sol.residuals):
+        raise ConfigError(f"{len(srcs)} sources given for a solution of {len(sol.residuals)}")
     pts = curve.sample(n)
-    return float(np.max(np.abs(sol.eval(pts) + _incident_fields(pts, srcs, sys))))
+    return float(np.max(np.abs(sol.eval(pts) + incident_field(pts, srcs, sys))))
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +183,11 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
 
 @dataclass(frozen=True)
 class DiskField:
-    """Exact scattered fields of a rigid disk, evaluable for |x| >= radius.
-
-    Coefficients carry a leading source axis ``lead``: ``()`` for one
-    source, ``(S,)`` for a sequence.
-    """
+    """Exact scattered fields of a rigid disk, evaluable for |x| >= radius."""
 
     radius: float
     sys: LameSystem
-    b_p: np.ndarray   # lead + (2M+1,) outgoing-basis coefficients, orders -M..M
+    b_p: np.ndarray   # (S, 2M+1) outgoing-basis coefficients, orders -M..M
     b_s: np.ndarray
 
     @property
@@ -222,7 +195,7 @@ class DiskField:
         return (self.b_p.shape[-1] - 1) // 2
 
     def eval(self, x) -> np.ndarray:
-        """Scattered displacement at x (shape (..., 2)): lead + x.shape[:-1] + (2,)."""
+        """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
         x = np.asarray(x, dtype=float)
         r = np.hypot(x[..., 0], x[..., 1])
         theta = np.arctan2(x[..., 1], x[..., 0])
@@ -253,12 +226,11 @@ class DiskField:
 def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:
     """Exact scattered fields outside a rigid disk centered at the origin.
 
-    ``sources`` is one PointSource or a sequence of them.  The rim tables do
-    not depend on the source, and the per-mode 2x2 rigid-boundary systems
-    are solved in closed form for every mode and source at once.
+    ``sources`` is a sequence of S point sources.  The rim tables do not
+    depend on the source, and the per-mode 2x2 rigid-boundary systems are
+    solved in closed form for every mode and source at once.
     """
-    single = isinstance(sources, PointSource)
-    srcs = (sources,) if single else tuple(sources)
+    srcs = tuple(sources)
     if radius <= 0.0:
         raise DomainError("disk radius must be positive")
     if any(np.hypot(*src.xy) <= radius for src in srcs):
@@ -285,8 +257,6 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     rhs_t = -(fac * jp * a_p - sys.k_s * djs * a_s)
     b_p = (-g_s * rhs_r - fac * rhs_t) / (det * hp)
     b_s = (g_p * rhs_t - fac * rhs_r) / (det * hs)
-    if single:
-        b_p, b_s = b_p[0], b_s[0]
     return DiskField(radius=radius, sys=sys, b_p=b_p, b_s=b_s)
 
 

@@ -52,18 +52,19 @@ class SweepSpec:
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
-    """Split sweep.* keys off the flat config and parse their lists."""
+    """Split sweep.* keys off the flat config and parse their lists; sweep
+    lines are blanked in place, so config errors keep their line numbers."""
     base_lines = []
     sweep_values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key = line.partition("=")[0].strip()
+        key, _, val = raw.split("#", 1)[0].partition("=")
+        key = key.strip()
         if key in SWEEP_KEYS:
-            sweep_values[key] = line.partition("=")[2].strip()
-        else:
-            base_lines.append(raw)
+            if key in sweep_values:
+                raise ConfigError(f"line {lineno}: duplicate key '{key}'")
+            sweep_values[key] = val.strip()
+            raw = ""
+        base_lines.append(raw)
     base = parse_config_text("\n".join(base_lines))
 
     def floats(s):
@@ -133,8 +134,8 @@ def run_cell(base: dict, aperture, delta: float, seeds) -> list:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     cells = [(ap, d) for ap in spec.apertures for d in spec.deltas]
-    if not cells:
-        return []
+    # the pool starts every worker up front, so never more than there are cells
+    workers = min(workers, len(cells))
     if workers <= 1:
         return [run_cell(spec.base, ap, d, spec.seeds) for ap, d in cells]
     rows = [None] * len(cells)

@@ -198,14 +198,13 @@ def decay_profile(
     n_receivers: int = 256,
 ):
     """RMS truncation error on the data circle for each order in ``orders``."""
-    src = PointSource(source_xy, POLARIZATION)
-    fld = disk_series(radius, src, sys, n_modes=60)
+    srcs = (PointSource(source_xy, POLARIZATION),)
     theta = np.linspace(0.0, 2.0 * np.pi, n_receivers, endpoint=False)
     pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    exact = fld.eval(pts)
+    exact = disk_series(radius, srcs, sys, n_modes=60).eval(pts)
     rec = ScatterRecord(
-        rho=rho, sys=sys, sources=(src,), receivers=theta,
-        values=exact[None], aperture=(0.0, 2.0 * np.pi),
+        rho=rho, sys=sys, sources=srcs, receivers=theta,
+        values=exact, aperture=(0.0, 2.0 * np.pi),
     )
     errs = []
     for N in orders:
@@ -293,9 +292,9 @@ def check_noise_statistics() -> CheckResult:
 def mfs_series_discrepancy(omega: float) -> float:
     """Relative L2 gap between the MFS and series fields on the data circle."""
     sys = LameSystem(1.0, 1.0, omega)
-    src = PointSource((3.0, 0.0), POLARIZATION)
-    sol = solve_mfs(disk(1.0), src, sys, 128, 64, 0.8)
-    fld = disk_series(1.0, src, sys, 40)
+    srcs = (PointSource((3.0, 0.0), POLARIZATION),)
+    sol = solve_mfs(disk(1.0), srcs, sys, 128, 64, 0.8)
+    fld = disk_series(1.0, srcs, sys, 40)
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     v_m = sol.eval(pts)

@@ -86,6 +86,7 @@ class TestValidation:
             {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
             {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
             {"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
+            {"n_sources": 0},                # no data to reconstruct from
         ],
     )
     def test_invariants_rejected(self, bad):

@@ -108,7 +108,7 @@ class TestGreenTensor:
         x = np.array([2.0, 0.0])
 
         def u(pt):
-            return incident_field(pt, src, SYS5)
+            return incident_field(pt, (src,), SYS5)[0]
 
         resid = oracles.navier_residual_fd(u, x, SYS5.lam, SYS5.mu, SYS5.omega, 1e-3)
         assert np.max(np.abs(resid)) <= 1e-4 * np.max(np.abs(u(x)))
@@ -118,7 +118,7 @@ class TestGreenTensor:
         src = PointSource((0.0, 0.0), POL)
 
         def u(pt):
-            return incident_field(pt, src, SYS5)
+            return incident_field(pt, (src,), SYS5)[0]
 
         for _ in range(20):
             r = rng.uniform(0.5, 10.0)
@@ -136,20 +136,33 @@ class TestIncidentField:
     def test_linearity_in_polarization(self):
         x = np.array([1.2, -0.7])
         z = (-3.0, 0.5)
-        u1 = incident_field(x, PointSource(z, (1.0, 0.0)), SYS5)
-        u2 = incident_field(x, PointSource(z, (0.0, 1.0)), SYS5)
-        u12 = incident_field(x, PointSource(z, (1.0, 1.0)), SYS5)
+        u1 = incident_field(x, (PointSource(z, (1.0, 0.0)),), SYS5)
+        u2 = incident_field(x, (PointSource(z, (0.0, 1.0)),), SYS5)
+        u12 = incident_field(x, (PointSource(z, (1.0, 1.0)),), SYS5)
         assert np.max(np.abs(u1 + u2 - u12)) <= 1e-14
 
     def test_diagonal_polarization_runs(self):
-        u = incident_field(np.array([1.0, 0.0]), PointSource((3.0, 0.0), POL), SYS5)
-        assert u.shape == (2,) and np.all(np.isfinite(u))
+        u = incident_field(np.array([1.0, 0.0]), (PointSource((3.0, 0.0), POL),), SYS5)
+        assert u.shape == (1, 2) and np.all(np.isfinite(u))
+
+    def test_rows_match_one_source_calls(self):
+        # each source keeps its own polarization; S rows lead the point axes
+        rng = np.random.default_rng(15)
+        srcs = [PointSource(tuple(rng.uniform(2.5, 3.5, size=2)), tuple(rng.normal(size=2)))
+                for _ in range(3)]
+        x = rng.uniform(-1.5, 1.5, size=(4, 7, 2))
+        u = incident_field(x, srcs, SYS5)
+        jac = grad_incident_field(x, srcs, SYS5)
+        assert u.shape == (3, 4, 7, 2) and jac.shape == (3, 4, 7, 2, 2)
+        for i, src in enumerate(srcs):
+            assert np.array_equal(u[i], incident_field(x, (src,), SYS5)[0])
+            assert np.array_equal(jac[i], grad_incident_field(x, (src,), SYS5)[0])
 
     def test_far_field_decay_rate(self):
         src = PointSource((0.0, 0.0), POL)
         direction = np.array([np.cos(0.4), np.sin(0.4)])
-        a = np.max(np.abs(incident_field(50.0 * direction, src, SYS5)))
-        b = np.max(np.abs(incident_field(200.0 * direction, src, SYS5)))
+        a = np.max(np.abs(incident_field(50.0 * direction, (src,), SYS5)))
+        b = np.max(np.abs(incident_field(200.0 * direction, (src,), SYS5)))
         assert a / b == pytest.approx(2.0, rel=0.15)  # (200/50)^(1/2)
 
 
@@ -165,9 +178,9 @@ class TestGradIncidentField:
             src = PointSource(tuple(z), tuple(pol))
 
             def u(pt):
-                return incident_field(pt, src, SYS5)
+                return incident_field(pt, (src,), SYS5)[0]
 
-            jac = grad_incident_field(x, src, SYS5)
+            jac = grad_incident_field(x, (src,), SYS5)[0]
             fd = oracles.jacobian_fd(u, x, 1e-5)
             assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
 
@@ -177,18 +190,18 @@ class TestGradIncidentField:
         x = np.array([1.4, 0.6])
         z = np.array([-0.5, -1.0])
         p = np.array([0.3, 0.9])
-        jac = grad_incident_field(x, PointSource(tuple(z), tuple(p)), SYS5)
+        jac = grad_incident_field(x, (PointSource(tuple(z), tuple(p)),), SYS5)[0]
         jac_rot = grad_incident_field(
-            rot @ x, PointSource(tuple(rot @ z), tuple(rot @ p)), SYS5
-        )
+            rot @ x, (PointSource(tuple(rot @ z), tuple(rot @ p)),), SYS5
+        )[0]
         assert np.max(np.abs(jac_rot - rot @ jac @ rot.T)) <= 1e-12
 
     def test_linearity_in_polarization(self):
         x = np.array([1.0, 2.0])
         z = (0.0, 0.0)
-        j1 = grad_incident_field(x, PointSource(z, (1.0, 0.0)), SYS5)
-        j2 = grad_incident_field(x, PointSource(z, (0.0, 1.0)), SYS5)
-        j12 = grad_incident_field(x, PointSource(z, (1.0, 1.0)), SYS5)
+        j1 = grad_incident_field(x, (PointSource(z, (1.0, 0.0)),), SYS5)
+        j2 = grad_incident_field(x, (PointSource(z, (0.0, 1.0)),), SYS5)
+        j12 = grad_incident_field(x, (PointSource(z, (1.0, 1.0)),), SYS5)
         assert np.max(np.abs(j1 + j2 - j12)) <= 1e-14
 
 
@@ -201,8 +214,8 @@ class TestIncidentFieldDirectional:
         e = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         src = PointSource((0.0, 0.0), POL)
         value, deriv = (f[0] for f in incident_field_directional(x, (src,), SYS5, e))
-        want_v = incident_field(x, src, SYS5)
-        want_d = np.einsum("spij,pj->spi", grad_incident_field(x, src, SYS5), e)
+        want_v = incident_field(x, (src,), SYS5)[0]
+        want_d = np.einsum("spij,pj->spi", grad_incident_field(x, (src,), SYS5)[0], e)
         assert value.shape == deriv.shape == (5, 30, 2)
         assert np.max(np.abs(value - want_v)) <= 1e-13 * np.max(np.abs(want_v))
         assert np.max(np.abs(deriv - want_d)) <= 1e-13 * np.max(np.abs(want_d))
@@ -216,7 +229,9 @@ class TestIncidentFieldDirectional:
             e = np.array([np.cos(b), np.sin(b)])
             src = PointSource(tuple(z), tuple(rng.normal(size=2)))
             deriv = incident_field_directional(x, (src,), SYS5, e)[1][0]
-            fd = oracles.central_diff(lambda h: incident_field(x + h * e, src, SYS5), 0.0, 1e-5)
+            fd = oracles.central_diff(
+                lambda h: incident_field(x + h * e, (src,), SYS5)[0], 0.0, 1e-5
+            )
             assert np.max(np.abs(deriv - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_sources_with_own_polarizations(self):
@@ -231,5 +246,5 @@ class TestIncidentFieldDirectional:
         for i, src in enumerate(srcs):
             v1, d1 = incident_field_directional(x, (src,), SYS5, e)
             assert np.array_equal(value[i], v1[0]) and np.array_equal(deriv[i], d1[0])
-            want_v = incident_field(x, src, SYS5)
+            want_v = incident_field(x, (src,), SYS5)[0]
             assert np.max(np.abs(value[i] - want_v)) <= 1e-13 * np.max(np.abs(want_v))

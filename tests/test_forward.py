@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from elshape import forward
+from elshape import elastic, forward
 from elshape.elastic import LameSystem, PointSource, incident_field
 from elshape.errors import ConfigError, DomainError
 from elshape.forward import (
@@ -37,40 +37,40 @@ class TestSolveMfs:
         # the charge-lattice representation floor is ~shrink^n_charges,
         # i.e. 0.8^64 ~ 3e-7, so reaching 1e-8 with 64 charges needs a
         # deeper charge curve
-        sol = solve_mfs(disk(1.0), SRC, SYS5, 128, 64, 0.7)
-        assert boundary_residual(sol, disk(1.0), SRC, SYS5, 512) <= 1e-8
-        sol8 = solve_mfs(disk(1.0), SRC, SYS5, 128, 64, 0.8)
-        assert boundary_residual(sol8, disk(1.0), SRC, SYS5, 512) <= 1e-6
+        sol = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.7)
+        assert boundary_residual(sol, disk(1.0), (SRC,), SYS5, 512) <= 1e-8
+        sol8 = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.8)
+        assert boundary_residual(sol8, disk(1.0), (SRC,), SYS5, 512) <= 1e-6
 
     def test_low_resolution_kite_warns(self):
         with pytest.warns(UserWarning, match="MFS collocation residual"):
-            solve_mfs(kite(), SRC, SYS5, 128, 64, 0.8)
+            solve_mfs(kite(), (SRC,), SYS5, 128, 64, 0.8)
 
     def test_matches_disk_series_on_measurement_circle(self):
-        sol = solve_mfs(disk(1.0), SRC, SYS5, 128, 64, 0.8)
+        sol = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.8)
         pts = circle_points(3.0, 128)
         v_m = sol.eval(pts)
-        v_s = disk_series(1.0, SRC, SYS5, 40).eval(pts)
+        v_s = disk_series(1.0, (SRC,), SYS5, 40).eval(pts)
         rel = np.sqrt(np.sum(np.abs(v_m - v_s) ** 2)) / np.sqrt(np.sum(np.abs(v_s) ** 2))
         assert rel <= 1e-6
 
     def test_zero_polarization_gives_zero_strengths(self):
         src0 = PointSource((3.0, 0.0), (0.0, 0.0))
-        sol = solve_mfs(disk(1.0), src0, SYS5, 128, 64, 0.7)
+        sol = solve_mfs(disk(1.0), (src0,), SYS5, 128, 64, 0.7)
         assert np.max(np.abs(sol.strengths)) == 0.0
 
     def test_no_interstitial_blowup(self):
-        sol = solve_mfs(disk(1.0), SRC, SYS5, 128, 64, 0.7)
-        fine = boundary_residual(sol, disk(1.0), SRC, SYS5, 512)
+        sol = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.7)
+        fine = boundary_residual(sol, disk(1.0), (SRC,), SYS5, 512)
         assert fine <= 10.0 * max(sol.residual, 1e-16)
 
     def test_source_inside_rejected(self):
         with pytest.raises(ConfigError):
-            solve_mfs(disk(1.0), PointSource((0.2, 0.0), POL), SYS5, 64, 32, 0.7)
+            solve_mfs(disk(1.0), (PointSource((0.2, 0.0), POL),), SYS5, 64, 32, 0.7)
 
     def test_bad_shrink_rejected(self):
         with pytest.raises(ConfigError):
-            solve_mfs(disk(1.0), SRC, SYS5, 64, 32, 1.2)
+            solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 1.2)
 
 
 MIXED = tuple(
@@ -97,18 +97,19 @@ class TestBatchedMfs:
         values = batched.eval(pts)
         assert values.shape == (len(MIXED), 64, 2)
         for i, src in enumerate(MIXED):
-            one = solve_mfs(starfish(), src, SYS5, 192, 96, 0.85, warn_above=None)
-            assert rel_max(batched.strengths[i], one.strengths) <= 1e-10
-            assert rel_max(values[i], one.eval(pts)) <= 1e-10
+            one = solve_mfs(starfish(), (src,), SYS5, 192, 96, 0.85, warn_above=None)
+            assert rel_max(batched.strengths[i], one.strengths[0]) <= 1e-10
+            assert rel_max(values[i], one.eval(pts)[0]) <= 1e-10
             assert batched.residuals[i] == pytest.approx(one.residual, rel=1e-6)
         assert batched.residual == max(batched.residuals)
 
-    def test_single_source_keeps_unbatched_shapes(self):
-        sol = solve_mfs(disk(1.0), SRC, SYS5, 64, 32, 0.7, warn_above=None)
-        assert sol.strengths.shape == (32, 2)
+    def test_one_source_keeps_source_axis(self):
+        sol = solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
+        assert sol.strengths.shape == (1, 32, 2)
+        assert sol.residuals.shape == (1,)
         assert isinstance(sol.residual, float)
-        assert sol.eval(circle_points(3.0, 5)).shape == (5, 2)
-        assert sol.eval(np.array([3.0, 1.0])).shape == (2,)
+        assert sol.eval(circle_points(3.0, 5)).shape == (1, 5, 2)
+        assert sol.eval(np.array([3.0, 1.0])).shape == (1, 2)
 
     def test_one_warning_names_worst_source(self):
         match = r"MFS collocation residual .* \(source \d of 5\)"
@@ -125,7 +126,9 @@ class TestBatchedMfs:
         srcs = ring_sources(3, 3.0, POL)
         sol = solve_mfs(disk(1.0), srcs, SYS5, 128, 64, 0.8)
         single = [
-            boundary_residual(solve_mfs(disk(1.0), s, SYS5, 128, 64, 0.8), disk(1.0), s, SYS5, 512)
+            boundary_residual(
+                solve_mfs(disk(1.0), (s,), SYS5, 128, 64, 0.8), disk(1.0), (s,), SYS5, 512
+            )
             for s in srcs
         ]
         assert max(single) <= 1e-6
@@ -136,40 +139,40 @@ class TestBatchedMfs:
         srcs = ring_sources(3, 3.0, POL)
         sol = solve_mfs(disk(1.0), srcs, SYS5, 64, 32, 0.7, warn_above=None)
         with pytest.raises(ConfigError):
-            boundary_residual(sol, disk(1.0), srcs[0], SYS5, 64)
+            boundary_residual(sol, disk(1.0), srcs[:1], SYS5, 64)
         with pytest.raises(ConfigError):
             boundary_residual(sol, disk(1.0), srcs[:2], SYS5, 64)
 
 
 class TestDiskSeries:
     def test_rigid_boundary_condition(self):
-        fld = disk_series(1.0, SRC, SYS5, 40)
+        fld = disk_series(1.0, (SRC,), SYS5, 40)
         pts = circle_points(1.0, 256)
-        total = fld.eval(pts) + incident_field(pts, SRC, SYS5)
+        total = fld.eval(pts) + incident_field(pts, (SRC,), SYS5)
         assert np.max(np.abs(total)) <= 1e-8
 
     def test_rotational_covariance(self):
         ang = 1.1
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         x = np.array([2.2, 0.4])
-        v = disk_series(1.0, SRC, SYS5, 40).eval(x)
+        v = disk_series(1.0, (SRC,), SYS5, 40).eval(x)[0]
         src_rot = PointSource(tuple(rot @ np.array(SRC.location)), tuple(rot @ np.array(POL)))
-        v_rot = disk_series(1.0, src_rot, SYS5, 40).eval(rot @ x)
+        v_rot = disk_series(1.0, (src_rot,), SYS5, 40).eval(rot @ x)[0]
         assert np.max(np.abs(v_rot - rot @ v)) <= 1e-12
 
     def test_source_inside_rejected(self):
         with pytest.raises(DomainError):
-            disk_series(2.0, PointSource((1.0, 0.0), POL), SYS5)
+            disk_series(2.0, (PointSource((1.0, 0.0), POL),), SYS5)
 
     def test_eval_inside_disk_rejected(self):
-        fld = disk_series(1.0, SRC, SYS5, 20)
+        fld = disk_series(1.0, (SRC,), SYS5, 20)
         with pytest.raises(DomainError):
             fld.eval(np.array([0.5, 0.0]))
 
     def test_truncation_tail_below_1e12(self):
         pts = circle_points(3.0, 64)
-        a = disk_series(1.0, SRC, SYS5, 40).eval(pts)
-        b = disk_series(1.0, SRC, SYS5, 50).eval(pts)
+        a = disk_series(1.0, (SRC,), SYS5, 40).eval(pts)
+        b = disk_series(1.0, (SRC,), SYS5, 50).eval(pts)
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -199,21 +202,20 @@ class TestBatchedDiskSeries:
             values = batched.eval(pts)
             assert values.shape == (7, len(pts), 2)
             for i, src in enumerate(MIXED7[:-1]):
-                one = disk_series(1.0, src, SYS5, 40)
-                assert rel_max(batched.b_p[i], one.b_p) <= 1e-12
-                assert rel_max(batched.b_s[i], one.b_s) <= 1e-12
-                assert rel_max(values[i], one.eval(pts)) <= 1e-12
+                one = disk_series(1.0, (src,), SYS5, 40)
+                assert rel_max(batched.b_p[i], one.b_p[0]) <= 1e-12
+                assert rel_max(batched.b_s[i], one.b_s[0]) <= 1e-12
+                assert rel_max(values[i], one.eval(pts)[0]) <= 1e-12
             # the zero-polarization source scatters nothing
             assert np.max(np.abs(values[-1])) == 0.0
 
-    def test_single_source_keeps_unbatched_shapes(self):
-        fld = disk_series(1.0, SRC, SYS5, 20)
-        assert fld.b_p.shape == fld.b_s.shape == (41,)
+    def test_one_source_keeps_source_axis(self):
+        fld = disk_series(1.0, (SRC,), SYS5, 20)
+        assert fld.b_p.shape == fld.b_s.shape == (1, 41)
         assert fld.n_modes == 20
-        assert fld.eval(circle_points(3.0, 5)).shape == (5, 2)
-        assert fld.eval(np.array([3.0, 1.0])).shape == (2,)
-        assert fld.eval(np.ones((2, 3, 2))).shape == (2, 3, 2)
-        assert disk_series(1.0, (SRC,), SYS5, 20).eval(np.ones((2, 3, 2))).shape == (1, 2, 3, 2)
+        assert fld.eval(circle_points(3.0, 5)).shape == (1, 5, 2)
+        assert fld.eval(np.array([3.0, 1.0])).shape == (1, 2)
+        assert fld.eval(np.ones((2, 3, 2))).shape == (1, 2, 3, 2)
 
     def test_any_source_inside_rejected(self):
         with pytest.raises(DomainError):
@@ -268,7 +270,7 @@ class TestSimulate:
         log = []
         simulate(kite(), srcs, SYS5, 3.0, 16, n_collocation=128, n_charges=64,
                  shrink=0.8, warn_above=None, residual_log=log)
-        single = [solve_mfs(kite(), s, SYS5, 128, 64, 0.8, None).residual for s in srcs]
+        single = [solve_mfs(kite(), (s,), SYS5, 128, 64, 0.8, None).residual for s in srcs]
         assert np.allclose(log, single, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("n_sources", [1, 7])
@@ -283,7 +285,10 @@ class TestSimulate:
             return wrapper
 
         monkeypatch.setattr(forward.np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
-        monkeypatch.setattr(forward, "green_tensor", counted("green_tensor", forward.green_tensor))
+        # the collocation matrix looks green_tensor up in forward, the
+        # incident field in elastic
+        for owner in (forward, elastic):
+            monkeypatch.setattr(owner, "green_tensor", counted("green_tensor", owner.green_tensor))
         simulate(disk(1.0), ring_sources(n_sources, 3.0, POL), SYS5, 3.0, 16,
                  n_collocation=32, n_charges=16, shrink=0.7, warn_above=None)
         # collocation matrix, right-hand sides, receiver table

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from elshape import sweep
 from elshape.cli import main
 from elshape.config import ReconstructionConfig
-from elshape.errors import SolveError
+from elshape.errors import ConfigError, SolveError
 from elshape.forward import disk_series
 from elshape.geometry import disk, kite, radial_curve
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
@@ -62,13 +63,22 @@ class TestForwardCommand:
         pts = rec.rho * np.stack([np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1)
         gaps = []
         for i, src in enumerate(rec.sources):
-            oracle = disk_series(1.0, src, rec.sys, 40).eval(pts)
+            oracle = disk_series(1.0, (src,), rec.sys, 40).eval(pts)[0]
             gaps.append(np.linalg.norm(rec.values[i] - oracle) / np.linalg.norm(oracle))
         # both gaps sit at round-off (~1e-14), so compare values, not digits:
         # 1e-3 relative covers the printed rounding, 1e-16 the round-off floor
         printed = float(re.search(r"max relative L2 discrepancy (\S+)", out).group(1))
         ref = max(gaps)
         assert abs(printed - ref) <= 1e-3 * ref + 1e-16
+
+    def test_verify_oracle_on_non_disk_refused_before_solve(self, tmp_path, capsys):
+        cfg = tmp_path / "kite.cfg"
+        cfg.write_text("shape = kite\nn_sources = 2\nn_receivers = 16\n")
+        code = main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--verify-oracle"])
+        assert code == 2
+        assert "requires shape = disk" in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
 
     def test_kite_benchmark_counts(self, tmp_path):
         cfg = tmp_path / "kite.cfg"
@@ -97,6 +107,13 @@ class TestForwardCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("shape = disk\nrecievers = 12\n")
         assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    def test_zero_sources_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("shape = disk\nn_sources = 0\n")
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "n_sources" in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
 
     def test_zero_polarization_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -331,6 +348,47 @@ class TestSweep:
         assert spec.deltas == (0.0, 0.05)
         assert spec.seeds == (1, 2, 3)
         assert spec.base["shape"] == "disk"
+
+    def test_config_error_keeps_its_line_number(self):
+        text = (
+            "shape = disk\nsweep.apertures = 0:6.2832\nsweep.deltas = 0\n"
+            "sweep.seeds = 1\nrecievers = 12\n"
+        )
+        with pytest.raises(ConfigError, match="line 5: unknown key 'recievers'"):
+            parse_sweep_text(text)
+
+    def test_duplicate_sweep_key_rejected(self):
+        text = "shape = disk\nsweep.deltas = 0\nsweep.deltas = 0.05\n"
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'sweep.deltas'"):
+            parse_sweep_text(text)
+
+    @pytest.mark.parametrize("workers,n_cells,pool_size", [(4, 2, 2), (8, 1, None), (2, 3, 2)])
+    def test_pool_never_larger_than_the_grid(self, monkeypatch, workers, n_cells, pool_size):
+        # a stand-in pool: records its size and runs each cell in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sweep, "run_cell", lambda base, ap, d, seeds: [ap, d])
+        deltas = ", ".join(str(0.01 * i) for i in range(n_cells))
+        spec = parse_sweep_text(f"shape = disk\nsweep.apertures = 0:1\nsweep.deltas = {deltas}\n")
+        rows = run_sweep(spec, workers=workers)
+        assert len(rows) == n_cells
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         spec = parse_sweep_text("shape = disk\n")

@@ -212,7 +212,7 @@ class TestEvalField:
         pts = RHO * np.stack(
             [np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1
         )
-        v = disk_series(1.0, SRC, SYS5, 40).eval(pts)
+        v = disk_series(1.0, (SRC,), SYS5, 40).eval(pts)
         assert np.max(np.abs(eval_field(mf, pts) - v)) <= 1e-10 * np.max(np.abs(v))
 
 
@@ -349,7 +349,7 @@ class TestLimitedApertureFit:
         rec_half = record_from_disk_series(
             1.0, (SRC,), SYS5, RHO, 128, aperture=(0.0, np.pi)
         )
-        truth = disk_series(1.0, SRC, SYS5, 40)
+        truth = disk_series(1.0, (SRC,), SYS5, 40)
         # interior of the lit semicircle: fit quality degrades sharply at
         # the very ends of the receiver arc
         theta = np.linspace(0.3, np.pi - 0.3, 64)

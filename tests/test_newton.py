@@ -117,7 +117,7 @@ class TestAssembleSystem:
         curve = StarCurve.circle(1.0, 8)
         _, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
         pts = curve.point(t_grid)
-        u = eval_field(field, pts) + incident_field(pts, srcs[0], SYS5)
+        u = eval_field(field, pts) + incident_field(pts, srcs, SYS5)
         assert np.max(np.abs(u)) <= 1e-4
         # the remainder entry keeps ||rhs|| equal to the full residual ||u||
         assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
@@ -167,8 +167,8 @@ class TestAssembleSystem:
                 N=10, R=0.5, rho=3.0, sys=SYS5,
                 phat_p=field.phat_p[i], phat_s=field.phat_s[i],
             )
-            u = eval_field(row, pts) + incident_field(pts, src, SYS5)
-            jac = eval_gradient(row, pts) + grad_incident_field(pts, src, SYS5)
+            u = eval_field(row, pts) + incident_field(pts, (src,), SYS5)[0]
+            jac = eval_gradient(row, pts) + grad_incident_field(pts, (src,), SYS5)[0]
             du = np.einsum("pij,pj->pi", jac, xhat)
             rows_a.append((du[:, :, None] * basis[:, None, :]).reshape(-1, basis.shape[1]))
             rows_r.append(u.reshape(-1))
@@ -199,7 +199,7 @@ class TestAssembleSystem:
         t_grid = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         _, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
         pts = curve.point(t_grid)
-        u = eval_field(field, pts) + np.stack([incident_field(pts, s, SYS5) for s in srcs])
+        u = eval_field(field, pts) + np.concatenate([incident_field(pts, (s,), SYS5) for s in srcs])
         assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
 
 
