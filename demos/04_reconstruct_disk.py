@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elshape import ReconstructionConfig, make_shape, reconstruct, ring_sources, simulate
-from elshape.newton import StarCurve
+from elshape import ReconstructionConfig, make_record, make_shape, reconstruct
 from elshape.svgout import overlay_svg
 
 cfg = ReconstructionConfig({
@@ -25,28 +24,14 @@ cfg = ReconstructionConfig({
     "max_iter": 15,
 })
 
-curve = make_shape(cfg)
-sources = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
-n_col, n_chg, shrink = cfg.mfs_params()
-record = simulate(curve, sources, cfg.sys, cfg["rho"], cfg["n_receivers"],
-                  n_collocation=n_col, n_charges=n_chg, shrink=shrink)
-
+record = make_record(cfg)
 run = reconstruct(record, cfg)
 print("termination:", run.termination, "after", run.iterations, "iterations")
 print("relative updates:", " ".join(f"{e:.2e}" for e in run.e_history))
 print("final coefficients:", np.round(run.final.coeffs, 6))
 print("radius error:", abs(run.final.coeffs[0] - 1.0))
 
-t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-svg = overlay_svg(
-    rho=record.rho,
-    aperture=record.aperture,
-    sources_xy=np.array([s.location for s in record.sources]),
-    final_pts=run.final.point(t),
-    initial_pts=StarCurve.circle(cfg["guess.radius"], cfg["np"]).point(t),
-    exact_pts=curve.sample(512),
-    title=f"disk reconstruction: {run.termination}",
-)
+svg = overlay_svg(record, run, make_shape(cfg), f"disk reconstruction: {run.termination}")
 out = Path(__file__).with_name("out_disk_overlay.svg")
 out.write_text(svg)
 print("wrote", out)

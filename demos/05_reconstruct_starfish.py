@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from elshape import ReconstructionConfig, make_shape, reconstruct, ring_sources, simulate
+from elshape import ReconstructionConfig, make_record, make_shape, reconstruct
 from elshape.metrics import arc_hausdorff, curve_hausdorff
-from elshape.newton import StarCurve
 from elshape.svgout import overlay_svg
 
 ARC = (np.pi / 4.0, 7.0 * np.pi / 4.0)
@@ -25,35 +24,20 @@ base = {
 }
 
 truth = make_shape(ReconstructionConfig(base))
-sources = ring_sources(20, 3.0, ReconstructionConfig(base).polarization)
 
 for label, aperture in (("full aperture", None), ("three-quarter aperture", ARC)):
     values = dict(base)
     if aperture is not None:
         values["aperture.lo"], values["aperture.hi"] = aperture
     cfg = ReconstructionConfig(values)
-    n_col, n_chg, shrink = cfg.mfs_params()
-    record = simulate(
-        truth, sources, cfg.sys, cfg["rho"], cfg["n_receivers"],
-        aperture=cfg.aperture, n_collocation=n_col, n_charges=n_chg,
-        shrink=shrink, warn_above=None,
-    )
+    record = make_record(cfg)
     run = reconstruct(record, cfg)
     full_err = curve_hausdorff(run.final.as_curve(), truth)
     lit_err = arc_hausdorff(run.final.as_curve(), truth, ARC)
     print(f"{label}: {run.termination} in {run.iterations} iterations, "
           f"boundary error {full_err:.3f} (lit arc {lit_err:.3f})")
 
-    t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    svg = overlay_svg(
-        rho=record.rho,
-        aperture=record.aperture,
-        sources_xy=np.array([s.location for s in record.sources]),
-        final_pts=run.final.point(t),
-        initial_pts=StarCurve.circle(cfg["guess.radius"], cfg["np"]).point(t),
-        exact_pts=truth.sample(512),
-        title=f"starfish, {label}: {run.termination}",
-    )
+    svg = overlay_svg(record, run, truth, f"starfish, {label}: {run.termination}")
     name = "out_starfish_full.svg" if aperture is None else "out_starfish_arc.svg"
     out = Path(__file__).with_name(name)
     out.write_text(svg)

@@ -10,7 +10,7 @@ the numerical battery for the analysis-level inequalities and ``cli``
 the batch commands.
 """
 
-from .config import ReconstructionConfig, make_shape
+from .config import ReconstructionConfig, make_record, make_shape
 from .elastic import LameSystem, PointSource, grad_incident_field, green_tensor, incident_field
 from .forward import disk_series, record_from_disk_series, ring_sources, simulate, solve_mfs
 from .modal import eval_field, modal_rhs, solve_modal
@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ReconstructionConfig",
+    "make_record",
     "make_shape",
     "LameSystem",
     "PointSource",

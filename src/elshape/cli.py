@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, make_shape
-from .errors import ConfigError, DomainError, SolveError
-from .forward import disk_series, ring_sources, simulate
+from .config import load_config, make_record, make_shape
+from .errors import ConfigError, DomainError, SingularityError, SolveError
+from .forward import record_from_disk_series
 from .metrics import curve_hausdorff
 from .newton import reconstruct
 from .records import ScatterRecord
@@ -39,30 +39,21 @@ def cmd_forward(args) -> int:
     if args.verify_oracle and cfg["shape"] != "disk":
         print("--verify-oracle requires shape = disk", file=_sys.stderr)
         return EXIT_VALIDATION
-    curve = make_shape(cfg)
-    srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
-    n_col, n_chg, shrink = cfg.mfs_params()
     residuals: list = []
-    rec = simulate(
-        curve, srcs, cfg.sys, cfg["rho"], cfg["n_receivers"],
-        aperture=cfg.aperture, n_collocation=n_col, n_charges=n_chg,
-        shrink=shrink, warn_above=None, residual_log=residuals,
-    )
+    rec = make_record(cfg, residual_log=residuals)
     out = _out_dir(args)
     path = out / "record.json"
     rec.save(path)
-    if residuals:
-        print(
-            f"MFS residuals over {len(residuals)} sources: "
-            f"max {max(residuals):.3e}, median {np.median(residuals):.3e}"
-        )
+    print(
+        f"MFS residuals over {len(residuals)} sources: "
+        f"max {max(residuals):.3e}, median {np.median(residuals):.3e}"
+    )
     print(f"wrote {path} ({rec.n_sources} sources x {rec.n_receivers} receivers)")
 
     if args.verify_oracle:
-        fld_pts = rec.rho * np.stack(
-            [np.cos(rec.receivers), np.sin(rec.receivers)], axis=-1
-        )
-        oracle = disk_series(cfg["shape.radius"], rec.sources, cfg.sys, 40).eval(fld_pts)
+        oracle = record_from_disk_series(
+            cfg["shape.radius"], rec.sources, cfg.sys, rec.rho, rec.n_receivers, rec.aperture
+        ).values
         num = np.sqrt(np.sum(np.abs(rec.values - oracle) ** 2, axis=(1, 2)))
         den = np.sqrt(np.sum(np.abs(oracle) ** 2, axis=(1, 2)))
         worst = float(np.max(num / den))
@@ -120,16 +111,8 @@ def cmd_reconstruct(args) -> int:
             writer.writerow([i, repr(float(e))])
 
     truth = make_shape(cfg)
-    svg = overlay_svg(
-        rho=rec.rho,
-        aperture=rec.aperture,
-        sources_xy=np.array([s.location for s in rec.sources]),
-        final_pts=run.final.point(t),
-        initial_pts=run.curves[0].point(t),
-        exact_pts=truth.sample(512),
-        title=f"termination: {run.termination} ({run.iterations} iterations)",
-    )
-    (out / "overlay.svg").write_text(svg)
+    title = f"termination: {run.termination} ({run.iterations} iterations)"
+    (out / "overlay.svg").write_text(overlay_svg(rec, run, truth, title))
 
     if not rec.is_full_aperture:
         lo, hi = rec.aperture
@@ -221,7 +204,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except (SolveError, DomainError) as exc:
+    except (SolveError, DomainError, SingularityError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
 

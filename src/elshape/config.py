@@ -12,8 +12,8 @@ dotted keys for grouping:
 Unknown keys are rejected with their path, since silent typos are the
 main hazard in flat config files.  Numeric invariants are enforced at
 build time (every float finite, a nonzero polarization, at least one
-source, rho > guess radius > R > 0, delta in [0,1), epsilon > 0,
-degree >= 1).
+source, a nonnegative seed, a truth radius that stays positive,
+rho > guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1).
 """
 
 import math
@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .elastic import LameSystem
 from .errors import ConfigError
+from .forward import ring_sources, simulate
 from .modal import choose_truncation
+from .records import ScatterRecord
 
 _SQ2 = math.sqrt(0.5)
 
@@ -75,8 +78,8 @@ _MFS_BY_SHAPE = {
 }
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse the flat key-value format; values typed per the schema."""
+def parse_config_text(text: str, schema: dict = CONFIG_SCHEMA) -> dict:
+    """Parse the flat key-value format; values typed per ``schema``."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,11 +89,11 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip().strip('"')
-        if key not in CONFIG_SCHEMA:
+        if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        typ, _ = CONFIG_SCHEMA[key]
+        typ, _ = schema[key]
         try:
             values[key] = typ(val) if typ is not str else val
         except ValueError as exc:
@@ -119,13 +122,17 @@ class ReconstructionConfig:
         errors = []
         if g["shape"] not in ("disk", "kite", "starfish", "custom"):
             errors.append(f"shape: unknown shape '{g['shape']}'")
+        if g["shape"] == "disk" and g["shape.radius"] <= 0.0:
+            errors.append("shape.radius: must be positive")
         if g["shape"] == "custom":
             try:
                 c = self.shape_coeffs()
-                if c.size % 2 == 0 or c.size < 1:
+                if c.size % 2 == 0:
                     errors.append("shape.coeffs: need odd number of coefficients")
-                if not np.all(np.isfinite(c)):
+                elif not np.all(np.isfinite(c)):
                     errors.append("shape.coeffs: must be finite")
+                elif geometry.StarCurve(c).min_radius() <= 0.0:
+                    errors.append("shape.coeffs: radius must stay positive")
             except ValueError:
                 errors.append("shape.coeffs: expected comma-separated floats")
         if g["lame.mu"] <= 0.0 or g["lame.lambda"] + g["lame.mu"] <= 0.0:
@@ -150,6 +157,8 @@ class ReconstructionConfig:
             errors.append("n_receivers: must be >= 4")
         if g["n_sources"] < 1:
             errors.append("n_sources: must be >= 1")
+        if g["seed"] < 0:
+            errors.append("seed: must be >= 0")
         if not (g["aperture.hi"] > g["aperture.lo"]):
             errors.append("aperture: need lo < hi")
         if g["aperture.hi"] - g["aperture.lo"] > 2.0 * math.pi + 1e-12:
@@ -261,8 +270,6 @@ def load_config(path) -> ReconstructionConfig:
 
 def make_shape(cfg: ReconstructionConfig):
     """Truth curve named by the config."""
-    from . import geometry
-
     name = cfg["shape"]
     if name == "disk":
         return geometry.disk(cfg["shape.radius"])
@@ -271,3 +278,16 @@ def make_shape(cfg: ReconstructionConfig):
     if name == "starfish":
         return geometry.starfish()
     return geometry.radial_curve(cfg.shape_coeffs(), "custom")
+
+
+def make_record(cfg: ReconstructionConfig, residual_log: list | None = None) -> ScatterRecord:
+    """Clean data of the configured truth from a ring of ``n_sources`` on the
+    measurement circle at the shape's MFS resolution (``mfs_params``); the
+    per-source MFS residuals go to ``residual_log``, not to a warning."""
+    n_col, n_chg, shrink = cfg.mfs_params()
+    return simulate(
+        make_shape(cfg), ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization),
+        cfg.sys, cfg["rho"], cfg["n_receivers"], aperture=cfg.aperture,
+        n_collocation=n_col, n_charges=n_chg, shrink=shrink,
+        warn_above=None, residual_log=residual_log,
+    )

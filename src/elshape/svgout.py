@@ -12,6 +12,8 @@ import numpy as np
 
 CANVAS = 480.0
 MARGIN = 20.0
+#: samples per drawn boundary curve
+CURVE_POINTS = 512
 
 
 def _fmt(x: float) -> str:
@@ -72,26 +74,19 @@ def _arc_points(rho: float, lo: float, hi: float, n: int = 256) -> np.ndarray:
     return rho * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
 
-def overlay_svg(
-    rho: float,
-    aperture,
-    sources_xy: np.ndarray,
-    final_pts: np.ndarray,
-    initial_pts: np.ndarray,
-    exact_pts: np.ndarray | None = None,
-    title: str = "",
-) -> str:
-    """Figure-style overlay of exact / initial / reconstructed curves."""
-    canvas = SvgCanvas(world_limit=1.15 * rho)
-    lo, hi = aperture
-    canvas.polyline(_arc_points(rho, 0.0, 2.0 * np.pi), "black", 0.8, dash="2,4")
-    canvas.polyline(_arc_points(rho, lo, hi), "blue", 1.5, dash="6,4")
-    if exact_pts is not None:
-        canvas.polyline(exact_pts, "red", 1.8, close=True)
-    canvas.polyline(initial_pts, "green", 1.2, dash="5,3", close=True)
-    canvas.polyline(final_pts, "black", 1.8, dash="8,3,2,3", close=True)
-    if len(sources_xy):
-        canvas.dots(sources_xy, "red", 2.5)
+def overlay_svg(rec, run, truth, title: str = "") -> str:
+    """Figure-style overlay of a run on its record: the truth curve, the
+    run's initial and final curves, the receiver arc and the sources."""
+    t = np.linspace(0.0, 2.0 * np.pi, CURVE_POINTS, endpoint=False)
+    canvas = SvgCanvas(world_limit=1.15 * rec.rho)
+    lo, hi = rec.aperture
+    canvas.polyline(_arc_points(rec.rho, 0.0, 2.0 * np.pi), "black", 0.8, dash="2,4")
+    canvas.polyline(_arc_points(rec.rho, lo, hi), "blue", 1.5, dash="6,4")
+    canvas.polyline(truth.sample(CURVE_POINTS), "red", 1.8, close=True)
+    canvas.polyline(run.curves[0].point(t), "green", 1.2, dash="5,3", close=True)
+    canvas.polyline(run.final.point(t), "black", 1.8, dash="8,3,2,3", close=True)
+    if rec.sources:
+        canvas.dots([s.location for s in rec.sources], "red", 2.5)
     if title:
         canvas.text(title)
     return canvas.render()

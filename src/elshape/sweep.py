@@ -6,6 +6,8 @@ A sweep file is an ordinary experiment config plus three list-valued keys:
     sweep.deltas = 0, 0.01, 0.05
     sweep.seeds = 1, 2, 3, 4, 5
 
+Errors follow the config grammar (line numbers, a repeated key refused);
+a malformed, repeated or negative list entry is a ConfigError naming its key.
 Each (aperture, delta) cell simulates one clean record, reconstructs once
 per seed and reports the median boundary error against the configured
 truth (radial L2 for star-shaped truths, symmetric Hausdorff otherwise).
@@ -21,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ReconstructionConfig, make_shape, parse_config_text
+from .config import CONFIG_SCHEMA, ReconstructionConfig, make_record, make_shape, parse_config_text
 from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
-from .forward import ring_sources, simulate
 from .metrics import curve_hausdorff, radial_l2
 from .newton import StarCurve, reconstruct
 
 SWEEP_KEYS = ("sweep.apertures", "sweep.deltas", "sweep.seeds")
+SWEEP_SCHEMA = {**CONFIG_SCHEMA, **{key: (str, "") for key in SWEEP_KEYS}}
 
 #: package errors a cell records as failed; anything else is a bug and propagates
 CELL_ERRORS = (ConfigError, DomainError, SolveError, SingularityError, AliasingError)
@@ -51,41 +53,34 @@ class SweepSpec:
     seeds: tuple
 
 
-def parse_sweep_text(text: str) -> SweepSpec:
-    """Split sweep.* keys off the flat config and parse their lists; sweep
-    lines are blanked in place, so config errors keep their line numbers."""
-    base_lines = []
-    sweep_values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        key, _, val = raw.split("#", 1)[0].partition("=")
-        key = key.strip()
-        if key in SWEEP_KEYS:
-            if key in sweep_values:
-                raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-            sweep_values[key] = val.strip()
-            raw = ""
-        base_lines.append(raw)
-    base = parse_config_text("\n".join(base_lines))
-
-    def floats(s):
-        return tuple(float(v) for v in s.split(",") if v.strip() != "")
-
-    apertures = []
-    for pair in sweep_values.get("sweep.apertures", "").split(";"):
-        pair = pair.strip()
-        if not pair:
-            continue
-        lo, _, hi = pair.partition(":")
+def _entries(key: str, text: str, sep: str, parse) -> tuple:
+    """Distinct parsed entries of one sweep list, in file order."""
+    values = []
+    for item in filter(None, (v.strip() for v in text.split(sep))):
         try:
-            apertures.append((float(lo), float(hi)))
+            value = parse(item)
         except ValueError:
-            raise ConfigError(f"sweep.apertures: bad interval {pair!r}") from None
-    try:
-        deltas = floats(sweep_values.get("sweep.deltas", ""))
-        seeds = tuple(int(float(v)) for v in sweep_values.get("sweep.seeds", "").split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"sweep lists: {exc}") from None
-    return SweepSpec(base=base, apertures=tuple(apertures), deltas=deltas, seeds=seeds)
+            raise ConfigError(f"{key}: bad entry {item!r}") from None
+        if value in values:
+            raise ConfigError(f"{key}: repeated entry {item!r}")
+        values.append(value)
+    return tuple(values)
+
+
+def _interval(pair: str) -> tuple:
+    lo, _, hi = pair.partition(":")
+    return float(lo), float(hi)
+
+
+def parse_sweep_text(text: str) -> SweepSpec:
+    """The config grammar plus the three sweep.* lists."""
+    base = parse_config_text(text, SWEEP_SCHEMA)
+    apertures = _entries("sweep.apertures", base.pop("sweep.apertures", ""), ";", _interval)
+    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", float)
+    seeds = _entries("sweep.seeds", base.pop("sweep.seeds", ""), ",", int)
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError("sweep.seeds: must be >= 0")
+    return SweepSpec(base, apertures, deltas, seeds)
 
 
 def load_sweep(path) -> SweepSpec:
@@ -109,14 +104,7 @@ def run_cell(base: dict, aperture, delta: float, seeds) -> list:
     values["delta"] = delta
     try:
         cfg = ReconstructionConfig(values)
-        curve = make_shape(cfg)
-        srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
-        n_col, n_chg, shrink = cfg.mfs_params()
-        rec = simulate(
-            curve, srcs, cfg.sys, cfg["rho"], cfg["n_receivers"],
-            aperture=cfg.aperture, n_collocation=n_col, n_charges=n_chg,
-            shrink=shrink, warn_above=None,
-        )
+        rec = make_record(cfg)
         errors = []
         converged = 0
         for seed in seeds:

@@ -20,8 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from elshape.config import ReconstructionConfig
-from elshape.forward import ring_sources, simulate
+from elshape.config import ReconstructionConfig, make_record
 from elshape.geometry import kite, starfish
 from elshape.metrics import arc_hausdorff, curve_hausdorff
 from elshape.newton import reconstruct
@@ -116,11 +115,7 @@ def test_criterion_07_disk_end_to_end():
             "delta": 0.0, "guess.radius": 2.0,
             "truncation.mode": "fixed", "truncation.n": 15, "max_iter": 15,
         })
-        srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
-        n_col, n_chg, shrink = cfg.mfs_params()
-        rec = simulate(cfg_shape(cfg), srcs, cfg.sys, cfg["rho"], cfg["n_receivers"],
-                       n_collocation=n_col, n_charges=n_chg, shrink=shrink)
-        run = reconstruct(rec, cfg)
+        run = reconstruct(make_record(cfg), cfg)
     c = run.final.coeffs
     ok = (
         run.termination == "converged"
@@ -133,12 +128,6 @@ def test_criterion_07_disk_end_to_end():
                          f"|a0-1| = {abs(c[0]-1.0):.2e} (<= 5e-3), "
                          f"max other = {np.max(np.abs(c[1:])):.2e} (<= 1e-2); "
                          f"{t.seconds:.1f}s (< 60s)")
-
-
-def cfg_shape(cfg):
-    from elshape.config import make_shape
-
-    return make_shape(cfg)
 
 
 @pytest.mark.xfail(
@@ -160,10 +149,7 @@ def test_criterion_08_kite_end_to_end():
         }
         cfg0 = ReconstructionConfig(base)
         assert cfg0.resolve_truncation() == 7
-        n_col, n_chg, shrink = cfg0.mfs_params()
-        rec = simulate(kite(), ring_sources(20, 3.0, cfg0.polarization), cfg0.sys,
-                       3.0, 128, n_collocation=n_col, n_charges=n_chg,
-                       shrink=shrink, warn_above=None)
+        rec = make_record(cfg0)
         dists, terms, iters = [], [], []
         for seed in (1, 2, 3, 4, 5):
             run = reconstruct(rec, ReconstructionConfig({**base, "seed": seed}))
@@ -193,16 +179,8 @@ def test_criterion_09_limited_aperture():
         cfg_arc = ReconstructionConfig(
             {**base, "aperture.lo": arc[0], "aperture.hi": arc[1]}
         )
-        n_col, n_chg, shrink = cfg_full.mfs_params()
-        srcs = ring_sources(20, 3.0, cfg_full.polarization)
-        rec_full = simulate(starfish(), srcs, cfg_full.sys, 3.0, 128,
-                            n_collocation=n_col, n_charges=n_chg, shrink=shrink,
-                            warn_above=None)
-        rec_arc = simulate(starfish(), srcs, cfg_arc.sys, 3.0, 128, aperture=arc,
-                           n_collocation=n_col, n_charges=n_chg, shrink=shrink,
-                           warn_above=None)
-        run_full = reconstruct(rec_full, cfg_full)
-        run_arc = reconstruct(rec_arc, cfg_arc)
+        run_full = reconstruct(make_record(cfg_full), cfg_full)
+        run_arc = reconstruct(make_record(cfg_arc), cfg_arc)
         err_full = arc_hausdorff(run_full.final.as_curve(), starfish(), arc)
         err_arc = arc_hausdorff(run_arc.final.as_curve(), starfish(), arc)
     ok = (
@@ -223,10 +201,7 @@ def test_criterion_10_determinism():
             "delta": 0.05, "seed": 23, "guess.radius": 1.5,
             "truncation.mode": "fixed", "truncation.n": 5, "max_iter": 20,
         })
-        srcs = ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization)
-        n_col, n_chg, shrink = cfg.mfs_params()
-        rec = simulate(cfg_shape(cfg), srcs, cfg.sys, cfg["rho"], cfg["n_receivers"],
-                       n_collocation=n_col, n_charges=n_chg, shrink=shrink)
+        rec = make_record(cfg)
         import json
 
         a = json.dumps(reconstruct(rec, cfg).to_json_dict(), sort_keys=True)

@@ -8,10 +8,14 @@ import pytest
 from elshape.config import (
     ReconstructionConfig,
     load_config,
+    make_record,
     make_shape,
     parse_config_text,
 )
+from elshape.elastic import LameSystem
 from elshape.errors import ConfigError
+from elshape.forward import ring_sources, simulate
+from elshape.geometry import disk, starfish
 
 
 class TestParsing:
@@ -87,6 +91,9 @@ class TestValidation:
             {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
             {"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
             {"n_sources": 0},                # no data to reconstruct from
+            {"seed": -1},                    # the noise generator needs a seed >= 0
+            {"shape": "custom", "shape.coeffs": "0.5, 1.0, 0.0"},  # r < 0 near t = pi
+            {"shape": "disk", "shape.radius": -1.0},
         ],
     )
     def test_invariants_rejected(self, bad):
@@ -165,3 +172,31 @@ class TestMakeShape:
     def test_custom_needs_odd_coefficients(self):
         with pytest.raises(ConfigError):
             ReconstructionConfig({"shape": "custom", "shape.coeffs": "1.0, 0.1"})
+
+
+class TestMakeRecord:
+    @pytest.mark.parametrize("values,truth,mfs,aperture", [
+        ({"shape": "disk", "shape.radius": 1.2}, lambda: disk(1.2), (128, 64, 0.6),
+         (0.0, 2.0 * math.pi)),
+        ({"shape": "starfish", "aperture.lo": 5.0, "aperture.hi": 9.0}, starfish,
+         (384, 192, 0.85), (5.0, 9.0)),
+    ], ids=["disk", "wrapped_arc_starfish"])
+    def test_equals_explicit_simulate(self, values, truth, mfs, aperture):
+        cfg = ReconstructionConfig({
+            **values, "rho": 2.5, "n_sources": 3, "n_receivers": 24,
+            "polarization.x": 1.0, "polarization.y": 0.0,
+        })
+        log, ref_log = [], []
+        rec = make_record(cfg, residual_log=log)
+        n_col, n_chg, shrink = mfs
+        ref = simulate(
+            truth(), ring_sources(3, 2.5, (1.0, 0.0)), LameSystem(1.0, 1.0, 5.0), 2.5, 24,
+            aperture=aperture, n_collocation=n_col, n_charges=n_chg, shrink=shrink,
+            warn_above=None, residual_log=ref_log,
+        )
+        assert (rec.rho, rec.sys, rec.sources, rec.aperture) == (
+            ref.rho, ref.sys, ref.sources, ref.aperture
+        )
+        assert np.array_equal(rec.receivers, ref.receivers)
+        assert np.array_equal(rec.values, ref.values)
+        assert log == ref_log and len(log) == 3

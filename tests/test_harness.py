@@ -8,10 +8,11 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from elshape import sweep
+from elshape import cli, sweep
 from elshape.cli import main
-from elshape.config import ReconstructionConfig
-from elshape.errors import ConfigError, SolveError
+from elshape.config import ReconstructionConfig, load_config, make_record
+from elshape.elastic import LameSystem, PointSource
+from elshape.errors import ConfigError, SingularityError, SolveError
 from elshape.forward import disk_series
 from elshape.geometry import disk, kite, radial_curve
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
@@ -50,6 +51,14 @@ class TestForwardCommand:
         root, _ = workspace
         rec = ScatterRecord.load(root / "record.json")
         assert rec.n_sources == 6 and rec.n_receivers == 64
+
+    def test_written_record_is_make_record(self, workspace):
+        root, cfg = workspace
+        rec = ScatterRecord.load(root / "record.json")
+        ref = make_record(load_config(cfg))
+        assert rec.sources == ref.sources and rec.aperture == ref.aperture
+        assert np.array_equal(rec.receivers, ref.receivers)
+        assert np.array_equal(rec.values, ref.values)
 
     def test_verify_oracle_flag(self, workspace, capsys):
         root, cfg = workspace
@@ -115,6 +124,28 @@ class TestForwardCommand:
         assert "n_sources" in capsys.readouterr().err
         assert not (tmp_path / "record.json").exists()
 
+    @pytest.mark.parametrize("lines,key", [
+        ("shape = disk\nseed = -1\n", "seed"),
+        ("shape = custom\nshape.coeffs = 0.5, 1.0, 0.0\ntruncation.mode = fixed\n", "shape.coeffs"),
+        ("shape = disk\nshape.radius = -1.0\n", "shape.radius"),
+    ], ids=["negative_seed", "custom_radius_not_positive", "disk_radius_not_positive"])
+    def test_refused_before_the_solve(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "n_sources = 2\nn_receivers = 16\n")
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
+
+    def test_singularity_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def coincident(cfg, residual_log=None):
+            raise SingularityError("evaluation point coincides with the source point")
+
+        monkeypatch.setattr(cli, "make_record", coincident)
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text("shape = disk\n")
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
     def test_zero_polarization_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("shape = disk\nn_sources = 2\npolarization.x = 0\npolarization.y = 0\n")
@@ -157,6 +188,16 @@ class TestReconstructCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "lame.omega" in err and "mismatch" in err
+
+    def test_negative_seed_option_refused(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        code = main([
+            "reconstruct", "--config", str(cfg), "--seed", "-1",
+            "--record", str(root / "record.json"), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
 
     def test_aliasing_collocation_grid_refused(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -244,23 +285,23 @@ class TestReconstructCommand:
 
 
 class TestSvg:
+    @staticmethod
+    def case(aperture):
+        t = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+        sources = tuple(PointSource((3.0 * np.cos(a), 3.0 * np.sin(a)), (1.0, 0.0)) for a in t)
+        rec = ScatterRecord(3.0, LameSystem(1.0, 1.0, 1.0), sources, np.array([np.mean(aperture)]),
+                            np.zeros((4, 1, 2)), aperture)
+        run = ReconRun((StarCurve.circle(1.5, 2), StarCurve([1.1, 0.1, 0.0, 0.0, 0.05])),
+                       (0.3,), "converged", {})
+        return rec, run
+
     def test_deterministic_bytes(self):
-        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        kwargs = dict(
-            rho=3.0, aperture=(0.0, np.pi), sources_xy=3.0 * pts[:4],
-            final_pts=1.1 * pts, initial_pts=1.5 * pts, exact_pts=pts,
-            title="case",
-        )
-        assert overlay_svg(**kwargs) == overlay_svg(**kwargs)
+        rec, run = self.case((0.0, np.pi))
+        assert overlay_svg(rec, run, disk(1.0), "case") == overlay_svg(rec, run, disk(1.0), "case")
 
     def test_marks_partial_aperture_arc(self):
-        t = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        svg = overlay_svg(
-            rho=3.0, aperture=(3 * np.pi / 4, 5 * np.pi / 4), sources_xy=pts[:1],
-            final_pts=pts, initial_pts=pts, exact_pts=1.2 * pts,
-        )
+        rec, run = self.case((3 * np.pi / 4, 5 * np.pi / 4))
+        svg = overlay_svg(rec, run, disk(1.2))
         assert 'stroke="blue"' in svg      # receiver arc
         assert 'stroke="red"' in svg       # exact curve
         assert 'fill="red"' in svg         # source dots
@@ -349,6 +390,18 @@ class TestSweep:
         assert spec.seeds == (1, 2, 3)
         assert spec.base["shape"] == "disk"
 
+    @pytest.mark.parametrize("line,message", [
+        ("sweep.seeds = 1.7, 2.2", "sweep.seeds: bad entry '1.7'"),
+        ("sweep.seeds = 1, -2", "sweep.seeds: must be >= 0"),
+        ("sweep.seeds = 3, 3", "sweep.seeds: repeated entry '3'"),
+        ("sweep.deltas = 0, 0.0", "sweep.deltas: repeated entry '0.0'"),
+        ("sweep.apertures = 0:1; 0.0:1.0", "sweep.apertures: repeated entry '0.0:1.0'"),
+        ("sweep.apertures = 0:1:2", "sweep.apertures: bad entry '0:1:2'"),
+    ])
+    def test_bad_list_entry_names_its_key(self, line, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_sweep_text(f"shape = disk\n{line}\n")
+
     def test_config_error_keeps_its_line_number(self):
         text = (
             "shape = disk\nsweep.apertures = 0:6.2832\nsweep.deltas = 0\n"
@@ -414,14 +467,14 @@ class TestSweep:
         base = parse_sweep_text(DISK_CFG).base
 
         def raising(exc):
-            def fake_simulate(*args, **kwargs):
+            def fake_make_record(*args, **kwargs):
                 raise exc
-            return fake_simulate
+            return fake_make_record
 
-        monkeypatch.setattr(sweep, "simulate", raising(TypeError("bug")))
+        monkeypatch.setattr(sweep, "make_record", raising(TypeError("bug")))
         with pytest.raises(TypeError, match="bug"):
             run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
-        monkeypatch.setattr(sweep, "simulate", raising(SolveError("no fit")))
+        monkeypatch.setattr(sweep, "make_record", raising(SolveError("no fit")))
         row = run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
         assert row[-1] == "failed: SolveError: no fit"
 
