@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elshape import ReconstructionConfig, make_record, make_shape, reconstruct
+from elshape import ReconstructionConfig, make_record, make_shape, reconstruct, solve_truth
 from elshape.svgout import overlay_svg
 
 cfg = ReconstructionConfig({
@@ -24,7 +24,7 @@ cfg = ReconstructionConfig({
     "max_iter": 15,
 })
 
-record = make_record(cfg)
+record = make_record(cfg, solve_truth(cfg))
 run = reconstruct(record, cfg)
 print("termination:", run.termination, "after", run.iterations, "iterations")
 print("relative updates:", " ".join(f"{e:.2e}" for e in run.e_history))

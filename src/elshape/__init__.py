@@ -10,7 +10,7 @@ the numerical battery for the analysis-level inequalities and ``cli``
 the batch commands.
 """
 
-from .config import ReconstructionConfig, make_record, make_shape
+from .config import ReconstructionConfig, make_record, make_shape, solve_truth
 from .elastic import LameSystem, PointSource, grad_incident_field, green_tensor, incident_field
 from .forward import disk_series, record_from_disk_series, ring_sources, simulate, solve_mfs
 from .modal import eval_field, modal_rhs, solve_modal
@@ -22,6 +22,7 @@ __all__ = [
     "ReconstructionConfig",
     "make_record",
     "make_shape",
+    "solve_truth",
     "LameSystem",
     "PointSource",
     "grad_incident_field",

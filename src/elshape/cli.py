@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, make_record, make_shape
+from .config import load_config, make_record, make_shape, solve_truth
 from .errors import ConfigError, DomainError, SingularityError, SolveError
-from .forward import record_from_disk_series
+from .forward import disk_series
 from .metrics import curve_hausdorff
 from .newton import reconstruct
 from .records import ScatterRecord
@@ -39,21 +39,19 @@ def cmd_forward(args) -> int:
     if args.verify_oracle and cfg["shape"] != "disk":
         print("--verify-oracle requires shape = disk", file=_sys.stderr)
         return EXIT_VALIDATION
-    residuals: list = []
-    rec = make_record(cfg, residual_log=residuals)
+    sol = solve_truth(cfg)
+    rec = make_record(cfg, sol)
     out = _out_dir(args)
     path = out / "record.json"
     rec.save(path)
     print(
-        f"MFS residuals over {len(residuals)} sources: "
-        f"max {max(residuals):.3e}, median {np.median(residuals):.3e}"
+        f"MFS residuals over {len(sol.residuals)} sources: "
+        f"max {sol.residual:.3e}, median {np.median(sol.residuals):.3e}"
     )
     print(f"wrote {path} ({rec.n_sources} sources x {rec.n_receivers} receivers)")
 
     if args.verify_oracle:
-        oracle = record_from_disk_series(
-            cfg["shape.radius"], rec.sources, cfg.sys, rec.rho, rec.n_receivers, rec.aperture
-        ).values
+        oracle = make_record(cfg, disk_series(cfg["shape.radius"], sol.sources, cfg.sys)).values
         num = np.sqrt(np.sum(np.abs(rec.values - oracle) ** 2, axis=(1, 2)))
         den = np.sqrt(np.sum(np.abs(oracle) ** 2, axis=(1, 2)))
         worst = float(np.max(num / den))

@@ -13,7 +13,8 @@ Unknown keys are rejected with their path, since silent typos are the
 main hazard in flat config files.  Numeric invariants are enforced at
 build time (every float finite, a nonzero polarization, at least one
 source, a nonnegative seed, a truth radius that stays positive,
-rho > guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1).
+rho > guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1),
+and then a measurement circle that clears the truth, before any solve.
 """
 
 import math
@@ -22,13 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .elastic import LameSystem
+from .elastic import POLARIZATION, LameSystem
 from .errors import ConfigError
-from .forward import ring_sources, simulate
+from .forward import MfsSolution, measure, ring_sources, solve_mfs
 from .modal import choose_truncation
 from .records import ScatterRecord
-
-_SQ2 = math.sqrt(0.5)
 
 #: key -> (python type, default)
 CONFIG_SCHEMA = {
@@ -38,8 +37,8 @@ CONFIG_SCHEMA = {
     "lame.lambda": (float, 1.0),
     "lame.mu": (float, 1.0),
     "lame.omega": (float, 5.0),
-    "polarization.x": (float, _SQ2),
-    "polarization.y": (float, _SQ2),
+    "polarization.x": (float, POLARIZATION[0]),
+    "polarization.y": (float, POLARIZATION[1]),
     "rho": (float, 3.0),
     "n_receivers": (int, 128),
     "n_sources": (int, 20),
@@ -195,6 +194,8 @@ class ReconstructionConfig:
             errors.append("guess.radius: must be smaller than rho")
         if errors:
             raise ConfigError("; ".join(errors))
+        if g["rho"] <= make_shape(self).max_radius():
+            raise ConfigError("rho: measurement radius must exceed the obstacle")
 
     # -- typed accessors ---------------------------------------------------
 
@@ -280,14 +281,18 @@ def make_shape(cfg: ReconstructionConfig):
     return geometry.radial_curve(cfg.shape_coeffs(), "custom")
 
 
-def make_record(cfg: ReconstructionConfig, residual_log: list | None = None) -> ScatterRecord:
-    """Clean data of the configured truth from a ring of ``n_sources`` on the
+def solve_truth(cfg: ReconstructionConfig) -> MfsSolution:
+    """The configured truth solved for a ring of ``n_sources`` on the
     measurement circle at the shape's MFS resolution (``mfs_params``); the
-    per-source MFS residuals go to ``residual_log``, not to a warning."""
+    per-source residuals stay in ``residuals``, not in a warning."""
     n_col, n_chg, shrink = cfg.mfs_params()
-    return simulate(
+    return solve_mfs(
         make_shape(cfg), ring_sources(cfg["n_sources"], cfg["rho"], cfg.polarization),
-        cfg.sys, cfg["rho"], cfg["n_receivers"], aperture=cfg.aperture,
-        n_collocation=n_col, n_charges=n_chg, shrink=shrink,
-        warn_above=None, residual_log=residual_log,
+        cfg.sys, n_col, n_chg, shrink, warn_above=None,
     )
+
+
+def make_record(cfg: ReconstructionConfig, field) -> ScatterRecord:
+    """Clean data of a solved field (``solve_truth``, ``disk_series``) on
+    the configured receiver arc."""
+    return measure(field, cfg["rho"], cfg["n_receivers"], cfg.aperture)

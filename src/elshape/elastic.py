@@ -33,6 +33,9 @@ from .errors import SingularityError
 #: closer than this, x and the source point are considered coincident
 SEPARATION_GUARD = 1e-8
 
+#: the default source polarization, the unit diagonal
+POLARIZATION = (float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+
 
 @dataclass(frozen=True)
 class LameSystem:

@@ -15,11 +15,11 @@ Two independent routes produce scattered fields for a rigid obstacle
   solved in closed form for every mode and source at once.
 
 The pair cross-validates itself and keeps inversion tests free of the
-inverse crime.  ``simulate`` makes one MFS solve for all sources (one
-collocation matrix, one least-squares solve with a right-hand side per
-source, one receiver table) and packages it into a ScatterRecord;
-``add_noise`` applies the multiplicative per-component noise model
-v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
+inverse crime.  Both solutions carry the sources they were solved for,
+and ``measure`` samples either one on the receiver arc into a
+ScatterRecord; ``simulate`` is one MFS solve for all sources plus
+``measure``.  ``add_noise`` applies the multiplicative per-component
+noise model v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
 """
 
 import warnings
@@ -30,7 +30,7 @@ import numpy as np
 from . import specfun
 from .elastic import LameSystem, PointSource, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
-from .geometry import ParametricCurve
+from .geometry import ParametricCurve, disk
 from .records import FULL_APERTURE, ScatterRecord
 
 #: collocation residual above this emits an accuracy warning
@@ -49,6 +49,7 @@ class MfsSolution:
     strengths: np.ndarray   # (S, n_charges, 2) complex
     residuals: np.ndarray   # (S,); max residual on the collocation grid
     sys: LameSystem
+    sources: tuple          # the S point sources, in row order
 
     def __post_init__(self):
         if self.strengths.shape[1:] != self.charges.shape:
@@ -120,19 +121,16 @@ def solve_mfs(
             stacklevel=2,
         )
     strengths = coef.T.reshape(len(srcs), n_charges, 2)
-    return MfsSolution(charges=charges, strengths=strengths, residuals=residuals, sys=sys)
+    return MfsSolution(
+        charges=charges, strengths=strengths, residuals=residuals, sys=sys, sources=srcs
+    )
 
 
-def boundary_residual(
-    sol: MfsSolution, curve: ParametricCurve, sources, sys: LameSystem, n: int
-) -> float:
-    """Max |u_inc + v| on an n-point boundary grid over the sources that
-    were solved (quality probe)."""
-    srcs = tuple(sources)
-    if len(srcs) != len(sol.residuals):
-        raise ConfigError(f"{len(srcs)} sources given for a solution of {len(sol.residuals)}")
+def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float:
+    """Max |u_inc + v| on an n-point boundary grid over the solution's
+    sources (quality probe)."""
     pts = curve.sample(n)
-    return float(np.max(np.abs(sol.eval(pts) + incident_field(pts, srcs, sys))))
+    return float(np.max(np.abs(sol.eval(pts) + incident_field(pts, sol.sources, sol.sys))))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +187,7 @@ class DiskField:
     sys: LameSystem
     b_p: np.ndarray   # (S, 2M+1) outgoing-basis coefficients, orders -M..M
     b_s: np.ndarray
+    sources: tuple    # the S point sources, in row order
 
     @property
     def n_modes(self) -> int:
@@ -257,7 +256,7 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     rhs_t = -(fac * jp * a_p - sys.k_s * djs * a_s)
     b_p = (-g_s * rhs_r - fac * rhs_t) / (det * hp)
     b_s = (g_p * rhs_t - fac * rhs_r) / (det * hs)
-    return DiskField(radius=radius, sys=sys, b_p=b_p, b_s=b_s)
+    return DiskField(radius=radius, sys=sys, b_p=b_p, b_s=b_s, sources=srcs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +270,16 @@ def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
         raise ConfigError("aperture must satisfy lo < hi <= lo + 2*pi")
     theta = lo + (hi - lo) * np.arange(n_receivers) / n_receivers
     return np.sort(np.mod(theta, 2.0 * np.pi))
+
+
+def measure(field, rho: float, n_receivers: int, aperture=FULL_APERTURE) -> ScatterRecord:
+    """Sample a solved field (``MfsSolution`` or ``DiskField``) on the
+    receiver arc of radius ``rho``: one record of all its sources."""
+    theta = receiver_angles(n_receivers, aperture)
+    return ScatterRecord(
+        rho=rho, sys=field.sys, sources=field.sources, receivers=theta,
+        values=field.eval(disk(rho).point(theta)), aperture=tuple(aperture),
+    )
 
 
 def simulate(
@@ -289,26 +298,13 @@ def simulate(
     """Measure every source's MFS scattered field on the receiver arc (one solve)."""
     if rho <= curve.max_radius():
         raise ConfigError("measurement radius must exceed the obstacle")
-    theta = receiver_angles(n_receivers, aperture)
-    pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-    sources = tuple(sources)
     sol = solve_mfs(curve, sources, sys, n_collocation, n_charges, shrink, warn_above)
     if residual_log is not None:
         residual_log.extend(float(r) for r in sol.residuals)
-    return ScatterRecord(
-        rho=rho,
-        sys=sys,
-        sources=sources,
-        receivers=theta,
-        values=sol.eval(pts),
-        aperture=tuple(aperture),
-    )
+    return measure(sol, rho, n_receivers, aperture)
 
 
-def ring_sources(
-    n_sources: int, rho: float, polarization=(np.sqrt(0.5), np.sqrt(0.5))
-):
+def ring_sources(n_sources: int, rho: float, polarization):
     """Point sources equally distributed on the measurement circle."""
     angles = 2.0 * np.pi * np.arange(n_sources) / max(n_sources, 1)
     return tuple(
@@ -328,17 +324,7 @@ def record_from_disk_series(
     """ScatterRecord filled from the analytic disk solution (one series solve)."""
     if radius >= rho:
         raise ConfigError("measurement radius must exceed the disk")
-    theta = receiver_angles(n_receivers, aperture)
-    pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    sources = tuple(sources)
-    return ScatterRecord(
-        rho=rho,
-        sys=sys,
-        sources=sources,
-        receivers=theta,
-        values=disk_series(radius, sources, sys, n_modes).eval(pts),
-        aperture=tuple(aperture),
-    )
+    return measure(disk_series(radius, sources, sys, n_modes), rho, n_receivers, aperture)
 
 
 def add_noise(rec: ScatterRecord, delta: float, seed: int) -> ScatterRecord:

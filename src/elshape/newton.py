@@ -80,15 +80,15 @@ def assemble_system(
     residual no step can reach, so ||rhs|| is the full residual ||u||.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    radii = curve.radius(t_grid)
+    basis = basis_matrix(t_grid, curve.degree)
+    radii = basis @ curve.coeffs
     bad = radii <= field.R
     if np.any(bad):
         raise DomainError(
             f"iterate point inside expansion disk at t={t_grid[bad][0]:.4f}"
         )
-    pts = curve.point(t_grid)
     xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
-    basis = basis_matrix(t_grid, curve.degree)
+    pts = radii[:, None] * xhat
 
     v, dv = eval_radial(field, pts)
     u_inc, du_inc = incident_field_directional(pts, srcs, sys, xhat)
@@ -211,13 +211,12 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         except (SolveError, DomainError) as exc:
             return finish("diverged", str(exc))
 
-        candidate = StarCurve(current.coeffs + dc)
-        for _ in range(5):
+        for _ in range(6):
+            candidate = StarCurve(current.coeffs + dc)
             if candidate.min_radius() > R:
                 break
             dc = 0.5 * dc
-            candidate = StarCurve(current.coeffs + dc)
-        if candidate.min_radius() <= R:
+        else:
             return finish("diverged")
 
         e_m = relative_update(dc, current.coeffs)

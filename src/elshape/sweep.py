@@ -8,13 +8,17 @@ A sweep file is an ordinary experiment config plus three list-valued keys:
 
 Errors follow the config grammar (line numbers, a repeated key refused);
 a malformed, repeated or negative list entry is a ConfigError naming its key.
-Each (aperture, delta) cell simulates one clean record, reconstructs once
-per seed and reports the median boundary error against the configured
-truth (radial L2 for star-shaped truths, symmetric Hausdorff otherwise).
-A cell that fails with a package error (bad configuration, domain,
-singularity, aliasing or solve failure) is recorded in the output row and
-the sweep continues; any other exception propagates.
-Cells are independent, so they can run in a process pool.
+Without its three lists the file must be a valid, solvable experiment:
+neither the aperture nor the noise changes the truth's MFS solution, so
+the sweep solves it once, before any cell, and an invalid or unsolvable
+base stops the whole sweep with that error.  Each (aperture, delta) cell
+measures the shared solution on its arc, reconstructs once per seed and
+reports the median boundary error against the configured truth (radial
+L2 for star-shaped truths, symmetric Hausdorff otherwise).  A cell that
+fails with a package error (bad configuration, domain, singularity,
+aliasing or solve failure) is recorded in the output row and the sweep
+continues; any other exception propagates.  Cells are independent, so
+they can run in a process pool.
 """
 
 import csv
@@ -23,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CONFIG_SCHEMA, ReconstructionConfig, make_record, make_shape, parse_config_text
+from .config import (
+    CONFIG_SCHEMA, ReconstructionConfig, make_record, make_shape, parse_config_text, solve_truth,
+)
 from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
 from .metrics import curve_hausdorff, radial_l2
 from .newton import StarCurve, reconstruct
@@ -97,14 +103,14 @@ def boundary_error(cfg: ReconstructionConfig, run) -> float:
     return curve_hausdorff(recon, make_shape(cfg))
 
 
-def run_cell(base: dict, aperture, delta: float, seeds) -> list:
-    """One sweep cell; returns a CSV row."""
+def run_cell(base: dict, truth, aperture, delta: float, seeds) -> list:
+    """One sweep cell measured from the solved ``truth``; returns a CSV row."""
     values = dict(base)
     values["aperture.lo"], values["aperture.hi"] = aperture
     values["delta"] = delta
     try:
         cfg = ReconstructionConfig(values)
-        rec = make_record(cfg)
+        rec = make_record(cfg, truth)
         errors = []
         converged = 0
         for seed in seeds:
@@ -121,15 +127,16 @@ def run_cell(base: dict, aperture, delta: float, seeds) -> list:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
+    truth = solve_truth(ReconstructionConfig(spec.base))
     cells = [(ap, d) for ap in spec.apertures for d in spec.deltas]
     # the pool starts every worker up front, so never more than there are cells
     workers = min(workers, len(cells))
     if workers <= 1:
-        return [run_cell(spec.base, ap, d, spec.seeds) for ap, d in cells]
+        return [run_cell(spec.base, truth, ap, d, spec.seeds) for ap, d in cells]
     rows = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(run_cell, spec.base, ap, d, spec.seeds): i
+            pool.submit(run_cell, spec.base, truth, ap, d, spec.seeds): i
             for i, (ap, d) in enumerate(cells)
         }
         for fut, i in futures.items():

@@ -28,13 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .elastic import LameSystem, PointSource
-from .forward import add_noise, disk_series, record_from_disk_series, ring_sources, solve_mfs
+from .elastic import POLARIZATION, LameSystem, PointSource
+from .forward import (
+    add_noise, disk_series, measure, record_from_disk_series, ring_sources, solve_mfs,
+)
 from .geometry import disk
 from .modal import ModalField, eval_field, eval_gradient, lambda_n, modal_rhs, solve_modal
 from .records import ScatterRecord
-
-POLARIZATION = (np.sqrt(0.5), np.sqrt(0.5))
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,13 @@ def decay_profile(
 ):
     """RMS truncation error on the data circle for each order in ``orders``."""
     srcs = (PointSource(source_xy, POLARIZATION),)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_receivers, endpoint=False)
-    pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    exact = disk_series(radius, srcs, sys, n_modes=60).eval(pts)
-    rec = ScatterRecord(
-        rho=rho, sys=sys, sources=srcs, receivers=theta,
-        values=exact, aperture=(0.0, 2.0 * np.pi),
-    )
+    rec = measure(disk_series(radius, srcs, sys, n_modes=60), rho, n_receivers)
     errs = []
     for N in orders:
         mf = solve_modal(modal_rhs(rec, N), rho, R, sys)
-        approx = eval_field(mf, pts)
-        errs.append(np.sqrt(np.mean(np.sum(np.abs(approx - exact) ** 2, axis=-1))))
-    scale = float(np.sqrt(np.mean(np.sum(np.abs(exact) ** 2, axis=-1))))
+        approx = eval_field(mf, disk(rho).point(rec.receivers))
+        errs.append(np.sqrt(np.mean(np.sum(np.abs(approx - rec.values) ** 2, axis=-1))))
+    scale = float(np.sqrt(np.mean(np.sum(np.abs(rec.values) ** 2, axis=-1))))
     return np.array(errs), scale
 
 
@@ -293,12 +287,8 @@ def mfs_series_discrepancy(omega: float) -> float:
     """Relative L2 gap between the MFS and series fields on the data circle."""
     sys = LameSystem(1.0, 1.0, omega)
     srcs = (PointSource((3.0, 0.0), POLARIZATION),)
-    sol = solve_mfs(disk(1.0), srcs, sys, 128, 64, 0.8)
-    fld = disk_series(1.0, srcs, sys, 40)
-    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    v_m = sol.eval(pts)
-    v_s = fld.eval(pts)
+    v_m = measure(solve_mfs(disk(1.0), srcs, sys, 128, 64, 0.8), 3.0, 128).values
+    v_s = measure(disk_series(1.0, srcs, sys, 40), 3.0, 128).values
     return float(
         np.sqrt(np.sum(np.abs(v_m - v_s) ** 2)) / np.sqrt(np.sum(np.abs(v_s) ** 2))
     )

@@ -6,9 +6,14 @@ and is an expected failure: the kite's scattered field at omega=5 carries
 O(1) propagating modes up to n ~ 12 while its boundary dips inside the
 field's singular hull (r ~ 1.65), so no truncation order of the
 origin-centered expansion approximates the total field near most of the
-boundary and every update scheme stalls there.  The same pipeline
-reconstructs the starfish under identical settings (criterion 9), whose
-boundary stays outside its hull.  Measured evidence: the high-mode
+boundary and every update scheme stalls there.  The starfish is no
+success story either: noise-free at omega=5, the expansion's relative L2
+error on its boundary is 0.871, 1.243, 3.06 and 12.6 at N = 4, 7, 10
+and 14, and the N=7 run ends converged after 6 iterates at Hausdorff
+0.229 against 0.300 for the initial circle (both pinned as strict xfails
+in test_newton.py).  Criterion 9 passes, but it compares two results
+that both lie near the initial guess (illuminated-arc error 0.191 with
+the arc, 0.230 with full aperture).  Measured evidence: the high-mode
 amplitudes are identical across independent forward routes (charge depths
 0.7-0.93, and machine-precision agreement with the analytic series on a
 same-size disk), and the aggregate total-field magnitude along rays is
@@ -20,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from elshape.config import ReconstructionConfig, make_record
+from elshape.config import ReconstructionConfig, make_record, solve_truth
 from elshape.geometry import kite, starfish
 from elshape.metrics import arc_hausdorff, curve_hausdorff
 from elshape.newton import reconstruct
@@ -115,7 +120,7 @@ def test_criterion_07_disk_end_to_end():
             "delta": 0.0, "guess.radius": 2.0,
             "truncation.mode": "fixed", "truncation.n": 15, "max_iter": 15,
         })
-        run = reconstruct(make_record(cfg), cfg)
+        run = reconstruct(make_record(cfg, solve_truth(cfg)), cfg)
     c = run.final.coeffs
     ok = (
         run.termination == "converged"
@@ -149,7 +154,7 @@ def test_criterion_08_kite_end_to_end():
         }
         cfg0 = ReconstructionConfig(base)
         assert cfg0.resolve_truncation() == 7
-        rec = make_record(cfg0)
+        rec = make_record(cfg0, solve_truth(cfg0))
         dists, terms, iters = [], [], []
         for seed in (1, 2, 3, 4, 5):
             run = reconstruct(rec, ReconstructionConfig({**base, "seed": seed}))
@@ -179,8 +184,10 @@ def test_criterion_09_limited_aperture():
         cfg_arc = ReconstructionConfig(
             {**base, "aperture.lo": arc[0], "aperture.hi": arc[1]}
         )
-        run_full = reconstruct(make_record(cfg_full), cfg_full)
-        run_arc = reconstruct(make_record(cfg_arc), cfg_arc)
+        # the aperture only chooses the receivers: one solve serves both
+        truth = solve_truth(cfg_full)
+        run_full = reconstruct(make_record(cfg_full, truth), cfg_full)
+        run_arc = reconstruct(make_record(cfg_arc, truth), cfg_arc)
         err_full = arc_hausdorff(run_full.final.as_curve(), starfish(), arc)
         err_arc = arc_hausdorff(run_arc.final.as_curve(), starfish(), arc)
     ok = (
@@ -201,7 +208,7 @@ def test_criterion_10_determinism():
             "delta": 0.05, "seed": 23, "guess.radius": 1.5,
             "truncation.mode": "fixed", "truncation.n": 5, "max_iter": 20,
         })
-        rec = make_record(cfg)
+        rec = make_record(cfg, solve_truth(cfg))
         import json
 
         a = json.dumps(reconstruct(rec, cfg).to_json_dict(), sort_keys=True)

@@ -11,10 +11,11 @@ from elshape.config import (
     make_record,
     make_shape,
     parse_config_text,
+    solve_truth,
 )
 from elshape.elastic import LameSystem
 from elshape.errors import ConfigError
-from elshape.forward import ring_sources, simulate
+from elshape.forward import disk_series, record_from_disk_series, ring_sources, simulate
 from elshape.geometry import disk, starfish
 
 
@@ -94,6 +95,7 @@ class TestValidation:
             {"seed": -1},                    # the noise generator needs a seed >= 0
             {"shape": "custom", "shape.coeffs": "0.5, 1.0, 0.0"},  # r < 0 near t = pi
             {"shape": "disk", "shape.radius": -1.0},
+            {"shape": "kite", "rho": 2.0},   # the kite reaches r ~ 2.07
         ],
     )
     def test_invariants_rejected(self, bad):
@@ -186,8 +188,10 @@ class TestMakeRecord:
             **values, "rho": 2.5, "n_sources": 3, "n_receivers": 24,
             "polarization.x": 1.0, "polarization.y": 0.0,
         })
-        log, ref_log = [], []
-        rec = make_record(cfg, residual_log=log)
+        ref_log = []
+        sol = solve_truth(cfg)
+        rec = make_record(cfg, sol)
+        log = [float(r) for r in sol.residuals]
         n_col, n_chg, shrink = mfs
         ref = simulate(
             truth(), ring_sources(3, 2.5, (1.0, 0.0)), LameSystem(1.0, 1.0, 5.0), 2.5, 24,
@@ -200,3 +204,17 @@ class TestMakeRecord:
         assert np.array_equal(rec.receivers, ref.receivers)
         assert np.array_equal(rec.values, ref.values)
         assert log == ref_log and len(log) == 3
+
+    def test_disk_series_equals_record_from_disk_series(self):
+        cfg = ReconstructionConfig({
+            "shape": "disk", "rho": 2.5, "n_sources": 3, "n_receivers": 24,
+            "aperture.lo": 5.0, "aperture.hi": 9.0,
+        })
+        srcs = ring_sources(3, 2.5, cfg.polarization)
+        rec = make_record(cfg, disk_series(1.0, srcs, cfg.sys))
+        ref = record_from_disk_series(1.0, srcs, cfg.sys, 2.5, 24, (5.0, 9.0))
+        assert (rec.rho, rec.sys, rec.sources, rec.aperture) == (
+            ref.rho, ref.sys, ref.sources, ref.aperture
+        )
+        assert np.array_equal(rec.receivers, ref.receivers)
+        assert np.array_equal(rec.values, ref.values)

@@ -38,9 +38,9 @@ class TestSolveMfs:
         # i.e. 0.8^64 ~ 3e-7, so reaching 1e-8 with 64 charges needs a
         # deeper charge curve
         sol = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.7)
-        assert boundary_residual(sol, disk(1.0), (SRC,), SYS5, 512) <= 1e-8
+        assert boundary_residual(sol, disk(1.0), 512) <= 1e-8
         sol8 = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.8)
-        assert boundary_residual(sol8, disk(1.0), (SRC,), SYS5, 512) <= 1e-6
+        assert boundary_residual(sol8, disk(1.0), 512) <= 1e-6
 
     def test_low_resolution_kite_warns(self):
         with pytest.warns(UserWarning, match="MFS collocation residual"):
@@ -61,7 +61,7 @@ class TestSolveMfs:
 
     def test_no_interstitial_blowup(self):
         sol = solve_mfs(disk(1.0), (SRC,), SYS5, 128, 64, 0.7)
-        fine = boundary_residual(sol, disk(1.0), (SRC,), SYS5, 512)
+        fine = boundary_residual(sol, disk(1.0), 512)
         assert fine <= 10.0 * max(sol.residual, 1e-16)
 
     def test_source_inside_rejected(self):
@@ -126,22 +126,12 @@ class TestBatchedMfs:
         srcs = ring_sources(3, 3.0, POL)
         sol = solve_mfs(disk(1.0), srcs, SYS5, 128, 64, 0.8)
         single = [
-            boundary_residual(
-                solve_mfs(disk(1.0), (s,), SYS5, 128, 64, 0.8), disk(1.0), (s,), SYS5, 512
-            )
+            boundary_residual(solve_mfs(disk(1.0), (s,), SYS5, 128, 64, 0.8), disk(1.0), 512)
             for s in srcs
         ]
         assert max(single) <= 1e-6
-        got = boundary_residual(sol, disk(1.0), srcs, SYS5, 512)
+        got = boundary_residual(sol, disk(1.0), 512)
         assert got == pytest.approx(max(single), rel=1e-6)
-
-    def test_boundary_residual_needs_one_source_per_row(self):
-        srcs = ring_sources(3, 3.0, POL)
-        sol = solve_mfs(disk(1.0), srcs, SYS5, 64, 32, 0.7, warn_above=None)
-        with pytest.raises(ConfigError):
-            boundary_residual(sol, disk(1.0), srcs[:1], SYS5, 64)
-        with pytest.raises(ConfigError):
-            boundary_residual(sol, disk(1.0), srcs[:2], SYS5, 64)
 
 
 class TestDiskSeries:

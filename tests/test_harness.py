@@ -8,9 +8,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from elshape import cli, sweep
+from elshape import cli, config, forward, sweep
 from elshape.cli import main
-from elshape.config import ReconstructionConfig, load_config, make_record
+from elshape.config import ReconstructionConfig, load_config, make_record, solve_truth
 from elshape.elastic import LameSystem, PointSource
 from elshape.errors import ConfigError, SingularityError, SolveError
 from elshape.forward import disk_series
@@ -20,6 +20,9 @@ from elshape.newton import ReconRun, StarCurve
 from elshape.records import ScatterRecord
 from elshape.svgout import overlay_svg
 from elshape.sweep import parse_sweep_text, run_cell, run_sweep, write_sweep_csv
+
+#: the kite reaches r ~ 2.07, so this measurement circle cuts the truth
+KITE_INSIDE_RHO = "shape = kite\nrho = 2.0\n"
 
 DISK_CFG = """
 shape = disk
@@ -55,7 +58,8 @@ class TestForwardCommand:
     def test_written_record_is_make_record(self, workspace):
         root, cfg = workspace
         rec = ScatterRecord.load(root / "record.json")
-        ref = make_record(load_config(cfg))
+        config = load_config(cfg)
+        ref = make_record(config, solve_truth(config))
         assert rec.sources == ref.sources and rec.aperture == ref.aperture
         assert np.array_equal(rec.receivers, ref.receivers)
         assert np.array_equal(rec.values, ref.values)
@@ -128,7 +132,9 @@ class TestForwardCommand:
         ("shape = disk\nseed = -1\n", "seed"),
         ("shape = custom\nshape.coeffs = 0.5, 1.0, 0.0\ntruncation.mode = fixed\n", "shape.coeffs"),
         ("shape = disk\nshape.radius = -1.0\n", "shape.radius"),
-    ], ids=["negative_seed", "custom_radius_not_positive", "disk_radius_not_positive"])
+        (KITE_INSIDE_RHO, "rho"),
+    ], ids=["negative_seed", "custom_radius_not_positive", "disk_radius_not_positive",
+            "rho_inside_truth"])
     def test_refused_before_the_solve(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(lines + "n_sources = 2\nn_receivers = 16\n")
@@ -137,10 +143,10 @@ class TestForwardCommand:
         assert not (tmp_path / "record.json").exists()
 
     def test_singularity_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        def coincident(cfg, residual_log=None):
+        def coincident(cfg):
             raise SingularityError("evaluation point coincides with the source point")
 
-        monkeypatch.setattr(cli, "make_record", coincident)
+        monkeypatch.setattr(cli, "solve_truth", coincident)
         cfg = tmp_path / "disk.cfg"
         cfg.write_text("shape = disk\n")
         assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
@@ -436,7 +442,7 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(sweep, "run_cell", lambda base, ap, d, seeds: [ap, d])
+        monkeypatch.setattr(sweep, "run_cell", lambda base, truth, ap, d, seeds: [ap, d])
         deltas = ", ".join(str(0.01 * i) for i in range(n_cells))
         spec = parse_sweep_text(f"shape = disk\nsweep.apertures = 0:1\nsweep.deltas = {deltas}\n")
         rows = run_sweep(spec, workers=workers)
@@ -465,6 +471,7 @@ class TestSweep:
 
     def test_only_package_errors_recorded(self, monkeypatch):
         base = parse_sweep_text(DISK_CFG).base
+        truth = solve_truth(ReconstructionConfig(base))
 
         def raising(exc):
             def fake_make_record(*args, **kwargs):
@@ -473,10 +480,41 @@ class TestSweep:
 
         monkeypatch.setattr(sweep, "make_record", raising(TypeError("bug")))
         with pytest.raises(TypeError, match="bug"):
-            run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
+            run_cell(base, truth, (0.0, 2.0 * np.pi), 0.0, (1,))
         monkeypatch.setattr(sweep, "make_record", raising(SolveError("no fit")))
-        row = run_cell(base, (0.0, 2.0 * np.pi), 0.0, (1,))
+        row = run_cell(base, truth, (0.0, 2.0 * np.pi), 0.0, (1,))
         assert row[-1] == "failed: SolveError: no fit"
+
+    def test_serial_sweep_solves_the_truth_once(self, monkeypatch):
+        # counted wherever the package looks solve_mfs up
+        calls = []
+        original = forward.solve_mfs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for owner in (config, forward):
+            monkeypatch.setattr(owner, "solve_mfs", counted, raising=False)
+        spec = parse_sweep_text(
+            "shape = disk\nlame.omega = 1.0\ntruncation.mode = fixed\ntruncation.n = 5\n"
+            "max_iter = 2\nn_sources = 2\nn_receivers = 16\n"
+            "sweep.apertures = 0:6.283185307179586; 0:3.14; 1:5\n"
+            "sweep.deltas = 0, 0.05\nsweep.seeds = 1\n"
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 6 and all(r[-1] == "ok" for r in rows)
+        assert len(calls) == 1
+
+    def test_unsolvable_base_stops_the_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            KITE_INSIDE_RHO + "n_sources = 2\nsweep.apertures = 0:6.283185307179586; 0:3.14\n"
+            "sweep.deltas = 0.05\nsweep.seeds = 1\n"
+        )
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "rho" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_noise_column_monotone(self, tmp_path):
         text = (

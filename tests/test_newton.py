@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from elshape.config import ReconstructionConfig
+from elshape.config import ReconstructionConfig, make_record, solve_truth
 from elshape.elastic import LameSystem, PointSource, grad_incident_field, incident_field
 from elshape.errors import ConfigError, DomainError, SolveError
 from elshape.forward import record_from_disk_series, ring_sources
+from elshape.geometry import starfish
+from elshape.metrics import curve_hausdorff
 from elshape.modal import ModalField, eval_field, eval_gradient, extract_field, modal_rhs, solve_modal
 from elshape.newton import (
     StarCurve,
@@ -338,3 +340,50 @@ def test_wrapped_aperture_reconstruction():
     run = reconstruct(rec, cfg)
     assert run.termination in ("converged", "max_iterations")
     assert arc_hausdorff(run.final.as_curve(), starfish(), arc) <= 0.35
+
+
+@pytest.fixture(scope="module")
+def starfish_truth():
+    """Noise-free starfish at omega = 5 at its MFS resolution: config,
+    solution and full-aperture record."""
+    cfg = ReconstructionConfig({
+        "shape": "starfish", "lame.omega": 5.0, "delta": 0.0,
+        "truncation.mode": "fixed", "truncation.n": 7,
+    })
+    sol = solve_truth(cfg)
+    return cfg, sol, make_record(cfg, sol)
+
+
+class TestOneCentreExpansionOnTheStarfish:
+    """The origin-centred modal expansion does not represent the starfish's
+    scattered field on its boundary, so the iteration minimizes a
+    functional whose minimizer is not the truth.  Both tests pin that
+    defect and XPASS once a representation valid on the boundary lands."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the one-centre expansion diverges on the starfish boundary: "
+        "relative L2 error against the MFS field on 256 boundary points is "
+        "0.871, 1.243, 3.06, 12.6 at N = 4, 7, 10, 14 (noise-free, omega = 5)",
+    )
+    def test_boundary_error_falls_with_the_order(self, starfish_truth):
+        _, sol, rec = starfish_truth
+        pts = starfish().sample(256)
+        ref = sol.eval(pts)
+        errs = [
+            np.linalg.norm(eval_field(extract_field(rec, N, 0.6, 1e-8), pts) - ref)
+            / np.linalg.norm(ref)
+            for N in (4, 7, 10, 14)
+        ]
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] <= 0.05
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="noise-free starfish at omega = 5 with N = 7 ends converged "
+        "after 6 iterates at Hausdorff 0.229; the initial circle is at 0.300",
+    )
+    def test_noise_free_reconstruction_reaches_the_truth(self, starfish_truth):
+        cfg, _, rec = starfish_truth
+        run = reconstruct(rec, cfg)
+        assert curve_hausdorff(run.final.as_curve(), starfish()) <= 0.05
