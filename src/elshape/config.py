@@ -27,7 +27,7 @@ from .elastic import POLARIZATION, LameSystem
 from .errors import ConfigError
 from .forward import MfsSolution, measure, ring_sources, solve_mfs
 from .modal import choose_truncation
-from .records import ScatterRecord
+from .records import ScatterRecord, aperture_error
 
 #: key -> (python type, default)
 CONFIG_SCHEMA = {
@@ -158,10 +158,8 @@ class ReconstructionConfig:
             errors.append("n_sources: must be >= 1")
         if g["seed"] < 0:
             errors.append("seed: must be >= 0")
-        if not (g["aperture.hi"] > g["aperture.lo"]):
-            errors.append("aperture: need lo < hi")
-        if g["aperture.hi"] - g["aperture.lo"] > 2.0 * math.pi + 1e-12:
-            errors.append("aperture: span cannot exceed 2*pi")
+        if problem := aperture_error(self.aperture):
+            errors.append(problem)
         if g["max_iter"] < 0:
             errors.append("max_iter: must be >= 0")
         if not 0.0 < g["damping"] <= 1.0:

@@ -98,7 +98,12 @@ def _separation(x, y):
 
 
 def _phi_radial(k, r, order):
-    """Radial derivatives of Phi(r) = (i/4) H_0^(1)(k r) up to ``order``."""
+    """Radial derivatives of Phi(r) = (i/4) H_0^(1)(k r) up to ``order``.
+
+    ``k`` is one wavenumber or a sequence of them; every derivative then
+    has shape np.shape(k) + np.shape(r), from one table call for all of them.
+    """
+    k = np.reshape(k, np.shape(k) + (1,) * np.ndim(r))
     t = k * r
     h0, h1 = specfun.hankel1_table(1, t)
     c = 0.25j
@@ -119,8 +124,7 @@ def green_tensor(x, z, sys: LameSystem):
     """Fundamental displacement tensor G(x, z), shape (..., 2, 2)."""
     diff, r = _separation(x, z)
     d = diff / r[..., None]
-    phs, dphs, d2phs = _phi_radial(sys.k_s, r, 2)
-    _, dphp, d2php = _phi_radial(sys.k_p, r, 2)
+    (phs, _), (dphs, dphp), (d2phs, d2php) = _phi_radial((sys.k_s, sys.k_p), r, 2)
     dg = dphs - dphp
     d2g = d2phs - d2php
 
@@ -142,7 +146,7 @@ def incident_field(x, srcs, sys: LameSystem):
 
 
 def incident_field_directional(x, srcs, sys: LameSystem, e):
-    """(G(x, z) p, its derivative along e) from one radial table per wavenumber.
+    """(G(x, z) p, its derivative along e) from one radial table for both wavenumbers.
 
     Both are (S,) + x.shape arrays, one row per source in ``srcs``, each
     with its own polarization.  ``e`` broadcasts against x, one direction
@@ -160,8 +164,9 @@ def incident_field_directional(x, srcs, sys: LameSystem, e):
     d = diff / r[..., None]
     e = np.asarray(e, dtype=float)
 
-    phs, dphs, d2phs, d3phs = _phi_radial(sys.k_s, r, 3)
-    _, dphp, d2php, d3php = _phi_radial(sys.k_p, r, 3)
+    (phs, _), (dphs, dphp), (d2phs, d2php), (d3phs, d3php) = _phi_radial(
+        (sys.k_s, sys.k_p), r, 3
+    )
     dg = dphs - dphp
     d2g = d2phs - d2php
     d3g = d3phs - d3php

@@ -31,7 +31,7 @@ from . import specfun
 from .elastic import LameSystem, PointSource, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
-from .records import FULL_APERTURE, ScatterRecord
+from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
 RESIDUAL_WARN = 1e-6
@@ -265,9 +265,9 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
 
 def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
     """Sorted receiver angles equidistributed over the (possibly wrapped) arc."""
+    if problem := aperture_error(aperture):
+        raise ConfigError(problem)
     lo, hi = aperture
-    if not (hi > lo and hi - lo <= 2.0 * np.pi + 1e-12):
-        raise ConfigError("aperture must satisfy lo < hi <= lo + 2*pi")
     theta = lo + (hi - lo) * np.arange(n_receivers) / n_receivers
     return np.sort(np.mod(theta, 2.0 * np.pi))
 

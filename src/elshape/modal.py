@@ -24,8 +24,9 @@ Radial derivatives use kappa_{xi,n}(r) = alpha_{xi,n}'(r)
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
-builds its Hankel tables (``specfun.hankel1_table``) once for all rows, on
-the distinct radii of its points, and contracts the source-independent
+builds its Hankel tables once for all rows, from one ``specfun.hankel1_table``
+call for both wavenumbers on the distinct radii of its points and the
+normalization radius R, and contracts the source-independent
 basis they span with [phat_p, phat_s] in one matrix product.  The arc fit
 uses the same basis at the receivers as its design matrix.  ModalField
 instances are immutable after construction and all evaluators are pure.
@@ -62,32 +63,35 @@ __all__ = [
 # coefficient tables
 # ---------------------------------------------------------------------------
 
-def _hankel_table(k: float, R: float, N: int, r: np.ndarray, want_kappa: bool):
-    """alpha, beta (and kappa) tables of shape (2N+1, P) for orders -N..N.
+def _hankel_table(k, R: float, N: int, r: np.ndarray, want_kappa: bool):
+    """alpha, beta (and kappa) tables of shape np.shape(k) + (2N+1, P), orders -N..N.
 
-    All three are even in n (numerator and denominator flip sign together
-    under n -> -n), so only orders 0..N are evaluated, and only on the
-    distinct radii (a circle of points has a few), then scattered back.
+    ``k`` is one wavenumber or a sequence of them, all served by one table
+    call that also holds the normalizations H_n(k R).  All three tables are
+    even in n (numerator and denominator flip sign together under n -> -n),
+    so only orders 0..N are evaluated, and only on the distinct radii (a
+    circle of points has a few), then scattered back.
     """
-    denom = specfun.hankel1_table(N, k * R)
+    k = np.reshape(k, np.shape(k) + (1,))
+    r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
+    # the radii and, in the last column, the normalization radius R
+    t = k * np.append(r_uniq, R)
+    h_all = np.moveaxis(specfun.hankel1_table(max(N, 1), t), 0, -2)  # orders 0..max(N, 1)
+    denom = h_all[..., : N + 1, -1:]
     if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
         raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
-    denom = denom[:, None]
+    h_all, t, k = h_all[..., :-1], t[..., None, :-1], k[..., None]
 
     orders = np.arange(0, N + 1)[:, None]
-    r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
-    t = k * r_uniq
-    h_all = specfun.hankel1_table(max(N, 1), t)               # orders 0..max(N, 1)
-    h = h_all[: N + 1]
-    h_prev = np.concatenate([-h_all[1:2], h_all[:N]], axis=0)  # H_{-1} = -H_1
+    h = h_all[..., : N + 1, :]
+    h_prev = np.concatenate([-h_all[..., 1:2, :], h_all[..., :N, :]], axis=-2)  # H_{-1} = -H_1
     hp = h_prev - (orders / t) * h
 
     tabs = [k * hp / denom, h / denom]
     if want_kappa:
         hpp = -hp / t - (1.0 - (orders / t) ** 2) * h
         tabs.append(k * k * hpp / denom)
-    mirror = slice(None, None, -1)
-    out = [np.concatenate([tab[1:][mirror], tab], axis=0)[:, back] for tab in tabs]
+    out = [np.concatenate([tab[..., :0:-1, :], tab], axis=-2)[..., back] for tab in tabs]
     return out if want_kappa else out + [None]
 
 
@@ -169,8 +173,7 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
 def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
     """(alpha_p, beta_p, alpha_s, beta_s) at the data radius, orders -N..N."""
     r = np.array([rho])
-    alpha_p, beta_p, _ = _hankel_table(sys.k_p, R, N, r, False)
-    alpha_s, beta_s, _ = _hankel_table(sys.k_s, R, N, r, False)
+    (alpha_p, alpha_s), (beta_p, beta_s), _ = _hankel_table((sys.k_p, sys.k_s), R, N, r, False)
     return alpha_p[:, 0], beta_p[:, 0], alpha_s[:, 0], beta_s[:, 0]
 
 
@@ -228,8 +231,8 @@ def _basis(N: int, R: float, sys: LameSystem, r, theta, kinds) -> np.ndarray:
     rotated to Cartesian components.  ``kinds`` holds "value", "d_r" and
     "d_theta" in any order; r and theta are 1-D of length P.
     """
-    alpha_p, beta_p, kappa_p = _hankel_table(sys.k_p, R, N, r, "d_r" in kinds)
-    alpha_s, beta_s, kappa_s = _hankel_table(sys.k_s, R, N, r, "d_r" in kinds)
+    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r, "d_r" in kinds)
+    (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
     n = np.arange(-N, N + 1, dtype=float)[:, None]
     inr = 1j * n / r
     value = ((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))
@@ -240,8 +243,8 @@ def _basis(N: int, R: float, sys: LameSystem, r, theta, kinds) -> np.ndarray:
             frames.append(value)
         elif kind == "d_r":
             frames.append((
-                (kappa_p, 1j * n * (alpha_p / r - beta_p / r ** 2)),
-                (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa_s),
+                (kappa[0], 1j * n * (alpha_p / r - beta_p / r ** 2)),
+                (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa[1]),
             ))
         else:  # d/dtheta mixes the frame: U_n' = in U_n + V_n, V_n' = in V_n - U_n
             frames.append(tuple((1j * n * a - b, a + 1j * n * b) for a, b in value))

@@ -22,6 +22,18 @@ from .elastic import LameSystem, PointSource
 from .errors import ConfigError
 
 FULL_APERTURE = (0.0, 2.0 * np.pi)
+#: slack on the span bound hi - lo <= 2*pi, for spans computed in floating point
+SPAN_TOL = 1e-12
+
+
+def aperture_error(aperture) -> str:
+    """Why (lo, hi) is not a receiver arc lo < hi <= lo + 2*pi; "" if it is."""
+    lo, hi = aperture
+    if not hi > lo:
+        return "aperture: need lo < hi"
+    if hi - lo > 2.0 * np.pi + SPAN_TOL:
+        return "aperture: span cannot exceed 2*pi"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -49,9 +61,8 @@ class ScatterRecord:
             raise ConfigError("receiver angles must lie in [0, 2*pi)")
         if rec.size and np.any(np.diff(rec) <= 0.0):
             raise ConfigError("receiver angles must be strictly increasing")
-        lo, hi = self.aperture
-        if not (hi > lo and hi - lo <= 2.0 * np.pi + 1e-12):
-            raise ConfigError("aperture must satisfy lo < hi <= lo + 2*pi")
+        if problem := aperture_error(self.aperture):
+            raise ConfigError(problem)
         object.__setattr__(self, "receivers", rec)
         object.__setattr__(self, "values", val)
 
@@ -66,7 +77,7 @@ class ScatterRecord:
     @property
     def is_full_aperture(self) -> bool:
         lo, hi = self.aperture
-        return bool(hi - lo >= 2.0 * np.pi - 1e-12)
+        return bool(hi - lo >= 2.0 * np.pi - SPAN_TOL)
 
     def polarization(self) -> np.ndarray:
         pols = {s.polarization for s in self.sources}

@@ -10,6 +10,8 @@ byte-identical files.
 
 import numpy as np
 
+from .geometry import disk
+
 CANVAS = 480.0
 MARGIN = 20.0
 #: samples per drawn boundary curve
@@ -70,8 +72,7 @@ class SvgCanvas:
 
 
 def _arc_points(rho: float, lo: float, hi: float, n: int = 256) -> np.ndarray:
-    t = np.linspace(lo, hi, n)
-    return rho * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    return disk(rho).point(np.linspace(lo, hi, n))
 
 
 def overlay_svg(rec, run, truth, title: str = "") -> str:

@@ -3,8 +3,9 @@
 Each check measures a quantity the theory constrains and compares it to
 the stated bound:
 
-* Hankel identities: Wronskian, three-term recurrence closure, magnitude
-  monotonicity in the argument, the derivative bound
+* Hankel identities: Wronskian and three-term recurrence closure (of
+  scipy's AMOS values and of the numpy ``hankel1_table`` the solver runs
+  on), magnitude monotonicity in the argument, the derivative bound
   |H_n'| <= (1 + n/t)|H_n|, the large-order sandwich
   1/2 <= pi t^n |H_n(t)| / (3 2^{n-1} Gamma(n)) <= e^t for n > (e t + 1)/2
   (checked in log space), and the second-derivative bound
@@ -60,6 +61,9 @@ ARG_GRID = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0])
 
 
 def check_wronskian() -> CheckResult:
+    """J_n Y_n' - J_n' Y_n = 2/(pi t) on the AMOS grid, and J_1 Y_0 - J_0 Y_1 =
+    2/(pi t) on the rows hankel1_table computes directly (orders 0 and 1;
+    above n ~ t its recurrence carries J_n only to within eps |Y_n|)."""
     worst = 0.0
     for t in ARG_GRID:
         n = ORDER_GRID
@@ -69,22 +73,31 @@ def check_wronskian() -> CheckResult:
         yp = specfun.bessel_y(n - 1, t) - (n / t) * y
         target = 2.0 / (np.pi * t)
         worst = max(worst, float(np.max(np.abs(j * yp - jp * y - target)) / target))
+    h0, h1 = specfun.hankel1_table(1, ARG_GRID)
+    target = 2.0 / (np.pi * ARG_GRID)
+    defect = np.abs(h1.real * h0.imag - h0.real * h1.imag - target) / target
+    worst = max(worst, float(np.max(defect)))
     return _result("wronskian", worst <= 1e-10, worst, 1e-10,
-                   "max relative Wronskian defect on the (n, t) grid")
+                   "max relative Wronskian defect on the (n, t) grid, AMOS and table")
+
+
+def _recurrence_defect(n, t, h, h_up, h_dn) -> float:
+    """max |2n H_n - t (H_{n+1} + H_{n-1})| / (|H_n| max(1, n))."""
+    resid = np.abs(2 * n * h - t * (h_up + h_dn))
+    return float(np.max(resid / (np.abs(h) * np.maximum(1, n))))
 
 
 def check_recurrence() -> CheckResult:
-    worst = 0.0
+    """Three-term recurrence closure of AMOS's H_n and of hankel1_table's rows."""
+    n = ORDER_GRID
+    table = specfun.hankel1_table(n[-1] + 1, ARG_GRID)  # orders 0..31
+    below = np.concatenate([-table[1:2], table[: n.size - 1]])  # H_{n-1}, H_{-1} = -H_1
+    worst = _recurrence_defect(n[:, None], ARG_GRID, table[: n.size], table[1:], below)
     for t in ARG_GRID:
-        n = ORDER_GRID
-        h = specfun.hankel1(n, t)
-        h_up = specfun.hankel1(n + 1, t)
-        h_dn = specfun.hankel1(n - 1, t)
-        resid = np.abs(2 * n * h - t * (h_up + h_dn))
-        allowed = np.abs(h) * np.maximum(1, n)
-        worst = max(worst, float(np.max(resid / allowed)))
+        h, h_up, h_dn = (specfun.hankel1(m, t) for m in (n, n + 1, n - 1))
+        worst = max(worst, _recurrence_defect(n, t, h, h_up, h_dn))
     return _result("recurrence_closure", worst <= 1e-9, worst, 1e-9,
-                   "three-term recurrence residual relative to |H_n| max(1,n)")
+                   "three-term recurrence residual relative to |H_n| max(1,n), AMOS and table")
 
 
 def check_magnitude_monotone() -> CheckResult:
@@ -228,34 +241,30 @@ def check_truncation_decay() -> CheckResult:
                    "log-slope of ||v - v_N|| on the data circle, R=0.5")
 
 
-def _field_l2_norm(rec: ScatterRecord, N: int, R: float) -> float:
-    """L2 norm over sources and the data circle of the record's modal field."""
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    pts = rec.rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    mf = solve_modal(modal_rhs(rec, N), rec.rho, R, rec.sys)
-    per_source = np.mean(np.sum(np.abs(eval_field(mf, pts)) ** 2, axis=-1), axis=-1)
-    return float(np.sqrt(np.sum(per_source)))
-
-
 def noise_halving_ratios(n_trials: int = 20, N: int = 7) -> np.ndarray:
     """||v_N^d - v_N|| ratios when halving delta, independent draws.
 
     Extraction and evaluation are linear in the data, so v_N^d - v_N is
     the field extracted from the noise alone (noisy minus clean values).
+    All 2 n_trials noise-only records go through one extraction as one
+    record with 2 n_trials times the sources; each norm is taken over its
+    record's sources on the receivers (the field has degree N + 1 < M/2 on
+    the circle, so the receiver mean is the circle's L2 mean).
     """
     sys = LameSystem(1.0, 1.0, 5.0)
     srcs = ring_sources(20, 3.0, POLARIZATION)
     clean = record_from_disk_series(1.0, srcs, sys, 3.0, 128)
-
-    def noise_only(delta, seed):
-        return replace(clean, values=add_noise(clean, delta, seed).values - clean.values)
-
-    ratios = []
-    for i in range(n_trials):
-        e_full = _field_l2_norm(noise_only(0.05, 100 + i), N, 0.5)
-        e_half = _field_l2_norm(noise_only(0.025, 500 + i), N, 0.5)
-        ratios.append(e_half / e_full)
-    return np.array(ratios)
+    noise = np.stack([
+        add_noise(clean, delta, seed).values - clean.values
+        for i in range(n_trials) for delta, seed in ((0.05, 100 + i), (0.025, 500 + i))
+    ])
+    batch = replace(clean, sources=clean.sources * len(noise),
+                    values=noise.reshape((-1,) + clean.values.shape[1:]))
+    mf = solve_modal(modal_rhs(batch, N), batch.rho, 0.5, sys)
+    field = eval_field(mf, disk(batch.rho).point(batch.receivers))
+    per_source = np.mean(np.sum(np.abs(field) ** 2, axis=-1), axis=-1)
+    norms = np.sqrt(np.sum(per_source.reshape(n_trials, 2, len(srcs)), axis=-1))
+    return norms[:, 1] / norms[:, 0]
 
 
 def check_noise_scaling() -> CheckResult:
@@ -307,7 +316,7 @@ def modal_roundtrip_errors(N: int = 30, n_receivers: int = 128):
     coeffs = rng.normal(size=(2, 2 * N + 1)) + 1j * rng.normal(size=(2, 2 * N + 1))
     field = ModalField(N=N, R=0.5, rho=3.0, sys=sys, phat_p=coeffs[0], phat_s=coeffs[1])
     theta = np.linspace(0.0, 2.0 * np.pi, n_receivers, endpoint=False)
-    pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = disk(3.0).point(theta)
     values = eval_field(field, pts)
     rec = ScatterRecord(
         rho=3.0, sys=sys, sources=(PointSource((3.0, 0.0), POLARIZATION),),

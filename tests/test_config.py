@@ -1,6 +1,7 @@
 """Config file parsing, validation and derived-parameter resolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from elshape.config import (
 )
 from elshape.elastic import LameSystem
 from elshape.errors import ConfigError
-from elshape.forward import disk_series, record_from_disk_series, ring_sources, simulate
+from elshape.forward import (
+    disk_series, receiver_angles, record_from_disk_series, ring_sources, simulate,
+)
 from elshape.geometry import disk, starfish
+from elshape.records import ScatterRecord, aperture_error
 
 
 class TestParsing:
@@ -101,6 +105,31 @@ class TestValidation:
     def test_invariants_rejected(self, bad):
         with pytest.raises(ConfigError):
             ReconstructionConfig(bad)
+
+    @pytest.mark.parametrize("aperture, problem", [
+        ((2.0, 1.0), "aperture: need lo < hi"),
+        ((1.0, 1.0), "aperture: need lo < hi"),
+        ((0.0, 2.0 * math.pi + 1e-9), "aperture: span cannot exceed 2*pi"),
+        ((0.0, 2.0 * math.pi + 1e-13), ""),
+        ((5.0, 5.0 + 2.0 * math.pi), ""),
+        ((5.0 * math.pi / 4.0, 11.0 * math.pi / 4.0), ""),
+    ], ids=["reversed", "empty", "over_2pi", "2pi_within_tol", "wrapped_full", "wrapped_arc"])
+    def test_one_aperture_rule_for_config_receivers_and_records(self, aperture, problem):
+        assert aperture_error(aperture) == problem
+        lo, hi = aperture
+        makers = (
+            lambda: ReconstructionConfig({"aperture.lo": lo, "aperture.hi": hi}),
+            lambda: receiver_angles(8, aperture),
+            lambda: ScatterRecord(
+                3.0, LameSystem(1.0, 1.0, 1.0), (), np.zeros(0), np.zeros((0, 0, 2)), aperture
+            ),
+        )
+        for make in makers:
+            if problem:
+                with pytest.raises(ConfigError, match=re.escape(problem)):
+                    make()
+            else:
+                make()
 
     @pytest.mark.parametrize("key", ["lame.omega", "epsilon", "shape.radius", "rho"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,9 +1,12 @@
 """Special-function layer against independent series / mpmath oracles."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from elshape import specfun
+from elshape import specfun, verify
 from elshape.errors import DomainError
 
 import oracles
@@ -241,3 +244,44 @@ class TestHankelTable:
         )
         with pytest.raises(SolveError):
             eval_field(mf, np.array([[2.0, 0.0]]))
+
+
+class TestOrderZeroOneKernel:
+    """The numpy kernel behind hankel1_table's orders 0 and 1."""
+
+    T1 = specfun.T1
+    GRID = np.concatenate([
+        np.geomspace(1e-3, 100.0, 400),
+        [np.nextafter(T1, 0.0), T1, np.nextafter(T1, np.inf), 0.999 * T1, 1.001 * T1],
+    ])
+
+    def test_matches_mpmath_on_dense_log_grid(self):
+        assert np.any(self.GRID <= self.T1) and np.any(self.GRID > self.T1)
+        got = specfun.hankel1_table(1, self.GRID)
+        want = np.array([[oracles.mp_hankel1(n, t) for t in self.GRID] for n in (0, 1)])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_fit_reproduces_the_committed_coefficients(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "fit_hankel01.py"
+        spec = importlib.util.spec_from_file_location("fit_hankel01", path)
+        fit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fit)
+        assert fit.T1 == specfun.T1
+        coeffs = np.array(fit.fit())
+        assert coeffs.shape == specfun._CHEB.shape
+        assert coeffs.tobytes() == specfun._CHEB.tobytes()
+
+    @pytest.mark.parametrize("check, row", [
+        (verify.check_wronskian, 1), (verify.check_recurrence, 2),
+    ], ids=["wronskian", "recurrence"])
+    def test_battery_checks_see_the_table(self, monkeypatch, check, row):
+        table = specfun.hankel1_table
+
+        def perturbed(N, t):
+            h = table(N, t)
+            h[row] *= 1.0 + 1e-7
+            return h
+
+        assert check().passed
+        monkeypatch.setattr(specfun, "hankel1_table", perturbed)
+        assert not check().passed

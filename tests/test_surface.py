@@ -86,3 +86,38 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+SCIPY_FREE_RUN = """
+import sys
+
+import elshape, elshape.cli
+from elshape import ReconstructionConfig, make_record, reconstruct, solve_truth
+from elshape.elastic import LameSystem
+from elshape.forward import ring_sources, simulate
+from elshape.geometry import disk
+
+sys_ = LameSystem(1.0, 1.0, 1.0)
+rec = simulate(disk(1.0), ring_sources(4, 3.0, (1.0, 0.0)), sys_, 3.0, 32, warn_above=None)
+cfg = ReconstructionConfig({"shape": "starfish", "n_sources": 4, "max_iter": 3})
+run = reconstruct(make_record(cfg, solve_truth(cfg)), cfg)
+print(run.iterations, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solver_path_imports_no_scipy():
+    """Importing elshape and its CLI, a disk simulate and a starfish
+    reconstruct run on numpy alone; scipy serves only the oracle and the
+    battery."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    iterations, scipy_modules = proc.stdout.split(" ", 1)
+    assert int(iterations) >= 1
+    assert scipy_modules.strip() == "[]"
