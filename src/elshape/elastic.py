@@ -10,13 +10,20 @@ fundamental displacement tensor of the Navier operator is
 
     G(x, z) = (1/mu) Phi_s I + (1/omega^2) grad grad^T (Phi_s - Phi_p).
 
-For a radial function f(|x - z|) the Hessian is assembled analytically,
+``green_tensor`` builds G from its closed form,
 
-    grad grad^T f = (f'/r) I + (f'' - f'/r) d d^T,   d = (x - z)/r,
+    G = (i/8) [ (H_0(k_s r) I + H_2(k_s r) D) / mu
+              + (H_0(k_p r) I - H_2(k_p r) D) / (lambda + 2 mu) ],
 
-and the gradient of G(x, z) p needs the third radial derivative, obtained
-by differentiating the Bessel equation once.  No finite differences are
-used outside the test suite.
+with d = (x - z)/r, D = 2 d d^T - I and H_2(t) = (2/t) H_1(t) - H_0(t):
+two complex scalars per pair from one order-0/1 table.  The gradient of
+G(x, z) p goes through the Hessian route: for a radial f(|x - z|),
+
+    grad grad^T f = (f'/r) I + (f'' - f'/r) d d^T,
+
+and its derivative needs the third radial derivative, obtained by
+differentiating the Bessel equation once.  No finite differences are used
+outside the test suite.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -97,8 +104,8 @@ def _separation(x, y):
     return diff, r
 
 
-def _phi_radial(k, r, order):
-    """Radial derivatives of Phi(r) = (i/4) H_0^(1)(k r) up to ``order``.
+def _phi_radial(k, r):
+    """Phi(r) = (i/4) H_0^(1)(k r) and its first three radial derivatives.
 
     ``k`` is one wavenumber or a sequence of them; every derivative then
     has shape np.shape(k) + np.shape(r), from one table call for all of them.
@@ -106,33 +113,41 @@ def _phi_radial(k, r, order):
     k = np.reshape(k, np.shape(k) + (1,) * np.ndim(r))
     t = k * r
     h0, h1 = specfun.hankel1_table(1, t)
+    d1 = -h1  # H_0' = -H_1
+    d2 = -d1 / t - h0
+    d3 = -d2 / t + (1.0 / (t * t) - 1.0) * d1
     c = 0.25j
-    out = [c * h0]
-    if order >= 1:
-        d1 = -h1  # H_0' = -H_1
-        out.append(c * k * d1)
-    if order >= 2:
-        d2 = -d1 / t - h0
-        out.append(c * k * k * d2)
-    if order >= 3:
-        d3 = -d2 / t + (1.0 / (t * t) - 1.0) * d1
-        out.append(c * k ** 3 * d3)
-    return out
+    return [c * h0, c * k * d1, c * k * k * d2, c * k ** 3 * d3]
 
 
 def green_tensor(x, z, sys: LameSystem):
-    """Fundamental displacement tensor G(x, z), shape (..., 2, 2)."""
-    diff, r = _separation(x, z)
-    d = diff / r[..., None]
-    (phs, _), (dphs, dphp), (d2phs, d2php) = _phi_radial((sys.k_s, sys.k_p), r, 2)
-    dg = dphs - dphp
-    d2g = d2phs - d2php
+    """Fundamental displacement tensor G(x, z), shape (..., 2, 2).
 
-    eye = np.eye(2)
-    radial = dg / r
-    ddT = d[..., :, None] * d[..., None, :]
-    hess = radial[..., None, None] * eye + (d2g - radial)[..., None, None] * ddT
-    return (phs / sys.mu)[..., None, None] * eye + hess / sys.omega ** 2
+    G = alpha I + beta D with D = 2 d d^T - I and the two radial scalars
+
+        alpha = (i/8) (H_0(k_s r) / mu + H_0(k_p r) / (lambda + 2 mu)),
+        beta  = (i/8) (H_2(k_s r) / mu - H_2(k_p r) / (lambda + 2 mu)),
+
+    H_2(t) = (2/t) H_1(t) - H_0(t), from one table call for both wavenumbers.
+    """
+    diff, r = _separation(x, z)
+    t = np.multiply.outer((sys.k_s, sys.k_p), r)
+    h0, h2 = specfun.hankel1_table(1, t)
+    h2 *= 2.0 / t  # H_1 becomes H_2 = (2/t) H_1 - H_0 in place
+    h2 -= h0
+    c_s, c_p = 0.125j / sys.mu, 0.125j / (sys.lam + 2.0 * sys.mu)
+    alpha = c_s * h0[0] + c_p * h0[1]
+    beta = c_s * h2[0] - c_p * h2[1]
+    # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
+    dx, dy = diff[..., 0], diff[..., 1]
+    beta /= r * r
+    b_xx = beta * (dx * dx - dy * dy)
+    g = np.empty(r.shape + (2, 2), dtype=complex)
+    np.add(alpha, b_xx, out=g[..., 0, 0])
+    np.subtract(alpha, b_xx, out=g[..., 1, 1])
+    np.multiply(beta, 2.0 * dx * dy, out=g[..., 0, 1])
+    g[..., 1, 0] = g[..., 0, 1]
+    return g
 
 
 def incident_field(x, srcs, sys: LameSystem):
@@ -165,7 +180,7 @@ def incident_field_directional(x, srcs, sys: LameSystem, e):
     e = np.asarray(e, dtype=float)
 
     (phs, _), (dphs, dphp), (d2phs, d2php), (d3phs, d3php) = _phi_radial(
-        (sys.k_s, sys.k_p), r, 3
+        (sys.k_s, sys.k_p), r
     )
     dg = dphs - dphp
     d2g = d2phs - d2php

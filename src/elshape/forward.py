@@ -7,6 +7,12 @@ Two independent routes produce scattered fields for a rigid obstacle
   fundamental-tensor columns with source points on an interior dilation
   of the boundary, fitted by oversampled least-squares collocation of
   v = -u_inc on the boundary.  Works for any smooth parametric curve.
+  One Householder QR of [A | B] gives A's triangle R and Q^H B, and one
+  triangular solve gives every source's charges.  No rank is truncated:
+  the system is ill-conditioned (cond up to ~1e9 at the shipped
+  resolutions, ~1e16 when over-resolved), but a backward-stable solve
+  still gives an accurate field (Barnett & Betcke, JCP 2008), which the
+  collocation residual reports.
 
 * ``disk_series`` solves the disk case exactly: the incident potentials
   are expanded about the origin in the regular Bessel basis (addition
@@ -86,8 +92,9 @@ def solve_mfs(
     """Fit interior charges so that u_inc + v vanishes on the boundary.
 
     ``sources`` is a sequence of S point sources.  The collocation matrix
-    does not depend on the source, so it is built once and one
-    least-squares solve fits every source's right-hand side.
+    does not depend on the source, so it is built once and one QR of
+    [A | B] fits every source's right-hand side.  A zero on R's diagonal
+    (an exactly rank-deficient A) is a ``SolveError``.
     """
     srcs = tuple(sources)
     if not 0.0 < shrink < 1.0:
@@ -109,9 +116,12 @@ def solve_mfs(
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
-    coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
-    if rank == 0:
+    # R of [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
+    n = a.shape[1]
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
+    if not np.all(np.diagonal(r[:n, :n])):
         raise SolveError("rank-deficient MFS collocation matrix")
+    coef = np.linalg.solve(r[:n, :n], r[:n, n:])
     residuals = np.max(np.abs(a @ coef - b), axis=0)
     if warn_above is not None and np.any(residuals > warn_above):
         worst = int(np.argmax(residuals))

@@ -74,6 +74,25 @@ def mp_ln_gamma(x: float) -> float:
     return float(mpmath.loggamma(x))
 
 
+def mp_green_tensor(diff, sys) -> np.ndarray:
+    """G at the offset ``diff`` (a float 2-vector, taken as exact) from the
+    closed form (i/8) [(H_0^s I + H_2^s D)/mu + (H_0^p I - H_2^p D)/(lambda + 2 mu)],
+    D = 2 d d^T - I, with mpmath Hankel values of orders 0 and 2."""
+    dx, dy = mpmath.mpf(float(diff[0])), mpmath.mpf(float(diff[1]))
+    r2 = dx * dx + dy * dy
+    r = mpmath.sqrt(r2)
+    c_s = mpmath.mpc(0, 1) / (8 * mpmath.mpf(sys.mu))
+    c_p = mpmath.mpc(0, 1) / (8 * (mpmath.mpf(sys.lam) + 2 * mpmath.mpf(sys.mu)))
+    t_s, t_p = mpmath.mpf(sys.k_s) * r, mpmath.mpf(sys.k_p) * r
+    alpha = c_s * mpmath.hankel1(0, t_s) + c_p * mpmath.hankel1(0, t_p)
+    beta = c_s * mpmath.hankel1(2, t_s) - c_p * mpmath.hankel1(2, t_p)
+    d_xx, d_xy = (dx * dx - dy * dy) / r2, 2 * dx * dy / r2
+    return np.array([
+        [complex(alpha + beta * d_xx), complex(beta * d_xy)],
+        [complex(beta * d_xy), complex(alpha - beta * d_xx)],
+    ])
+
+
 def modal_matrix(n: int, rho: float, R: float, sys) -> np.ndarray:
     """Per-mode 2x2 system [[alpha_p, (in/rho) beta_s], [(in/rho) beta_p, -alpha_s]]
     at the data radius, from mpmath Hankel values.

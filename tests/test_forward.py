@@ -7,7 +7,8 @@ import pytest
 
 from elshape import elastic, forward
 from elshape.elastic import LameSystem, PointSource, incident_field
-from elshape.errors import ConfigError, DomainError
+from elshape.config import _MFS_BY_SHAPE
+from elshape.errors import ConfigError, DomainError, SolveError
 from elshape.forward import (
     add_noise,
     boundary_residual,
@@ -132,6 +133,63 @@ class TestBatchedMfs:
         assert max(single) <= 1e-6
         got = boundary_residual(sol, disk(1.0), 512)
         assert got == pytest.approx(max(single), rel=1e-6)
+
+
+def lstsq_reference(curve, srcs, sys, n_collocation, n_charges, shrink):
+    """The MFS fit through the truncated-SVD least squares of LAPACK gelsd:
+    charges laid out as in solve_mfs, (strengths, residuals)."""
+    centroid = curve.centroid()
+    t_chg = np.linspace(0.0, 2.0 * np.pi, n_charges, endpoint=False)
+    charges = centroid + shrink * (curve.point(t_chg) - centroid)
+    colloc = curve.point(np.linspace(0.0, 2.0 * np.pi, n_collocation, endpoint=False))
+    a = forward._charge_matrix(colloc, charges, sys)
+    b = -incident_field(colloc, srcs, sys).reshape(len(srcs), -1).T
+    coef = np.linalg.lstsq(a, b, rcond=1e-12)[0]
+    return coef.T.reshape(len(srcs), n_charges, 2), np.max(np.abs(a @ coef - b), axis=0)
+
+
+class TestQrSolve:
+    """One QR of [A | B] in place of the SVD: the same fields, no truncation."""
+
+    @pytest.mark.parametrize(
+        "curve, sys, mfs",
+        [(disk(1.0), SYS1, _MFS_BY_SHAPE["disk"]),
+         (starfish(), SYS5, _MFS_BY_SHAPE["starfish"]),
+         (kite(), SYS5, _MFS_BY_SHAPE["kite"])],
+        ids=["disk", "starfish", "kite"],
+    )
+    def test_matches_svd_reference(self, curve, sys, mfs):
+        srcs = ring_sources(20, 3.0, POL)
+        sol = solve_mfs(curve, srcs, sys, *mfs, warn_above=None)
+        strengths, residuals = lstsq_reference(curve, srcs, sys, *mfs)
+        ref = forward.MfsSolution(sol.charges, strengths, residuals, sys, srcs)
+        pts = disk(3.0).point(receiver_angles(128))
+        assert rel_max(sol.eval(pts), ref.eval(pts)) <= 1e-9
+        # the disk's residuals (~2.5e-13) sit at the roundoff floor, where two
+        # backward-stable solvers agree only to within that floor
+        assert np.allclose(sol.residuals, residuals, rtol=1e-6, atol=1e-12)
+
+    def test_over_resolved_disk_matches_series(self):
+        # cond(A) ~ 1e16: gelsd drops 74 of 256 directions at rcond 1e-12,
+        # the QR solve keeps them all and stays on the analytic solution
+        srcs = ring_sources(20, 3.0, POL)
+        rec = simulate(disk(1.0), srcs, SYS1, 3.0, 128, n_collocation=256, n_charges=128,
+                       shrink=0.6, warn_above=None)
+        ref = record_from_disk_series(1.0, srcs, SYS1, 3.0, 128)
+        assert rel_max(rec.values, ref.values) <= 1e-12
+
+    @pytest.mark.parametrize("zeroed", [slice(None), slice(5, 6)], ids=["all", "one_column"])
+    def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed):
+        charge_matrix = forward._charge_matrix
+
+        def deficient(x, charges, sys):
+            a = charge_matrix(x, charges, sys)
+            a[:, zeroed] = 0.0
+            return a
+
+        monkeypatch.setattr(forward, "_charge_matrix", deficient)
+        with pytest.raises(SolveError, match="rank-deficient"):
+            solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
 
 
 class TestDiskSeries:
@@ -266,7 +324,7 @@ class TestSimulate:
     @pytest.mark.parametrize("n_sources", [1, 7])
     def test_one_factorization_per_record(self, monkeypatch, n_sources):
         # a per-source loop would scale both counts with the number of sources
-        calls = {"lstsq": 0, "green_tensor": 0}
+        calls = {"qr": 0, "green_tensor": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -274,7 +332,7 @@ class TestSimulate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(forward.np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(forward.np.linalg, "qr", counted("qr", np.linalg.qr))
         # the collocation matrix looks green_tensor up in forward, the
         # incident field in elastic
         for owner in (forward, elastic):
@@ -282,7 +340,7 @@ class TestSimulate:
         simulate(disk(1.0), ring_sources(n_sources, 3.0, POL), SYS5, 3.0, 16,
                  n_collocation=32, n_charges=16, shrink=0.7, warn_above=None)
         # collocation matrix, right-hand sides, receiver table
-        assert calls == {"lstsq": 1, "green_tensor": 3}
+        assert calls == {"qr": 1, "green_tensor": 3}
 
     def test_rho_must_exceed_obstacle(self):
         with pytest.raises(ConfigError):
