@@ -10,20 +10,17 @@ fundamental displacement tensor of the Navier operator is
 
     G(x, z) = (1/mu) Phi_s I + (1/omega^2) grad grad^T (Phi_s - Phi_p).
 
-``green_tensor`` builds G from its closed form,
+Both point-source kernels use its closed form,
 
-    G = (i/8) [ (H_0(k_s r) I + H_2(k_s r) D) / mu
-              + (H_0(k_p r) I - H_2(k_p r) D) / (lambda + 2 mu) ],
+    G = alpha I + beta D,     D = 2 d d^T - I,     d = (x - z)/r,
+    alpha = (i/8) (H_0(k_s r) / mu + H_0(k_p r) / (lambda + 2 mu)),
+    beta  = (i/8) (H_2(k_s r) / mu - H_2(k_p r) / (lambda + 2 mu)),
 
-with d = (x - z)/r, D = 2 d d^T - I and H_2(t) = (2/t) H_1(t) - H_0(t):
-two complex scalars per pair from one order-0/1 table.  The gradient of
-G(x, z) p goes through the Hessian route: for a radial f(|x - z|),
-
-    grad grad^T f = (f'/r) I + (f'' - f'/r) d d^T,
-
-and its derivative needs the third radial derivative, obtained by
-differentiating the Bessel equation once.  No finite differences are used
-outside the test suite.
+with H_2(t) = (2/t) H_1(t) - H_0(t): two complex scalars per pair from one
+order-0/1 table for both wavenumbers.  The derivative of G p along a
+direction differentiates the same two scalars, with H_0' = -H_1 and
+H_2' = H_1 - (2/t) H_2, and the unit vector d, so it needs no further
+Hankel order.  No finite differences are used outside the test suite.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -88,10 +85,6 @@ class PointSource:
     def xy(self):
         return np.array(self.location)
 
-    @property
-    def p(self):
-        return np.array(self.polarization)
-
 
 def _separation(x, y):
     """Pairwise offsets and distances with the singularity guard applied."""
@@ -104,40 +97,31 @@ def _separation(x, y):
     return diff, r
 
 
-def _phi_radial(k, r):
-    """Phi(r) = (i/4) H_0^(1)(k r) and its first three radial derivatives.
-
-    ``k`` is one wavenumber or a sequence of them; every derivative then
-    has shape np.shape(k) + np.shape(r), from one table call for all of them.
-    """
-    k = np.reshape(k, np.shape(k) + (1,) * np.ndim(r))
-    t = k * r
-    h0, h1 = specfun.hankel1_table(1, t)
-    d1 = -h1  # H_0' = -H_1
-    d2 = -d1 / t - h0
-    d3 = -d2 / t + (1.0 / (t * t) - 1.0) * d1
-    c = 0.25j
-    return [c * h0, c * k * d1, c * k * k * d2, c * k ** 3 * d3]
-
-
-def green_tensor(x, z, sys: LameSystem):
-    """Fundamental displacement tensor G(x, z), shape (..., 2, 2).
-
-    G = alpha I + beta D with D = 2 d d^T - I and the two radial scalars
-
-        alpha = (i/8) (H_0(k_s r) / mu + H_0(k_p r) / (lambda + 2 mu)),
-        beta  = (i/8) (H_2(k_s r) / mu - H_2(k_p r) / (lambda + 2 mu)),
-
-    H_2(t) = (2/t) H_1(t) - H_0(t), from one table call for both wavenumbers.
-    """
-    diff, r = _separation(x, z)
+def _radial_scalars(r, sys: LameSystem, derivative=False):
+    """alpha and beta of G = alpha I + beta D at the distances r, and with
+    ``derivative`` also alpha' and beta' in r, from one order-0/1 table
+    for both wavenumbers (H_0' = -H_1, H_2' = H_1 - (2/t) H_2)."""
     t = np.multiply.outer((sys.k_s, sys.k_p), r)
     h0, h2 = specfun.hankel1_table(1, t)
-    h2 *= 2.0 / t  # H_1 becomes H_2 = (2/t) H_1 - H_0 in place
+    h1 = h2.copy() if derivative else None
+    two_t = 2.0 / t
+    h2 *= two_t  # H_1 becomes H_2 = (2/t) H_1 - H_0 in place
     h2 -= h0
     c_s, c_p = 0.125j / sys.mu, 0.125j / (sys.lam + 2.0 * sys.mu)
     alpha = c_s * h0[0] + c_p * h0[1]
     beta = c_s * h2[0] - c_p * h2[1]
+    if not derivative:
+        return alpha, beta
+    dh2 = h1 - two_t * h2
+    c_s, c_p = c_s * sys.k_s, c_p * sys.k_p
+    return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
+
+
+def green_tensor(x, z, sys: LameSystem):
+    """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
+    (..., 2, 2), with alpha and beta as in the module docstring."""
+    diff, r = _separation(x, z)
+    alpha, beta = _radial_scalars(r, sys)
     # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
     dx, dy = diff[..., 0], diff[..., 1]
     beta /= r * r
@@ -165,38 +149,28 @@ def incident_field_directional(x, srcs, sys: LameSystem, e):
 
     Both are (S,) + x.shape arrays, one row per source in ``srcs``, each
     with its own polarization.  ``e`` broadcasts against x, one direction
-    per point.  The derivative contracts the third-derivative tensor of the
-    radial g = Phi_s - Phi_p with p and e:
+    per point.  With G p = (alpha - beta) p + 2 beta (d.p) d and
+    d_e r = d.e, d_e d = (e - (d.e) d) / r, the derivative is
 
-        sum_jk T_ijk p_k e_j = (B/r) (d_i (p.e) + (d.e) p_i + (d.p) e_i)
-                               + (dB/dr - 2B/r) (d.p) (d.e) d_i,
-
-    with B = g'' - g'/r.
+        (alpha' - beta') (d.e) p + (2 beta/r) ((p.e) d + (d.p) e)
+                                 + (2 beta' - 4 beta/r) (d.e) (d.p) d.
     """
     shape = (len(srcs),) + (1,) * (np.ndim(x) - 1) + (2,)  # broadcasts against x
     p = np.reshape([src.polarization for src in srcs], shape)
     diff, r = _separation(x, np.reshape([src.location for src in srcs], shape))
     d = diff / r[..., None]
     e = np.asarray(e, dtype=float)
-
-    (phs, _), (dphs, dphp), (d2phs, d2php), (d3phs, d3php) = _phi_radial(
-        (sys.k_s, sys.k_p), r
-    )
-    dg = dphs - dphp
-    d2g = d2phs - d2php
-    d3g = d3phs - d3php
-
-    B = d2g - dg / r
-    Bp = d3g - d2g / r + dg / (r * r)
     # radial factors against the trailing component axis
-    phs, dphs, dg, B, Bp, r = (f[..., None] for f in (phs, dphs, dg, B, Bp, r))
+    alpha, beta, dalpha, dbeta, r = (
+        f[..., None] for f in _radial_scalars(r, sys, derivative=True) + (r,)
+    )
     dp = np.sum(d * p, axis=-1, keepdims=True)
     de = np.sum(d * e, axis=-1, keepdims=True)
     pe = np.sum(p * e, axis=-1, keepdims=True)
 
-    value = (phs / sys.mu) * p + ((dg / r) * p + B * dp * d) / sys.omega ** 2
-    tv = (B / r) * (d * pe + de * p + dp * e) + (Bp - 2.0 * B / r) * dp * de * d
-    deriv = (dphs * de / sys.mu) * p + tv / sys.omega ** 2
+    value = (alpha - beta) * p + 2.0 * beta * dp * d
+    deriv = ((dalpha - dbeta) * de * p + (2.0 * beta / r) * (pe * d + dp * e)
+             + (2.0 * dbeta - 4.0 * beta / r) * de * dp * d)
     return value, deriv
 
 

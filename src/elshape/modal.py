@@ -307,9 +307,7 @@ def eval_gradient(mf: ModalField, x) -> np.ndarray:
 # limited aperture
 # ---------------------------------------------------------------------------
 
-def limited_aperture_fit(
-    rec: ScatterRecord, N: int, reg: float = 0.0, R: float | None = None
-) -> ModalField:
+def limited_aperture_fit(rec: ScatterRecord, N: int, reg: float, R: float) -> ModalField:
     """Least-squares coefficient fit for arc data, with optional ridge.
 
     The design matrix is the evaluators' basis at the receivers: one row
@@ -329,10 +327,9 @@ def limited_aperture_fit(
             f"underdetermined fit: {2 * m} equations for {n_unknowns} unknowns"
         )
     rho = rec.rho
-    R_ref = rho / 6.0 if R is None else R
-    if not 0.0 < R_ref < rho:
+    if not 0.0 < R < rho:
         raise ConfigError("reference radius must lie in (0, rho)")
-    basis = _basis(N, R_ref, rec.sys, np.full(m, rho), theta, ("value",))
+    basis = _basis(N, R, rec.sys, np.full(m, rho), theta, ("value",))
     a = basis.reshape(n_unknowns, 2 * m).T
     b = rec.values.reshape(rec.n_sources, 2 * m)
 
@@ -345,7 +342,7 @@ def limited_aperture_fit(
     x = ((b @ u.conj()) * filt) @ vh.conj()
     return ModalField(
         N=N,
-        R=R_ref,
+        R=R,
         rho=rho,
         sys=rec.sys,
         phat_p=x[:, : 2 * N + 1],

@@ -117,24 +117,25 @@ class ScatterRecord:
             sources = tuple(
                 PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
             )
+            receivers = np.asarray(doc["receivers"], dtype=float)
+            if not sources:
+                raise ConfigError("record has no sources")
+            if not receivers.size:
+                raise ConfigError("record has no receivers")
             raw = np.asarray(doc["values"], dtype=float)
-            if raw.size:
-                values = raw[..., 0::2] + 1j * raw[..., 1::2]
-            else:
-                values = np.zeros((len(sources), len(doc["receivers"]), 2), dtype=complex)
             return cls(
                 rho=doc["rho"],
                 sys=sys,
                 sources=sources,
-                receivers=np.asarray(doc["receivers"], dtype=float),
-                values=values,
+                receivers=receivers,
+                values=raw[..., 0::2] + 1j * raw[..., 1::2],
                 aperture=tuple(doc["aperture"]),
             )
         except ConfigError:
             raise
         except KeyError as exc:
             raise ConfigError(f"record is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"malformed record: {exc}") from None
 
     @classmethod

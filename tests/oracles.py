@@ -3,13 +3,17 @@
 Nothing here touches the library's evaluation paths: Bessel values come
 from ascending power series or mpmath, derivatives from central
 differences, PDE residuals from explicit stencils, tail sums from direct
-summation.
+summation.  The one exception is ``hessian_green_tensor``, a second
+double-precision route to G that shares the library's Hankel table, so
+that a test can compare two algebras on the same Hankel values.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from elshape import specfun
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -74,11 +78,10 @@ def mp_ln_gamma(x: float) -> float:
     return float(mpmath.loggamma(x))
 
 
-def mp_green_tensor(diff, sys) -> np.ndarray:
-    """G at the offset ``diff`` (a float 2-vector, taken as exact) from the
+def _mp_green(dx, dy, sys):
+    """Entries (g_xx, g_xy, g_yy) of G at the mpf offset (dx, dy) from the
     closed form (i/8) [(H_0^s I + H_2^s D)/mu + (H_0^p I - H_2^p D)/(lambda + 2 mu)],
     D = 2 d d^T - I, with mpmath Hankel values of orders 0 and 2."""
-    dx, dy = mpmath.mpf(float(diff[0])), mpmath.mpf(float(diff[1]))
     r2 = dx * dx + dy * dy
     r = mpmath.sqrt(r2)
     c_s = mpmath.mpc(0, 1) / (8 * mpmath.mpf(sys.mu))
@@ -87,10 +90,48 @@ def mp_green_tensor(diff, sys) -> np.ndarray:
     alpha = c_s * mpmath.hankel1(0, t_s) + c_p * mpmath.hankel1(0, t_p)
     beta = c_s * mpmath.hankel1(2, t_s) - c_p * mpmath.hankel1(2, t_p)
     d_xx, d_xy = (dx * dx - dy * dy) / r2, 2 * dx * dy / r2
-    return np.array([
-        [complex(alpha + beta * d_xx), complex(beta * d_xy)],
-        [complex(beta * d_xy), complex(alpha - beta * d_xx)],
-    ])
+    return alpha + beta * d_xx, beta * d_xy, alpha - beta * d_xx
+
+
+def mp_green_tensor(diff, sys) -> np.ndarray:
+    """G at the offset ``diff`` (a float 2-vector, taken as exact)."""
+    g_xx, g_xy, g_yy = _mp_green(mpmath.mpf(float(diff[0])), mpmath.mpf(float(diff[1])), sys)
+    return np.array([[complex(g_xx), complex(g_xy)], [complex(g_xy), complex(g_yy)]])
+
+
+def mp_green_directional(diff, p, e, sys) -> np.ndarray:
+    """d/dh G(diff + h e) p at h = 0 from the closed form, by a central
+    difference with h = 1e-18 at 50 digits: truncation below 1e-30 relative
+    for |diff| >= 1e-3, round-off near 1e-32.  ``diff``, ``p`` and ``e`` are
+    float 2-vectors taken as exact."""
+    with mpmath.workdps(50):
+        (dx, dy), (p1, p2), (e1, e2) = ([mpmath.mpf(float(v)) for v in w] for w in (diff, p, e))
+        h = mpmath.mpf("1e-18")
+        plus = _mp_green(dx + h * e1, dy + h * e2, sys)
+        minus = _mp_green(dx - h * e1, dy - h * e2, sys)
+        g_xx, g_xy, g_yy = ((a - b) / (2 * h) for a, b in zip(plus, minus))
+        return np.array([complex(g_xx * p1 + g_xy * p2), complex(g_xy * p1 + g_yy * p2)])
+
+
+def hessian_green_tensor(x, z, sys) -> np.ndarray:
+    """G = (1/mu) Phi_s I + (1/omega^2) grad grad^T (Phi_s - Phi_p) in double
+    precision, with grad grad^T f = (f'/r) I + (f'' - f'/r) d d^T: the Hessian
+    route.  Phi = (i/4) H_0(k r), Phi' = -(i/4) k H_1 and
+    Phi'' = (i/4) k^2 (H_1/t - H_0) take H_0 and H_1 from the library's
+    table, so against the closed form only the algebra differs."""
+    diff = x - z
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    d = diff / r[..., None]
+    k = np.reshape((sys.k_s, sys.k_p), (2,) + (1,) * r.ndim)
+    t = k * r
+    h0, h1 = specfun.hankel1_table(1, t)
+    (phs, _), (dphs, dphp), (d2phs, d2php) = (
+        0.25j * h0, -0.25j * k * h1, 0.25j * k * k * (h1 / t - h0)
+    )
+    radial = (dphs - dphp) / r
+    ddT = d[..., :, None] * d[..., None, :]
+    hess = radial[..., None, None] * np.eye(2) + (d2phs - d2php - radial)[..., None, None] * ddT
+    return (phs / sys.mu)[..., None, None] * np.eye(2) + hess / sys.omega ** 2
 
 
 def modal_matrix(n: int, rho: float, R: float, sys) -> np.ndarray:

@@ -263,7 +263,11 @@ class TestReconstructCommand:
         lambda doc: doc.update(rho="three"),
         lambda doc: doc["values"][0].pop(),
         lambda doc: doc["lame"].update(mu=0.0),
-    ], ids=["missing_key", "non_numeric_rho", "ragged_values", "zero_mu"])
+        lambda doc: doc.update(values=5.0),
+        lambda doc: doc.update(sources=[], values=[]),
+        lambda doc: doc.update(receivers=[], values=[]),
+    ], ids=["missing_key", "non_numeric_rho", "ragged_values", "zero_mu", "scalar_values",
+            "no_sources", "no_receivers"])
     def test_malformed_record_is_validation_error(self, workspace, tmp_path, capsys, corrupt):
         root, cfg = workspace
         doc = json.loads((root / "record.json").read_text())
@@ -276,6 +280,7 @@ class TestReconstructCommand:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "run.json").exists()
 
     def test_rerun_byte_identical(self, workspace, tmp_path_factory):
         root, cfg = workspace

@@ -371,7 +371,7 @@ class TestLimitedApertureFit:
     def test_underdetermined_rejected(self):
         rec = record_from_disk_series(1.0, (SRC,), SYS5, RHO, 16)
         with pytest.raises(ConfigError):
-            limited_aperture_fit(rec, 10, reg=0.0)
+            limited_aperture_fit(rec, 10, reg=0.0, R=0.5)
 
 
 @pytest.fixture(scope="module", params=["full", "arc"])
