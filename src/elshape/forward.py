@@ -8,11 +8,12 @@ Two independent routes produce scattered fields for a rigid obstacle
   of the boundary, fitted by oversampled least-squares collocation of
   v = -u_inc on the boundary.  Works for any smooth parametric curve.
   One Householder QR of [A | B] gives A's triangle R and Q^H B, and one
-  triangular solve gives every source's charges.  No rank is truncated:
-  the system is ill-conditioned (cond up to ~1e9 at the shipped
-  resolutions, ~1e16 when over-resolved), but a backward-stable solve
-  still gives an accurate field (Barnett & Betcke, JCP 2008), which the
-  collocation residual reports.
+  blocked back-substitution on R (64-row diagonal blocks, one product
+  per block column for the rows above) gives every source's charges.
+  No rank is truncated: the system is ill-conditioned (cond up to ~1e9 at
+  the shipped resolutions, ~1e16 when over-resolved), but a
+  backward-stable solve still gives an accurate field (Barnett & Betcke,
+  JCP 2008), which the collocation residual reports.
 
 * ``disk_series`` solves the disk case exactly: the incident potentials
   are expanded about the origin in the regular Bessel basis (addition
@@ -41,6 +42,8 @@ from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
 RESIDUAL_WARN = 1e-6
+#: rows of the diagonal blocks that ``_back_substitute`` solves densely
+BACK_SUB_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def solve_mfs(
     r = np.linalg.qr(np.hstack([a, b]), mode="r")
     if not np.all(np.diagonal(r[:n, :n])):
         raise SolveError("rank-deficient MFS collocation matrix")
-    coef = np.linalg.solve(r[:n, :n], r[:n, n:])
+    coef = _back_substitute(r[:n, :n], r[:n, n:])
     residuals = np.max(np.abs(a @ coef - b), axis=0)
     if warn_above is not None and np.any(residuals > warn_above):
         worst = int(np.argmax(residuals))
@@ -134,6 +137,24 @@ def solve_mfs(
     return MfsSolution(
         charges=charges, strengths=strengths, residuals=residuals, sys=sys, sources=srcs
     )
+
+
+def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve r x = y for an upper-triangular r with nonzero diagonal.
+
+    numpy has no triangular solver, so the diagonal blocks of
+    BACK_SUB_BLOCK rows are solved bottom-up with ``np.linalg.solve``: on
+    an upper triangle partial pivoting keeps the diagonal as pivot and every
+    multiplier is zero, so its LU costs a block's size cubed, not R's.
+    One product per block column then removes the solved unknowns from
+    the rows above.
+    """
+    x = np.array(y, dtype=np.result_type(r, y))
+    b = BACK_SUB_BLOCK
+    for lo in range((r.shape[0] - 1) // b * b, -1, -b):
+        x[lo : lo + b] = np.linalg.solve(r[lo : lo + b, lo : lo + b], x[lo : lo + b])
+        x[:lo] -= r[:lo, lo : lo + b] @ x[lo : lo + b]
+    return x
 
 
 def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float:

@@ -19,8 +19,11 @@ beta_{p,n} beta_{s,n} Lambda_n with
     Lambda_n = n^2/rho^2 - alpha_{p,n} alpha_{s,n} / (beta_{p,n} beta_{s,n}),
 
 nonzero for every integer n, so the coefficients follow in closed form.
-Radial derivatives use kappa_{xi,n}(r) = alpha_{xi,n}'(r)
-= k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R).
+The projection of full-circle data is one matrix product of every
+source's samples with the trapezoid weights, and it and the 2x2 inverse
+both act on each mode alone, so an extraction at order N holds every
+lower order's coefficients.  Radial derivatives use
+kappa_{xi,n}(r) = alpha_{xi,n}'(r) = k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
@@ -149,7 +152,9 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
 
     On an equispaced receiver grid the trapezoid rule is the exact discrete
     Fourier transform, so the projections are exact for band-limited data
-    up to the aliasing order.
+    up to the aliasing order.  The rule is one (S, 2M) @ (2M, 2(2N+1))
+    product: rows (receiver, component), columns (frame vector, order),
+    entries e_r(theta_m) e^{-i n theta_m} / M and e_t(theta_m) e^{-i n theta_m} / M.
     """
     if not rec.is_full_aperture:
         raise ConfigError("modal_rhs needs full aperture; use limited_aperture_fit")
@@ -161,13 +166,13 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     if not np.allclose(gaps, 2.0 * np.pi / m, rtol=0.0, atol=1e-9):
         raise ConfigError("modal_rhs needs equispaced receivers")
 
-    # radial and tangential components of the data, each (n_sources, M)
-    e_r = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    e_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    g_r, g_t = np.sum(rec.values * e_r, axis=-1), np.sum(rec.values * e_t, axis=-1)
-    n = np.arange(-N, N + 1)
-    phase = np.exp(-1j * theta[:, None] * n[None, :])         # (M, 2N+1)
-    return ModalRhs(N=N, f_p=g_r @ phase / m, f_s=g_t @ phase / m)
+    # frame[m, c, w]: component c of e_r (w = 0) or e_t (w = 1) at theta_m
+    ct, st = np.cos(theta), np.sin(theta)
+    frame = np.moveaxis(np.array([[ct, -st], [st, ct]]), -1, 0)
+    phase = np.exp(-1j * theta[:, None] * np.arange(-N, N + 1)) / m   # (M, 2N+1)
+    proj = (frame[..., None] * phase[:, None, None, :]).reshape(2 * m, 2 * (2 * N + 1))
+    f = rec.values.reshape(rec.n_sources, 2 * m) @ proj
+    return ModalRhs(N=N, f_p=f[:, : 2 * N + 1], f_s=f[:, 2 * N + 1 :])
 
 
 def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):

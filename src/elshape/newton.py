@@ -46,7 +46,7 @@ from .config import ReconstructionConfig
 from .elastic import LameSystem, incident_field_directional
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
-from .geometry import StarCurve, basis_matrix
+from .geometry import ADMISSIBILITY_GRID, StarCurve, basis_matrix
 from .modal import ModalField, eval_radial, extract_field
 from .records import ScatterRecord
 
@@ -203,6 +203,9 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         return finish("modal_failure", str(exc))
 
     t_grid = np.linspace(0.0, 2.0 * np.pi, cfg["collocation.n"], endpoint=False)
+    # StarCurve.min_radius's grid, its basis built once for every candidate
+    t_admit = np.linspace(0.0, 2.0 * np.pi, ADMISSIBILITY_GRID, endpoint=False)
+    admissibility = basis_matrix(t_admit, guess.degree)
     current = guess
     for _ in range(cfg["max_iter"]):
         try:
@@ -213,7 +216,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
 
         for _ in range(6):
             candidate = StarCurve(current.coeffs + dc)
-            if candidate.min_radius() > R:
+            if np.min(admissibility @ candidate.coeffs) > R:
                 break
             dc = 0.5 * dc
         else:

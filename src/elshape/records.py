@@ -36,6 +36,15 @@ def aperture_error(aperture) -> str:
     return ""
 
 
+def _emptiness_error(n_sources: int, n_receivers: int) -> str:
+    """Why a record of this size cannot be stored; "" if it can."""
+    if not n_sources:
+        return "record has no sources"
+    if not n_receivers:
+        return "record has no receivers"
+    return ""
+
+
 @dataclass(frozen=True)
 class ScatterRecord:
     """Scattered-field samples: ``values[i, j]`` is sources[i] at receivers[j]."""
@@ -81,11 +90,14 @@ class ScatterRecord:
 
     def polarization(self) -> np.ndarray:
         pols = {s.polarization for s in self.sources}
-        if len(pols) > 1:
-            raise ValueError("record sources carry mixed polarizations")
-        return np.array(pols.pop()) if pols else np.array([1.0, 0.0])
+        if len(pols) != 1:
+            raise ValueError(f"record sources carry {len(pols)} polarizations, need one")
+        return np.array(pols.pop())
 
     def to_json_dict(self) -> dict:
+        """The JSON layout; a record ``from_json_dict`` would refuse raises ConfigError."""
+        if problem := _emptiness_error(self.n_sources, self.n_receivers):
+            raise ConfigError(problem)
         pol = self.polarization()
         return {
             "rho": self.rho,
@@ -104,8 +116,9 @@ class ScatterRecord:
         }
 
     def save(self, path) -> None:
+        doc = self.to_json_dict()
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
 
     @classmethod
@@ -118,10 +131,8 @@ class ScatterRecord:
                 PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
             )
             receivers = np.asarray(doc["receivers"], dtype=float)
-            if not sources:
-                raise ConfigError("record has no sources")
-            if not receivers.size:
-                raise ConfigError("record has no receivers")
+            if problem := _emptiness_error(len(sources), receivers.size):
+                raise ConfigError(problem)
             raw = np.asarray(doc["values"], dtype=float)
             return cls(
                 rho=doc["rho"],

@@ -3,9 +3,12 @@
 Nothing here touches the library's evaluation paths: Bessel values come
 from ascending power series or mpmath, derivatives from central
 differences, PDE residuals from explicit stencils, tail sums from direct
-summation.  The one exception is ``hessian_green_tensor``, a second
-double-precision route to G that shares the library's Hankel table, so
-that a test can compare two algebras on the same Hankel values.
+summation.  Two helpers are exceptions: ``hessian_green_tensor``, a
+second double-precision route to G that shares the library's Hankel
+table, so that a test can compare two algebras on the same Hankel values,
+and ``decay_profile_per_order``, which runs the library's extraction and
+evaluation once per truncation order, so that a test can check the
+one-extraction profile against it.
 """
 
 import math
@@ -14,6 +17,10 @@ import mpmath
 import numpy as np
 
 from elshape import specfun
+from elshape.elastic import POLARIZATION, PointSource
+from elshape.forward import disk_series, measure
+from elshape.geometry import disk
+from elshape.modal import eval_field, modal_rhs, solve_modal
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -132,6 +139,33 @@ def hessian_green_tensor(x, z, sys) -> np.ndarray:
     ddT = d[..., :, None] * d[..., None, :]
     hess = radial[..., None, None] * np.eye(2) + (d2phs - d2php - radial)[..., None, None] * ddT
     return (phs / sys.mu)[..., None, None] * np.eye(2) + hess / sys.omega ** 2
+
+
+def trapezoid_rhs(theta, values, N: int):
+    """(f_p, f_s): per order n = -N..N, the mean over the receivers of the
+    radial and tangential data components times e^{-i n theta}."""
+    g_r = values[..., 0] * np.cos(theta) + values[..., 1] * np.sin(theta)
+    g_t = -values[..., 0] * np.sin(theta) + values[..., 1] * np.cos(theta)
+    f_p, f_s = [], []
+    for n in range(-N, N + 1):
+        phase = np.exp(-1j * n * theta)
+        f_p.append(np.mean(g_r * phase, axis=-1))
+        f_s.append(np.mean(g_t * phase, axis=-1))
+    return np.stack(f_p, axis=-1), np.stack(f_s, axis=-1)
+
+
+def decay_profile_per_order(radius, source_xy, sys, R, orders, rho=3.0, n_receivers=256):
+    """``verify.decay_profile`` by one extraction and evaluation per order:
+    (RMS error on the data circle per order, RMS of the data)."""
+    rec = measure(disk_series(radius, (PointSource(source_xy, POLARIZATION),), sys, 60),
+                  rho, n_receivers)
+    errs = []
+    for N in orders:
+        mf = solve_modal(modal_rhs(rec, N), rho, R, sys)
+        approx = eval_field(mf, disk(rho).point(rec.receivers))
+        errs.append(np.sqrt(np.mean(np.sum(np.abs(approx - rec.values) ** 2, axis=-1))))
+    scale = float(np.sqrt(np.mean(np.sum(np.abs(rec.values) ** 2, axis=-1))))
+    return np.array(errs), scale
 
 
 def modal_matrix(n: int, rho: float, R: float, sys) -> np.ndarray:

@@ -178,6 +178,16 @@ class TestQrSolve:
         ref = record_from_disk_series(1.0, srcs, SYS1, 3.0, 128)
         assert rel_max(rec.values, ref.values) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 64, 130])
+    def test_back_substitute_matches_solve(self, n):
+        # a partial block, one full block, and two full blocks plus two rows
+        rng = np.random.default_rng(n)
+        r = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        r[np.diag_indices(n)] = 2.0 + rng.uniform(size=n)
+        y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        want = np.linalg.solve(r, y)
+        assert rel_max(forward._back_substitute(r, y), want) <= 1e-13
+
     @pytest.mark.parametrize("zeroed", [slice(None), slice(5, 6)], ids=["all", "one_column"])
     def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed):
         charge_matrix = forward._charge_matrix
@@ -312,6 +322,22 @@ class TestSimulate:
                        shrink=0.7)
         assert rec.n_sources == 0
         assert rec.values.shape == (0, 16, 2)
+
+    @pytest.mark.parametrize("empty", ["no_sources", "no_receivers"])
+    def test_empty_record_not_saved(self, tmp_path, empty):
+        # load refuses both, so save must not write them
+        if empty == "no_sources":
+            rec = simulate(disk(1.0), (), SYS5, 3.0, 16, n_charges=16, n_collocation=32,
+                           shrink=0.7)
+        else:
+            rec = ScatterRecord(
+                rho=3.0, sys=SYS5, sources=(SRC,), receivers=np.zeros(0),
+                values=np.zeros((1, 0, 2), complex), aperture=(0.0, 2.0 * np.pi),
+            )
+        path = tmp_path / "record.json"
+        with pytest.raises(ConfigError, match=empty.replace("_", " ")):
+            rec.save(path)
+        assert not path.exists()
 
     def test_residual_log_in_source_order(self):
         srcs = ring_sources(5, 3.0, POL)

@@ -356,6 +356,14 @@ class TestVerifyCommand:
             r["check"] for r in rows
         }
 
+    def test_csv_byte_identical_across_runs(self, tmp_path):
+        # the per-check seconds go to stdout only
+        for run in ("a", "b"):
+            assert main(["verify", "--out-dir", str(tmp_path / run)]) == 0
+        first = (tmp_path / "a" / "verify.csv").read_bytes()
+        assert first == (tmp_path / "b" / "verify.csv").read_bytes()
+        assert b"seconds" not in first
+
     def test_failure_exits_nonzero(self, monkeypatch, capsys):
         from elshape import verify as verify_mod
         from elshape.verify import CheckResult

@@ -85,6 +85,32 @@ class TestModalRhs:
         with pytest.raises(AliasingError):
             modal_rhs(frame_record(values, n=16), N=8)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_per_mode_trapezoid_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        values = rng.normal(size=(rows, 64, 2)) + 1j * rng.normal(size=(rows, 64, 2))
+        rec = ScatterRecord(
+            rho=RHO, sys=SYS5, sources=(SRC,) * rows, receivers=theta,
+            values=values, aperture=(0.0, 2.0 * np.pi),
+        )
+        rhs = modal_rhs(rec, N=20)
+        f_p, f_s = oracles.trapezoid_rhs(theta, values, 20)
+        scale = max(np.max(np.abs(f_p)), np.max(np.abs(f_s)))
+        assert rhs.f_p.shape == rhs.f_s.shape == (rows, 41)
+        assert np.max(np.abs(rhs.f_p - f_p)) <= 1e-14 * scale
+        assert np.max(np.abs(rhs.f_s - f_s)) <= 1e-14 * scale
+
+    def test_unequal_spacing_refused(self):
+        theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        theta[3] += 0.01
+        rec = ScatterRecord(
+            rho=RHO, sys=SYS5, sources=(SRC,), receivers=theta,
+            values=np.ones((1, 32, 2), complex), aperture=(0.0, 2.0 * np.pi),
+        )
+        with pytest.raises(ConfigError, match="equispaced"):
+            modal_rhs(rec, N=4)
+
     def test_partial_aperture_refused(self):
         theta = np.linspace(0.0, np.pi, 64, endpoint=False)
         rec = ScatterRecord(
@@ -463,6 +489,19 @@ class TestDecayAndNoise:
         orders = np.arange(13, 22)
         errs, scale = decay_profile(np.sqrt(0.3 * 16.0), (16.0, 0.0), SYS1, 0.3, orders)
         assert decay_slope(orders, errs, scale) <= -np.log(3.0 / 0.3) + 0.15
+
+    @pytest.mark.parametrize("R", [0.5, 0.3])
+    def test_decay_profile_matches_per_order_extraction(self, R):
+        # one extraction at the top order, truncated per order, against an
+        # extraction and evaluation at every order
+        from elshape.verify import decay_profile
+
+        orders = np.arange(13, 22)
+        args = (np.sqrt(16.0 * R), (16.0, 0.0), SYS1, R, orders)
+        errs, scale = decay_profile(*args)
+        ref, ref_scale = oracles.decay_profile_per_order(*args)
+        assert scale == ref_scale
+        assert np.max(np.abs(errs - ref)) <= 1e-15 * scale
 
     def test_noise_response_linear_in_delta(self):
         from elshape.verify import noise_halving_ratios
