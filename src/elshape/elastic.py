@@ -10,17 +10,16 @@ fundamental displacement tensor of the Navier operator is
 
     G(x, z) = (1/mu) Phi_s I + (1/omega^2) grad grad^T (Phi_s - Phi_p).
 
-Both point-source kernels use its closed form,
+``green_tensor`` evaluates its closed form,
 
     G = alpha I + beta D,     D = 2 d d^T - I,     d = (x - z)/r,
     alpha = (i/8) (H_0(k_s r) / mu + H_0(k_p r) / (lambda + 2 mu)),
     beta  = (i/8) (H_2(k_s r) / mu - H_2(k_p r) / (lambda + 2 mu)),
 
 with H_2(t) = (2/t) H_1(t) - H_0(t): two complex scalars per pair from one
-order-0/1 table for both wavenumbers.  The derivative of G p along a
-direction differentiates the same two scalars, with H_0' = -H_1 and
-H_2' = H_1 - (2/t) H_2, and the unit vector d, so it needs no further
-Hankel order.  No finite differences are used outside the test suite.
+order-0/1 table for both wavenumbers.  With a direction it also gives
+G's derivative along it, so the incident fields and their derivatives
+contract one kernel; no finite differences are used outside the test suite.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -117,66 +116,65 @@ def _radial_scalars(r, sys: LameSystem, derivative=False):
     return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
 
 
-def green_tensor(x, z, sys: LameSystem):
+def green_tensor(x, z, sys: LameSystem, e=None):
     """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
-    (..., 2, 2), with alpha and beta as in the module docstring."""
+    (..., 2, 2), with alpha and beta as in the module docstring.
+
+    With a direction ``e`` that broadcasts against x, (G, d_e G), the second
+    of shape broadcast(r, e) + (2, 2).  G = (alpha - beta) I + 2 beta d d^T,
+    d_e r = d.e and d_e d = (e - (d.e) d) / r give, with H_0' = -H_1 and
+    H_2' = H_1 - (2/t) H_2 (so no further Hankel order),
+
+        d_e G = a I + b d d^T + c (e d^T + d e^T),      c = 2 beta / r,
+        a = (alpha' - beta') (d.e),      b = (2 beta' - 4 beta / r) (d.e).
+    """
     diff, r = _separation(x, z)
-    alpha, beta = _radial_scalars(r, sys)
+    alpha, beta, *slopes = _radial_scalars(r, sys, derivative=e is not None)
     # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
     dx, dy = diff[..., 0], diff[..., 1]
-    beta /= r * r
-    b_xx = beta * (dx * dx - dy * dy)
+    b_r2 = beta / (r * r)
+    b_xx = b_r2 * (dx * dx - dy * dy)
     g = np.empty(r.shape + (2, 2), dtype=complex)
     np.add(alpha, b_xx, out=g[..., 0, 0])
     np.subtract(alpha, b_xx, out=g[..., 1, 1])
-    np.multiply(beta, 2.0 * dx * dy, out=g[..., 0, 1])
+    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
     g[..., 1, 0] = g[..., 0, 1]
-    return g
+    if e is None:
+        return g
+
+    dalpha, dbeta = slopes
+    e = np.asarray(e, dtype=float)
+    ux, uy, ex, ey = dx / r, dy / r, e[..., 0], e[..., 1]  # d = (ux, uy)
+    de = ux * ex + uy * ey
+    a = (dalpha - dbeta) * de
+    b = (2.0 * dbeta - 4.0 * beta / r) * de
+    c = 2.0 * beta / r
+    dg = np.empty(de.shape + (2, 2), dtype=complex)
+    dg[..., 0, 0] = a + b * (ux * ux) + c * (2.0 * ex * ux)
+    dg[..., 1, 1] = a + b * (uy * uy) + c * (2.0 * ey * uy)
+    dg[..., 0, 1] = b * (ux * uy) + c * (ex * uy + ux * ey)
+    dg[..., 1, 0] = dg[..., 0, 1]
+    return g, dg
 
 
-def incident_field(x, srcs, sys: LameSystem):
+def incident_field(x, srcs, sys: LameSystem, e=None):
     """Displacements G(x, z) p of the sources in ``srcs``, each with its own
-    polarization: shape (S,) + x.shape, from one green_tensor call."""
+    polarization: shape (S,) + x.shape, from one green_tensor call.  With a
+    direction ``e``, (G p, (d_e G) p), the second of shape (S,) + broadcast(x, e).
+    """
     x = np.asarray(x, dtype=float)
     shape = (len(srcs),) + (1,) * (x.ndim - 1) + (2,)  # broadcasts against x
     z = np.reshape([src.location for src in srcs], shape)
     p = np.reshape([src.polarization for src in srcs], shape).astype(complex)
-    return (green_tensor(x, z, sys) @ p[..., None])[..., 0]
-
-
-def incident_field_directional(x, srcs, sys: LameSystem, e):
-    """(G(x, z) p, its derivative along e) from one radial table for both wavenumbers.
-
-    Both are (S,) + x.shape arrays, one row per source in ``srcs``, each
-    with its own polarization.  ``e`` broadcasts against x, one direction
-    per point.  With G p = (alpha - beta) p + 2 beta (d.p) d and
-    d_e r = d.e, d_e d = (e - (d.e) d) / r, the derivative is
-
-        (alpha' - beta') (d.e) p + (2 beta/r) ((p.e) d + (d.p) e)
-                                 + (2 beta' - 4 beta/r) (d.e) (d.p) d.
-    """
-    shape = (len(srcs),) + (1,) * (np.ndim(x) - 1) + (2,)  # broadcasts against x
-    p = np.reshape([src.polarization for src in srcs], shape)
-    diff, r = _separation(x, np.reshape([src.location for src in srcs], shape))
-    d = diff / r[..., None]
-    e = np.asarray(e, dtype=float)
-    # radial factors against the trailing component axis
-    alpha, beta, dalpha, dbeta, r = (
-        f[..., None] for f in _radial_scalars(r, sys, derivative=True) + (r,)
-    )
-    dp = np.sum(d * p, axis=-1, keepdims=True)
-    de = np.sum(d * e, axis=-1, keepdims=True)
-    pe = np.sum(p * e, axis=-1, keepdims=True)
-
-    value = (alpha - beta) * p + 2.0 * beta * dp * d
-    deriv = ((dalpha - dbeta) * de * p + (2.0 * beta / r) * (pe * d + dp * e)
-             + (2.0 * dbeta - 4.0 * beta / r) * de * dp * d)
-    return value, deriv
+    g = green_tensor(x, z, sys, e)
+    if e is None:
+        return np.einsum("...ij,...j->...i", g, p)
+    return tuple(np.einsum("...ij,...j->...i", tensor, p) for tensor in g)
 
 
 def grad_incident_field(x, srcs, sys: LameSystem):
     """Jacobians of the sources' incident fields, shape (S,) + x.shape + (2,):
     entry (..., i, j) is d u_i / d x_j."""
     x = np.asarray(x, dtype=float)[..., None, :]
-    _, deriv = incident_field_directional(x, srcs, sys, np.eye(2))
+    _, deriv = incident_field(x, srcs, sys, np.eye(2))
     return np.swapaxes(deriv, -1, -2)

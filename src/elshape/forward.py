@@ -26,7 +26,8 @@ inverse crime.  Both solutions carry the sources they were solved for,
 and ``measure`` samples either one on the receiver arc into a
 ScatterRecord; ``simulate`` is one MFS solve for all sources plus
 ``measure``.  ``add_noise`` applies the multiplicative per-component
-noise model v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1).
+noise model v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1);
+``noise_perturbation`` draws the added term alone.
 """
 
 import warnings
@@ -358,12 +359,16 @@ def record_from_disk_series(
     return measure(disk_series(radius, sources, sys, n_modes), rho, n_receivers, aperture)
 
 
-def add_noise(rec: ScatterRecord, delta: float, seed: int) -> ScatterRecord:
-    """Perturb each complex component: v + delta r1 |v| exp(i pi r2)."""
+def noise_perturbation(values: np.ndarray, delta: float, seed: int) -> np.ndarray:
+    """The seeded noise term delta r1 |v| exp(i pi r2) for each complex component of v."""
     if not 0.0 <= delta < 1.0:
         raise DomainError("noise level must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    r1 = rng.uniform(-1.0, 1.0, rec.values.shape)
-    r2 = rng.uniform(-1.0, 1.0, rec.values.shape)
-    noisy = rec.values + delta * r1 * np.abs(rec.values) * np.exp(1j * np.pi * r2)
-    return replace(rec, values=noisy)
+    r1 = rng.uniform(-1.0, 1.0, values.shape)
+    r2 = rng.uniform(-1.0, 1.0, values.shape)
+    return delta * r1 * np.abs(values) * np.exp(1j * np.pi * r2)
+
+
+def add_noise(rec: ScatterRecord, delta: float, seed: int) -> ScatterRecord:
+    """Perturb each complex component: v + delta r1 |v| exp(i pi r2)."""
+    return replace(rec, values=rec.values + noise_perturbation(rec.values, delta, seed))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig
-from .elastic import LameSystem, incident_field_directional
+from .elastic import LameSystem, incident_field
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
 from .geometry import ADMISSIBILITY_GRID, StarCurve, basis_matrix
@@ -51,7 +51,7 @@ from .modal import ModalField, eval_radial, extract_field
 from .records import ScatterRecord
 
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
-from .elastic import grad_incident_field, incident_field  # noqa: F401
+from .elastic import grad_incident_field  # noqa: F401
 from .modal import eval_field, eval_gradient  # noqa: F401
 
 #: a relative update exceeding this declares the run divergent
@@ -91,7 +91,7 @@ def assemble_system(
     pts = radii[:, None] * xhat
 
     v, dv = eval_radial(field, pts)
-    u_inc, du_inc = incident_field_directional(pts, srcs, sys, xhat)
+    u_inc, du_inc = incident_field(pts, srcs, sys, xhat)
     u, du = v + u_inc, dv + du_inc
 
     w = np.sum(du.real ** 2 + du.imag ** 2, axis=(0, 2))

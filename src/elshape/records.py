@@ -51,7 +51,7 @@ class ScatterRecord:
 
     rho: float
     sys: LameSystem
-    sources: tuple          # of PointSource, all sharing one polarization
+    sources: tuple          # of PointSource; a saved record needs one shared polarization
     receivers: np.ndarray   # sorted angles in [0, 2*pi), shape (M,)
     values: np.ndarray      # complex, shape (n_sources, M, 2)
     aperture: tuple         # (lo, hi), hi - lo <= 2*pi, hi may exceed 2*pi
@@ -89,9 +89,10 @@ class ScatterRecord:
         return bool(hi - lo >= 2.0 * np.pi - SPAN_TOL)
 
     def polarization(self) -> np.ndarray:
+        """The sources' shared polarization; ConfigError if they have none or several."""
         pols = {s.polarization for s in self.sources}
         if len(pols) != 1:
-            raise ValueError(f"record sources carry {len(pols)} polarizations, need one")
+            raise ConfigError(f"record sources carry {len(pols)} polarizations, need one")
         return np.array(pols.pop())
 
     def to_json_dict(self) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 from . import specfun
 from .elastic import POLARIZATION, LameSystem, PointSource
 from .forward import (
-    add_noise, disk_series, measure, record_from_disk_series, ring_sources, solve_mfs,
+    disk_series, measure, noise_perturbation, record_from_disk_series, ring_sources, solve_mfs,
 )
 from .geometry import disk
 from .modal import ModalField, eval_field, eval_gradient, lambda_n, modal_rhs, solve_modal
@@ -254,17 +254,17 @@ def noise_halving_ratios(n_trials: int = 20, N: int = 7) -> np.ndarray:
     """||v_N^d - v_N|| ratios when halving delta, independent draws.
 
     Extraction and evaluation are linear in the data, so v_N^d - v_N is
-    the field extracted from the noise alone (noisy minus clean values).
-    All 2 n_trials noise-only records go through one extraction as one
-    record with 2 n_trials times the sources; each norm is taken over its
-    record's sources on the receivers (the field has degree N + 1 < M/2 on
-    the circle, so the receiver mean is the circle's L2 mean).
+    the field extracted from the noise term alone.  All 2 n_trials noise
+    terms go through one extraction as one record with 2 n_trials times the
+    sources; each norm is taken over its record's sources on the receivers
+    (the field has degree N + 1 < M/2 on the circle, so the receiver mean
+    is the circle's L2 mean).
     """
     sys = LameSystem(1.0, 1.0, 5.0)
     srcs = ring_sources(20, 3.0, POLARIZATION)
     clean = record_from_disk_series(1.0, srcs, sys, 3.0, 128)
     noise = np.stack([
-        add_noise(clean, delta, seed).values - clean.values
+        noise_perturbation(clean.values, delta, seed)
         for i in range(n_trials) for delta, seed in ((0.05, 100 + i), (0.025, 500 + i))
     ])
     batch = replace(clean, sources=clean.sources * len(noise),
@@ -284,18 +284,9 @@ def check_noise_scaling() -> CheckResult:
 
 
 def check_noise_statistics() -> CheckResult:
-    sys = LameSystem(1.0, 1.0, 5.0)
     rng_values = np.random.default_rng(7)
-    values = (
-        rng_values.normal(size=(1, 5000, 2)) + 1j * rng_values.normal(size=(1, 5000, 2))
-    )
-    theta = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
-    rec = ScatterRecord(
-        rho=3.0, sys=sys, sources=(PointSource((3.0, 0.0), POLARIZATION),),
-        receivers=theta, values=values, aperture=(0.0, 2.0 * np.pi),
-    )
-    noisy = add_noise(rec, 0.05, 11)
-    ratio = np.abs(noisy.values - rec.values) / (0.05 * np.abs(rec.values))
+    values = rng_values.normal(size=(1, 5000, 2)) + 1j * rng_values.normal(size=(1, 5000, 2))
+    ratio = np.abs(noise_perturbation(values, 0.05, 11)) / (0.05 * np.abs(values))
     mean = float(np.mean(ratio))
     return _result("noise_statistics", 0.45 <= mean <= 0.55, mean, 0.5,
                    "mean perturbation modulus / (delta |v|) over 10^4 components")

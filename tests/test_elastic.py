@@ -10,7 +10,6 @@ from elshape.elastic import (
     grad_incident_field,
     green_tensor,
     incident_field,
-    incident_field_directional,
 )
 from elshape.errors import SingularityError
 
@@ -148,6 +147,42 @@ class TestGreenTensor:
         with pytest.raises(SingularityError):
             green_tensor(np.array([1.0, 1.0]), np.array([1.0, 1.0 + 1e-10]), SYS5)
 
+    @pytest.mark.parametrize(
+        "r, bound", [(1e-3, 1e-10), (1e-2, 1e-12), (0.1, 2e-14), (0.5, 2e-14),
+                     (2.0, 2e-14), (10.0, 2e-14)],
+    )
+    def test_directional_accuracy_against_mpmath(self, r, bound):
+        # column j of d_e G is d_e (G p) with p the j-th unit vector
+        ang = 0.1 + 2.0 * np.pi * np.arange(16) / 16
+        x = r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        e = np.array([np.cos(0.7), np.sin(0.7)])
+        want = np.array([
+            np.stack([oracles.mp_green_directional(pt, p, e, SYS5) for p in np.eye(2)], axis=-1)
+            for pt in x
+        ])
+        deriv = green_tensor(x, np.zeros(2), SYS5, e)[1]
+        assert np.max(np.abs(deriv - want)) <= bound * np.max(np.abs(want))
+
+    def test_directional_value_is_green_tensor(self):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-2.0, 2.0, size=(9, 2))
+        z = np.array([3.0, 0.5])
+        g, _ = green_tensor(x, z, SYS5, rng.normal(size=(9, 2)))
+        assert np.array_equal(g, green_tensor(x, z, SYS5))
+
+    def test_directional_shapes(self):
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-1.5, 1.5, size=(7, 2))
+        z = rng.uniform(2.5, 3.5, size=(3, 1, 2))
+        g, dg = green_tensor(x, z, SYS5, rng.normal(size=(7, 2)))
+        assert g.shape == dg.shape == (3, 7, 2, 2)
+        # one direction per coordinate axis, as grad_incident_field asks
+        g, dg = green_tensor(x[..., None, :], z[..., None, :], SYS5, np.eye(2))
+        assert g.shape == (3, 7, 1, 2, 2)
+        assert dg.shape == (3, 7, 2, 2, 2)
+        _, per_point = green_tensor(x, z, SYS5, np.broadcast_to(np.eye(2)[1], (7, 2)))
+        assert np.array_equal(dg[:, :, 1], per_point)
+
 
 class TestIncidentField:
     def test_linearity_in_polarization(self):
@@ -230,7 +265,7 @@ class TestIncidentFieldDirectional:
         angles = rng.uniform(0.0, 2.0 * np.pi, size=30)
         e = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         src = PointSource((0.0, 0.0), POL)
-        value, deriv = (f[0] for f in incident_field_directional(x, (src,), SYS5, e))
+        value, deriv = (f[0] for f in incident_field(x, (src,), SYS5, e))
         want_v = incident_field(x, (src,), SYS5)[0]
         want_d = np.einsum("spij,pj->spi", grad_incident_field(x, (src,), SYS5)[0], e)
         assert value.shape == deriv.shape == (5, 30, 2)
@@ -245,7 +280,7 @@ class TestIncidentFieldDirectional:
             x = z + rng.uniform(0.5, 8.0) * np.array([np.cos(a), np.sin(a)])
             e = np.array([np.cos(b), np.sin(b)])
             src = PointSource(tuple(z), tuple(rng.normal(size=2)))
-            deriv = incident_field_directional(x, (src,), SYS5, e)[1][0]
+            deriv = incident_field(x, (src,), SYS5, e)[1][0]
             fd = oracles.central_diff(
                 lambda h: incident_field(x + h * e, (src,), SYS5)[0], 0.0, 1e-5
             )
@@ -258,10 +293,10 @@ class TestIncidentFieldDirectional:
                 for _ in range(3)]
         x = rng.uniform(-1.5, 1.5, size=(4, 7, 2))
         e = rng.normal(size=(4, 7, 2))
-        value, deriv = incident_field_directional(x, srcs, SYS5, e)
+        value, deriv = incident_field(x, srcs, SYS5, e)
         assert value.shape == deriv.shape == (3, 4, 7, 2)
         for i, src in enumerate(srcs):
-            v1, d1 = incident_field_directional(x, (src,), SYS5, e)
+            v1, d1 = incident_field(x, (src,), SYS5, e)
             assert np.array_equal(value[i], v1[0]) and np.array_equal(deriv[i], d1[0])
             want_v = incident_field(x, (src,), SYS5)[0]
             assert np.max(np.abs(value[i] - want_v)) <= 1e-13 * np.max(np.abs(want_v))
@@ -278,5 +313,5 @@ class TestIncidentFieldDirectional:
         p, e = np.array([0.6, -0.8]), np.array([np.cos(0.7), np.sin(0.7)])
         src = PointSource((0.0, 0.0), tuple(p))
         want = np.array([oracles.mp_green_directional(pt, p, e, SYS5) for pt in x])
-        deriv = incident_field_directional(x, (src,), SYS5, e)[1][0]
+        deriv = incident_field(x, (src,), SYS5, e)[1][0]
         assert np.max(np.abs(deriv - want)) <= bound * np.max(np.abs(want))

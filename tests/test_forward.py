@@ -13,6 +13,7 @@ from elshape.forward import (
     add_noise,
     boundary_residual,
     disk_series,
+    noise_perturbation,
     receiver_angles,
     record_from_disk_series,
     ring_sources,
@@ -339,6 +340,16 @@ class TestSimulate:
             rec.save(path)
         assert not path.exists()
 
+    def test_mixed_polarizations_not_saved(self, tmp_path):
+        # the JSON layout holds one polarization for all sources
+        srcs = (PointSource((3.0, 0.0), (1.0, 0.0)), PointSource((0.0, 3.0), (0.0, 1.0)))
+        rec = simulate(disk(1.0), srcs, SYS5, 3.0, 16, n_charges=16, n_collocation=32,
+                       shrink=0.7, warn_above=None)
+        path = tmp_path / "record.json"
+        with pytest.raises(ConfigError, match="polarizations"):
+            rec.save(path)
+        assert not path.exists()
+
     def test_residual_log_in_source_order(self):
         srcs = ring_sources(5, 3.0, POL)
         log = []
@@ -406,6 +417,11 @@ class TestAddNoise:
         noisy = add_noise(rec, 0.05, seed=9)
         ratio = np.abs(noisy.values - rec.values) / (0.05 * np.abs(rec.values))
         assert 0.45 <= float(np.mean(ratio)) <= 0.55
+
+    def test_adds_the_drawn_perturbation(self, record):
+        noisy = add_noise(record, 0.05, seed=42)
+        delta_v = noise_perturbation(record.values, 0.05, seed=42)
+        assert np.array_equal(noisy.values, record.values + delta_v)
 
     def test_invalid_level_rejected(self, record):
         with pytest.raises(DomainError):
