@@ -200,6 +200,14 @@ class ReconstructionConfig:
     def __getitem__(self, key):
         return self.raw[key]
 
+    def mismatches(self, recorded) -> list:
+        """One "key: record a vs config b" line per (key, a) in ``recorded``
+        whose a differs from the configured b by more than 1e-12."""
+        return [
+            f"{key}: record {got!r} vs config {self.raw[key]!r}"
+            for key, got in recorded if abs(got - self.raw[key]) > 1e-12
+        ]
+
     @property
     def sys(self) -> LameSystem:
         return LameSystem(self.raw["lame.lambda"], self.raw["lame.mu"], self.raw["lame.omega"])

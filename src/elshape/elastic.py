@@ -51,6 +51,8 @@ class LameSystem:
     k_s: float = field(init=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.lam, self.mu, self.omega))):
+            raise ValueError("lambda, mu and omega must be finite")
         if not (self.mu > 0.0 and self.lam + self.mu > 0.0):
             raise ValueError("need mu > 0 and lambda + mu > 0")
         if not self.omega > 0.0:

@@ -23,7 +23,13 @@ The projection of full-circle data is one matrix product of every
 source's samples with the trapezoid weights, and it and the 2x2 inverse
 both act on each mode alone, so an extraction at order N holds every
 lower order's coefficients.  Radial derivatives use
-kappa_{xi,n}(r) = alpha_{xi,n}'(r) = k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R).
+kappa_{xi,n}(r) = alpha_{xi,n}'(r) = k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R);
+the angular derivative needs no table of its own, since
+U_n' = in U_n + V_n and V_n' = in V_n - U_n make d/dtheta v the field of
+the coefficients in c plus v turned a quarter.  The evaluators are
+``eval_field`` (v), ``eval_radial`` (v and d/dr v, the Newton step's pair)
+and ``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the
+rows c and in c).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
@@ -36,7 +42,7 @@ instances are immutable after construction and all evaluators are pure.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +59,6 @@ __all__ = [
     "solve_modal",
     "eval_field",
     "eval_radial",
-    "eval_polar_derivs",
     "eval_gradient",
     "limited_aperture_fit",
     "extract_field",
@@ -227,79 +232,76 @@ def _check_outside(mf: ModalField, r: np.ndarray):
         raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
 
 
-def _basis(N: int, R: float, sys: LameSystem, r, theta, kinds) -> np.ndarray:
-    """Source-independent basis, shape (2(2N+1), len(kinds), P, 2).
+def _basis(N: int, R: float, sys: LameSystem, r, theta, d_r: bool) -> np.ndarray:
+    """Source-independent basis, shape (2(2N+1), 1 + d_r, P, 2).
 
     Entry [w (2N+1) + N + n, i, p, c] is Cartesian component c at the point
-    (r_p, theta_p) of kinds[i] for a unit coefficient of order n in
-    potential w (0 = p, 1 = s): the U_n / V_n amplitudes times e^{in theta},
-    rotated to Cartesian components.  ``kinds`` holds "value", "d_r" and
-    "d_theta" in any order; r and theta are 1-D of length P.
+    (r_p, theta_p) of the value (i = 0) or, with ``d_r``, its d/dr (i = 1)
+    for a unit coefficient of order n in potential w (0 = p, 1 = s): the
+    U_n / V_n amplitudes times e^{in theta}, rotated to Cartesian
+    components.  r and theta are 1-D of length P.
     """
-    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r, "d_r" in kinds)
+    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r, d_r)
     (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
     n = np.arange(-N, N + 1, dtype=float)[:, None]
     inr = 1j * n / r
-    value = ((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))
-
-    frames = []  # per kind: ((a_p, b_p), (a_s, b_s)), each (2N+1, P)
-    for kind in kinds:
-        if kind == "value":
-            frames.append(value)
-        elif kind == "d_r":
-            frames.append((
-                (kappa[0], 1j * n * (alpha_p / r - beta_p / r ** 2)),
-                (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa[1]),
-            ))
-        else:  # d/dtheta mixes the frame: U_n' = in U_n + V_n, V_n' = in V_n - U_n
-            frames.append(tuple((1j * n * a - b, a + 1j * n * b) for a, b in value))
+    # per frame: ((a_p, b_p), (a_s, b_s)), each (2N+1, P)
+    frames = [((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))]
+    if d_r:
+        frames.append((
+            (kappa[0], 1j * n * (alpha_p / r - beta_p / r ** 2)),
+            (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa[1]),
+        ))
 
     ct, st = np.cos(theta), np.sin(theta)
     phase = np.exp(1j * n * theta)
-    basis = np.empty((2, n.size, len(kinds), r.size, 2), dtype=complex)
+    basis = np.empty((2, n.size, len(frames), r.size, 2), dtype=complex)
     for i, frame in enumerate(frames):
         for w, (a, b) in enumerate(frame):
             basis[w, :, i, :, 0] = (a * ct - b * st) * phase
             basis[w, :, i, :, 1] = (a * st + b * ct) * phase
-    return basis.reshape(2 * n.size, len(kinds), r.size, 2)
+    return basis.reshape(2 * n.size, len(frames), r.size, 2)
 
 
-def _evaluate(mf: ModalField, x, kinds) -> list:
-    """Field quantities of ``kinds`` at x, each lead + (..., 2) Cartesian.
+def _evaluate(mf: ModalField, x, d_r: bool) -> list:
+    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian.
 
-    One (lead, 2(2N+1)) @ (2(2N+1), kinds * P * 2) product of
+    One (lead, 2(2N+1)) @ (2(2N+1), frames * P * 2) product of
     [phat_p, phat_s] with the basis evaluates every row.
     """
     r, theta = _polar(x)
     shape = mf.phat_p.shape[:-1] + r.shape
     r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
     _check_outside(mf, r)
-    basis = _basis(mf.N, mf.R, mf.sys, r, theta, kinds)
+    basis = _basis(mf.N, mf.R, mf.sys, r, theta, d_r)
     coeffs = np.concatenate([mf.phat_p, mf.phat_s], axis=-1)
     out = coeffs @ basis.reshape(basis.shape[0], -1)
-    out = out.reshape(coeffs.shape[:-1] + (len(kinds), r.size, 2))
-    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(len(kinds))]
+    out = out.reshape(coeffs.shape[:-1] + (basis.shape[1], r.size, 2))
+    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(basis.shape[1])]
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
     """Truncated scattered field at x (shape (..., 2)), |x| > R: lead + (..., 2)."""
-    return _evaluate(mf, x, ("value",))[0]
+    return _evaluate(mf, x, False)[0]
 
 
 def eval_radial(mf: ModalField, x):
     """(v, d/dr v) at x from one set of Hankel tables, as Cartesian vectors."""
-    return tuple(_evaluate(mf, x, ("value", "d_r")))
-
-
-def eval_polar_derivs(mf: ModalField, x):
-    """(d/dr v, d/dtheta v) at x, both as Cartesian component vectors."""
-    return tuple(_evaluate(mf, x, ("d_r", "d_theta")))
+    return tuple(_evaluate(mf, x, True))
 
 
 def eval_gradient(mf: ModalField, x) -> np.ndarray:
-    """Cartesian Jacobian, entry (i, j) = d v_i / d x_j, shape lead + (..., 2, 2)."""
+    """Cartesian Jacobian, entry (i, j) = d v_i / d x_j, shape lead + (..., 2, 2).
+
+    d/dtheta v = v[in c] + J v with J (x, y) = (-y, x), so one eval_radial of
+    the rows (c, in c) yields v, d/dr v and d/dtheta v.
+    """
     r, theta = _polar(x)
-    d_r, d_t = eval_polar_derivs(mf, x)
+    i_n = 1j * np.arange(-mf.N, mf.N + 1)
+    both = replace(mf, phat_p=np.stack([mf.phat_p, i_n * mf.phat_p]),
+                   phat_s=np.stack([mf.phat_s, i_n * mf.phat_s]))
+    (v, v_in), (d_r, _) = eval_radial(both, x)
+    d_t = v_in + np.stack([-v[..., 1], v[..., 0]], axis=-1)
     ct = np.cos(theta)[..., None]
     st = np.sin(theta)[..., None]
     rr = r[..., None]
@@ -334,7 +336,7 @@ def limited_aperture_fit(rec: ScatterRecord, N: int, reg: float, R: float) -> Mo
     rho = rec.rho
     if not 0.0 < R < rho:
         raise ConfigError("reference radius must lie in (0, rho)")
-    basis = _basis(N, R, rec.sys, np.full(m, rho), theta, ("value",))
+    basis = _basis(N, R, rec.sys, np.full(m, rho), theta, False)
     a = basis.reshape(n_unknowns, 2 * m).T
     b = rec.values.reshape(rec.n_sources, 2 * m)
 

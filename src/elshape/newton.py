@@ -178,13 +178,19 @@ class ReconRun:
 def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     """Run the full iteration on a clean record.
 
-    Noise at the configured level is applied here (seeded), so a run is a
-    pure function of (record, config).  Modal coefficients are extracted
-    exactly once; the loop alternates assembly, a damped step with an
-    admissibility backtrack, and the relative-update stopping test.
+    The record's rho and medium must match the config's (ConfigError
+    naming each field that differs).  Noise at the configured level is
+    applied here (seeded), so a run is a pure function of (record, config).
+    Modal coefficients are extracted exactly once; the loop alternates
+    assembly, a damped step with an admissibility backtrack, and the
+    relative-update stopping test.
     """
-    if abs(rec.rho - cfg["rho"]) > 1e-12:
-        raise ConfigError(f"record rho {rec.rho} != config rho {cfg['rho']}")
+    diffs = cfg.mismatches([
+        ("rho", rec.rho), ("lame.lambda", rec.sys.lam), ("lame.mu", rec.sys.mu),
+        ("lame.omega", rec.sys.omega),
+    ])
+    if diffs:
+        raise ConfigError("record/config physics mismatch: " + "; ".join(diffs))
     if cfg.delta_active and rec.n_sources:
         rec = add_noise(rec, cfg["delta"], cfg["seed"])
 
@@ -209,7 +215,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     current = guess
     for _ in range(cfg["max_iter"]):
         try:
-            a, rhs = assemble_system(field, rec.sources, current, t_grid, cfg.sys)
+            a, rhs = assemble_system(field, rec.sources, current, t_grid, rec.sys)
             dc = newton_step(a, rhs, cfg["damping"], cfg["reg"])
         except (SolveError, DomainError) as exc:
             return finish("diverged", str(exc))

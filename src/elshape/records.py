@@ -66,6 +66,8 @@ class ScatterRecord:
             )
         if not (np.isfinite(self.rho) and np.all(np.isfinite(rec)) and np.all(np.isfinite(val))):
             raise ConfigError("rho, receivers and values must be finite")
+        if not self.rho > 0.0:
+            raise ConfigError("rho must be positive")
         if rec.size and (np.any(rec < 0.0) or np.any(rec >= 2.0 * np.pi)):
             raise ConfigError("receiver angles must lie in [0, 2*pi)")
         if rec.size and np.any(np.diff(rec) <= 0.0):

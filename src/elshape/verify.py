@@ -10,7 +10,9 @@ the stated bound:
   1/2 <= pi t^n |H_n(t)| / (3 2^{n-1} Gamma(n)) <= e^t for n > (e t + 1)/2
   (checked in log space), and the second-derivative bound
   |H_n''(t)| <= ((2 n^2 + t)/t^2)|H_n(t)| in the regime n >= max(2, 4t)
-  used by the shape-derivative kernels.
+  used by the shape-derivative kernels.  Each check evaluates its whole
+  (order x argument) grid with one broadcast call per special function;
+  the last two hold only in a ragged regime, a mask over one order range.
 * The geometric tail sum: S = sum_{n>N} n^2 tau^{-2n}
   <= 4 N^2 tau^{4-2N} (tau^2 - 1)^{-3}, by direct summation.
 * Per-mode determinant factors Lambda_n stay bounded away from zero.
@@ -67,19 +69,16 @@ def check_wronskian() -> CheckResult:
     """J_n Y_n' - J_n' Y_n = 2/(pi t) on the AMOS grid, and J_1 Y_0 - J_0 Y_1 =
     2/(pi t) on the rows hankel1_table computes directly (orders 0 and 1;
     above n ~ t its recurrence carries J_n only to within eps |Y_n|)."""
-    worst = 0.0
-    for t in ARG_GRID:
-        n = ORDER_GRID
-        j = specfun.bessel_j(n, t)
-        y = specfun.bessel_y(n, t)
-        jp = specfun.bessel_j(n - 1, t) - (n / t) * j
-        yp = specfun.bessel_y(n - 1, t) - (n / t) * y
-        target = 2.0 / (np.pi * t)
-        worst = max(worst, float(np.max(np.abs(j * yp - jp * y - target)) / target))
-    h0, h1 = specfun.hankel1_table(1, ARG_GRID)
-    target = 2.0 / (np.pi * ARG_GRID)
+    n, t = ORDER_GRID[:, None], ARG_GRID
+    j = specfun.bessel_j(n, t)
+    y = specfun.bessel_y(n, t)
+    jp = specfun.bessel_j(n - 1, t) - (n / t) * j
+    yp = specfun.bessel_y(n - 1, t) - (n / t) * y
+    target = 2.0 / (np.pi * t)
+    worst = np.max(np.abs(j * yp - jp * y - target) / target)
+    h0, h1 = specfun.hankel1_table(1, t)
     defect = np.abs(h1.real * h0.imag - h0.real * h1.imag - target) / target
-    worst = max(worst, float(np.max(defect)))
+    worst = max(worst, np.max(defect))
     return _result("wronskian", worst <= 1e-10, worst, 1e-10,
                    "max relative Wronskian defect on the (n, t) grid, AMOS and table")
 
@@ -92,23 +91,20 @@ def _recurrence_defect(n, t, h, h_up, h_dn) -> float:
 
 def check_recurrence() -> CheckResult:
     """Three-term recurrence closure of AMOS's H_n and of hankel1_table's rows."""
-    n = ORDER_GRID
-    table = specfun.hankel1_table(n[-1] + 1, ARG_GRID)  # orders 0..31
+    n, t = ORDER_GRID[:, None], ARG_GRID
+    table = specfun.hankel1_table(ORDER_GRID[-1] + 1, t)  # orders 0..31
     below = np.concatenate([-table[1:2], table[: n.size - 1]])  # H_{n-1}, H_{-1} = -H_1
-    worst = _recurrence_defect(n[:, None], ARG_GRID, table[: n.size], table[1:], below)
-    for t in ARG_GRID:
-        h, h_up, h_dn = (specfun.hankel1(m, t) for m in (n, n + 1, n - 1))
-        worst = max(worst, _recurrence_defect(n, t, h, h_up, h_dn))
+    worst = max(
+        _recurrence_defect(n, t, table[: n.size], table[1:], below),
+        _recurrence_defect(n, t, *(specfun.hankel1(m, t) for m in (n, n + 1, n - 1))),
+    )
     return _result("recurrence_closure", worst <= 1e-9, worst, 1e-9,
                    "three-term recurrence residual relative to |H_n| max(1,n), AMOS and table")
 
 
 def check_magnitude_monotone() -> CheckResult:
-    worst = 0.0
-    for n in ORDER_GRID:
-        mags = np.abs(specfun.hankel1(n, ARG_GRID))
-        ratio = mags[1:] / mags[:-1]  # should be <= 1 + 1e-12
-        worst = max(worst, float(np.max(ratio)))
+    mags = np.abs(specfun.hankel1(ORDER_GRID[:, None], ARG_GRID))
+    worst = np.max(mags[:, 1:] / mags[:, :-1])  # should be <= 1 + 1e-12
     return _result("magnitude_monotone", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
                    "max |H_n(t2)|/|H_n(t1)| over t1 <= t2")
 
@@ -116,29 +112,24 @@ def check_magnitude_monotone() -> CheckResult:
 def check_derivative_bound() -> CheckResult:
     # |H_{n-1}| <= |H_n| underpins this bound, so it needs n >= 1 (at n = 0
     # it fails for small t; the analysis treats the n = 0 mode separately)
-    worst = 0.0
-    for t in ARG_GRID:
-        n = ORDER_GRID[1:]
-        h = np.abs(specfun.hankel1(n, t))
-        hp = np.abs(specfun.hankel1_d1(n, t))
-        worst = max(worst, float(np.max(hp / ((1.0 + n / t) * h))))
+    n, t = ORDER_GRID[1:, None], ARG_GRID
+    h = np.abs(specfun.hankel1(n, t))
+    hp = np.abs(specfun.hankel1_d1(n, t))
+    worst = np.max(hp / ((1.0 + n / t) * h))
     return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
                    "max |H_n'| / ((1+n/t)|H_n|), n >= 1")
 
 
 def check_tail_sandwich() -> CheckResult:
     """1/2 <= pi t^n |H_n| / (3 2^{n-1} Gamma(n)) <= e^t for n > (e t + 1)/2."""
-    lo_worst, hi_worst = np.inf, -np.inf
-    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-        n_min = int(np.floor((np.e * t + 1.0) / 2.0)) + 1
-        n = np.arange(max(n_min, 1), 61)
-        log_h = np.log(np.abs(specfun.hankel1(n, t)))
-        log_ratio = (
-            np.log(np.pi) + n * np.log(t) + log_h
-            - np.log(3.0) - (n - 1) * np.log(2.0) - specfun.ln_gamma(n.astype(float))
-        )
-        lo_worst = min(lo_worst, float(np.min(log_ratio - np.log(0.5))))
-        hi_worst = max(hi_worst, float(np.max(log_ratio - t)))
+    n, t = np.arange(1, 61)[:, None], np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    regime = n > (np.e * t + 1.0) / 2.0
+    log_ratio = (
+        np.log(np.pi) + n * np.log(t) + np.log(np.abs(specfun.hankel1(n, t)))
+        - np.log(3.0) - (n - 1) * np.log(2.0) - specfun.ln_gamma(n.astype(float))
+    )
+    lo_worst = np.min(log_ratio - np.log(0.5), where=regime, initial=np.inf)
+    hi_worst = np.max(log_ratio - t, where=regime, initial=-np.inf)
     passed = lo_worst >= 0.0 and hi_worst <= 0.0
     return _result("tail_sandwich", passed, min(lo_worst, -hi_worst), 0.0,
                    "log-space margins of the large-order magnitude sandwich")
@@ -146,14 +137,11 @@ def check_tail_sandwich() -> CheckResult:
 
 def check_second_derivative_bound() -> CheckResult:
     """|H_n''(t)| <= ((2n^2 + t)/t^2) |H_n(t)| for n >= max(2, 4t)."""
-    worst = 0.0
-    for t in (0.3, 0.5, 1.0, 2.0, 5.0):
-        n_min = max(2, int(np.ceil(4.0 * t)))
-        n = np.arange(n_min, 41)
-        h = np.abs(specfun.hankel1(n, t))
-        hpp = np.abs(specfun.hankel1_d2(n, t))
-        bound = (2.0 * n * n + t) / (t * t) * h
-        worst = max(worst, float(np.max(hpp / bound)))
+    n, t = np.arange(2, 41)[:, None], np.array([0.3, 0.5, 1.0, 2.0, 5.0])
+    h = np.abs(specfun.hankel1(n, t))
+    hpp = np.abs(specfun.hankel1_d2(n, t))
+    bound = (2.0 * n * n + t) / (t * t) * h
+    worst = np.max(hpp / bound, where=n >= np.maximum(2, 4.0 * t), initial=0.0)
     return _result("second_derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
                    "max |H_n''| / (((2n^2+t)/t^2)|H_n|) in the working regime")
 

@@ -35,6 +35,14 @@ class TestLameSystem:
         with pytest.raises(ValueError):
             LameSystem(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("constants", [
+        (1.0, np.inf, 5.0), (np.inf, 1.0, 5.0), (1.0, 1.0, np.inf), (1.0, 1.0, np.nan),
+    ])
+    def test_non_finite_constants_rejected(self, constants):
+        # an infinite mu would give k_p = k_s = 0
+        with pytest.raises(ValueError, match="finite"):
+            LameSystem(*constants)
+
 
 class TestHelmholtzPhi:
     """The scalar kernel Phi = (i/4) H_0^(1)(k r) behind the Green tensor."""

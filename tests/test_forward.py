@@ -480,6 +480,25 @@ class TestRecordSerialization:
         with pytest.raises(ConfigError):
             ScatterRecord(**kwargs)
 
+    @pytest.mark.parametrize("rho", [0.0, -3.0])
+    def test_nonpositive_rho_rejected(self, rho):
+        with pytest.raises(ConfigError, match="rho must be positive"):
+            ScatterRecord(
+                rho=rho, sys=SYS5, sources=(SRC,), receivers=np.array([0.0, 1.0]),
+                values=np.zeros((1, 2, 2), dtype=complex), aperture=(0.0, 2 * np.pi),
+            )
+
+    @pytest.mark.parametrize("key", ["lambda", "mu", "omega"])
+    def test_non_finite_medium_refused_on_load(self, tmp_path, key):
+        rec = record_from_disk_series(1.0, ring_sources(2, 3.0, POL), SYS5, 3.0, 8)
+        doc = rec.to_json_dict()
+        doc["lame"][key] = "overflow"
+        path = tmp_path / "rec.json"
+        # a literal that overflows: Python's json reads 1e400 as inf
+        path.write_text(json.dumps(doc).replace('"overflow"', "1e400"))
+        with pytest.raises(ConfigError, match="finite"):
+            ScatterRecord.load(path)
+
     def test_mixed_polarizations_rejected_on_save(self, tmp_path):
         rec = ScatterRecord(
             rho=3.0, sys=SYS5,

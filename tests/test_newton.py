@@ -292,6 +292,15 @@ class TestReconstruct:
         with pytest.raises(ConfigError):
             reconstruct(disk_record, disk_config(rho=4.0, **{"guess.radius": 2.0}))
 
+    @pytest.mark.parametrize("key, value, record", [
+        ("lame.omega", 2.0, 1.0), ("lame.lambda", 1.5, 1.0), ("lame.mu", 0.5, 1.0),
+    ])
+    def test_mismatched_medium_refused(self, disk_record, key, value, record):
+        # the field is extracted in the record's medium, so a run in another
+        # one would mix two media instead of reconstructing either
+        with pytest.raises(ConfigError, match=f"{key}: record {record!r} vs config {value!r}"):
+            reconstruct(disk_record, disk_config(**{key: value}))
+
     def test_deterministic_runs_byte_identical(self, disk_record, tmp_path):
         cfg = disk_config(delta=0.02, seed=5)
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"

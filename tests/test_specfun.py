@@ -285,3 +285,33 @@ class TestOrderZeroOneKernel:
         assert check().passed
         monkeypatch.setattr(specfun, "hankel1_table", perturbed)
         assert not check().passed
+
+
+class TestBatteryRegimes:
+    """Two battery checks hold only in a ragged (order, argument) regime,
+    masked over one order range.  Scaling one H_n(t) entry down makes the
+    check fail at the regime's first order and leaves it passing one order
+    below, so each mask starts exactly where its regime does."""
+
+    @pytest.mark.parametrize("check, t, first", [
+        # n > (e t + 1)/2
+        (verify.check_tail_sandwich, 0.5, 2),
+        (verify.check_tail_sandwich, 2.0, 4),
+        (verify.check_tail_sandwich, 10.0, 15),
+        # n >= max(2, 4t)
+        (verify.check_second_derivative_bound, 1.0, 4),
+        (verify.check_second_derivative_bound, 2.0, 8),
+        (verify.check_second_derivative_bound, 5.0, 20),
+    ], ids=["sandwich-0.5", "sandwich-2", "sandwich-10", "second-1", "second-2", "second-5"])
+    @pytest.mark.parametrize("order, fails", [(0, True), (-1, False)], ids=["first", "below"])
+    def test_mask_covers_exactly_the_regime(self, monkeypatch, check, t, first, order, fails):
+        hankel1 = specfun.hankel1
+
+        def perturbed(n, arg):
+            h = hankel1(n, arg)
+            hit = (np.asarray(n) == first + order) & (np.asarray(arg) == t)
+            return np.where(hit, 1e-30 * h, h)
+
+        assert check().passed
+        monkeypatch.setattr(specfun, "hankel1", perturbed)
+        assert check().passed is not fails

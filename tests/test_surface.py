@@ -59,15 +59,29 @@ def test_imported_names_resolve(name, text):
 
 
 def test_tracer_lookup_sites_exist():
+    """install wraps the names the traced benchmark run looks up, including
+    newton's tracer-only imports that nothing in the package calls, and
+    close puts every one back."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
 
-    from elshape import forward, newton
+    from elshape import elastic, forward, modal, newton, specfun, verify
 
-    original = forward.simulate, newton.reconstruct
-    spans.install(spans.Tracer()).close()
-    assert (forward.simulate, newton.reconstruct) == original
+    modules = (elastic, forward, modal, newton, specfun, verify)
+    before = {m: dict(vars(m)) for m in modules}
+    checks = list(verify.ALL_CHECKS)
+    tracer = spans.install(spans.Tracer())
+    try:
+        for owner, name in [
+            (newton, "eval_gradient"), (newton, "eval_field"), (newton, "grad_incident_field"),
+            (newton, "assemble_system"), (verify, "solve_mfs"), (verify, "eval_gradient"),
+        ]:
+            assert getattr(owner, name).__wrapped__ is before[owner][name], f"{owner.__name__}.{name}"
+    finally:
+        tracer.close()
+    assert {m: dict(vars(m)) for m in modules} == before
+    assert verify.ALL_CHECKS == checks
 
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
