@@ -1,6 +1,7 @@
 """Command-line entry points: forward, reconstruct, verify, sweep.
 
-Exit codes: 0 success, 2 validation / configuration error, 3 numerical
+Exit codes: 0 success, 2 validation / configuration error (an unreadable
+or non-UTF-8 input, an output directory that is a file), 3 numerical
 failure, 4 verification failure.
 """
 
@@ -63,8 +64,6 @@ def cmd_forward(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.__class__({**cfg.raw, "seed": args.seed})
     rec = ScatterRecord.load(args.record)
     # reconstruct refuses a different rho or medium; the sources' polarization
     # is the record's own, so only here is the config held to it
@@ -162,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--config", required=True)
     p_rec.add_argument("--record", required=True)
     p_rec.add_argument("--out-dir", default=".")
-    p_rec.add_argument("--seed", type=int, default=None)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ver = sub.add_parser("verify", help="run the numerical verification battery")
@@ -181,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     except (SolveError, DomainError, SingularityError) as exc:

@@ -9,15 +9,18 @@ dotted keys for grouping:
     delta = 0.05
     truncation.mode = practical
 
-Unknown keys are rejected with their path, since silent typos are the
-main hazard in flat config files.  Numeric invariants are enforced at
-build time (every float finite, a nonzero polarization, at least one
-source, a nonnegative seed, a truth radius that stays positive,
-rho > guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1),
+Unknown keys, in a file or a dict, are rejected with their path, since
+silent typos are the main hazard in flat config files, and so is a value
+not of its key's type.  Numeric invariants are enforced at build time
+(every float finite, a nonzero polarization, at least one source, a
+nonnegative seed, a truth radius that stays positive, rho > guess radius
+> R > 0, delta in [0,1), epsilon > 0, degree >= 1, r_policy.value and
+stop.c1 >= 0, where 0 selects the auto R and the relative-update stop),
 and then a measurement circle that clears the truth, before any solve.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,26 +52,20 @@ CONFIG_SCHEMA = {
     "epsilon": (float, 1e-4),
     "np": (int, 8),
     "guess.radius": (float, 1.5),
-    "r_policy.mode": (str, "auto"),
-    "r_policy.fraction": (float, 0.4),
-    "r_policy.value": (float, 0.0),
+    "r_policy.value": (float, 0.0),  # expansion radius R; 0 = auto
     "max_iter": (int, 50),
-    "damping": (float, 1.0),
-    "reg": (float, 1e-10),
-    "fit_reg": (float, -1.0),  # -1 = auto: 1e-8 noise-free, 2*delta otherwise
     "truncation.mode": (str, "practical"),
     "truncation.n": (int, 0),
     "truncation.tau2": (float, 0.0),
-    "stop.rule": (str, "relative"),
-    "stop.c1": (float, 0.0),
+    "stop.c1": (float, 0.0),  # > 0: stop once ||dc|| < c1; 0 = relative rule
     "collocation.n": (int, 64),
-    "mfs.n_collocation": (int, 0),
-    "mfs.n_charges": (int, 0),
-    "mfs.shrink": (float, 0.0),
 }
 
-#: per-shape MFS resolution giving comfortable forward accuracy; zeros in
-#: the config mean "use these"
+#: auto R is this fraction of the guess radius, clamped to [0.1, 0.9 guess]
+R_FRACTION = 0.4
+
+#: per-shape MFS (n_collocation, n_charges, shrink) giving comfortable
+#: forward accuracy
 _MFS_BY_SHAPE = {
     "disk": (128, 64, 0.6),
     "kite": (512, 256, 0.92),
@@ -100,6 +97,18 @@ def parse_config_text(text: str, schema: dict = CONFIG_SCHEMA) -> dict:
     return values
 
 
+def _typed(key: str, value):
+    """``value`` as ``key``'s schema type: ints take integers, floats any
+    real number, strs a str, and none a bool."""
+    if key not in CONFIG_SCHEMA:
+        raise ConfigError(f"unknown key '{key}'")
+    typ, _ = CONFIG_SCHEMA[key]
+    kind = {int: numbers.Integral, float: numbers.Real, str: str}[typ]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected {typ.__name__}, got {value!r}")
+    return typ(value)
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Validated experiment parameters; see CONFIG_SCHEMA for defaults."""
@@ -108,7 +117,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         merged = {k: d for k, (_, d) in CONFIG_SCHEMA.items()}
-        merged.update(self.raw)
+        merged.update((k, _typed(k, v)) for k, v in self.raw.items())
         object.__setattr__(self, "raw", merged)
         self._validate()
 
@@ -162,12 +171,6 @@ class ReconstructionConfig:
             errors.append(problem)
         if g["max_iter"] < 0:
             errors.append("max_iter: must be >= 0")
-        if not 0.0 < g["damping"] <= 1.0:
-            errors.append("damping: must lie in (0, 1]")
-        if g["reg"] < 0.0:
-            errors.append("reg: must be nonnegative")
-        if g["fit_reg"] < 0.0 and g["fit_reg"] != -1.0:
-            errors.append("fit_reg: must be nonnegative (or -1 for auto)")
         if g["truncation.mode"] not in ("practical", "theoretical", "fixed"):
             errors.append("truncation.mode: expected practical|theoretical|fixed")
         if g["truncation.mode"] == "fixed" and g["truncation.n"] < 0:
@@ -176,12 +179,10 @@ class ReconstructionConfig:
             errors.append("truncation: practical/theoretical modes need delta in (0,1)")
         if g["truncation.mode"] == "theoretical" and g["truncation.tau2"] <= 1.0:
             errors.append("truncation.tau2: theoretical rule needs tau2 > 1")
-        if g["stop.rule"] not in ("relative", "theoretical"):
-            errors.append("stop.rule: expected relative|theoretical")
-        if g["stop.rule"] == "theoretical" and g["stop.c1"] <= 0.0:
-            errors.append("stop.c1: theoretical stop needs a positive constant")
-        if g["r_policy.mode"] not in ("auto", "fixed"):
-            errors.append("r_policy.mode: expected auto|fixed")
+        if g["stop.c1"] < 0.0:
+            errors.append("stop.c1: must be >= 0 (0 = relative-update stop)")
+        if g["r_policy.value"] < 0.0:
+            errors.append("r_policy.value: must be >= 0 (0 = auto)")
 
         R = self.resolve_R()
         if not 0.0 < R < g["guess.radius"]:
@@ -230,30 +231,19 @@ class ReconstructionConfig:
         )
 
     def mfs_params(self):
-        n_col = self.raw["mfs.n_collocation"]
-        n_chg = self.raw["mfs.n_charges"]
-        shrink = self.raw["mfs.shrink"]
-        by_shape = _MFS_BY_SHAPE[self.raw["shape"]]
-        return (
-            n_col if n_col > 0 else by_shape[0],
-            n_chg if n_chg > 0 else by_shape[1],
-            shrink if shrink > 0.0 else by_shape[2],
-        )
+        return _MFS_BY_SHAPE[self.raw["shape"]]
 
     def resolve_R(self) -> float:
-        """Expansion radius from the policy; auto mode clamps to sane bounds."""
-        g = self.raw
-        if g["r_policy.mode"] == "fixed":
-            return g["r_policy.value"]
-        base = g["guess.radius"]
-        return float(np.clip(g["r_policy.fraction"] * base, 0.1, 0.9 * base))
+        """Expansion radius: ``r_policy.value`` if positive, else the auto
+        rule clamped to sane bounds."""
+        if self.raw["r_policy.value"] > 0.0:
+            return self.raw["r_policy.value"]
+        base = self.raw["guess.radius"]
+        return float(np.clip(R_FRACTION * base, 0.1, 0.9 * base))
 
     def resolve_fit_reg(self) -> float:
         """Aperture-fit ridge: noise-free fits barely need one, noisy fits
         need a weight on the noise scale."""
-        v = self.raw["fit_reg"]
-        if v >= 0.0:
-            return v
         return 1e-8 if self.raw["delta"] == 0.0 else 2.0 * self.raw["delta"]
 
     def resolve_truncation(self) -> int:
@@ -271,7 +261,7 @@ class ReconstructionConfig:
 
 
 def load_config(path) -> ReconstructionConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return ReconstructionConfig(parse_config_text(fh.read()))
 
 

@@ -27,14 +27,14 @@ every dc satisfies
 
 so the (P + 1)-row system [sqrt(w) B; 0] dc + [g / sqrt(w); sqrt(sum rho^2)]
 has the full system's singular values, least-squares step and residual
-norm.  One damped least-squares solve per iteration updates the
+norm.  One ridge-regularized least-squares solve per iteration updates the
 coefficients; modal coefficients are extracted once per run since the data
 live on the measurement circle and do not depend on the iterate.
 
 Iterates must keep min_t r(t) > R; a violating step is halved up to five
 times before the run is declared divergent.  The loop stops when the
 relative update e_M = ||dr|| / ||r|| (L2 norms on the circle) falls below
-the configured tolerance.
+``epsilon`` or, if ``stop.c1 > 0``, when ||dr|| falls below c1.
 """
 
 import json
@@ -56,6 +56,9 @@ from .modal import eval_field, eval_gradient  # noqa: F401
 
 #: a relative update exceeding this declares the run divergent
 DIVERGENCE_GUARD = 10.0
+
+#: ridge of every Newton step, relative to the largest singular value
+STEP_REG = 1e-10
 
 
 def gram_weights(degree: int) -> np.ndarray:
@@ -106,10 +109,8 @@ def assemble_system(
     return a, rhs
 
 
-def newton_step(a: np.ndarray, rhs: np.ndarray, damping: float = 1.0, reg: float = 0.0):
-    """Damped least-squares step dc minimizing ||A dc + rhs|| (+ ridge)."""
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError("damping must lie in (0, 1]")
+def newton_step(a: np.ndarray, rhs: np.ndarray, reg: float):
+    """Least-squares step dc minimizing ||A dc + rhs|| (+ ridge reg s_max)."""
     if reg < 0.0:
         raise ConfigError("reg must be nonnegative")
     if a.shape[0] < a.shape[1]:
@@ -125,20 +126,23 @@ def newton_step(a: np.ndarray, rhs: np.ndarray, damping: float = 1.0, reg: float
     else:
         lam = reg * s[0]
         filt = s / (s * s + lam * lam)
-    return -damping * (vt.T @ (filt * (u.T @ rhs)))
+    return -(vt.T @ (filt * (u.T @ rhs)))
+
+
+def gram_norm(c: np.ndarray) -> float:
+    """||r|| for r = B . c: the L2 norm on the circle, with the Gram weights."""
+    c = np.asarray(c, dtype=float)
+    return float(np.sqrt(np.sum(gram_weights((c.size - 1) // 2) * c * c)))
 
 
 def relative_update(dc: np.ndarray, c: np.ndarray) -> float:
-    """||dr|| / ||r|| with the trigonometric Gram weights (L2 on the circle)."""
-    dc = np.asarray(dc, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if dc.shape != c.shape:
+    """||dr|| / ||r|| (``gram_norm`` of each)."""
+    if np.shape(dc) != np.shape(c):
         raise ValueError("coefficient vectors must have matching shape")
-    w = gram_weights((c.size - 1) // 2)
-    den = float(np.sqrt(np.sum(w * c * c)))
+    den = gram_norm(c)
     if den == 0.0:
         raise DomainError("relative update undefined for a zero curve")
-    return float(np.sqrt(np.sum(w * dc * dc))) / den
+    return gram_norm(dc) / den
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,8 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     naming each field that differs).  Noise at the configured level is
     applied here (seeded), so a run is a pure function of (record, config).
     Modal coefficients are extracted exactly once; the loop alternates
-    assembly, a damped step with an admissibility backtrack, and the
-    relative-update stopping test.
+    assembly, a step with an admissibility backtrack, and the stopping
+    test.
     """
     diffs = cfg.mismatches([
         ("rho", rec.rho), ("lame.lambda", rec.sys.lam), ("lame.mu", rec.sys.mu),
@@ -213,10 +217,11 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     t_admit = np.linspace(0.0, 2.0 * np.pi, ADMISSIBILITY_GRID, endpoint=False)
     admissibility = basis_matrix(t_admit, guess.degree)
     current = guess
+    c1 = cfg["stop.c1"]
     for _ in range(cfg["max_iter"]):
         try:
             a, rhs = assemble_system(field, rec.sources, current, t_grid, rec.sys)
-            dc = newton_step(a, rhs, cfg["damping"], cfg["reg"])
+            dc = newton_step(a, rhs, STEP_REG)
         except (SolveError, DomainError) as exc:
             return finish("diverged", str(exc))
 
@@ -234,13 +239,6 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         e_hist.append(e_m)
         if e_m > DIVERGENCE_GUARD:
             return finish("diverged")
-        if _stopped(cfg, dc, e_m):
+        if (gram_norm(dc) < c1) if c1 > 0.0 else (e_m < cfg["epsilon"]):
             return finish("converged")
     return finish("max_iterations")
-
-
-def _stopped(cfg: ReconstructionConfig, dc: np.ndarray, e_m: float) -> bool:
-    if cfg["stop.rule"] == "theoretical":
-        w = gram_weights((dc.size - 1) // 2)
-        return float(np.sqrt(np.sum(w * dc * dc))) < cfg["stop.c1"]
-    return e_m < cfg["epsilon"]

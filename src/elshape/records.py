@@ -154,5 +154,5 @@ class ScatterRecord:
 
     @classmethod
     def load(cls, path) -> "ScatterRecord":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))

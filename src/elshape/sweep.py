@@ -90,7 +90,7 @@ def parse_sweep_text(text: str) -> SweepSpec:
 
 
 def load_sweep(path) -> SweepSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_sweep_text(fh.read())
 
 

@@ -1,5 +1,6 @@
 """Config file parsing, validation and derived-parameter resolution."""
 
+import json
 import math
 import re
 
@@ -83,15 +84,15 @@ class TestValidation:
             {"guess.radius": 3.5},           # must stay below rho
             {"aperture.lo": 2.0, "aperture.hi": 1.0},
             {"aperture.lo": 0.0, "aperture.hi": 7.0},
-            {"damping": 0.0},
-            {"damping": 1.5},
+            {"r_policy.value": -0.5},        # 0 selects the auto R
+            {"stop.c1": -1.0},               # 0 selects the relative-update stop
             {"max_iter": -1},
             {"lame.mu": 0.0},
             {"lame.omega": -1.0},
             {"shape": "pentagon"},
             {"truncation.mode": "magic"},
-            {"stop.rule": "theoretical"},    # needs stop.c1 > 0
-            {"r_policy.mode": "fixed", "r_policy.value": 2.0},  # >= guess radius
+            {"truncation.mode": "theoretical", "truncation.tau2": 1.0},  # needs tau2 > 1
+            {"r_policy.value": 2.0},         # >= guess radius
             {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
             {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
             {"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
@@ -141,10 +142,43 @@ class TestValidation:
         with pytest.raises(ConfigError, match="guess.radius"):
             ReconstructionConfig({"guess.radius": 3.5})
 
+    def test_unknown_dict_key_refused(self):
+        with pytest.raises(ConfigError, match="^unknown key 'guess.radiuss'$"):
+            ReconstructionConfig({"guess.radiuss": 2.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("r_policy.mode", "fixed"), ("r_policy.fraction", 0.4), ("damping", 1.0),
+        ("reg", 1e-10), ("fit_reg", -1.0), ("stop.rule", "theoretical"),
+        ("mfs.n_collocation", 96), ("mfs.n_charges", 48), ("mfs.shrink", 0.8),
+    ])
+    def test_removed_key_refused_by_file_and_dict(self, key, value):
+        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{re.escape(key)}'$"):
+            parse_config_text(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'$"):
+            ReconstructionConfig({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("np", 8.5), ("seed", 1.5), ("max_iter", 2.5), ("np", "8"), ("delta", "0.05"),
+        ("np", True), ("delta", False), ("shape", 1), ("seed", None), ("np", np.float64(8.0)),
+    ])
+    def test_mistyped_value_refused_with_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected "):
+            ReconstructionConfig({key: value})
+
+    def test_numbers_stored_as_their_schema_type(self):
+        cfg = ReconstructionConfig({
+            "np": np.int64(6), "seed": np.uint8(3), "delta": np.float32(0.25),
+            "guess.radius": 2, "rho": np.int32(4),
+        })
+        assert [(cfg[k], type(cfg[k])) for k in ("np", "seed", "delta", "guess.radius", "rho")] == [
+            (6, int), (3, int), (0.25, float), (2.0, float), (4.0, float),
+        ]
+        assert json.loads(json.dumps(cfg.echo()))["seed"] == 3
+
 
 class TestResolution:
     def test_r_policy_auto_fraction(self):
-        cfg = ReconstructionConfig({"guess.radius": 2.0})
+        cfg = ReconstructionConfig({"guess.radius": 2.0, "r_policy.value": 0.0})
         assert cfg.resolve_R() == pytest.approx(0.8)
 
     def test_r_policy_auto_clamped_low(self):
@@ -152,7 +186,7 @@ class TestResolution:
         assert cfg.resolve_R() == pytest.approx(0.1)
 
     def test_r_policy_fixed(self):
-        cfg = ReconstructionConfig({"r_policy.mode": "fixed", "r_policy.value": 0.45})
+        cfg = ReconstructionConfig({"r_policy.value": 0.45})
         assert cfg.resolve_R() == 0.45
 
     def test_truncation_modes(self):
@@ -168,16 +202,10 @@ class TestResolution:
         assert ReconstructionConfig({"delta": 0.0, "truncation.mode": "fixed",
                                      "truncation.n": 5}).resolve_fit_reg() == 1e-8
         assert ReconstructionConfig({"delta": 0.05}).resolve_fit_reg() == pytest.approx(0.1)
-        assert ReconstructionConfig({"fit_reg": 0.02}).resolve_fit_reg() == 0.02
 
-    def test_mfs_params_by_shape_and_override(self):
+    def test_mfs_params_by_shape(self):
         assert ReconstructionConfig({"shape": "kite"}).mfs_params() == (512, 256, 0.92)
         assert ReconstructionConfig({"shape": "disk"}).mfs_params() == (128, 64, 0.6)
-        explicit = ReconstructionConfig(
-            {"shape": "kite", "mfs.n_collocation": 96, "mfs.n_charges": 48,
-             "mfs.shrink": 0.75}
-        )
-        assert explicit.mfs_params() == (96, 48, 0.75)
 
     def test_echo_is_sorted_and_complete(self):
         echo = ReconstructionConfig({}).echo()

@@ -95,11 +95,7 @@ class TestForwardCommand:
 
     def test_kite_benchmark_counts(self, tmp_path):
         cfg = tmp_path / "kite.cfg"
-        # low MFS resolution keeps this a layout test, not an accuracy test
-        cfg.write_text(
-            "shape = kite\nmfs.n_collocation = 96\nmfs.n_charges = 48\n"
-            "mfs.shrink = 0.8\nn_sources = 20\nn_receivers = 128\n"
-        )
+        cfg.write_text("shape = kite\nn_sources = 20\nn_receivers = 128\n")
         assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         rec = ScatterRecord.load(tmp_path / "record.json")
         assert rec.values.shape == (20, 128, 2)
@@ -195,15 +191,36 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "lame.omega" in err and "mismatch" in err
 
-    def test_negative_seed_option_refused(self, workspace, tmp_path, capsys):
+    def test_takes_config_record_and_out_dir_only(self, workspace, tmp_path, capsys):
+        # the noise seed is the config's `seed` key; there is no --seed flag
         root, cfg = workspace
-        code = main([
-            "reconstruct", "--config", str(cfg), "--seed", "-1",
-            "--record", str(root / "record.json"), "--out-dir", str(tmp_path),
-        ])
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "reconstruct", "--config", str(cfg), "--seed", "3",
+                "--record", str(root / "record.json"), "--out-dir", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
+        args = cli.build_parser().parse_args(["reconstruct", "--config", "c", "--record", "r"])
+        assert sorted(vars(args)) == ["command", "config", "func", "out_dir", "record"]
+
+    @pytest.mark.parametrize("flag, make", [
+        ("--config", lambda p: p.mkdir()),
+        ("--record", lambda p: p.mkdir()),
+        ("--config", lambda p: p.write_bytes("shape = disk  # Lam\u00e9\n".encode("latin-1"))),
+        ("--record", lambda p: p.write_bytes('{"rho": "Lam\u00e9"}'.encode("latin-1"))),
+        ("--out-dir", lambda p: p.write_text("")),
+    ], ids=["config_is_directory", "record_is_directory", "config_not_utf8",
+            "record_not_utf8", "out_dir_is_file"])
+    def test_unusable_path_is_validation_error(self, workspace, tmp_path, capsys, flag, make):
+        root, cfg = workspace
+        paths = {"--config": cfg, "--record": root / "record.json", "--out-dir": tmp_path / "out"}
+        paths[flag] = tmp_path / "bad"
+        make(paths[flag])
+        assert main(["reconstruct", *(str(x) for pair in paths.items() for x in pair)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_aliasing_collocation_grid_refused(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -237,7 +254,7 @@ class TestReconstructCommand:
         cfg = tmp_path / "tight.cfg"
         # expansion disk nearly touching the guess forces the backtrack
         # path into divergence
-        cfg.write_text(DISK_CFG + "r_policy.mode = fixed\nr_policy.value = 1.9\n")
+        cfg.write_text(DISK_CFG + "r_policy.value = 1.9\n")
         code = main([
             "reconstruct", "--config", str(cfg),
             "--record", str(root / "record.json"), "--out-dir", str(tmp_path),

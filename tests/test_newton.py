@@ -16,6 +16,7 @@ from elshape.newton import (
     StarCurve,
     assemble_system,
     basis_matrix,
+    gram_norm,
     newton_step,
     reconstruct,
     relative_update,
@@ -68,21 +69,19 @@ class TestNewtonStep:
         a = np.eye(5)
         rhs = np.zeros(5)
         rhs[0] = 1.0
-        dc = newton_step(a, rhs, damping=1.0, reg=0.0)
+        dc = newton_step(a, rhs, reg=0.0)
         assert np.allclose(dc, [-1.0, 0.0, 0.0, 0.0, 0.0])
-        dc_damped = newton_step(a, rhs, damping=0.25, reg=0.0)
-        assert np.allclose(dc_damped, [-0.25, 0.0, 0.0, 0.0, 0.0])
 
     def test_huge_ridge_freezes_step(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(20, 5))
         rhs = rng.normal(size=20)
-        dc = newton_step(a, rhs, damping=1.0, reg=1e12)
+        dc = newton_step(a, rhs, reg=1e12)
         assert np.max(np.abs(dc)) <= 1e-10
 
     def test_underdetermined_rejected(self):
         with pytest.raises(SolveError):
-            newton_step(np.ones((3, 5)), np.ones(3))
+            newton_step(np.ones((3, 5)), np.ones(3), reg=0.0)
 
     def test_singular_without_ridge_rejected(self):
         a = np.zeros((8, 3))
@@ -214,7 +213,7 @@ class TestOneStepContraction:
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(1.0 + err0, 8)
         a, rhs = assemble_system(field, (src,), start, t_grid, SYS5)
-        dc = newton_step(a, rhs, damping=1.0, reg=1e-10)
+        dc = newton_step(a, rhs, reg=1e-10)
         new_err = abs(start.coeffs[0] + dc[0] - 1.0)
         assert new_err <= 0.6 * err0
 
@@ -226,7 +225,7 @@ class TestOneStepContraction:
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(2.0, 8)
         a, rhs = assemble_system(field, (src,), start, t_grid, SYS1)
-        dc = newton_step(a, rhs, damping=1.0, reg=1e-10)
+        dc = newton_step(a, rhs, reg=1e-10)
         assert abs(2.0 + dc[0] - 1.0) < 1.0
 
 
@@ -268,6 +267,23 @@ class TestReconstruct:
         assert short.termination == "max_iterations"
         assert short.e_history[-1] >= disk_config()["epsilon"]
 
+    def test_zero_c1_keeps_the_relative_stop(self, disk_record):
+        run = reconstruct(disk_record, disk_config(**{"stop.c1": 0.0}))
+        assert run.termination == "converged" and run.iterations == 5
+        assert run.e_history[-1] < run.config["epsilon"] <= min(run.e_history[:-1])
+
+    def test_large_c1_converges_after_one_iterate(self, disk_record):
+        run = reconstruct(disk_record, disk_config(**{"stop.c1": 100.0}))
+        assert (run.termination, run.iterations, len(run.curves)) == ("converged", 1, 2)
+
+    @pytest.mark.parametrize("c1, iterations", [(1e-2, 4), (1e-6, 6)])
+    def test_positive_c1_stops_at_first_step_below_it(self, disk_record, c1, iterations):
+        # the relative rule stops this run after 5 iterates
+        run = reconstruct(disk_record, disk_config(**{"stop.c1": c1}))
+        steps = [gram_norm(b.coeffs - a.coeffs) for a, b in zip(run.curves, run.curves[1:])]
+        assert (run.termination, run.iterations) == ("converged", iterations)
+        assert steps[-1] < c1 <= min(steps[:-1])
+
     def test_zero_iterations_returns_guess(self, disk_record):
         run = reconstruct(disk_record, disk_config(max_iter=0))
         assert run.termination == "max_iterations"
@@ -276,7 +292,7 @@ class TestReconstruct:
         assert run.final.coeffs[0] == 2.0
 
     def test_expansion_disk_collision_diverges(self, disk_record):
-        cfg = disk_config(**{"r_policy.mode": "fixed", "r_policy.value": 1.9})
+        cfg = disk_config(**{"r_policy.value": 1.9})
         run = reconstruct(disk_record, cfg)
         assert run.termination == "diverged"
 

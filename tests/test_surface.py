@@ -135,3 +135,15 @@ def test_solver_path_imports_no_scipy():
     iterations, scipy_modules = proc.stdout.split(" ", 1)
     assert int(iterations) >= 1
     assert scipy_modules.strip() == "[]"
+
+
+def test_readme_key_table_is_the_schema():
+    """The README's config table lists every CONFIG_SCHEMA key in order,
+    each default written as a config file would spell it."""
+    from elshape.config import CONFIG_SCHEMA, parse_config_text
+
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \|", readme, re.M)
+    assert [key for key, _ in rows] == list(CONFIG_SCHEMA)
+    for key, text in rows:
+        assert parse_config_text(f"{key} = {text}") == {key: CONFIG_SCHEMA[key][1]}, key
