@@ -30,6 +30,8 @@ EXIT_VERIFICATION = 4
 
 
 def _out_dir(args) -> Path:
+    """Create --out-dir; each command calls this once its inputs have
+    loaded and before its solve, so an unusable directory costs no work."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -40,9 +42,9 @@ def cmd_forward(args) -> int:
     if args.verify_oracle and cfg["shape"] != "disk":
         print("--verify-oracle requires shape = disk", file=_sys.stderr)
         return EXIT_VALIDATION
+    out = _out_dir(args)
     sol = solve_truth(cfg)
     rec = make_record(cfg, sol)
-    out = _out_dir(args)
     path = out / "record.json"
     rec.save(path)
     print(
@@ -75,8 +77,8 @@ def cmd_reconstruct(args) -> int:
             print("  " + d, file=_sys.stderr)
         return EXIT_VALIDATION
 
-    run = reconstruct(rec, cfg)
     out = _out_dir(args)
+    run = reconstruct(rec, cfg)
     run.save(out / "run.json")
 
     t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -110,6 +112,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = None if args.out_dir is None else _out_dir(args)
     results = run_battery()
     width = max(len(r.name) for r in results)
     all_ok = True
@@ -120,8 +123,7 @@ def cmd_verify(args) -> int:
             f"{r.name:<{width}}  {mark}  measured={r.measured: .6e}  "
             f"bound={r.bound: .6e}  ({r.seconds:.2f}s)  {r.detail}"
         )
-    if args.out_dir is not None:
-        out = _out_dir(args)
+    if out is not None:
         with open(out / "verify.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             # no timings: the file is a deterministic artifact
@@ -134,8 +136,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.config)
-    rows = run_sweep(spec, workers=args.workers)
     out = _out_dir(args)
+    rows = run_sweep(spec, workers=args.workers)
     path = out / "sweep.csv"
     write_sweep_csv(rows, path)
     failures = [r for r in rows if r[-1] != "ok"]

@@ -88,14 +88,16 @@ class PointSource:
 
 
 def _separation(x, y):
-    """Pairwise offsets and distances with the singularity guard applied."""
+    """Pairwise offsets dx, dy and distances r = sqrt(dx^2 + dy^2), with
+    the singularity guard applied."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = x - y
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    dx = x[..., 0] - y[..., 0]
+    dy = x[..., 1] - y[..., 1]
+    r = np.sqrt(dx * dx + dy * dy)
     if np.any(r < SEPARATION_GUARD):
         raise SingularityError("evaluation point coincides with the source point")
-    return diff, r
+    return dx, dy, r
 
 
 def _radial_scalars(r, sys: LameSystem, derivative=False):
@@ -118,9 +120,20 @@ def _radial_scalars(r, sys: LameSystem, derivative=False):
     return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
 
 
+def _tensor_array(shape):
+    """Empty complex array of shape + (2, 2) whose memory runs (..., i, n, j)
+    over the last axis n of shape: a matrix with rows (..., i) and columns
+    (n, j), such as the MFS charge matrix, is then a view, not a copy."""
+    if not shape:
+        return np.empty((2, 2), dtype=complex)
+    return np.empty(shape[:-1] + (2, shape[-1], 2), dtype=complex).swapaxes(-3, -2)
+
+
 def green_tensor(x, z, sys: LameSystem, e=None):
     """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
-    (..., 2, 2), with alpha and beta as in the module docstring.
+    (..., 2, 2), with alpha and beta as in the module docstring.  Along
+    the last broadcast axis n its memory runs (..., i, n, j), see
+    ``_tensor_array``.
 
     With a direction ``e`` that broadcasts against x, (G, d_e G), the second
     of shape broadcast(r, e) + (2, 2).  G = (alpha - beta) I + 2 beta d d^T,
@@ -130,13 +143,12 @@ def green_tensor(x, z, sys: LameSystem, e=None):
         d_e G = a I + b d d^T + c (e d^T + d e^T),      c = 2 beta / r,
         a = (alpha' - beta') (d.e),      b = (2 beta' - 4 beta / r) (d.e).
     """
-    diff, r = _separation(x, z)
+    dx, dy, r = _separation(x, z)
     alpha, beta, *slopes = _radial_scalars(r, sys, derivative=e is not None)
     # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
-    dx, dy = diff[..., 0], diff[..., 1]
     b_r2 = beta / (r * r)
     b_xx = b_r2 * (dx * dx - dy * dy)
-    g = np.empty(r.shape + (2, 2), dtype=complex)
+    g = _tensor_array(r.shape)
     np.add(alpha, b_xx, out=g[..., 0, 0])
     np.subtract(alpha, b_xx, out=g[..., 1, 1])
     np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])

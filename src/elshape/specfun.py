@@ -14,13 +14,17 @@ Two routes give H_n^(1):
       - t > T1, in x = 2 (T1/t)^2 - 1: the modulus-phase factors P_nu and
         t Q_nu of H_nu = sqrt(2/(pi t)) (P_nu + i Q_nu) e^{i(t - (2nu+1)pi/4)},
         rebuilt from one cos t and one sin t (t - pi/4 is never rounded).
-    The 16-term coefficients are fitted from mpmath by
+    On a block of arguments from both regions the logarithm is taken only
+    where t <= T1 and the square root, cosine and sine only where t > T1
+    (ufunc ``where=``), and the far branch writes its entries straight into
+    the output.  The 16-term coefficients are fitted from mpmath by
     ``tools/fit_hankel01.py``.  Against mpmath on 2000 log-spaced points
     of [1e-3, 100] the worst relative error of H_0 and H_1 is 1.5e-15
     (cephes j0/y0/j1/y1, which this kernel replaced: 6.3e-15).  The series
     sums are one BLAS product per region, so a value may differ in the last
     bit with the array it is evaluated in.  Higher orders follow from the
-    upward recurrence H_{n+1} = (2n/t) H_n - H_{n-1}, which is stable for
+    upward recurrence H_{n+1} = (2n/t) H_n - H_{n-1} (1/t is formed only
+    when the table goes past order 1), which is stable for
     H^(1) because Y_n, which it carries, dominates once n > t; against
     mpmath its worst relative error on orders 0..60 is 6.5e-15.  The hot
     tables use it: the point-source kernels in ``elastic`` (Green tensor,
@@ -185,10 +189,12 @@ def _chebyshev_table(u):
     return T
 
 
-def _near(t, f, out):
-    """J_nu + i Y_nu, nu = 0, 1, into out from the t <= T1 rows f."""
+def _near(t, f, out, where=True):
+    """J_nu + i Y_nu, nu = 0, 1, into out from the t <= T1 rows f, with the
+    logarithm taken only at ``where`` (out is finite elsewhere, for _far)."""
     j, y = out.real, out.imag
-    log_term = np.log(0.5 * t)
+    log_term = 0.5 * t
+    np.log(log_term, out=log_term, where=where)
     log_term *= 2.0 / np.pi
     j[0] = f[0]
     np.multiply(t, f[1], out=j[1])
@@ -198,23 +204,29 @@ def _near(t, f, out):
     y += log_term * j
 
 
-def _far(t, f, out):
-    """H_nu, nu = 0, 1, into out from the t > T1 rows f (P_nu, t Q_nu).
+def _far(t, f, out, where=True):
+    """H_nu, nu = 0, 1, into out at ``where`` from the t > T1 rows f
+    (P_nu, t Q_nu); out is left as it is elsewhere.
 
     (P + iQ) e^{-i(2nu+1)pi/4} = (X + iY)/sqrt(2) with X = Q + s P and
     Y = s Q - P, s = +1 (nu = 0) or -1 (nu = 1), so that
     H_nu = (X + iY)(cos t + i sin t) / sqrt(pi t).
     """
     inv_t = 1.0 / t
-    scale = np.sqrt(inv_t * (1.0 / np.pi))
-    c, s = scale * np.cos(t), scale * np.sin(t)
+    scale = inv_t * (1.0 / np.pi)
+    np.sqrt(scale, out=scale, where=where)
+    c = np.cos(t, out=np.zeros_like(t), where=where)
+    s = np.sin(t, out=np.zeros_like(t), where=where)
+    c *= scale
+    s *= scale
     p, q = f[0::2], f[1::2] * inv_t
     x = q + _SIGN * p
     y = _SIGN * q - p
-    np.multiply(x, c, out=out.real)
-    out.real -= y * s
-    np.multiply(x, s, out=out.imag)
-    out.imag += y * c
+    re, im = out.real, out.imag
+    np.multiply(x, c, out=re, where=where)
+    np.subtract(re, y * s, out=re, where=where)
+    np.multiply(x, s, out=im, where=where)
+    np.add(im, y * c, out=im, where=where)
 
 
 def _orders01(t, out):
@@ -228,12 +240,9 @@ def _orders01(t, out):
     T = _chebyshev_table(u)
     n_near = np.count_nonzero(near)
     if n_near:
-        _near(t, _CHEB[:4] @ T, out)
+        _near(t, _CHEB[:4] @ T, out, True if n_near == t.size else near)
     if n_near < t.size:
-        far = out if n_near == 0 else np.empty_like(out)
-        _far(t, _CHEB[4:] @ T, far)
-        if n_near:
-            np.copyto(out, far, where=~near)
+        _far(t, _CHEB[4:] @ T, out, True if n_near == 0 else ~near)
 
 
 def hankel1_table(N, t):
@@ -250,11 +259,11 @@ def hankel1_table(N, t):
     flat_t = t.reshape(-1)
     flat_h = h.reshape(len(h), -1)
     j, y = h.real, h.imag
-    inv_t = 1.0 / t
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, flat_t.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             _orders01(flat_t[block], flat_h[:2, block])
+        inv_t = 1.0 / t if N >= 2 else None  # only the recurrence needs it
         for n in range(1, N):
             two_n_t = (2.0 * n) * inv_t
             np.subtract(two_n_t * j[n], j[n - 1], out=j[n + 1, ...])

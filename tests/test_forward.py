@@ -187,7 +187,28 @@ class TestQrSolve:
         r[np.diag_indices(n)] = 2.0 + rng.uniform(size=n)
         y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         want = np.linalg.solve(r, y)
-        assert rel_max(forward._back_substitute(r, y), want) <= 1e-13
+        got = forward._back_substitute(r, y)
+        assert rel_max(got, want) <= 1e-13
+        # solve_mfs passes the raw QR output, whose lower part holds the
+        # Householder vectors: entries below the diagonal are never read
+        raw = r + np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
+        assert np.array_equal(forward._back_substitute(raw, y), got)
+
+    @pytest.mark.parametrize("n_points", [13, 100])
+    def test_charge_matrix_is_green_tensor_laid_out(self, monkeypatch, n_points):
+        # point counts that are not a multiple of 8, so no BLAS batch
+        # effect can hide a layout slip
+        rng = np.random.default_rng(n_points)
+        x = rng.uniform(2.0, 3.0, (n_points, 2))
+        charges = rng.uniform(-1.0, 1.0, (21, 2))
+        made = []
+        monkeypatch.setattr(forward, "green_tensor",
+                            lambda *args: made.append(elastic.green_tensor(*args)) or made[-1])
+        a = forward._charge_matrix(x, charges, SYS5)
+        g = elastic.green_tensor(x[:, None, :], charges[None, :, :], SYS5)
+        assert np.array_equal(a, g.transpose(0, 2, 1, 3).reshape(2 * n_points, 42))
+        # the matrix is green_tensor's own array, not a rearranged copy
+        assert a.flags.c_contiguous and np.shares_memory(a, made[0])
 
     @pytest.mark.parametrize("zeroed", [slice(None), slice(5, 6)], ids=["all", "one_column"])
     def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed):
@@ -323,6 +344,9 @@ class TestSimulate:
                        shrink=0.7)
         assert rec.n_sources == 0
         assert rec.values.shape == (0, 16, 2)
+        # the batched inside test sees a (0, 2) array of source points
+        sol = solve_mfs(disk(1.0), (), SYS5, 32, 16, 0.7, warn_above=None)
+        assert sol.strengths.shape == (0, 16, 2) and sol.residual == 0.0
 
     @pytest.mark.parametrize("empty", ["no_sources", "no_receivers"])
     def test_empty_record_not_saved(self, tmp_path, empty):

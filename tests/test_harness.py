@@ -563,3 +563,42 @@ class TestSweep:
         errs = [float(r["median_error"]) for r in rows]
         assert errs == sorted(errs)
         assert all(r["status"] == "ok" for r in rows)
+
+
+class TestOutDirBeforeWork:
+    """Each command creates --out-dir before its solve, so an unusable one
+    is refused without running the work first."""
+
+    SWEEP_CFG = (
+        "shape = disk\nlame.omega = 1.0\nn_sources = 2\n"
+        "sweep.apertures = 0:6.283185307179586\nsweep.deltas = 0\nsweep.seeds = 1\n"
+    )
+
+    @pytest.mark.parametrize("command, solver", [
+        ("forward", "solve_truth"), ("reconstruct", "reconstruct"),
+        ("sweep", "run_sweep"), ("verify", "run_battery"),
+    ])
+    def test_out_dir_that_is_a_file_refused_before_the_solve(
+        self, workspace, tmp_path, monkeypatch, capsys, command, solver
+    ):
+        root, cfg = workspace
+
+        def solve(*args, **kwargs):
+            raise SolveError("the solve ran before --out-dir was checked")
+
+        monkeypatch.setattr(cli, solver, solve)
+        sweep_cfg = tmp_path / "sweep.cfg"
+        sweep_cfg.write_text(self.SWEEP_CFG)
+        inputs = {
+            "forward": ["--config", str(cfg)],
+            "reconstruct": ["--config", str(cfg), "--record", str(root / "record.json")],
+            "sweep": ["--config", str(sweep_cfg)],
+            "verify": [],
+        }[command]
+        bad = tmp_path / "taken"
+        bad.write_text("")
+        assert main([command, *inputs, "--out-dir", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        # with a usable directory the same stub is reached: a numerical failure
+        assert main([command, *inputs, "--out-dir", str(tmp_path / "out")]) == 3
+        assert (tmp_path / "out").is_dir()

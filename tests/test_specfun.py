@@ -271,6 +271,21 @@ class TestOrderZeroOneKernel:
         assert coeffs.shape == specfun._CHEB.shape
         assert coeffs.tobytes() == specfun._CHEB.tobytes()
 
+    def test_mixed_block_matches_single_region_calls(self):
+        # near and far arguments interleaved in one block: each region's
+        # transcendentals are taken only where it applies, and no masked-out
+        # value leaks into the other region
+        rng = np.random.default_rng(7)
+        near = rng.uniform(1e-3, self.T1, 1000)
+        far = rng.uniform(np.nextafter(self.T1, np.inf), 100.0, 1000)
+        mixed = np.empty(2000)
+        mixed[0::2], mixed[1::2] = near, far
+        got = specfun.hankel1_table(1, mixed)
+        assert np.all(np.isfinite(got))
+        for part, t in ((got[:, 0::2], near), (got[:, 1::2], far)):
+            want = specfun.hankel1_table(1, t)
+            assert np.max(np.abs(part - want) / np.abs(want)) <= 1e-15
+
     @pytest.mark.parametrize("check, row", [
         (verify.check_wronskian, 1), (verify.check_recurrence, 2),
     ], ids=["wronskian", "recurrence"])
