@@ -123,7 +123,8 @@ def _radial_scalars(r, sys: LameSystem, derivative=False):
 def _tensor_array(shape):
     """Empty complex array of shape + (2, 2) whose memory runs (..., i, n, j)
     over the last axis n of shape: a matrix with rows (..., i) and columns
-    (n, j), such as the MFS charge matrix, is then a view, not a copy."""
+    (n, j) is then a view, not a copy.  ``forward._charge_matrix`` depends
+    on this layout; ``tests/test_forward.py`` checks that it gets a view."""
     if not shape:
         return np.empty((2, 2), dtype=complex)
     return np.empty(shape[:-1] + (2, shape[-1], 2), dtype=complex).swapaxes(-3, -2)
@@ -131,9 +132,7 @@ def _tensor_array(shape):
 
 def green_tensor(x, z, sys: LameSystem, e=None):
     """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
-    (..., 2, 2), with alpha and beta as in the module docstring.  Along
-    the last broadcast axis n its memory runs (..., i, n, j), see
-    ``_tensor_array``.
+    (..., 2, 2), with alpha and beta as in the module docstring.
 
     With a direction ``e`` that broadcasts against x, (G, d_e G), the second
     of shape broadcast(r, e) + (2, 2).  G = (alpha - beta) I + 2 beta d d^T,

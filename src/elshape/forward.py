@@ -7,13 +7,11 @@ Two independent routes produce scattered fields for a rigid obstacle
   fundamental-tensor columns with source points on an interior dilation
   of the boundary, fitted by oversampled least-squares collocation of
   v = -u_inc on the boundary.  Works for any smooth parametric curve.
-  A is a view of ``green_tensor``'s array, whose memory already runs
-  (point, component, charge, component).  One Householder QR of [A | B]
-  in LAPACK's raw form leaves A's triangle R and Q^H B in the upper
-  triangle of its transposed output: R is not copied and Q is never
-  formed.  One blocked back-substitution on R (64-row diagonal blocks,
-  each cut to its upper triangle, one product per block column for the
-  rows above) gives every source's charges.
+  A is a view of ``green_tensor``'s array, not a copy (``elastic``
+  lays G out for it, see ``elastic._tensor_array``).  One Householder QR
+  of [A | B] gives A's triangle R and Q^H B, and one blocked
+  back-substitution on R (64-row diagonal blocks, one product per block
+  column for the rows above) gives every source's charges.
   No rank is truncated: the system is ill-conditioned (cond up to ~1e9 at
   the shipped resolutions, ~1e16 when over-resolved), but a
   backward-stable solve still gives an accurate field (Barnett & Betcke,
@@ -84,8 +82,8 @@ class MfsSolution:
 
 def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
     """G(x_i, y_j) laid out with rows (point, component), columns (charge,
-    component): a view of green_tensor's array, whose memory already runs
-    (point, component, charge, component)."""
+    component): a view of green_tensor's array, which ``elastic._tensor_array``
+    lays out for it."""
     g = green_tensor(x[:, None, :], charges[None, :, :], sys)
     return g.swapaxes(1, 2).reshape(2 * len(x), 2 * len(charges))
 
@@ -111,7 +109,7 @@ def solve_mfs(
         raise ConfigError("shrink must lie in (0, 1)")
     if n_collocation < n_charges:
         raise ConfigError("need at least as many collocation points as charges")
-    if np.any(curve.contains(np.reshape([src.location for src in srcs], (-1, 2)))):
+    if any(curve.contains(src.xy) for src in srcs):
         raise ConfigError("source point lies inside the obstacle")
 
     centroid = curve.centroid()
@@ -126,11 +124,9 @@ def solve_mfs(
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
-    # R of [A | B] holds A's triangle and Q^H B side by side, so Q is never
-    # formed; R is the upper triangle of the transposed raw output, whose
-    # lower part (the Householder vectors) _back_substitute never reads
+    # R of [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
     n = a.shape[1]
-    r = np.linalg.qr(np.hstack([a, b]), mode="raw")[0].T
+    r = np.linalg.qr(np.hstack([a, b]), mode="r")
     if not np.all(np.diagonal(r[:n, :n])):
         raise SolveError("rank-deficient MFS collocation matrix")
     coef = _back_substitute(r[:n, :n], r[:n, n:])
@@ -149,20 +145,19 @@ def solve_mfs(
 
 
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve U x = y for U the upper triangle of r, with nonzero diagonal;
-    r's entries below the diagonal are ignored.
+    """Solve r x = y for an upper-triangular r with nonzero diagonal.
 
     numpy has no triangular solver, so the diagonal blocks of
-    BACK_SUB_BLOCK rows are solved bottom-up with ``np.linalg.solve`` on
-    their upper triangles: there partial pivoting keeps the diagonal as
-    pivot and every multiplier is zero, so its LU costs a block's size
-    cubed, not R's.  One product per block column then removes the solved
-    unknowns from the rows above.
+    BACK_SUB_BLOCK rows are solved bottom-up with ``np.linalg.solve``: on
+    an upper triangle partial pivoting keeps the diagonal as pivot and every
+    multiplier is zero, so its LU costs a block's size cubed, not R's.
+    One product per block column then removes the solved unknowns from
+    the rows above.
     """
     x = np.array(y, dtype=np.result_type(r, y))
     b = BACK_SUB_BLOCK
     for lo in range((r.shape[0] - 1) // b * b, -1, -b):
-        x[lo : lo + b] = np.linalg.solve(np.triu(r[lo : lo + b, lo : lo + b]), x[lo : lo + b])
+        x[lo : lo + b] = np.linalg.solve(r[lo : lo + b, lo : lo + b], x[lo : lo + b])
         x[:lo] -= r[:lo, lo : lo + b] @ x[lo : lo + b]
     return x
 

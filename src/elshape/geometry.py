@@ -46,17 +46,14 @@ class ParametricCurve:
     def min_radius(self, n: int = 512) -> float:
         return float(np.min(np.linalg.norm(self.sample(n), axis=-1)))
 
-    def contains(self, x, n: int = 720):
-        """Winding-number test of points x, shape (..., 2), against the
-        sampled polygon: a bool for one point, else a bool array of shape
-        x.shape[:-1], from one sampling of the curve."""
-        x = np.asarray(x, dtype=float)
-        rel = self.sample(n) - x[..., None, :]
-        ang = np.arctan2(rel[..., 1], rel[..., 0])
-        dang = np.diff(ang, axis=-1, append=ang[..., :1])
+    def contains(self, x, n: int = 720) -> bool:
+        """Winding-number test of a point against the sampled polygon."""
+        pts = self.sample(n)
+        rel = pts - np.asarray(x, dtype=float)
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        dang = np.diff(np.concatenate([ang, ang[:1]]))
         dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-        inside = np.abs(dang.sum(axis=-1)) > np.pi
-        return bool(inside) if inside.ndim == 0 else inside
+        return bool(abs(dang.sum()) > np.pi)
 
 
 def kite() -> ParametricCurve:

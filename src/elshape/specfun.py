@@ -189,7 +189,7 @@ def _chebyshev_table(u):
     return T
 
 
-def _near(t, f, out, where=True):
+def _near(t, f, out, where):
     """J_nu + i Y_nu, nu = 0, 1, into out from the t <= T1 rows f, with the
     logarithm taken only at ``where`` (out is finite elsewhere, for _far)."""
     j, y = out.real, out.imag
@@ -204,7 +204,7 @@ def _near(t, f, out, where=True):
     y += log_term * j
 
 
-def _far(t, f, out, where=True):
+def _far(t, f, out, where):
     """H_nu, nu = 0, 1, into out at ``where`` from the t > T1 rows f
     (P_nu, t Q_nu); out is left as it is elsewhere.
 
@@ -240,9 +240,9 @@ def _orders01(t, out):
     T = _chebyshev_table(u)
     n_near = np.count_nonzero(near)
     if n_near:
-        _near(t, _CHEB[:4] @ T, out, True if n_near == t.size else near)
+        _near(t, _CHEB[:4] @ T, out, near)
     if n_near < t.size:
-        _far(t, _CHEB[4:] @ T, out, True if n_near == 0 else ~near)
+        _far(t, _CHEB[4:] @ T, out, ~near)
 
 
 def hankel1_table(N, t):

