@@ -36,6 +36,14 @@ def aperture_error(aperture) -> str:
     return ""
 
 
+def _number(doc: dict, key: str):
+    """doc[key] if it is a JSON number; a boolean or other value raises ConfigError."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
+    return value
+
+
 def _emptiness_error(n_sources: int, n_receivers: int) -> str:
     """Why a record of this size cannot be stored; "" if it can."""
     if not n_sources:
@@ -128,17 +136,21 @@ class ScatterRecord:
     def from_json_dict(cls, doc: dict) -> "ScatterRecord":
         """Record from its JSON layout; a malformed document raises ConfigError."""
         try:
-            sys = LameSystem(doc["lame"]["lambda"], doc["lame"]["mu"], doc["lame"]["omega"])
+            sys = LameSystem(*(_number(doc["lame"], key) for key in ("lambda", "mu", "omega")))
             pol = tuple(doc["polarization"])
             sources = tuple(
                 PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
             )
             receivers = np.asarray(doc["receivers"], dtype=float)
+            if receivers.ndim != 1:
+                raise ConfigError("receivers must be a flat list of angles")
             if problem := _emptiness_error(len(sources), receivers.size):
                 raise ConfigError(problem)
             raw = np.asarray(doc["values"], dtype=float)
+            if raw.ndim != 3 or raw.shape[2] != 4:
+                raise ConfigError("each values entry must hold 4 numbers [re1, im1, re2, im2]")
             return cls(
-                rho=doc["rho"],
+                rho=_number(doc, "rho"),
                 sys=sys,
                 sources=sources,
                 receivers=receivers,

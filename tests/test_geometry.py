@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elshape.geometry import disk, kite, radial_curve, starfish
+from elshape.geometry import ParametricCurve, StarCurve, disk, kite, radial_curve, starfish
 
 import oracles
 
@@ -66,3 +66,58 @@ def test_radius_extrema():
     assert disk(2.0).min_radius() == pytest.approx(2.0)
     assert kite().min_radius() == pytest.approx(0.9228, abs=2e-3)
     assert kite().max_radius() == pytest.approx(2.0657, abs=2e-3)
+
+
+T1024 = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+KITE = (
+    lambda t: np.stack([np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)], axis=-1),
+    lambda t: np.stack([-np.sin(t) - 1.3 * np.sin(2 * t), 1.5 * np.cos(t)], axis=-1),
+)
+STARFISH = (
+    lambda t: np.stack([1.5 * np.cos(t) + 0.15 * np.cos(4 * t) + 0.15 * np.cos(6 * t),
+                        1.5 * np.sin(t) - 0.15 * np.sin(4 * t) + 0.15 * np.sin(6 * t)], axis=-1),
+    lambda t: np.stack([-1.5 * np.sin(t) - 0.6 * np.sin(4 * t) - 0.9 * np.sin(6 * t),
+                        1.5 * np.cos(t) - 0.6 * np.cos(4 * t) + 0.9 * np.cos(6 * t)], axis=-1),
+)
+
+
+@pytest.mark.parametrize("make,closed", [(kite, KITE), (starfish, STARFISH)],
+                         ids=["kite", "starfish"])
+def test_benchmark_tables_match_closed_forms(make, closed):
+    """The stored benchmark records and their scoring use these two shapes."""
+    point, tangent = closed
+    assert np.max(np.abs(make().point(T1024) - point(T1024))) <= 1e-15
+    assert np.max(np.abs(make().tangent(T1024) - tangent(T1024))) <= 1e-15
+
+
+@pytest.mark.parametrize("r", [0.7, 1.0, 3.0])
+def test_disk_points_are_exact(r):
+    want = r * np.stack([np.cos(T1024), np.sin(T1024)], axis=-1)
+    assert np.array_equal(disk(r).point(T1024), want)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_radial_table_matches_radius(degree):
+    rng = np.random.default_rng(degree)
+    c = np.concatenate([[1.0], rng.uniform(-0.1, 0.1, 2 * degree)])
+    r = StarCurve(c).radius(T1024)
+    want = r[:, None] * np.stack([np.cos(T1024), np.sin(T1024)], axis=-1)
+    assert radial_curve(c).cos.shape == (degree + 2, 2)
+    assert np.max(np.abs(radial_curve(c).point(T1024) - want)) <= 1e-15 * np.max(r)
+
+
+@pytest.mark.parametrize("cos,sin", [
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros((3, 3)), np.zeros((3, 3))),
+    (np.zeros(2), np.zeros(2)),
+    ([[0.0, 0.0], [np.nan, 0.0]], np.zeros((2, 2))),
+    (np.zeros((2, 2)), [[0.0, 0.0], [0.0, np.inf]]),
+], ids=["row_mismatch", "three_columns", "flat", "nan", "inf"])
+def test_bad_tables_refused(cos, sin):
+    with pytest.raises(ValueError):
+        ParametricCurve(cos, sin)
+
+
+def test_tables_are_read_only():
+    with pytest.raises(ValueError):
+        kite().cos[0, 0] = 1.0

@@ -283,8 +283,12 @@ class TestReconstructCommand:
         lambda doc: doc.update(values=5.0),
         lambda doc: doc.update(sources=[], values=[]),
         lambda doc: doc.update(receivers=[], values=[]),
+        lambda doc: doc.update(values=[[v[:3] for v in per_source] for per_source in doc["values"]]),
+        lambda doc: doc["lame"].update(omega=True),
+        lambda doc: doc.update(receivers=[[t] for t in doc["receivers"]]),
     ], ids=["missing_key", "non_numeric_rho", "ragged_values", "zero_mu", "scalar_values",
-            "no_sources", "no_receivers"])
+            "no_sources", "no_receivers", "three_numbers_per_value", "boolean_omega",
+            "nested_receivers"])
     def test_malformed_record_is_validation_error(self, workspace, tmp_path, capsys, corrupt):
         root, cfg = workspace
         doc = json.loads((root / "record.json").read_text())
@@ -298,6 +302,13 @@ class TestReconstructCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("key", ["rho", "lambda", "mu", "omega"])
+    def test_boolean_number_refused_on_load(self, workspace, key):
+        doc = json.loads((workspace[0] / "record.json").read_text())
+        (doc if key == "rho" else doc["lame"])[key] = True
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            ScatterRecord.from_json_dict(doc)
 
     def test_rerun_byte_identical(self, workspace, tmp_path_factory):
         root, cfg = workspace

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from elshape.config import _MFS_BY_SHAPE
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -58,13 +60,18 @@ def test_imported_names_resolve(name, text):
     assert not missing, f"{name} imports names that do not exist: {missing}"
 
 
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_lookup_sites_exist():
     """install wraps the names the traced benchmark run looks up, including
     newton's tracer-only imports that nothing in the package calls, and
     close puts every one back."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_by_path("perfbench_spans", ROOT / "perfbench" / "spans.py")
 
     from elshape import elastic, forward, modal, newton, specfun, verify
 
@@ -82,6 +89,20 @@ def test_tracer_lookup_sites_exist():
         tracer.close()
     assert {m: dict(vars(m)) for m in modules} == before
     assert verify.ALL_CHECKS == checks
+
+
+def test_benchmark_mfs_triples_are_config_defaults(monkeypatch):
+    """The benchmark simulates each shape with the MFS (n_collocation,
+    n_charges, shrink) that a config of that shape uses."""
+    make_records = _load_by_path("make_records", ROOT / "perfbench" / "make_records.py")
+    # workloads imports make_records by module name
+    monkeypatch.setitem(sys.modules, "make_records", make_records)
+    workloads = _load_by_path("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    triples = [(shape, mfs) for shape, _, mfs, _ in make_records.RECORD_SPECS.values()]
+    triples += [(shape, mfs) for shape, (_, _, mfs) in workloads.FORWARD_SHAPES.items()]
+    assert {shape for shape, _ in triples} == {"disk", "starfish", "kite"}
+    for shape, mfs in triples:
+        assert mfs == _MFS_BY_SHAPE[shape], shape
 
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
