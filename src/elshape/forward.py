@@ -21,15 +21,18 @@ Two independent routes produce scattered fields for a rigid obstacle
   are expanded about the origin in the regular Bessel basis (addition
   theorem for H_0^(1)), the scattered potentials in the outgoing basis,
   and the rigid condition couples them modewise through 2x2 systems,
-  solved in closed form for every mode and source at once.
+  solved in closed form for every mode and source at once.  It shares
+  ``modal``'s per-mode algebra (frame, rotation, inverse, contraction),
+  whose own check is against mpmath, but not its Hankel library: its
+  tables come from AMOS (``specfun.hankel1``/``bessel_j``).
 
-The pair cross-validates itself and keeps inversion tests free of the
-inverse crime.  Both solutions carry the sources they were solved for,
-and ``measure`` samples either one on the receiver arc into a
-ScatterRecord; ``simulate`` is one MFS solve for all sources plus
-``measure``.  ``add_noise`` applies the multiplicative per-component
-noise model v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1);
-``noise_perturbation`` draws the added term alone.
+The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``)
+and keeps inversion tests free of the inverse crime.  Both solutions
+carry the sources they were solved for, and ``measure`` samples either
+one on the receiver arc into a ScatterRecord; ``simulate`` is one MFS
+solve for all sources plus ``measure``.  ``add_noise`` applies the
+multiplicative noise v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1)
+per component; ``noise_perturbation`` draws the added term alone.
 """
 
 import warnings
@@ -41,10 +44,13 @@ from . import specfun
 from .elastic import LameSystem, PointSource, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
+from .modal import _cartesian, _expand, _frame, _invert, _polar
 from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
 RESIDUAL_WARN = 1e-6
+#: ``oracle_gap`` between MFS and disk-series records above this is a disagreement
+ORACLE_TOL = 1e-6
 #: rows of the diagonal blocks that ``_back_substitute`` solves densely
 BACK_SUB_BLOCK = 64
 
@@ -173,16 +179,16 @@ def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float
 # analytic disk solution
 # ---------------------------------------------------------------------------
 
-def _value_and_derivative(fn, n_modes: int, t):
-    """C_m(t) and C_m'(t) = C_{m-1}(t) - (m/t) C_m(t) for m = -M..M.
-
-    One call of ``fn`` (a cylinder function of integer order) fills orders
-    -M-1..M; both tables have shape (2M+1,) + np.shape(t).
-    """
-    t = np.asarray(t, dtype=float)
+def _frame_tables(fn, n_modes: int, sys: LameSystem, r):
+    """``modal._frame``'s tables (k C_m'(k r), C_m(k r)), unnormalized, for
+    k = (k_p, k_s) and m = -M..M, each (2, 2M+1) + np.shape(r), from one
+    call of the cylinder function ``fn`` for orders -M-1..M."""
+    k = np.reshape([sys.k_p, sys.k_s], (2,) + (1,) * np.ndim(r))
+    t = k * np.asarray(r, dtype=float)
     m = np.arange(-n_modes - 1, n_modes + 1).reshape((-1,) + (1,) * t.ndim)
     c = fn(m, t)
-    return c[1:], c[:-1] - (m[1:] / t) * c[1:]
+    dc, _ = specfun.derivatives(c[:-1], c[1:], m[1:], t)
+    return np.moveaxis(k * dc, 0, 1), np.moveaxis(c[1:], 0, 1)
 
 
 def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
@@ -201,8 +207,7 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
     """
     z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
     pol = np.array([src.polarization for src in srcs], dtype=float).reshape(-1, 2)
-    rz = np.hypot(z[:, 0], z[:, 1])[:, None]
-    tz = np.arctan2(z[:, 1], z[:, 0])[:, None]
+    rz, tz = (a[:, None] for a in _polar(z))
     p_cplx = (pol[:, 0] + 1j * pol[:, 1])[:, None]
     m = np.arange(-n_modes, n_modes + 1)
     out = []
@@ -231,31 +236,19 @@ class DiskField:
 
     def eval(self, x) -> np.ndarray:
         """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        theta = np.arctan2(x[..., 1], x[..., 0])
-        shape = self.b_p.shape[:-1] + r.shape
-        r = np.atleast_1d(r).ravel()
-        theta = np.atleast_1d(theta).ravel()
+        return _expand(self.b_p, self.b_s, x, self._basis)[0]
+
+    def _basis(self, r, theta) -> np.ndarray:
+        """The outgoing basis at the 1-D polar points (r, theta), ``modal._basis``'s layout."""
         if np.any(r < self.radius * (1.0 - 1e-12)):
             raise DomainError("disk series evaluated inside the disk")
-
         # the Hankel tables depend on r only: evaluate them on the distinct
         # radii (a receiver circle has a few) and scatter back
         r_uniq, back = np.unique(r, return_inverse=True)
-        m = np.arange(-self.n_modes, self.n_modes + 1)[:, None]
-        phase = np.exp(1j * m * theta)
-        # per branch: radial part k H_m' and tangential part (i m / r) H_m
-        radial, tangential = [], []
-        for k, coef in ((self.sys.k_p, self.b_p), (self.sys.k_s, self.b_s)):
-            h, dh = _value_and_derivative(specfun.hankel1, self.n_modes, k * r_uniq)
-            radial.append(coef @ (k * dh[:, back] * phase))
-            tangential.append(coef @ ((1j * m / r) * h[:, back] * phase))
-        a = radial[0] + tangential[1]
-        b = tangential[0] - radial[1]
-        ct, st = np.cos(theta), np.sin(theta)
-        vec = np.stack([a * ct - b * st, a * st + b * ct], axis=-1)
-        return vec.reshape(shape + (2,))
+        alpha, beta = (tab[..., back] for tab in
+                       _frame_tables(specfun.hankel1, self.n_modes, self.sys, r_uniq))
+        m = np.arange(-self.n_modes, self.n_modes + 1)
+        return _cartesian([_frame(m[:, None], r, alpha, beta)], m, theta)
 
 
 def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:
@@ -273,26 +266,21 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
 
     a_p, a_s = _incident_potential_coeffs(srcs, sys, n_modes)
     m = np.arange(-n_modes, n_modes + 1)
-    jp, djp = _value_and_derivative(specfun.bessel_j, n_modes, sys.k_p * radius)
-    js, djs = _value_and_derivative(specfun.bessel_j, n_modes, sys.k_s * radius)
-    hp, dhp = _value_and_derivative(specfun.hankel1, n_modes, sys.k_p * radius)
-    hs, dhs = _value_and_derivative(specfun.hankel1, n_modes, sys.k_s * radius)
+    # u_inc + v = 0 at r = radius, per mode: the H frame of b is minus the J
+    # frame of a, solved for c = b H(k radius), whose frame has entries O(m)
+    (u_p, v_p), (u_s, v_s) = _frame(
+        m, radius, *_frame_tables(specfun.bessel_j, n_modes, sys, radius))
+    alpha, beta = _frame_tables(specfun.hankel1, n_modes, sys, radius)
+    c_p, c_s = _invert(m, radius, alpha / beta, np.ones_like(beta),
+                       -(u_p * a_p + u_s * a_s), -(v_p * a_p + v_s * a_s))
+    return DiskField(radius=radius, sys=sys, b_p=c_p / beta[0], b_s=c_s / beta[1], sources=srcs)
 
-    # u_inc + v = 0 at r = radius, per mode:
-    #   [k_p H_p'   fac H_s ] [b_p]     [k_p J_p' a_p + fac J_s a_s ]
-    #   [fac H_p   -k_s H_s'] [b_s] = - [fac J_p a_p  - k_s J_s' a_s]
-    # solved for c = b H(k radius), which keeps every entry O(m)
-    fac = 1j * m / radius
-    g_p = sys.k_p * dhp / hp
-    g_s = sys.k_s * dhs / hs
-    det = -g_p * g_s - fac * fac
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        raise SolveError("degenerate rigid-disk mode system")
-    rhs_r = -(sys.k_p * djp * a_p + fac * js * a_s)
-    rhs_t = -(fac * jp * a_p - sys.k_s * djs * a_s)
-    b_p = (-g_s * rhs_r - fac * rhs_t) / (det * hp)
-    b_s = (g_p * rhs_t - fac * rhs_r) / (det * hs)
-    return DiskField(radius=radius, sys=sys, b_p=b_p, b_s=b_s, sources=srcs)
+
+def oracle_gap(values, reference) -> float:
+    """Largest per-source relative L2 gap between two records' (S, M, 2) values."""
+    num = np.sqrt(np.sum(np.abs(values - reference) ** 2, axis=(1, 2)))
+    den = np.sqrt(np.sum(np.abs(reference) ** 2, axis=(1, 2)))
+    return float(np.max(num / den))
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,6 @@ class ParametricCurve:
     def max_radius(self, n: int = 512) -> float:
         return float(np.max(np.linalg.norm(self.sample(n), axis=-1)))
 
-    def min_radius(self, n: int = 512) -> float:
-        return float(np.min(np.linalg.norm(self.sample(n), axis=-1)))
-
     def contains(self, x, n: int = 720) -> bool:
         """Winding-number test of a point against the sampled polygon."""
         pts = self.sample(n)

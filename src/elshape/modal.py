@@ -13,32 +13,35 @@ the displacement reads
     beta_{xi,n}(r)  =       H_n^(1)(k_xi r) / H_n^(1)(k_xi R).
 
 Projecting data on the measurement circle r = rho onto U_n and V_n yields,
-per mode, a 2x2 linear system whose determinant is
-beta_{p,n} beta_{s,n} Lambda_n with
+per mode, a 2x2 system with determinant beta_{p,n} beta_{s,n} Lambda_n,
 
     Lambda_n = n^2/rho^2 - alpha_{p,n} alpha_{s,n} / (beta_{p,n} beta_{s,n}),
 
 nonzero for every integer n, so the coefficients follow in closed form.
-The projection of full-circle data is one matrix product of every
-source's samples with the trapezoid weights, and it and the 2x2 inverse
-both act on each mode alone, so an extraction at order N holds every
-lower order's coefficients.  Radial derivatives use
-kappa_{xi,n}(r) = alpha_{xi,n}'(r) = k_xi^2 H_n^(1)''(k_xi r) / H_n^(1)(k_xi R);
-the angular derivative needs no table of its own, since
-U_n' = in U_n + V_n and V_n' = in V_n - U_n make d/dtheta v the field of
-the coefficients in c plus v turned a quarter.  The evaluators are
-``eval_field`` (v), ``eval_radial`` (v and d/dr v, the Newton step's pair)
-and ``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the
-rows c and in c).
+This per-mode algebra is written once, here: ``_frame`` (the U_n / V_n
+amplitudes of a unit coefficient), ``_cartesian`` (their Cartesian
+components times e^{in theta}), ``_expand`` (their contraction with the
+coefficients) and ``_invert`` (the 2x2 inverse, with the one determinant
+guard).  The disk-series oracle in ``forward`` calls them with its own
+AMOS tables, so mpmath's per-mode matrix (``tests/oracles.modal_matrix``)
+is their independent check.  The projection of full-circle data (one
+matrix product with the trapezoid weights) and the inverse act on each
+mode alone, so an extraction at order N holds every lower order's
+coefficients.  The d/dr frame is the frame of the tables (kappa, alpha -
+beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r); the angular derivative needs
+no table of its own, since U_n' = in U_n + V_n and V_n' = in V_n - U_n
+make d/dtheta v the field of the coefficients in c plus v turned a
+quarter.  The evaluators are ``eval_field`` (v), ``eval_radial`` (v and
+d/dr v, the Newton step's pair) and ``eval_gradient`` (the Cartesian
+Jacobian, one ``eval_radial`` of the rows c and in c).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
-builds its Hankel tables once for all rows, from one ``specfun.hankel1_table``
-call for both wavenumbers on the distinct radii of its points and the
-normalization radius R, and contracts the source-independent
-basis they span with [phat_p, phat_s] in one matrix product.  The arc fit
-uses the same basis at the receivers as its design matrix.  ModalField
-instances are immutable after construction and all evaluators are pure.
+builds its Hankel tables once for all rows (one ``specfun.hankel1_table``
+call for both wavenumbers on the distinct radii and R) and contracts the
+source-independent basis with [phat_p, phat_s] in one matrix product.  The
+arc fit uses that basis as its design matrix.  ModalField instances are
+immutable after construction and all evaluators are pure.
 """
 
 import math
@@ -71,8 +74,8 @@ __all__ = [
 # coefficient tables
 # ---------------------------------------------------------------------------
 
-def _hankel_table(k, R: float, N: int, r: np.ndarray, want_kappa: bool):
-    """alpha, beta (and kappa) tables of shape np.shape(k) + (2N+1, P), orders -N..N.
+def _hankel_table(k, R: float, N: int, r: np.ndarray):
+    """alpha, beta and kappa tables of shape np.shape(k) + (2N+1, P), orders -N..N.
 
     ``k`` is one wavenumber or a sequence of them, all served by one table
     call that also holds the normalizations H_n(k R).  All three tables are
@@ -93,14 +96,10 @@ def _hankel_table(k, R: float, N: int, r: np.ndarray, want_kappa: bool):
     orders = np.arange(0, N + 1)[:, None]
     h = h_all[..., : N + 1, :]
     h_prev = np.concatenate([-h_all[..., 1:2, :], h_all[..., :N, :]], axis=-2)  # H_{-1} = -H_1
-    hp = h_prev - (orders / t) * h
+    hp, hpp = specfun.derivatives(h_prev, h, orders, t)
 
-    tabs = [k * hp / denom, h / denom]
-    if want_kappa:
-        hpp = -hp / t - (1.0 - (orders / t) ** 2) * h
-        tabs.append(k * k * hpp / denom)
-    out = [np.concatenate([tab[..., :0:-1, :], tab], axis=-2)[..., back] for tab in tabs]
-    return out if want_kappa else out + [None]
+    tabs = (k * hp / denom, h / denom, k * k * hpp / denom)
+    return [np.concatenate([tab[..., :0:-1, :], tab], axis=-2)[..., back] for tab in tabs]
 
 
 def _polar(x):
@@ -158,8 +157,7 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     On an equispaced receiver grid the trapezoid rule is the exact discrete
     Fourier transform, so the projections are exact for band-limited data
     up to the aliasing order.  The rule is one (S, 2M) @ (2M, 2(2N+1))
-    product: rows (receiver, component), columns (frame vector, order),
-    entries e_r(theta_m) e^{-i n theta_m} / M and e_t(theta_m) e^{-i n theta_m} / M.
+    product with conj(U_n) / M and conj(V_n) / M at the receivers.
     """
     if not rec.is_full_aperture:
         raise ConfigError("modal_rhs needs full aperture; use limited_aperture_fit")
@@ -171,24 +169,42 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     if not np.allclose(gaps, 2.0 * np.pi / m, rtol=0.0, atol=1e-9):
         raise ConfigError("modal_rhs needs equispaced receivers")
 
-    # frame[m, c, w]: component c of e_r (w = 0) or e_t (w = 1) at theta_m
-    ct, st = np.cos(theta), np.sin(theta)
-    frame = np.moveaxis(np.array([[ct, -st], [st, ct]]), -1, 0)
-    phase = np.exp(-1j * theta[:, None] * np.arange(-N, N + 1)) / m   # (M, 2N+1)
-    proj = (frame[..., None] * phase[:, None, None, :]).reshape(2 * m, 2 * (2 * N + 1))
-    f = rec.values.reshape(rec.n_sources, 2 * m) @ proj
+    # U_n (as p's unit frame) and V_n (as s's) in Cartesian components
+    proj = _cartesian([((1.0, 0.0), (0.0, 1.0))], np.arange(-N, N + 1), theta).conj() / m
+    f = rec.values.reshape(rec.n_sources, 2 * m) @ proj.reshape(2 * (2 * N + 1), 2 * m).T
     return ModalRhs(N=N, f_p=f[:, : 2 * N + 1], f_s=f[:, 2 * N + 1 :])
 
 
 def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
-    """(alpha_p, beta_p, alpha_s, beta_s) at the data radius, orders -N..N."""
-    r = np.array([rho])
-    (alpha_p, alpha_s), (beta_p, beta_s), _ = _hankel_table((sys.k_p, sys.k_s), R, N, r, False)
-    return alpha_p[:, 0], beta_p[:, 0], alpha_s[:, 0], beta_s[:, 0]
+    """(alpha, beta) at the data radius, each (2, 2N+1): rows p and s, orders -N..N."""
+    alpha, beta, _ = _hankel_table((sys.k_p, sys.k_s), R, N, np.array([rho]))
+    return alpha[..., 0], beta[..., 0]
 
 
-def _lambda(n, rho, ap, bp, a_s, bs):
-    return (n / rho) ** 2 - ap * a_s / (bp * bs)
+def _lambda(n, r, alpha, beta):
+    (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
+    return (n / r) ** 2 - alpha_p * alpha_s / (beta_p * beta_s)
+
+
+def _frame(n, r, alpha, beta):
+    """U_n / V_n amplitudes ((a_p, b_p), (a_s, b_s)) of a unit coefficient in
+    each potential, from (p, s) pairs of tables alpha and beta; the d/dr
+    tables (kappa, alpha - beta/r) give the d/dr amplitudes, as beta' = alpha."""
+    (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
+    inr = 1j * n / r
+    return (alpha_p, inr * beta_p), (inr * beta_s, -alpha_s)
+
+
+def _invert(n, r, alpha, beta, f_u, f_v):
+    """Coefficients (c_p, c_s) whose ``_frame(n, r, alpha, beta)`` amplitudes are
+    (f_u, f_v), for 1-D orders n: the frame's adjugate over its determinant
+    Lambda_n beta_p beta_s, which is a SolveError if non-finite or below 1e-300."""
+    (u_p, v_p), (u_s, v_s) = _frame(n, r, alpha, beta)
+    denom = _lambda(n, r, alpha, beta) * beta[0] * beta[1]  # u_p v_s - u_s v_p
+    bad = (np.abs(denom) < 1e-300) | ~np.isfinite(denom)
+    if np.any(bad):
+        raise SolveError(f"mode determinant tiny or non-finite at n={n[bad][0]} (|n| <= {n.max()})")
+    return (v_s * f_u - u_s * f_v) / denom, (u_p * f_v - v_p * f_u) / denom
 
 
 def lambda_n(n, rho: float, R: float, sys: LameSystem):
@@ -198,39 +214,20 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
     shape, from one table of orders up to max |n|).
     """
     N = int(np.max(np.abs(n)))
-    return _lambda(n, rho, *(tab[np.add(n, N)] for tab in _circle_tables(rho, R, N, sys)))
+    return _lambda(n, rho, *(tab[:, np.add(n, N)] for tab in _circle_tables(rho, R, N, sys)))
 
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
-    """Invert the per-mode 2x2 systems in closed form, for every row of rhs.
-
-    The inverse is written through Lambda_n beta_{p,n} beta_{s,n} rather
-    than via a generic solver so the arithmetic path is reproducible.
-    """
+    """Invert the per-mode 2x2 systems in closed form (``_invert``), for every row of rhs."""
     N = rhs.N
-    ap, bp, a_s, bs = _circle_tables(rho, R, N, sys)
-    n = np.arange(-N, N + 1)
-
-    denom = _lambda(n, rho, ap, bp, a_s, bs) * bp * bs
-    bad = (np.abs(denom) < 1e-300) | ~np.isfinite(denom)
-    if np.any(bad):
-        raise SolveError(
-            f"modal determinant underflow at n={n[bad][0]} (|n| <= {N})"
-        )
-    fac = 1j * n / rho
-    phat_p = (-a_s * rhs.f_p - fac * bs * rhs.f_s) / denom
-    phat_s = (-fac * bp * rhs.f_p + ap * rhs.f_s) / denom
+    alpha, beta = _circle_tables(rho, R, N, sys)
+    phat_p, phat_s = _invert(np.arange(-N, N + 1), rho, alpha, beta, rhs.f_p, rhs.f_s)
     return ModalField(N=N, R=R, rho=rho, sys=sys, phat_p=phat_p, phat_s=phat_s)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _check_outside(mf: ModalField, r: np.ndarray):
-    if np.any(r <= mf.R):
-        raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
-
 
 def _basis(N: int, R: float, sys: LameSystem, r, theta, d_r: bool) -> np.ndarray:
     """Source-independent basis, shape (2(2N+1), 1 + d_r, P, 2).
@@ -239,45 +236,48 @@ def _basis(N: int, R: float, sys: LameSystem, r, theta, d_r: bool) -> np.ndarray
     (r_p, theta_p) of the value (i = 0) or, with ``d_r``, its d/dr (i = 1)
     for a unit coefficient of order n in potential w (0 = p, 1 = s): the
     U_n / V_n amplitudes times e^{in theta}, rotated to Cartesian
-    components.  r and theta are 1-D of length P.
+    components.  r and theta are 1-D of length P, with every r > R.
     """
-    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r, d_r)
-    (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
+    if np.any(r <= R):
+        raise DomainError(f"evaluation requires |x| > R = {R:g}")
+    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r)
     n = np.arange(-N, N + 1, dtype=float)[:, None]
-    inr = 1j * n / r
-    # per frame: ((a_p, b_p), (a_s, b_s)), each (2N+1, P)
-    frames = [((alpha_p, inr * beta_p), (inr * beta_s, -alpha_s))]
+    frames = [_frame(n, r, alpha, beta)]
     if d_r:
-        frames.append((
-            (kappa[0], 1j * n * (alpha_p / r - beta_p / r ** 2)),
-            (1j * n * (alpha_s / r - beta_s / r ** 2), -kappa[1]),
-        ))
+        frames.append(_frame(n, r, kappa, alpha - beta / r))
+    return _cartesian(frames, n, theta)
 
+
+def _cartesian(frames, n, theta) -> np.ndarray:
+    """(a e_r + b e_theta) e^{in theta} in Cartesian components, in ``_basis``'s
+    layout, for every ((a_p, b_p), (a_s, b_s)) in ``frames`` at the 1-D angles theta."""
+    n = np.reshape(n, (-1, 1))
     ct, st = np.cos(theta), np.sin(theta)
     phase = np.exp(1j * n * theta)
-    basis = np.empty((2, n.size, len(frames), r.size, 2), dtype=complex)
+    basis = np.empty((2, n.size, len(frames), theta.size, 2), dtype=complex)
     for i, frame in enumerate(frames):
         for w, (a, b) in enumerate(frame):
             basis[w, :, i, :, 0] = (a * ct - b * st) * phase
             basis[w, :, i, :, 1] = (a * st + b * ct) * phase
-    return basis.reshape(2 * n.size, len(frames), r.size, 2)
+    return basis.reshape(2 * n.size, len(frames), theta.size, 2)
+
+
+def _expand(c_p, c_s, x, basis_of) -> list:
+    """Fields of the coefficients [c_p, c_s] in each frame of ``basis_of(r, theta)``
+    (``_basis``'s layout at the 1-D polar coordinates of x), each lead + x.shape[:-1]
+    + (2,): one (lead, 2(2N+1)) @ (2(2N+1), frames * P * 2) product for every row."""
+    r, theta = _polar(x)
+    shape = c_p.shape[:-1] + r.shape
+    basis = basis_of(np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel())
+    coeffs = np.concatenate([c_p, c_s], axis=-1)
+    out = (coeffs @ basis.reshape(len(basis), -1)).reshape(coeffs.shape[:-1] + basis.shape[1:])
+    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(basis.shape[1])]
 
 
 def _evaluate(mf: ModalField, x, d_r: bool) -> list:
-    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian.
-
-    One (lead, 2(2N+1)) @ (2(2N+1), frames * P * 2) product of
-    [phat_p, phat_s] with the basis evaluates every row.
-    """
-    r, theta = _polar(x)
-    shape = mf.phat_p.shape[:-1] + r.shape
-    r, theta = np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()
-    _check_outside(mf, r)
-    basis = _basis(mf.N, mf.R, mf.sys, r, theta, d_r)
-    coeffs = np.concatenate([mf.phat_p, mf.phat_s], axis=-1)
-    out = coeffs @ basis.reshape(basis.shape[0], -1)
-    out = out.reshape(coeffs.shape[:-1] + (basis.shape[1], r.size, 2))
-    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(basis.shape[1])]
+    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian."""
+    return _expand(mf.phat_p, mf.phat_s, x,
+                   lambda r, theta: _basis(mf.N, mf.R, mf.sys, r, theta, d_r))
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:

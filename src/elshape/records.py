@@ -36,12 +36,22 @@ def aperture_error(aperture) -> str:
     return ""
 
 
-def _number(doc: dict, key: str):
-    """doc[key] if it is a JSON number; a boolean or other value raises ConfigError."""
-    value = doc[key]
+def _number(value, key: str):
+    """value if it is a JSON number; a boolean or other value raises ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, not {value!r}")
     return value
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """value as a float array if every entry, at any depth, passes ``_number``."""
+    flat = [value]
+    for item in flat:  # the lists' items are appended as the walk reaches them
+        if type(item) is list:
+            flat.extend(item)
+        elif type(item) is not float:  # the common case skips the call
+            _number(item, key)
+    return np.asarray(value, dtype=float)
 
 
 def _emptiness_error(n_sources: int, n_receivers: int) -> str:
@@ -136,26 +146,26 @@ class ScatterRecord:
     def from_json_dict(cls, doc: dict) -> "ScatterRecord":
         """Record from its JSON layout; a malformed document raises ConfigError."""
         try:
-            sys = LameSystem(*(_number(doc["lame"], key) for key in ("lambda", "mu", "omega")))
-            pol = tuple(doc["polarization"])
+            sys = LameSystem(*(_number(doc["lame"][k], k) for k in ("lambda", "mu", "omega")))
+            pol = tuple(_numbers(doc["polarization"], "polarization"))
             sources = tuple(
-                PointSource((s["x"], s["y"]), pol) for s in doc["sources"]
+                PointSource(_numbers([s["x"], s["y"]], "sources"), pol) for s in doc["sources"]
             )
-            receivers = np.asarray(doc["receivers"], dtype=float)
+            receivers = _numbers(doc["receivers"], "receivers")
             if receivers.ndim != 1:
                 raise ConfigError("receivers must be a flat list of angles")
             if problem := _emptiness_error(len(sources), receivers.size):
                 raise ConfigError(problem)
-            raw = np.asarray(doc["values"], dtype=float)
+            raw = _numbers(doc["values"], "values")
             if raw.ndim != 3 or raw.shape[2] != 4:
                 raise ConfigError("each values entry must hold 4 numbers [re1, im1, re2, im2]")
             return cls(
-                rho=_number(doc, "rho"),
+                rho=_number(doc["rho"], "rho"),
                 sys=sys,
                 sources=sources,
                 receivers=receivers,
                 values=raw[..., 0::2] + 1j * raw[..., 1::2],
-                aperture=tuple(doc["aperture"]),
+                aperture=tuple(_numbers(doc["aperture"], "aperture")),
             )
         except ConfigError:
             raise

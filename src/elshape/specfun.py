@@ -35,15 +35,16 @@ Two routes give H_n^(1):
     ``bessel_y``, ``hankel1_d1/d2``, ``ln_gamma``) call scipy.special,
     imported on first use.  Only the disk-series oracle in ``forward`` and
     the checks in ``verify`` use them, so the solver path imports no scipy
-    and the oracle that the MFS solve is compared against shares no
-    library with it.
+    and the oracle that the MFS solve is compared against shares no Hankel
+    library with it (it does share ``modal``'s per-mode algebra).
 
 Conventions:
   * negative integer orders go straight to scipy, whose result equals the
     reflection C_{-n} = (-1)^n C_n (valid for J, Y and H^(1) alike) exactly;
-  * H_n^(1)'(t) = H_{n-1}^(1)(t) - (n/t) H_n^(1)(t);
-  * H_n^(1)''(t) = -(1/t) H_n^(1)'(t) - (1 - n^2/t^2) H_n^(1)(t)
-    (the Bessel differential equation).
+  * ``derivatives`` owns C_n' = C_{n-1} - (n/t) C_n and, by the Bessel
+    equation, C_n'' = -C_n'/t - (1 - n^2/t^2) C_n for J, Y and H^(1): the
+    modal tables, the disk oracle, ``hankel1_d1/d2`` and the battery's
+    Wronskian take it from there, and finite differences check it.
 
 All functions broadcast over numpy arrays in both order and argument and
 are pure, so they are safe for concurrent use.
@@ -60,6 +61,7 @@ __all__ = [
     "hankel1_table",
     "hankel1_d1",
     "hankel1_d2",
+    "derivatives",
     "ln_gamma",
 ]
 
@@ -271,20 +273,22 @@ def hankel1_table(N, t):
     return h[: N + 1]
 
 
+def derivatives(c_prev, c, n, t):
+    """(C_n'(t), C_n''(t)) of any cylinder function C from C_{n-1}(t) and C_n(t)."""
+    d1 = c_prev - (n / t) * c
+    return d1, -d1 / t - (1.0 - (n / t) ** 2) * c
+
+
 def hankel1_d1(n, t):
-    """First derivative H_n^(1)'(t) via H_{n-1} - (n/t) H_n."""
-    t = _check_argument(t)
+    """First derivative H_n^(1)'(t), by ``derivatives``."""
     n = np.asarray(n)
-    return hankel1(n - 1, t) - (n / t) * hankel1(n, t)
+    return derivatives(hankel1(n - 1, t), hankel1(n, t), n, _check_argument(t))[0]
 
 
 def hankel1_d2(n, t):
-    """Second derivative H_n^(1)''(t) from the Bessel ODE."""
-    t = _check_argument(t)
+    """Second derivative H_n^(1)''(t), by ``derivatives``."""
     n = np.asarray(n)
-    h = hankel1(n, t)
-    hp = hankel1(n - 1, t) - (n / t) * h
-    return -hp / t - (1.0 - (n / t) ** 2) * h
+    return derivatives(hankel1(n - 1, t), hankel1(n, t), n, _check_argument(t))[1]
 
 
 def ln_gamma(x):

@@ -77,3 +77,50 @@ def test_workload_and_run_length_come_from_the_benchmark(ab, tmp_path, monkeypat
         ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seconds", "20"])
     assert ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]) == 0
     assert runs == [("w", 7)] * 4
+
+
+A_RUNS = [0.0630, 0.0632, 0.0628, 0.0631, 0.0629, 0.0630, 0.0633, 0.0627, 0.0630, 0.0631]
+
+
+def test_verdict_worse_only_beyond_the_bound(ab):
+    # median 0.0630: a 25% bound allows B up to 0.07875 for a lower-is-better metric
+    assert ab.verdict(A_RUNS, [x * 1.2 for x in A_RUNS], "lower", 0.25) == "ok"
+    assert ab.verdict(A_RUNS, [x * 1.3 for x in A_RUNS], "lower", 0.25) == "worse"
+    assert ab.verdict(A_RUNS, [x * 0.7 for x in A_RUNS], "higher", 0.25) == "worse"
+    assert ab.verdict(A_RUNS, [x * 0.8 for x in A_RUNS], "higher", 0.25) == "ok"
+    # ok_frac: a 1% bound, and every run complete on both sides
+    assert ab.verdict([1.0] * 10, [1.0] * 10, "higher", 0.01) == "ok"
+    assert ab.verdict([1.0] * 10, [0.98] * 10, "higher", 0.01) == "worse"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound(ab):
+    a = [0.05, 0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12, 0.13, 0.14]
+    # quartiles 0.0725 and 0.1175 are 47% of the median 0.095 apart
+    assert ab.verdict(a, a, "lower", 0.25) == "unresolved"
+    assert ab.verdict(a, a, "lower", 0.5) == "ok"
+    # unless every B run beats every A run
+    assert ab.verdict(a, [0.04] * 10, "lower", 0.25) == "ok"
+    assert ab.verdict(a, [0.04] * 9 + [0.05], "lower", 0.25) == "unresolved"
+    assert ab.verdict(a, [0.2] * 10, "higher", 0.25) == "ok"
+    # a worse median is reported as worse even then
+    assert ab.verdict(a, [0.2] * 10, "lower", 0.25) == "worse"
+
+
+def test_verdict_column_uses_each_metrics_bound(ab, tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "call_s", "better": "lower", "bound": 0.25},
+                       {"name": "steps", "better": "lower", "bound": 0.1},
+                       {"name": "ok_frac", "better": "higher"}]}))
+    runs = iter(range(8))
+
+    def run_once(root, workload, seed, seconds):
+        i = next(runs)  # pairs alternate AB, BA: runs 0, 3, 4, 7 are A's
+        b_side = i in (1, 2, 5, 6)
+        return {"call_s": 0.05, "steps": 12.0 if b_side else 10.0, "ok_frac": 1.0}, 0
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "4"]) == 0
+    rows = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in ("call_s", "steps", "ok_frac")}
+    assert rows == {"call_s": "ok", "steps": "worse", "ok_frac": "-"}

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from elshape import elastic, forward
+from elshape import elastic, forward, specfun
 from elshape.elastic import LameSystem, PointSource, incident_field
 from elshape.config import _MFS_BY_SHAPE
 from elshape.errors import ConfigError, DomainError, SolveError
@@ -21,6 +21,7 @@ from elshape.forward import (
     solve_mfs,
 )
 from elshape.geometry import disk, kite, starfish
+from elshape.modal import ModalField, eval_field
 from elshape.records import ScatterRecord
 
 SYS5 = LameSystem(1.0, 1.0, 5.0)
@@ -250,6 +251,22 @@ class TestDiskSeries:
         b = disk_series(1.0, (SRC,), SYS5, 50).eval(pts)
         assert np.max(np.abs(a - b)) <= 1e-12
 
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    @pytest.mark.parametrize("n_modes", [20, 40])
+    @pytest.mark.parametrize("R", [0.5, 0.9])
+    def test_modal_field_of_the_series_agrees(self, omega, n_modes, R):
+        # phat = b H_n(k R) is the series in the modal layer's normalized
+        # basis, so the two evaluators (AMOS tables here, numpy tables there)
+        # must give one field: this pins the frame's signs and normalization
+        sys = LameSystem(1.0, 1.0, omega)
+        fld = disk_series(1.0, (SRC, PointSource((-1.0, -4.0), (0.6, -0.8))), sys, n_modes)
+        n = np.arange(-n_modes, n_modes + 1)
+        mf = ModalField(N=n_modes, R=R, rho=3.0, sys=sys,
+                        phat_p=fld.b_p * specfun.hankel1(n, sys.k_p * R),
+                        phat_s=fld.b_s * specfun.hankel1(n, sys.k_s * R))
+        pts = np.concatenate([circle_points(r, 64) for r in (1.0, 1.5, 3.0)])
+        assert rel_max(eval_field(mf, pts), fld.eval(pts)) <= 1e-13
+
 
 MIXED7 = tuple(
     PointSource((r * np.cos(a), r * np.sin(a)), pol)
@@ -311,8 +328,8 @@ class TestBatchedDiskSeries:
         monkeypatch.setattr(forward.specfun, "hankel1", counted)
         rec = record_from_disk_series(1.0, MIXED7[:n_sources], SYS5, 5.5, n_receivers)
         assert rec.values.shape == (n_sources, n_receivers, 2)
-        # incident coefficients, rim tables and receiver tables, one per branch each
-        assert len(calls) == 6
+        # incident coefficients one per branch; rim and receiver tables one for both
+        assert len(calls) == 4
 
 
 class TestSimulate:

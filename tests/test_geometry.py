@@ -63,8 +63,6 @@ def test_radial_curve_rejects_even_length():
 
 def test_radius_extrema():
     assert disk(2.0).max_radius() == pytest.approx(2.0)
-    assert disk(2.0).min_radius() == pytest.approx(2.0)
-    assert kite().min_radius() == pytest.approx(0.9228, abs=2e-3)
     assert kite().max_radius() == pytest.approx(2.0657, abs=2e-3)
 
 

@@ -286,9 +286,15 @@ class TestReconstructCommand:
         lambda doc: doc.update(values=[[v[:3] for v in per_source] for per_source in doc["values"]]),
         lambda doc: doc["lame"].update(omega=True),
         lambda doc: doc.update(receivers=[[t] for t in doc["receivers"]]),
+        lambda doc: doc.update(polarization=[True, False]),
+        lambda doc: doc["sources"][0].update(x=True),
+        lambda doc: doc.update(aperture=[False, doc["aperture"][1]]),
+        lambda doc: doc["receivers"].__setitem__(0, False),
+        lambda doc: doc["values"][0][0].__setitem__(0, True),
     ], ids=["missing_key", "non_numeric_rho", "ragged_values", "zero_mu", "scalar_values",
             "no_sources", "no_receivers", "three_numbers_per_value", "boolean_omega",
-            "nested_receivers"])
+            "nested_receivers", "boolean_polarization", "boolean_source_x", "boolean_aperture",
+            "boolean_receiver", "boolean_value"])
     def test_malformed_record_is_validation_error(self, workspace, tmp_path, capsys, corrupt):
         root, cfg = workspace
         doc = json.loads((root / "record.json").read_text())

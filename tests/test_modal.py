@@ -131,8 +131,8 @@ class TestModalMatrix:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         from elshape.modal import _hankel_table
 
-        beta_p = _hankel_table(SYS5.k_p, 0.5, abs(n), np.array([RHO]), False)[1][n + abs(n), 0]
-        beta_s = _hankel_table(SYS5.k_s, 0.5, abs(n), np.array([RHO]), False)[1][n + abs(n), 0]
+        beta_p = _hankel_table(SYS5.k_p, 0.5, abs(n), np.array([RHO]))[1][n + abs(n), 0]
+        beta_s = _hankel_table(SYS5.k_s, 0.5, abs(n), np.array([RHO]))[1][n + abs(n), 0]
         want = beta_p * beta_s * lambda_n(n, RHO, 0.5, SYS5)
         assert abs(det - want) <= 1e-12 * abs(want)
 
@@ -295,9 +295,9 @@ class TestPolarDerivatives:
         n = 4
 
         def alpha(r):
-            return _hankel_table(k, R, n, np.array([r]), False)[0][n + n, 0]
+            return _hankel_table(k, R, n, np.array([r]))[0][n + n, 0]
 
-        kappa = _hankel_table(k, R, n, np.array([2.0]), True)[2][n + n, 0]
+        kappa = _hankel_table(k, R, n, np.array([2.0]))[2][n + n, 0]
         fd = oracles.central_diff(alpha, 2.0, 1e-6)
         assert abs(kappa - fd) <= 1e-7 * abs(fd)
 

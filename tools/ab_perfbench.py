@@ -9,9 +9,14 @@ the script prints each side's median and quartiles, the pairs B wins
 (ties count for neither side) and whether B's gain clears the bar: a win
 in at least nine tenths of the pairs, medians further apart than the
 distance between A's quartiles, and no more failed operations than A.
+It also prints a no-regression verdict against the metric's relative
+`bound`: `worse` when B's median is worse than A's by more than
+bound x |A median|, else `unresolved` when A's quartile spread is wider
+than that (unless every B run beats every A run), else `ok`.
 The workload names, each run's length (`run_seconds`) and each metric's
-direction come from `BENCHMARK.json` in checkout B; a metric it does not
-name is an error.  Run from anywhere:
+direction and bound come from `BENCHMARK.json` in checkout B; a metric
+it does not name is an error, and one without a bound gets no verdict.
+Run from anywhere:
 
     python tools/ab_perfbench.py ../parent . --workload forward-mfs --pairs 10
 
@@ -83,6 +88,18 @@ def summarize(pairs, better: dict, failed: tuple) -> list:
     return rows
 
 
+def verdict(a, b, better: str, bound: float) -> str:
+    """"worse", "unresolved" or "ok" for B's runs `b` against A's runs `a`."""
+    sign = {"lower": -1.0, "higher": 1.0}[better]
+    qa, qb = quartiles(a), quartiles(b)
+    tol = bound * abs(qa[1])
+    if sign * (qb[1] - qa[1]) < -tol:
+        return "worse"
+    if qa[2] - qa[0] > tol and not min(sign * x for x in b) > max(sign * x for x in a):
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout A, the parent")
@@ -99,6 +116,7 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {', '.join(names)}")
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
 
     load = os.getloadavg()[0]
     if load > LOAD_WARN:
@@ -120,11 +138,13 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g}-s runs, "
           f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
     print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
-          f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain")
+          f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain  verdict")
     for name, qa, qb, wins, losses, gain in summarize(pairs, better, tuple(failed)):
+        runs = ([p[0][name] for p in pairs], [p[1][name] for p in pairs])
+        judged = "-" if bounds[name] is None else verdict(*runs, better[name], bounds[name])
         print(f"{name:12s} {qa[0]:10.5g} {qa[1]:10.5g} {qa[2]:10.5g} "
               f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
-              f"{'yes' if gain else 'no'}")
+              f"{'yes' if gain else 'no':4s}  {judged}")
     return 0
 
 
