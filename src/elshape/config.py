@@ -11,12 +11,15 @@ dotted keys for grouping:
 
 Unknown keys, in a file or a dict, are rejected with their path, since
 silent typos are the main hazard in flat config files, and so is a value
-not of its key's type.  Numeric invariants are enforced at build time
-(every float finite, a nonzero polarization, at least one source, a
-nonnegative seed, a truth radius that stays positive, rho > guess radius
-> R > 0, delta in [0,1), epsilon > 0, degree >= 1, r_policy.value and
-stop.c1 >= 0, where 0 selects the auto R and the relative-update stop),
-and then a measurement circle that clears the truth, before any solve.
+not of its key's type.  Before any solve, the config builds the owners
+of three input rules and reports their refusals under its keys:
+``LameSystem`` (``lame``), ``make_shape`` with the curve constructors
+(``shape``, ``shape.radius``, ``shape.coeffs``) and ``choose_truncation``
+(``truncation``).  It checks the rest itself: every float finite, a
+nonzero polarization, at least one source, a nonnegative seed, rho >
+guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1,
+r_policy.value and stop.c1 >= 0 (0 selects the auto R and the
+relative-update stop), and a measurement circle that clears the truth.
 """
 
 import math
@@ -127,26 +130,16 @@ class ReconstructionConfig:
         bad = [k for k, (t, _) in CONFIG_SCHEMA.items() if t is float and not math.isfinite(g[k])]
         if bad:
             raise ConfigError("; ".join(f"{k}: must be finite" for k in bad))
-        errors = []
-        if g["shape"] not in ("disk", "kite", "starfish", "custom"):
-            errors.append(f"shape: unknown shape '{g['shape']}'")
-        if g["shape"] == "disk" and g["shape.radius"] <= 0.0:
-            errors.append("shape.radius: must be positive")
-        if g["shape"] == "custom":
+        # the owners check their own rules; a refusal comes back under its key
+        shape_key = {"disk": "shape.radius", "custom": "shape.coeffs"}.get(g["shape"], "shape")
+        owners = {"lame": lambda: self.sys, shape_key: lambda: make_shape(self),
+                  "truncation": self.resolve_truncation}
+        built, errors = {}, []
+        for key, build in owners.items():
             try:
-                c = self.shape_coeffs()
-                if c.size % 2 == 0:
-                    errors.append("shape.coeffs: need odd number of coefficients")
-                elif not np.all(np.isfinite(c)):
-                    errors.append("shape.coeffs: must be finite")
-                elif geometry.StarCurve(c).min_radius() <= 0.0:
-                    errors.append("shape.coeffs: radius must stay positive")
-            except ValueError:
-                errors.append("shape.coeffs: expected comma-separated floats")
-        if g["lame.mu"] <= 0.0 or g["lame.lambda"] + g["lame.mu"] <= 0.0:
-            errors.append("lame: need mu > 0 and lambda + mu > 0")
-        if g["lame.omega"] <= 0.0:
-            errors.append("lame.omega: must be positive")
+                built[key] = build()
+            except ValueError as exc:
+                errors.append(f"{key}: {exc}")
         if g["polarization.x"] == 0.0 and g["polarization.y"] == 0.0:
             errors.append("polarization.x, polarization.y: must not both be zero")
         if not 0.0 <= g["delta"] < 1.0:
@@ -171,14 +164,6 @@ class ReconstructionConfig:
             errors.append(problem)
         if g["max_iter"] < 0:
             errors.append("max_iter: must be >= 0")
-        if g["truncation.mode"] not in ("practical", "theoretical", "fixed"):
-            errors.append("truncation.mode: expected practical|theoretical|fixed")
-        if g["truncation.mode"] == "fixed" and g["truncation.n"] < 0:
-            errors.append("truncation.n: must be >= 0")
-        if g["truncation.mode"] != "fixed" and not 0.0 < g["delta"] < 1.0:
-            errors.append("truncation: practical/theoretical modes need delta in (0,1)")
-        if g["truncation.mode"] == "theoretical" and g["truncation.tau2"] <= 1.0:
-            errors.append("truncation.tau2: theoretical rule needs tau2 > 1")
         if g["stop.c1"] < 0.0:
             errors.append("stop.c1: must be >= 0 (0 = relative-update stop)")
         if g["r_policy.value"] < 0.0:
@@ -191,10 +176,10 @@ class ReconstructionConfig:
             )
         if not g["guess.radius"] < g["rho"]:
             errors.append("guess.radius: must be smaller than rho")
+        if shape_key in built and g["rho"] <= built[shape_key].max_radius():
+            errors.append("rho: measurement radius must exceed the obstacle")
         if errors:
             raise ConfigError("; ".join(errors))
-        if g["rho"] <= make_shape(self).max_radius():
-            raise ConfigError("rho: measurement radius must exceed the obstacle")
 
     # -- typed accessors ---------------------------------------------------
 
@@ -247,13 +232,14 @@ class ReconstructionConfig:
         return 1e-8 if self.raw["delta"] == 0.0 else 2.0 * self.raw["delta"]
 
     def resolve_truncation(self) -> int:
+        """N of the ``fixed`` mode, else ``choose_truncation``'s rule for the
+        configured mode (which refuses an unknown mode, delta or tau2)."""
         g = self.raw
-        mode = g["truncation.mode"]
-        if mode == "fixed":
-            return g["truncation.n"]
-        if mode == "theoretical":
-            return choose_truncation(g["delta"], "theoretical", g["truncation.tau2"])
-        return choose_truncation(g["delta"], "practical")
+        if g["truncation.mode"] != "fixed":
+            return choose_truncation(g["delta"], g["truncation.mode"], g["truncation.tau2"])
+        if g["truncation.n"] < 0:
+            raise ValueError("fixed truncation.n must be >= 0")
+        return g["truncation.n"]
 
     def echo(self) -> dict:
         """Stable dict for embedding into run artifacts."""
@@ -266,15 +252,22 @@ def load_config(path) -> ReconstructionConfig:
 
 
 def make_shape(cfg: ReconstructionConfig):
-    """Truth curve named by the config."""
+    """Truth curve named by the config: a ValueError for a name not in
+    ``_MFS_BY_SHAPE`` or a custom radius that is not positive everywhere."""
     name = cfg["shape"]
+    if name not in _MFS_BY_SHAPE:
+        raise ValueError(f"unknown shape {name!r}, expected one of {', '.join(_MFS_BY_SHAPE)}")
     if name == "disk":
         return geometry.disk(cfg["shape.radius"])
     if name == "kite":
         return geometry.kite()
     if name == "starfish":
         return geometry.starfish()
-    return geometry.radial_curve(cfg.shape_coeffs(), "custom")
+    coeffs = cfg.shape_coeffs()
+    curve = geometry.radial_curve(coeffs, "custom")  # odd length, finite
+    if geometry.StarCurve(coeffs).min_radius() <= 0.0:
+        raise ValueError("custom radius must stay positive")
+    return curve
 
 
 def solve_truth(cfg: ReconstructionConfig) -> MfsSolution:

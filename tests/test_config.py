@@ -74,38 +74,46 @@ class TestValidation:
         assert cfg["delta"] == 0.05
         assert cfg.polarization == (math.sqrt(0.5), math.sqrt(0.5))
 
+    # each case is (values, key): the message names the key, whether the
+    # config holds the rule or an owner (medium, truth curve, truncation) does
     @pytest.mark.parametrize(
         "bad",
         [
-            {"delta": 1.0},
-            {"delta": -0.1},
-            {"epsilon": 0.0},
-            {"np": 0},
-            {"guess.radius": 3.5},           # must stay below rho
-            {"aperture.lo": 2.0, "aperture.hi": 1.0},
-            {"aperture.lo": 0.0, "aperture.hi": 7.0},
-            {"r_policy.value": -0.5},        # 0 selects the auto R
-            {"stop.c1": -1.0},               # 0 selects the relative-update stop
-            {"max_iter": -1},
-            {"lame.mu": 0.0},
-            {"lame.omega": -1.0},
-            {"shape": "pentagon"},
-            {"truncation.mode": "magic"},
-            {"truncation.mode": "theoretical", "truncation.tau2": 1.0},  # needs tau2 > 1
-            {"r_policy.value": 2.0},         # >= guess radius
-            {"collocation.n": 16},           # P <= 2 np aliases sin(np t)
-            {"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"},
-            {"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
-            {"n_sources": 0},                # no data to reconstruct from
-            {"seed": -1},                    # the noise generator needs a seed >= 0
-            {"shape": "custom", "shape.coeffs": "0.5, 1.0, 0.0"},  # r < 0 near t = pi
-            {"shape": "disk", "shape.radius": -1.0},
-            {"shape": "kite", "rho": 2.0},   # the kite reaches r ~ 2.07
+            ({"delta": 1.0}, "delta"),
+            ({"delta": -0.1}, "delta"),
+            ({"epsilon": 0.0}, "epsilon"),
+            ({"np": 0}, "np"),
+            ({"guess.radius": 3.5}, "guess.radius"),  # must stay below rho
+            ({"aperture.lo": 2.0, "aperture.hi": 1.0}, "aperture"),
+            ({"aperture.lo": 0.0, "aperture.hi": 7.0}, "aperture"),
+            ({"r_policy.value": -0.5}, "r_policy.value"),  # 0 selects the auto R
+            ({"stop.c1": -1.0}, "stop.c1"),  # 0 selects the relative-update stop
+            ({"max_iter": -1}, "max_iter"),
+            ({"lame.mu": 0.0}, "lame"),
+            ({"lame.omega": -1.0}, "lame"),
+            ({"shape": "pentagon"}, "shape"),
+            ({"truncation.mode": "magic"}, "truncation"),
+            ({"truncation.mode": "theoretical", "truncation.tau2": 1.0}, "truncation"),  # needs tau2 > 1
+            ({"r_policy.value": 2.0}, "r_policy"),  # >= guess radius
+            ({"collocation.n": 16}, "collocation.n"),  # P <= 2 np aliases sin(np t)
+            ({"shape": "custom", "shape.coeffs": "1.0, nan, 0.0"}, "shape.coeffs"),
+            ({"polarization.x": 0.0, "polarization.y": 0.0},  # no incident field
+             "polarization.x, polarization.y"),
+            ({"n_sources": 0}, "n_sources"),  # no data to reconstruct from
+            ({"seed": -1}, "seed"),  # the noise generator needs a seed >= 0
+            ({"shape": "custom", "shape.coeffs": "0.5, 1.0, 0.0"}, "shape.coeffs"),  # r < 0 near t = pi
+            ({"shape": "disk", "shape.radius": -1.0}, "shape.radius"),
+            ({"shape": "kite", "rho": 2.0}, "rho"),  # the kite reaches r ~ 2.07
+            ({"n_receivers": 3}, "n_receivers"),
+            ({"truncation.mode": "fixed", "truncation.n": -1}, "truncation"),
+            ({"shape": "custom", "shape.coeffs": "a, b, c"}, "shape.coeffs"),
+            ({"shape": "custom", "shape.coeffs": "1, 2"}, "shape.coeffs"),  # even length
         ],
     )
     def test_invariants_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            ReconstructionConfig(bad)
+        values, key = bad
+        with pytest.raises(ConfigError, match=f"(^|; ){re.escape(key)}: "):
+            ReconstructionConfig(values)
 
     @pytest.mark.parametrize("aperture, problem", [
         ((2.0, 1.0), "aperture: need lo < hi"),
@@ -198,6 +206,17 @@ class TestResolution:
         )
         assert theo.resolve_truncation() == 5
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("truncation.mode", "magic", "unknown truncation mode 'magic'"),
+        ("truncation.n", -1, "fixed truncation.n must be >= 0"),
+    ])
+    def test_truncation_refused_when_called_directly(self, key, value, problem):
+        # a validated config edited in place: resolve_truncation's own check
+        cfg = ReconstructionConfig({"truncation.mode": "fixed", "truncation.n": 3})
+        object.__setattr__(cfg, "raw", {**cfg.raw, key: value})
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            cfg.resolve_truncation()
+
     def test_fit_reg_auto(self):
         assert ReconstructionConfig({"delta": 0.0, "truncation.mode": "fixed",
                                      "truncation.n": 5}).resolve_fit_reg() == 1e-8
@@ -231,6 +250,10 @@ class TestMakeShape:
     def test_custom_needs_odd_coefficients(self):
         with pytest.raises(ConfigError):
             ReconstructionConfig({"shape": "custom", "shape.coeffs": "1.0, 0.1"})
+
+    def test_unknown_name_refused_when_called_directly(self):
+        with pytest.raises(ValueError, match="unknown shape 'pentagon'"):
+            make_shape({"shape": "pentagon"})
 
 
 class TestMakeRecord:

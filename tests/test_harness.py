@@ -14,7 +14,7 @@ from elshape.config import ReconstructionConfig, load_config, make_record, solve
 from elshape.elastic import LameSystem, PointSource
 from elshape.errors import ConfigError, SingularityError, SolveError
 from elshape.forward import disk_series
-from elshape.geometry import disk, kite, radial_curve
+from elshape.geometry import disk, kite, radial_curve, starfish
 from elshape.metrics import arc_hausdorff, curve_hausdorff, hausdorff, radial_l2
 from elshape.newton import ReconRun, StarCurve
 from elshape.records import ScatterRecord
@@ -190,6 +190,21 @@ class TestReconstructCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "lame.omega" in err and "mismatch" in err
+
+    def test_polarization_mismatch_refused_before_out_dir(self, workspace, tmp_path, capsys):
+        # the record holds the default polarization; the config asks for another
+        root, _ = workspace
+        other = tmp_path / "other.cfg"
+        other.write_text(DISK_CFG + "polarization.x = 1.0\npolarization.y = 0.0\n")
+        out = tmp_path / "out"
+        code = main([
+            "reconstruct", "--config", str(other),
+            "--record", str(root / "record.json"), "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "polarization.x" in err and "polarization.y" in err
+        assert not out.exists()
 
     def test_takes_config_record_and_out_dir_only(self, workspace, tmp_path, capsys):
         # the noise seed is the config's `seed` key; there is no --seed flag
@@ -430,6 +445,12 @@ class TestBoundaryError:
         cfg = ReconstructionConfig({"shape": "disk", "shape.radius": 1.0})
         err = sweep.boundary_error(cfg, self.run_of(StarCurve.circle(1.2, 3).coeffs))
         assert abs(err - 0.2) <= 1e-12
+
+    @pytest.mark.parametrize("name, truth", [("kite", kite), ("starfish", starfish)])
+    def test_named_truth_reads_hausdorff(self, name, truth):
+        run = self.run_of(StarCurve.circle(1.2, 3).coeffs)
+        err = sweep.boundary_error(ReconstructionConfig({"shape": name}), run)
+        assert err == curve_hausdorff(run.final.as_curve(), truth()) > 0.0
 
 
 class TestSweep:

@@ -171,15 +171,23 @@ class TestSolveModal:
         assert np.max(np.abs(mf.phat_p)) == 0.0
         assert np.max(np.abs(mf.phat_s)) == 0.0
 
-    def test_underflow_guard_names_mode(self):
+    def test_overflowing_normalization_refused(self):
         from elshape.modal import ModalRhs
 
         N = 250
         rhs = ModalRhs(
             N=N, f_p=np.ones(2 * N + 1, complex), f_s=np.ones(2 * N + 1, complex)
         )
-        with pytest.raises(SolveError):
+        with pytest.raises(SolveError, match="degenerate normalization"):
             solve_modal(rhs, RHO, 0.5, SYS1)
+
+    # the rim's H_n(k 0.2) overflows for the top orders, so alpha / beta is
+    # nan there before the guard refuses it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_determinant_guard_names_mode(self):
+        src = PointSource((3.0, 0.0), (1.0, 0.0))
+        with pytest.raises(SolveError, match="mode determinant .* at n="):
+            disk_series(0.2, (src,), SYS1, n_modes=200)
 
 
 class TestEvalField:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from elshape import newton
 from elshape.config import ReconstructionConfig, make_record, solve_truth
 from elshape.elastic import LameSystem, PointSource, grad_incident_field, incident_field
 from elshape.errors import ConfigError, DomainError, SolveError
@@ -295,6 +296,23 @@ class TestReconstruct:
         cfg = disk_config(**{"r_policy.value": 1.9})
         run = reconstruct(disk_record, cfg)
         assert run.termination == "diverged"
+
+    def test_failed_step_diverges_with_its_message(self, disk_record, monkeypatch):
+        def refuse(a, rhs, reg):
+            raise SolveError("step refused")
+
+        monkeypatch.setattr(newton, "newton_step", refuse)
+        run = reconstruct(disk_record, disk_config())
+        assert (run.termination, run.iterations, run.note) == ("diverged", 0, "step refused")
+
+    def test_huge_update_diverges_after_one_iterate(self, disk_record, monkeypatch):
+        # a0: 2 -> 102 stays admissible, but the relative update 100 / 2 = 50
+        # exceeds the divergence guard
+        monkeypatch.setattr(
+            newton, "newton_step", lambda a, rhs, reg: np.eye(a.shape[1])[0] * 100.0
+        )
+        run = reconstruct(disk_record, disk_config())
+        assert (run.termination, run.e_history) == ("diverged", (50.0,))
 
     def test_modal_failure_on_unresolvable_record(self):
         cfg = disk_config(n_receivers=8, **{"truncation.n": 7})
