@@ -40,8 +40,7 @@ def _out_dir(args) -> Path:
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
     if args.verify_oracle and cfg["shape"] != "disk":
-        print("--verify-oracle requires shape = disk", file=_sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--verify-oracle requires shape = disk")
     out = _out_dir(args)
     sol = solve_truth(cfg)
     rec = make_record(cfg, sol)
@@ -70,10 +69,7 @@ def cmd_reconstruct(args) -> int:
     pol = rec.polarization()
     diffs = cfg.mismatches([("polarization.x", float(pol[0])), ("polarization.y", float(pol[1]))])
     if diffs:
-        print("record/config physics mismatch:", file=_sys.stderr)
-        for d in diffs:
-            print("  " + d, file=_sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("record/config physics mismatch: " + "; ".join(diffs))
 
     out = _out_dir(args)
     run = reconstruct(rec, cfg)

@@ -132,8 +132,9 @@ class ReconstructionConfig:
             raise ConfigError("; ".join(f"{k}: must be finite" for k in bad))
         # the owners check their own rules; a refusal comes back under its key
         shape_key = {"disk": "shape.radius", "custom": "shape.coeffs"}.get(g["shape"], "shape")
+        delta_ok = 0.0 <= g["delta"] < 1.0  # else reported once, below, for every mode
         owners = {"lame": lambda: self.sys, shape_key: lambda: make_shape(self),
-                  "truncation": self.resolve_truncation}
+                  **({"truncation": self.resolve_truncation} if delta_ok else {})}
         built, errors = {}, []
         for key, build in owners.items():
             try:
@@ -142,7 +143,7 @@ class ReconstructionConfig:
                 errors.append(f"{key}: {exc}")
         if g["polarization.x"] == 0.0 and g["polarization.y"] == 0.0:
             errors.append("polarization.x, polarization.y: must not both be zero")
-        if not 0.0 <= g["delta"] < 1.0:
+        if not delta_ok:
             errors.append("delta: must lie in [0, 1)")
         if g["epsilon"] <= 0.0:
             errors.append("epsilon: must be positive")

@@ -181,14 +181,13 @@ def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float
 
 def _frame_tables(fn, n_modes: int, sys: LameSystem, r):
     """``modal._frame``'s tables (k C_m'(k r), C_m(k r)), unnormalized, for
-    k = (k_p, k_s) and m = -M..M, each (2, 2M+1) + np.shape(r), from one
-    call of the cylinder function ``fn`` for orders -M-1..M."""
+    k = (k_p, k_s) and m = -M..M, each (2, 2M+1) + np.shape(r), by
+    ``specfun.cylinder_tables`` from one call of ``fn`` for orders 0..M."""
     k = np.reshape([sys.k_p, sys.k_s], (2,) + (1,) * np.ndim(r))
     t = k * np.asarray(r, dtype=float)
-    m = np.arange(-n_modes - 1, n_modes + 1).reshape((-1,) + (1,) * t.ndim)
-    c = fn(m, t)
-    dc, _ = specfun.derivatives(c[:-1], c[1:], m[1:], t)
-    return np.moveaxis(k * dc, 0, 1), np.moveaxis(c[1:], 0, 1)
+    c, dc, _ = specfun.cylinder_tables(
+        lambda m, t: fn(np.arange(m + 1).reshape((-1,) + (1,) * t.ndim), t), n_modes, t)
+    return np.moveaxis(k * dc, 0, 1), np.moveaxis(c, 0, 1)
 
 
 def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
@@ -271,7 +270,9 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     (u_p, v_p), (u_s, v_s) = _frame(
         m, radius, *_frame_tables(specfun.bessel_j, n_modes, sys, radius))
     alpha, beta = _frame_tables(specfun.hankel1, n_modes, sys, radius)
-    c_p, c_s = _invert(m, radius, alpha / beta, np.ones_like(beta),
+    with np.errstate(invalid="ignore"):  # inf / inf where H_m overflows: _invert refuses it
+        ratio = alpha / beta
+    c_p, c_s = _invert(m, radius, ratio, np.ones_like(beta),
                        -(u_p * a_p + u_s * a_s), -(v_p * a_p + v_s * a_s))
     return DiskField(radius=radius, sys=sys, b_p=c_p / beta[0], b_s=c_s / beta[1], sources=srcs)
 

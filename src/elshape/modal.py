@@ -37,7 +37,7 @@ Jacobian, one ``eval_radial`` of the rows c and in c).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
-builds its Hankel tables once for all rows (one ``specfun.hankel1_table``
+builds its Hankel tables once for all rows (one ``specfun.cylinder_tables``
 call for both wavenumbers on the distinct radii and R) and contracts the
 source-independent basis with [phat_p, phat_s] in one matrix product.  The
 arc fit uses that basis as its design matrix.  ModalField instances are
@@ -77,29 +77,22 @@ __all__ = [
 def _hankel_table(k, R: float, N: int, r: np.ndarray):
     """alpha, beta and kappa tables of shape np.shape(k) + (2N+1, P), orders -N..N.
 
-    ``k`` is one wavenumber or a sequence of them, all served by one table
-    call that also holds the normalizations H_n(k R).  All three tables are
-    even in n (numerator and denominator flip sign together under n -> -n),
-    so only orders 0..N are evaluated, and only on the distinct radii (a
-    circle of points has a few), then scattered back.
+    ``k`` is one wavenumber or a sequence of them, all served by one
+    ``specfun.cylinder_tables`` call on ``hankel1_table`` that also holds
+    the normalizations H_n(k R).  The tables are evaluated only on the
+    distinct radii (a circle of points has a few), then scattered back.
     """
     k = np.reshape(k, np.shape(k) + (1,))
     r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
     # the radii and, in the last column, the normalization radius R
     t = k * np.append(r_uniq, R)
-    h_all = np.moveaxis(specfun.hankel1_table(max(N, 1), t), 0, -2)  # orders 0..max(N, 1)
-    denom = h_all[..., : N + 1, -1:]
+    h, hp, hpp = (np.moveaxis(tab, 0, -2)
+                  for tab in specfun.cylinder_tables(specfun.hankel1_table, N, t))
+    denom = h[..., -1:]
     if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
         raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
-    h_all, t, k = h_all[..., :-1], t[..., None, :-1], k[..., None]
-
-    orders = np.arange(0, N + 1)[:, None]
-    h = h_all[..., : N + 1, :]
-    h_prev = np.concatenate([-h_all[..., 1:2, :], h_all[..., :N, :]], axis=-2)  # H_{-1} = -H_1
-    hp, hpp = specfun.derivatives(h_prev, h, orders, t)
-
-    tabs = (k * hp / denom, h / denom, k * k * hpp / denom)
-    return [np.concatenate([tab[..., :0:-1, :], tab], axis=-2)[..., back] for tab in tabs]
+    k = k[..., None]
+    return [tab[..., back] for tab in (k * hp / denom, h / denom, k * k * hpp / denom)]
 
 
 def _polar(x):

@@ -32,19 +32,21 @@ Two routes give H_n^(1):
     tables H_n(k r) / H_n(k R) in ``modal``, each with one call for both
     wavenumbers.
   * ``hankel1(n, t)`` and the other AMOS wrappers (``bessel_j``,
-    ``bessel_y``, ``hankel1_d1/d2``, ``ln_gamma``) call scipy.special,
-    imported on first use.  Only the disk-series oracle in ``forward`` and
-    the checks in ``verify`` use them, so the solver path imports no scipy
-    and the oracle that the MFS solve is compared against shares no Hankel
-    library with it (it does share ``modal``'s per-mode algebra).
+    ``bessel_y``, ``ln_gamma``) call scipy.special, imported on first use.
+    Only the disk-series oracle in ``forward`` and the checks in ``verify``
+    use them, so the solver path imports no scipy and the oracle that the
+    MFS solve is compared against shares no Hankel library with it (it does
+    share ``modal``'s per-mode algebra).
 
 Conventions:
-  * negative integer orders go straight to scipy, whose result equals the
-    reflection C_{-n} = (-1)^n C_n (valid for J, Y and H^(1) alike) exactly;
   * ``derivatives`` owns C_n' = C_{n-1} - (n/t) C_n and, by the Bessel
-    equation, C_n'' = -C_n'/t - (1 - n^2/t^2) C_n for J, Y and H^(1): the
-    modal tables, the disk oracle, ``hankel1_d1/d2`` and the battery's
-    Wronskian take it from there, and finite differences check it.
+    equation, C_n'' = -C_n'/t - (1 - n^2/t^2) C_n (DLMF 10.6.2), checked
+    by finite differences;
+  * ``cylinder_tables`` owns the tables of orders -N..N around it: orders
+    0..max(N, 1) from either route, C_{-1} = -C_1 to close C_0', and the
+    reflection C_{-n} = (-1)^n C_n (DLMF 10.4; J, Y and H^(1) alike), which
+    AMOS's own negative orders equal exactly.  The modal tables and the
+    disk oracle take theirs from it.
 
 All functions broadcast over numpy arrays in both order and argument and
 are pure, so they are safe for concurrent use.
@@ -59,9 +61,8 @@ __all__ = [
     "bessel_y",
     "hankel1",
     "hankel1_table",
-    "hankel1_d1",
-    "hankel1_d2",
     "derivatives",
+    "cylinder_tables",
     "ln_gamma",
 ]
 
@@ -279,16 +280,23 @@ def derivatives(c_prev, c, n, t):
     return d1, -d1 / t - (1.0 - (n / t) ** 2) * c
 
 
-def hankel1_d1(n, t):
-    """First derivative H_n^(1)'(t), by ``derivatives``."""
-    n = np.asarray(n)
-    return derivatives(hankel1(n - 1, t), hankel1(n, t), n, _check_argument(t))[0]
+def cylinder_tables(table, N, t):
+    """[C, C', C''] for n = -N..N, each (2N+1,) + t.shape, from ``table(m, t)``,
+    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does).
 
-
-def hankel1_d2(n, t):
-    """Second derivative H_n^(1)''(t), by ``derivatives``."""
-    n = np.asarray(n)
-    return derivatives(hankel1(n - 1, t), hankel1(n, t), n, _check_argument(t))[1]
+    Where C overflows the entries become non-finite without a warning, for
+    the caller's guard to refuse.
+    """
+    t = np.asarray(t, dtype=float)
+    c = table(max(N, 1), t)  # C_1 even at N = 0: C_{-1} = -C_1 closes C_0'
+    n = np.arange(N + 1).reshape((-1,) + (1,) * t.ndim)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tabs = (c[: N + 1],) + derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t)
+    out = [np.concatenate([tab[:0:-1], tab]) for tab in tabs]
+    odd = slice(1 - N % 2, N, 2)  # C_{-n} = (-1)^n C_n: the rows of -1, -3, .. -N
+    for tab in out:
+        np.negative(tab[odd], out=tab[odd])
+    return out
 
 
 def ln_gamma(x):

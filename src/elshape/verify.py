@@ -114,10 +114,10 @@ def check_derivative_bound() -> CheckResult:
     # |H_{n-1}| <= |H_n| underpins this bound, so it needs n >= 1 (at n = 0
     # it fails for small t; the analysis treats the n = 0 mode separately)
     n, t = ORDER_GRID[1:, None], ARG_GRID
-    h = np.abs(specfun.hankel1(n, t))
-    hp = np.abs(specfun.hankel1_d1(n, t))
-    worst = np.max(hp / ((1.0 + n / t) * h))
-    return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
+    h = specfun.hankel1(n, t)
+    hp, _ = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t)
+    worst = np.max(np.abs(hp) / ((1.0 + n / t) * np.abs(h)))
+    return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
                    "max |H_n'| / ((1+n/t)|H_n|), n >= 1")
 
 
@@ -139,11 +139,11 @@ def check_tail_sandwich() -> CheckResult:
 def check_second_derivative_bound() -> CheckResult:
     """|H_n''(t)| <= ((2n^2 + t)/t^2) |H_n(t)| for n >= max(2, 4t)."""
     n, t = np.arange(2, 41)[:, None], np.array([0.3, 0.5, 1.0, 2.0, 5.0])
-    h = np.abs(specfun.hankel1(n, t))
-    hpp = np.abs(specfun.hankel1_d2(n, t))
-    bound = (2.0 * n * n + t) / (t * t) * h
-    worst = np.max(hpp / bound, where=n >= np.maximum(2, 4.0 * t), initial=0.0)
-    return _result("second_derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0,
+    h = specfun.hankel1(n, t)
+    _, hpp = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t)
+    bound = (2.0 * n * n + t) / (t * t) * np.abs(h)
+    worst = np.max(np.abs(hpp) / bound, where=n >= np.maximum(2, 4.0 * t), initial=0.0)
+    return _result("second_derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
                    "max |H_n''| / (((2n^2+t)/t^2)|H_n|) in the working regime")
 
 

@@ -115,6 +115,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"(^|; ){re.escape(key)}: "):
             ReconstructionConfig(values)
 
+    @pytest.mark.parametrize("delta", [-0.1, 1.0])
+    @pytest.mark.parametrize("mode", ["practical", "theoretical", "fixed"])
+    def test_bad_delta_reported_once(self, delta, mode):
+        # the truncation rule is consulted only for a delta in [0, 1)
+        values = {"delta": delta, "truncation.mode": mode, "truncation.tau2": 2.0}
+        with pytest.raises(ConfigError) as exc:
+            ReconstructionConfig(values)
+        assert str(exc.value) == "delta: must lie in [0, 1)"
+
+    def test_zero_delta_refused_by_the_practical_rule(self):
+        with pytest.raises(ConfigError, match=r"^truncation: delta must lie in \(0, 1\)$"):
+            ReconstructionConfig({"delta": 0.0})
+
     @pytest.mark.parametrize("aperture, problem", [
         ((2.0, 1.0), "aperture: need lo < hi"),
         ((1.0, 1.0), "aperture: need lo < hi"),

@@ -251,6 +251,18 @@ class TestDiskSeries:
         b = disk_series(1.0, (SRC,), SYS5, 50).eval(pts)
         assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_frame_tables_ask_for_orders_zero_to_m_only(self):
+        # the negative orders and C_{-1} come from cylinder_tables' reflection
+        asked = []
+
+        def recording(n, t):
+            asked.append(np.unique(n).tolist())
+            return specfun.hankel1(n, t)
+
+        alpha, beta = forward._frame_tables(recording, 6, SYS5, np.array([1.0, 2.0]))
+        assert asked == [list(range(7))]
+        assert alpha.shape == beta.shape == (2, 13, 2)
+
     @pytest.mark.parametrize("omega", [1.0, 5.0])
     @pytest.mark.parametrize("n_modes", [20, 40])
     @pytest.mark.parametrize("R", [0.5, 0.9])

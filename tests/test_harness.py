@@ -90,7 +90,7 @@ class TestForwardCommand:
         code = main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path),
                      "--verify-oracle"])
         assert code == 2
-        assert "requires shape = disk" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --verify-oracle requires shape = disk\n"
         assert not (tmp_path / "record.json").exists()
 
     def test_kite_benchmark_counts(self, tmp_path):
@@ -203,6 +203,7 @@ class TestReconstructCommand:
         ])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: record/config physics mismatch: ")
         assert "polarization.x" in err and "polarization.y" in err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Special-function layer against independent series / mpmath oracles."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,45 +113,95 @@ class TestHankel1:
         assert complex(specfun.hankel1(-4, 2.0)) == complex(specfun.hankel1(4, 2.0))
 
 
+def amos_table(fn):
+    """The AMOS function ``fn`` as a ``cylinder_tables`` table of orders 0..m."""
+    return lambda m, t: fn(np.arange(m + 1).reshape((-1,) + (1,) * np.ndim(t)), t)
+
+
+#: both routes to H_n^(1) that cylinder_tables is run on
+HANKEL_ROUTES = (amos_table(specfun.hankel1), specfun.hankel1_table)
+
+
 class TestHankelDerivatives:
+    """H_n' and H_n'' from ``cylinder_tables``, on the AMOS and the numpy route."""
+
     def test_first_derivative_at_zero_order(self):
-        got = complex(specfun.hankel1_d1(0, 1.0))
-        want = -complex(specfun.hankel1(1, 1.0))
-        assert got == want
-        assert got.real == pytest.approx(-J1_AT_1, rel=1e-12)
-        assert got.imag == pytest.approx(-Y1_AT_1, rel=1e-12)
+        for route in HANKEL_ROUTES:
+            _, hp, _ = specfun.cylinder_tables(route, 0, 1.0)
+            got = complex(hp[0])
+            assert got == -complex(route(1, 1.0)[1])  # C_{-1} = -C_1 closes C_0'
+            assert got.real == pytest.approx(-J1_AT_1, rel=1e-12)
+            assert got.imag == pytest.approx(-Y1_AT_1, rel=1e-12)
 
     def test_first_derivative_vs_finite_difference(self):
         h = 1e-6
         fd = oracles.central_diff(lambda t: complex(specfun.hankel1(3, t)), 2.0, h)
-        got = complex(specfun.hankel1_d1(3, 2.0))
-        assert abs(got - fd) <= 1e-8 * abs(fd)
+        for route in HANKEL_ROUTES:
+            got = complex(specfun.cylinder_tables(route, 3, 2.0)[1][3 + 3])
+            assert abs(got - fd) <= 1e-8 * abs(fd)
 
     def test_derivative_bound_from_magnitudes(self):
         # |H_n'| <= (1 + n/t)|H_n| requires n >= 1 (see decisions ledger)
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-            n = np.arange(1, 31)
-            ratio = np.abs(specfun.hankel1_d1(n, t)) / (
-                (1.0 + n / t) * np.abs(specfun.hankel1(n, t))
-            )
-            assert np.max(ratio) <= 1.0 + 1e-12
+        n = np.arange(1, 31)
+        for route in HANKEL_ROUTES:
+            for t in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
+                h, hp, _ = specfun.cylinder_tables(route, 30, t)
+                ratio = np.abs(hp[30 + n]) / ((1.0 + n / t) * np.abs(h[30 + n]))
+                assert np.max(ratio) <= 1.0 + 1e-12
 
     def test_second_derivative_ode_identity_at_zero_order(self):
-        h0 = complex(specfun.hankel1(0, 1.0))
-        h0p = complex(specfun.hankel1_d1(0, 1.0))
-        assert complex(specfun.hankel1_d2(0, 1.0)) == pytest.approx(-h0 - h0p, rel=1e-14)
+        for route in HANKEL_ROUTES:
+            h0, h0p, h0pp = (complex(tab[0]) for tab in specfun.cylinder_tables(route, 0, 1.0))
+            assert h0pp == pytest.approx(-h0 - h0p, rel=1e-14)
 
     def test_second_derivative_vs_finite_difference(self):
         h = 1e-4
         fd = oracles.second_central_diff(lambda t: complex(specfun.hankel1(2, t)), 3.0, h)
-        got = complex(specfun.hankel1_d2(2, 3.0))
-        assert abs(got - fd) <= 1e-6 * abs(fd)
+        for route in HANKEL_ROUTES:
+            got = complex(specfun.cylinder_tables(route, 2, 3.0)[2][2 + 2])
+            assert abs(got - fd) <= 1e-6 * abs(fd)
 
     def test_second_derivative_bound_in_working_regime(self):
-        for t in (0.3, 0.5, 1.0, 2.0, 5.0):
-            n = np.arange(max(2, int(np.ceil(4 * t))), 41)
-            bound = (2.0 * n * n + t) / (t * t) * np.abs(specfun.hankel1(n, t))
-            assert np.all(np.abs(specfun.hankel1_d2(n, t)) <= bound * (1.0 + 1e-12))
+        for route in HANKEL_ROUTES:
+            for t in (0.3, 0.5, 1.0, 2.0, 5.0):
+                n = np.arange(max(2, int(np.ceil(4 * t))), 41)
+                h, _, hpp = specfun.cylinder_tables(route, 40, t)
+                bound = (2.0 * n * n + t) / (t * t) * np.abs(h[40 + n])
+                assert np.all(np.abs(hpp[40 + n]) <= bound * (1.0 + 1e-12))
+
+
+class TestCylinderTables:
+    @pytest.mark.parametrize("fn", [specfun.bessel_j, specfun.hankel1], ids=["J", "H"])
+    def test_negative_orders_match_amos(self, fn):
+        # AMOS reflects negative integer orders itself: C equals it bit for
+        # bit, and C', C'' (from C_{n+1} on the negative side, not C_{n-1})
+        # agree to round-off
+        N, t = 30, verify.ARG_GRID
+        n = np.arange(-N, N + 1)[:, None]
+        c, dc, ddc = specfun.cylinder_tables(amos_table(fn), N, t)
+        assert np.array_equal(c, fn(n, t))
+        for got, want in zip((dc, ddc), specfun.derivatives(fn(n - 1, t), fn(n, t), n, t)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5])
+    def test_evaluates_orders_zero_to_max_n_one(self, N):
+        asked = []
+
+        def table(m, t):
+            asked.append(m)
+            return specfun.hankel1_table(m, t)
+
+        tabs = specfun.cylinder_tables(table, N, np.ones((2, 3)))
+        assert asked == [max(N, 1)]
+        assert [tab.shape for tab in tabs] == [(2 * N + 1, 2, 3)] * 3
+
+    def test_overflow_is_non_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tabs = specfun.cylinder_tables(specfun.hankel1_table, 250, np.array([1e-2, 1.0]))
+        for tab in tabs:
+            assert not np.all(np.isfinite(tab[:, 0]))
+            assert np.all(np.isfinite(tab[250 - 20 : 250 + 21, 1]))
 
 
 class TestLargeOrderSandwich:
@@ -300,6 +351,16 @@ class TestOrderZeroOneKernel:
         assert check().passed
         monkeypatch.setattr(specfun, "hankel1_table", perturbed)
         assert not check().passed
+
+
+@pytest.mark.parametrize("check", [
+    verify.check_magnitude_monotone, verify.check_derivative_bound,
+    verify.check_second_derivative_bound,
+])
+def test_battery_reports_the_bound_it_applies(check):
+    # these checks pass up to 1e-12 of round-off above 1, and say so
+    result = check()
+    assert result.passed and result.bound == 1.0 + 1e-12
 
 
 class TestBatteryRegimes:
