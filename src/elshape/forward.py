@@ -22,9 +22,10 @@ Two independent routes produce scattered fields for a rigid obstacle
   theorem for H_0^(1)), the scattered potentials in the outgoing basis,
   and the rigid condition couples them modewise through 2x2 systems,
   solved in closed form for every mode and source at once.  It shares
-  ``modal``'s per-mode algebra (frame, rotation, inverse, contraction),
-  whose own check is against mpmath, but not its Hankel library: its
-  tables come from AMOS (``specfun.hankel1``/``bessel_j``).
+  ``modal``'s per-mode algebra (the table layout of ``_tables``, the basis
+  assembly of ``_basis``, the inverse and the contraction), whose own
+  check is against mpmath, but not its Hankel library: its tables come
+  from AMOS (``specfun.hankel1``/``bessel_j``) and are not normalized.
 
 The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``)
 and keeps inversion tests free of the inverse crime.  Both solutions
@@ -44,7 +45,7 @@ from . import specfun
 from .elastic import LameSystem, PointSource, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
-from .modal import _cartesian, _expand, _frame, _invert, _polar
+from .modal import _basis, _expand, _frame, _invert, _polar, _tables
 from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
@@ -179,15 +180,10 @@ def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float
 # analytic disk solution
 # ---------------------------------------------------------------------------
 
-def _frame_tables(fn, n_modes: int, sys: LameSystem, r):
-    """``modal._frame``'s tables (k C_m'(k r), C_m(k r)), unnormalized, for
-    k = (k_p, k_s) and m = -M..M, each (2, 2M+1) + np.shape(r), by
-    ``specfun.cylinder_tables`` from one call of ``fn`` for orders 0..M."""
-    k = np.reshape([sys.k_p, sys.k_s], (2,) + (1,) * np.ndim(r))
-    t = k * np.asarray(r, dtype=float)
-    c, dc, _ = specfun.cylinder_tables(
-        lambda m, t: fn(np.arange(m + 1).reshape((-1,) + (1,) * t.ndim), t), n_modes, t)
-    return np.moveaxis(k * dc, 0, 1), np.moveaxis(c, 0, 1)
+def _amos(fn):
+    """The AMOS function ``fn`` (``specfun.hankel1`` or ``bessel_j``) as a
+    ``specfun.cylinder_tables`` table of orders 0..m."""
+    return lambda m, t: fn(np.arange(m + 1).reshape((-1,) + (1,) * t.ndim), t)
 
 
 def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
@@ -241,13 +237,7 @@ class DiskField:
         """The outgoing basis at the 1-D polar points (r, theta), ``modal._basis``'s layout."""
         if np.any(r < self.radius * (1.0 - 1e-12)):
             raise DomainError("disk series evaluated inside the disk")
-        # the Hankel tables depend on r only: evaluate them on the distinct
-        # radii (a receiver circle has a few) and scatter back
-        r_uniq, back = np.unique(r, return_inverse=True)
-        alpha, beta = (tab[..., back] for tab in
-                       _frame_tables(specfun.hankel1, self.n_modes, self.sys, r_uniq))
-        m = np.arange(-self.n_modes, self.n_modes + 1)
-        return _cartesian([_frame(m[:, None], r, alpha, beta)], m, theta)
+        return _basis(_amos(specfun.hankel1), self.n_modes, self.sys, r, theta, False)
 
 
 def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:
@@ -267,9 +257,10 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     m = np.arange(-n_modes, n_modes + 1)
     # u_inc + v = 0 at r = radius, per mode: the H frame of b is minus the J
     # frame of a, solved for c = b H(k radius), whose frame has entries O(m)
-    (u_p, v_p), (u_s, v_s) = _frame(
-        m, radius, *_frame_tables(specfun.bessel_j, n_modes, sys, radius))
-    alpha, beta = _frame_tables(specfun.hankel1, n_modes, sys, radius)
+    k, rim = (sys.k_p, sys.k_s), np.array([radius])
+    j_alpha, j_beta, _ = (tab[..., 0] for tab in _tables(_amos(specfun.bessel_j), k, n_modes, rim))
+    alpha, beta, _ = (tab[..., 0] for tab in _tables(_amos(specfun.hankel1), k, n_modes, rim))
+    (u_p, v_p), (u_s, v_s) = _frame(m, radius, j_alpha, j_beta)
     with np.errstate(invalid="ignore"):  # inf / inf where H_m overflows: _invert refuses it
         ratio = alpha / beta
     c_p, c_s = _invert(m, radius, ratio, np.ones_like(beta),
@@ -321,6 +312,8 @@ def simulate(
     residual_log: list | None = None,
 ) -> ScatterRecord:
     """Measure every source's MFS scattered field on the receiver arc (one solve)."""
+    if problem := aperture_error(aperture):
+        raise ConfigError(problem)
     if rho <= curve.max_radius():
         raise ConfigError("measurement radius must exceed the obstacle")
     sol = solve_mfs(curve, sources, sys, n_collocation, n_charges, shrink, warn_above)
@@ -347,6 +340,8 @@ def record_from_disk_series(
     n_modes: int = 40,
 ) -> ScatterRecord:
     """ScatterRecord filled from the analytic disk solution (one series solve)."""
+    if problem := aperture_error(aperture):
+        raise ConfigError(problem)
     if radius >= rho:
         raise ConfigError("measurement radius must exceed the disk")
     return measure(disk_series(radius, sources, sys, n_modes), rho, n_receivers, aperture)

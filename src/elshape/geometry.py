@@ -52,15 +52,15 @@ class ParametricCurve:
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         return self.point(t)
 
-    def centroid(self, n: int = 512) -> np.ndarray:
-        return self.sample(n).mean(axis=0)
+    def centroid(self) -> np.ndarray:
+        return self.sample(512).mean(axis=0)
 
-    def max_radius(self, n: int = 512) -> float:
-        return float(np.max(np.linalg.norm(self.sample(n), axis=-1)))
+    def max_radius(self) -> float:
+        return float(np.max(np.linalg.norm(self.sample(512), axis=-1)))
 
-    def contains(self, x, n: int = 720) -> bool:
-        """Winding-number test of a point against the sampled polygon."""
-        pts = self.sample(n)
+    def contains(self, x) -> bool:
+        """Winding-number test of a point against the 720-point polygon."""
+        pts = self.sample(720)
         rel = pts - np.asarray(x, dtype=float)
         ang = np.arctan2(rel[:, 1], rel[:, 0])
         dang = np.diff(np.concatenate([ang, ang[:1]]))
@@ -121,8 +121,8 @@ class StarCurve:
     def point(self, t) -> np.ndarray:
         return self.as_curve().point(t)
 
-    def min_radius(self, n: int = ADMISSIBILITY_GRID) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    def min_radius(self) -> float:
+        t = np.linspace(0.0, 2.0 * np.pi, ADMISSIBILITY_GRID, endpoint=False)
         return float(np.min(self.radius(t)))
 
     def as_curve(self) -> ParametricCurve:

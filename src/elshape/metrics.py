@@ -15,7 +15,8 @@ import numpy as np
 
 from .geometry import ParametricCurve
 
-DEFAULT_SAMPLES = 512
+#: boundary samples per curve in every metric
+SAMPLES = 512
 
 
 def _pair_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -30,10 +31,8 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def curve_hausdorff(
-    recon: ParametricCurve, truth: ParametricCurve, n: int = DEFAULT_SAMPLES
-) -> float:
-    return hausdorff(recon.sample(n), truth.sample(n))
+def curve_hausdorff(recon: ParametricCurve, truth: ParametricCurve) -> float:
+    return hausdorff(recon.sample(SAMPLES), truth.sample(SAMPLES))
 
 
 def _in_arc(angles: np.ndarray, arc) -> np.ndarray:
@@ -42,26 +41,21 @@ def _in_arc(angles: np.ndarray, arc) -> np.ndarray:
     return np.mod(angles - lo, 2.0 * np.pi) <= span + 1e-12
 
 
-def arc_hausdorff(
-    recon: ParametricCurve,
-    truth: ParametricCurve,
-    arc,
-    n: int = DEFAULT_SAMPLES,
-) -> float:
+def arc_hausdorff(recon: ParametricCurve, truth: ParametricCurve, arc) -> float:
     """Hausdorff distance restricted to samples whose polar angle is in arc."""
-    pa = recon.sample(n)
-    pb = truth.sample(n)
+    pa = recon.sample(SAMPLES)
+    pb = truth.sample(SAMPLES)
     ka = _in_arc(np.arctan2(pa[:, 1], pa[:, 0]), arc)
     kb = _in_arc(np.arctan2(pb[:, 1], pb[:, 0]), arc)
     return hausdorff(pa[ka], pb[kb])
 
 
-def radial_l2(recon: ParametricCurve, truth_radius, n: int = DEFAULT_SAMPLES) -> float:
+def radial_l2(recon: ParametricCurve, truth_radius) -> float:
     """L2(0, 2pi) distance between radial functions (star-shaped truth).
 
     ``truth_radius`` is either a constant or a callable of the angle grid.
     """
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, SAMPLES, endpoint=False)
     pts = recon.point(t)
     r = np.linalg.norm(pts, axis=-1)
     want = truth_radius(t) if callable(truth_radius) else float(truth_radius)

@@ -18,27 +18,28 @@ per mode, a 2x2 system with determinant beta_{p,n} beta_{s,n} Lambda_n,
     Lambda_n = n^2/rho^2 - alpha_{p,n} alpha_{s,n} / (beta_{p,n} beta_{s,n}),
 
 nonzero for every integer n, so the coefficients follow in closed form.
-This per-mode algebra is written once, here: ``_frame`` (the U_n / V_n
-amplitudes of a unit coefficient), ``_cartesian`` (their Cartesian
-components times e^{in theta}), ``_expand`` (their contraction with the
-coefficients) and ``_invert`` (the 2x2 inverse, with the one determinant
-guard).  The disk-series oracle in ``forward`` calls them with its own
-AMOS tables, so mpmath's per-mode matrix (``tests/oracles.modal_matrix``)
-is their independent check.  The projection of full-circle data (one
-matrix product with the trapezoid weights) and the inverse act on each
-mode alone, so an extraction at order N holds every lower order's
-coefficients.  The d/dr frame is the frame of the tables (kappa, alpha -
-beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r); the angular derivative needs
-no table of its own, since U_n' = in U_n + V_n and V_n' = in V_n - U_n
-make d/dtheta v the field of the coefficients in c plus v turned a
-quarter.  The evaluators are ``eval_field`` (v), ``eval_radial`` (v and
-d/dr v, the Newton step's pair) and ``eval_gradient`` (the Cartesian
+This per-mode algebra is written once, here: ``_tables`` (alpha, beta,
+kappa from one table call, over C_n(kR) given R), ``_frame`` (the U_n / V_n
+amplitudes of a unit coefficient), ``_basis`` (their Cartesian components
+times e^{in theta}), ``_expand`` (their contraction with the coefficients)
+and ``_invert`` (the 2x2 inverse, with the one determinant guard).  The
+disk oracle in ``forward`` shares them all but the Hankel library (its
+tables are AMOS's, without R), so mpmath's per-mode matrix
+(``tests/oracles.modal_matrix``) is their independent check.  The
+projection of full-circle data (one matrix product with the trapezoid
+weights) and the inverse act on each mode alone, so an extraction at order
+N holds every lower order's coefficients.  The d/dr frame is the frame of
+the tables (kappa, alpha - beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r); the
+angular derivative needs no table of its own, since U_n' = in U_n + V_n and
+V_n' = in V_n - U_n make d/dtheta v the field of the coefficients in c plus
+v turned a quarter.  The evaluators are ``eval_field`` (v), ``eval_radial``
+(v and d/dr v, the Newton step's pair) and ``eval_gradient`` (the Cartesian
 Jacobian, one ``eval_radial`` of the rows c and in c).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
-builds its Hankel tables once for all rows (one ``specfun.cylinder_tables``
-call for both wavenumbers on the distinct radii and R) and contracts the
+builds its Hankel tables once for all rows (one ``_tables`` call for both
+wavenumbers on the distinct radii and R) and contracts the
 source-independent basis with [phat_p, phat_s] in one matrix product.  The
 arc fit uses that basis as its design matrix.  ModalField instances are
 immutable after construction and all evaluators are pure.
@@ -74,25 +75,22 @@ __all__ = [
 # coefficient tables
 # ---------------------------------------------------------------------------
 
-def _hankel_table(k, R: float, N: int, r: np.ndarray):
-    """alpha, beta and kappa tables of shape np.shape(k) + (2N+1, P), orders -N..N.
-
-    ``k`` is one wavenumber or a sequence of them, all served by one
-    ``specfun.cylinder_tables`` call on ``hankel1_table`` that also holds
-    the normalizations H_n(k R).  The tables are evaluated only on the
-    distinct radii (a circle of points has a few), then scattered back.
-    """
+def _tables(table, k, N: int, r: np.ndarray, R=None):
+    """[alpha, beta, kappa] = [k C', C, k^2 C''], each np.shape(k) + (2N+1, P), orders
+    -N..N, at the 1-D radii r: one ``specfun.cylinder_tables`` call on ``table`` for
+    every k on the distinct radii (a circle has a few), scattered back.  Given R,
+    its column goes last and every table is divided by C_n(kR)."""
     k = np.reshape(k, np.shape(k) + (1,))
     r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
-    # the radii and, in the last column, the normalization radius R
-    t = k * np.append(r_uniq, R)
-    h, hp, hpp = (np.moveaxis(tab, 0, -2)
-                  for tab in specfun.cylinder_tables(specfun.hankel1_table, N, t))
-    denom = h[..., -1:]
+    t = k * (r_uniq if R is None else np.append(r_uniq, R))
+    c, dc, ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t))
+    k = k[..., None]
+    if R is None:
+        return [tab[..., back] for tab in (k * dc, c, k * k * ddc)]
+    denom = c[..., -1:]
     if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
         raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
-    k = k[..., None]
-    return [tab[..., back] for tab in (k * hp / denom, h / denom, k * k * hpp / denom)]
+    return [tab[..., back] for tab in (k * dc / denom, c / denom, k * k * ddc / denom)]
 
 
 def _polar(x):
@@ -168,12 +166,6 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
     return ModalRhs(N=N, f_p=f[:, : 2 * N + 1], f_s=f[:, 2 * N + 1 :])
 
 
-def _circle_tables(rho: float, R: float, N: int, sys: LameSystem):
-    """(alpha, beta) at the data radius, each (2, 2N+1): rows p and s, orders -N..N."""
-    alpha, beta, _ = _hankel_table((sys.k_p, sys.k_s), R, N, np.array([rho]))
-    return alpha[..., 0], beta[..., 0]
-
-
 def _lambda(n, r, alpha, beta):
     (alpha_p, alpha_s), (beta_p, beta_s) = alpha, beta
     return (n / r) ** 2 - alpha_p * alpha_s / (beta_p * beta_s)
@@ -207,14 +199,16 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
     shape, from one table of orders up to max |n|).
     """
     N = int(np.max(np.abs(n)))
-    return _lambda(n, rho, *(tab[:, np.add(n, N)] for tab in _circle_tables(rho, R, N, sys)))
+    alpha, beta, _ = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
+    return _lambda(n, rho, alpha[:, np.add(n, N), 0], beta[:, np.add(n, N), 0])
 
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
     """Invert the per-mode 2x2 systems in closed form (``_invert``), for every row of rhs."""
     N = rhs.N
-    alpha, beta = _circle_tables(rho, R, N, sys)
-    phat_p, phat_s = _invert(np.arange(-N, N + 1), rho, alpha, beta, rhs.f_p, rhs.f_s)
+    alpha, beta, _ = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
+    phat_p, phat_s = _invert(np.arange(-N, N + 1), rho, alpha[..., 0], beta[..., 0],
+                             rhs.f_p, rhs.f_s)
     return ModalField(N=N, R=R, rho=rho, sys=sys, phat_p=phat_p, phat_s=phat_s)
 
 
@@ -222,18 +216,16 @@ def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalFi
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _basis(N: int, R: float, sys: LameSystem, r, theta, d_r: bool) -> np.ndarray:
-    """Source-independent basis, shape (2(2N+1), 1 + d_r, P, 2).
+def _basis(table, N: int, sys: LameSystem, r, theta, d_r: bool, R=None) -> np.ndarray:
+    """Source-independent basis, shape (2(2N+1), 1 + d_r, P, 2), from ``_tables``.
 
     Entry [w (2N+1) + N + n, i, p, c] is Cartesian component c at the point
     (r_p, theta_p) of the value (i = 0) or, with ``d_r``, its d/dr (i = 1)
     for a unit coefficient of order n in potential w (0 = p, 1 = s): the
     U_n / V_n amplitudes times e^{in theta}, rotated to Cartesian
-    components.  r and theta are 1-D of length P, with every r > R.
+    components.  r and theta are 1-D of length P.
     """
-    if np.any(r <= R):
-        raise DomainError(f"evaluation requires |x| > R = {R:g}")
-    alpha, beta, kappa = _hankel_table((sys.k_p, sys.k_s), R, N, r)
+    alpha, beta, kappa = _tables(table, (sys.k_p, sys.k_s), N, r, R)
     n = np.arange(-N, N + 1, dtype=float)[:, None]
     frames = [_frame(n, r, alpha, beta)]
     if d_r:
@@ -268,9 +260,14 @@ def _expand(c_p, c_s, x, basis_of) -> list:
 
 
 def _evaluate(mf: ModalField, x, d_r: bool) -> list:
-    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian."""
-    return _expand(mf.phat_p, mf.phat_s, x,
-                   lambda r, theta: _basis(mf.N, mf.R, mf.sys, r, theta, d_r))
+    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian;
+    a DomainError unless every |x| > R."""
+    def basis_of(r, theta):
+        if np.any(r <= mf.R):
+            raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
+        return _basis(specfun.hankel1_table, mf.N, mf.sys, r, theta, d_r, mf.R)
+
+    return _expand(mf.phat_p, mf.phat_s, x, basis_of)
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
@@ -329,7 +326,7 @@ def limited_aperture_fit(rec: ScatterRecord, N: int, reg: float, R: float) -> Mo
     rho = rec.rho
     if not 0.0 < R < rho:
         raise ConfigError("reference radius must lie in (0, rho)")
-    basis = _basis(N, R, rec.sys, np.full(m, rho), theta, False)
+    basis = _basis(specfun.hankel1_table, N, rec.sys, np.full(m, rho), theta, False, R)
     a = basis.reshape(n_unknowns, 2 * m).T
     b = rec.values.reshape(rec.n_sources, 2 * m)
 

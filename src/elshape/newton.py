@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ReconstructionConfig
-from .elastic import LameSystem, incident_field
+from .elastic import incident_field
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
 from .geometry import ADMISSIBILITY_GRID, StarCurve, basis_matrix
@@ -68,17 +68,12 @@ def gram_weights(degree: int) -> np.ndarray:
     return w
 
 
-def assemble_system(
-    field: ModalField,
-    srcs,
-    curve: StarCurve,
-    t_grid: np.ndarray,
-    sys: LameSystem,
-):
+def assemble_system(field: ModalField, srcs, curve: StarCurve, t_grid: np.ndarray):
     """Reduced linearization: returns (A, rhs) with ||A dc + rhs|| minimal.
 
     ``field`` holds one coefficient row per source in ``srcs``, each with
-    its own polarization.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
+    its own polarization, and the medium ``field.sys`` of their incident
+    fields.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
     2*degree+1 columns; the last rhs entry carries the part of the boundary
     residual no step can reach, so ||rhs|| is the full residual ||u||.
     """
@@ -94,7 +89,7 @@ def assemble_system(
     pts = radii[:, None] * xhat
 
     v, dv = eval_radial(field, pts)
-    u_inc, du_inc = incident_field(pts, srcs, sys, xhat)
+    u_inc, du_inc = incident_field(pts, srcs, field.sys, xhat)
     u, du = v + u_inc, dv + du_inc
 
     w = np.sum(du.real ** 2 + du.imag ** 2, axis=(0, 2))
@@ -109,23 +104,15 @@ def assemble_system(
     return a, rhs
 
 
-def newton_step(a: np.ndarray, rhs: np.ndarray, reg: float):
-    """Least-squares step dc minimizing ||A dc + rhs|| (+ ridge reg s_max)."""
-    if reg < 0.0:
-        raise ConfigError("reg must be nonnegative")
+def newton_step(a: np.ndarray, rhs: np.ndarray):
+    """Least-squares step dc minimizing ||A dc + rhs|| with ridge STEP_REG s_max."""
     if a.shape[0] < a.shape[1]:
         raise SolveError("underdetermined Newton system")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
         raise SolveError("zero Newton system")
-    if reg == 0.0:
-        rank = int(np.sum(s > s[0] * 1e-14))
-        if rank < a.shape[1]:
-            raise SolveError("singular Newton normal system (reg = 0)")
-        filt = 1.0 / s
-    else:
-        lam = reg * s[0]
-        filt = s / (s * s + lam * lam)
+    lam = STEP_REG * s[0]
+    filt = s / (s * s + lam * lam)
     return -(vt.T @ (filt * (u.T @ rhs)))
 
 
@@ -220,8 +207,8 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     c1 = cfg["stop.c1"]
     for _ in range(cfg["max_iter"]):
         try:
-            a, rhs = assemble_system(field, rec.sources, current, t_grid, rec.sys)
-            dc = newton_step(a, rhs, STEP_REG)
+            a, rhs = assemble_system(field, rec.sources, current, t_grid)
+            dc = newton_step(a, rhs)
         except (SolveError, DomainError) as exc:
             return finish("diverged", str(exc))
 

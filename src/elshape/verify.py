@@ -193,28 +193,21 @@ def check_lambda_nonvanishing() -> CheckResult:
 # field-level measurements
 # ---------------------------------------------------------------------------
 
-def decay_profile(
-    radius: float,
-    source_xy,
-    sys: LameSystem,
-    R: float,
-    orders,
-    rho: float = 3.0,
-    n_receivers: int = 256,
-):
-    """RMS truncation error on the data circle for each order in ``orders``.
+def decay_profile(radius: float, source_xy, sys: LameSystem, R: float, orders):
+    """RMS truncation error on the data circle r = 3 (256 receivers) for
+    each order in ``orders``.
 
     Full-circle extraction acts on each mode alone, so v_N is the
     extraction at the largest order with the modes |n| > N zeroed: one
     extraction, and one evaluation with a coefficient row per order.
     """
     srcs = (PointSource(source_xy, POLARIZATION),)
-    rec = measure(disk_series(radius, srcs, sys, n_modes=60), rho, n_receivers)
+    rec = measure(disk_series(radius, srcs, sys, n_modes=60), 3.0, 256)
     top = int(np.max(orders))
-    mf = solve_modal(modal_rhs(rec, top), rho, R, sys)
+    mf = solve_modal(modal_rhs(rec, top), rec.rho, R, sys)
     keep = np.abs(np.arange(-top, top + 1)) <= np.reshape(orders, (-1, 1))
     truncated = replace(mf, phat_p=keep * mf.phat_p, phat_s=keep * mf.phat_s)
-    approx = eval_field(truncated, disk(rho).point(rec.receivers))
+    approx = eval_field(truncated, disk(rec.rho).point(rec.receivers))
     errs = np.sqrt(np.mean(np.sum(np.abs(approx - rec.values) ** 2, axis=-1), axis=-1))
     scale = float(np.sqrt(np.mean(np.sum(np.abs(rec.values) ** 2, axis=-1))))
     return errs, scale
@@ -239,8 +232,8 @@ def check_truncation_decay() -> CheckResult:
                    "log-slope of ||v - v_N|| on the data circle, R=0.5")
 
 
-def noise_halving_ratios(n_trials: int = 20, N: int = 7) -> np.ndarray:
-    """||v_N^d - v_N|| ratios when halving delta, independent draws.
+def noise_halving_ratios() -> np.ndarray:
+    """||v_N^d - v_N|| ratios at N = 7 when halving delta, 20 independent draws.
 
     Extraction and evaluation are linear in the data, so v_N^d - v_N is
     the field extracted from the noise term alone.  All 2 n_trials noise
@@ -249,6 +242,7 @@ def noise_halving_ratios(n_trials: int = 20, N: int = 7) -> np.ndarray:
     (the field has degree N + 1 < M/2 on the circle, so the receiver mean
     is the circle's L2 mean).
     """
+    n_trials, N = 20, 7
     sys = LameSystem(1.0, 1.0, 5.0)
     srcs = ring_sources(20, 3.0, POLARIZATION)
     clean = record_from_disk_series(1.0, srcs, sys, 3.0, 128)
@@ -296,8 +290,10 @@ def check_forward_oracle() -> CheckResult:
                    "MFS vs analytic disk series, unit disk, omega in {1, 5}")
 
 
-def modal_roundtrip_errors(N: int = 30, n_receivers: int = 128):
-    """(value round-trip error, gradient-vs-FD error) for a synthetic field."""
+def modal_roundtrip_errors():
+    """(value round-trip error, gradient-vs-FD error) for a synthetic field
+    of order N = 30, sampled at 128 receivers."""
+    N, n_receivers = 30, 128
     sys = LameSystem(1.0, 1.0, 5.0)
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(2, 2 * N + 1)) + 1j * rng.normal(size=(2, 2 * N + 1))

@@ -90,7 +90,7 @@ def test_criterion_03_forward_oracle_equivalence():
 
 def test_criterion_04_modal_roundtrip():
     with Timer() as t:
-        rt_err, grad_err = verify.modal_roundtrip_errors(N=30, n_receivers=128)
+        rt_err, grad_err = verify.modal_roundtrip_errors()
     ok = rt_err <= 1e-11 and grad_err <= 1e-6 and t.seconds < 10.0
     assert report(4, ok, f"value round-trip {rt_err:.2e} (<= 1e-11), "
                          f"gradient vs FD {grad_err:.2e} (<= 1e-6); "
@@ -107,7 +107,7 @@ def test_criterion_05_truncation_decay_slope():
 
 def test_criterion_06_noise_scaling():
     with Timer() as t:
-        med = float(np.median(verify.noise_halving_ratios(n_trials=20, N=7)))
+        med = float(np.median(verify.noise_halving_ratios()))
     ok = 0.35 <= med <= 0.65 and t.seconds < 30.0
     assert report(6, ok, f"median halving ratio {med:.3f} in [0.35, 0.65] "
                          f"over 20 seeds; {t.seconds:.2f}s (< 30s)")

@@ -21,7 +21,7 @@ from elshape.forward import (
     solve_mfs,
 )
 from elshape.geometry import disk, kite, starfish
-from elshape.modal import ModalField, eval_field
+from elshape.modal import ModalField, _tables, eval_field
 from elshape.records import ScatterRecord
 
 SYS5 = LameSystem(1.0, 1.0, 5.0)
@@ -251,7 +251,7 @@ class TestDiskSeries:
         b = disk_series(1.0, (SRC,), SYS5, 50).eval(pts)
         assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_frame_tables_ask_for_orders_zero_to_m_only(self):
+    def test_amos_tables_ask_for_orders_zero_to_m_only(self):
         # the negative orders and C_{-1} come from cylinder_tables' reflection
         asked = []
 
@@ -259,9 +259,9 @@ class TestDiskSeries:
             asked.append(np.unique(n).tolist())
             return specfun.hankel1(n, t)
 
-        alpha, beta = forward._frame_tables(recording, 6, SYS5, np.array([1.0, 2.0]))
+        tabs = _tables(forward._amos(recording), (SYS5.k_p, SYS5.k_s), 6, np.array([1.0, 2.0]))
         assert asked == [list(range(7))]
-        assert alpha.shape == beta.shape == (2, 13, 2)
+        assert [tab.shape for tab in tabs] == [(2, 13, 2)] * 3
 
     @pytest.mark.parametrize("omega", [1.0, 5.0])
     @pytest.mark.parametrize("n_modes", [20, 40])
@@ -352,6 +352,21 @@ class TestSimulate:
         assert rec.values.shape == (20, 128, 2)
         assert rec.n_sources == 20 and rec.n_receivers == 128
         assert rec.is_full_aperture
+
+    def test_bad_aperture_refused_before_the_solve(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the aperture was checked")
+
+        monkeypatch.setattr(forward, "solve_mfs", unreachable)
+        monkeypatch.setattr(forward, "disk_series", unreachable)
+        srcs = ring_sources(20, 3.0, POL)
+        log = []
+        with pytest.raises(ConfigError, match="aperture: need lo < hi"):
+            simulate(kite(), srcs, SYS5, 3.0, 256, aperture=(1.0, 0.5), n_collocation=512,
+                     n_charges=256, shrink=0.92, residual_log=log)
+        assert log == []
+        with pytest.raises(ConfigError, match="aperture: need lo < hi"):
+            record_from_disk_series(1.0, srcs, SYS5, 3.0, 128, aperture=(1.0, 0.5))
 
     def test_half_aperture_receiver_angles(self):
         theta = receiver_angles(128, (0.0, np.pi))

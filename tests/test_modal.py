@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from elshape import forward, specfun
 from elshape.elastic import LameSystem, PointSource
 from elshape.errors import AliasingError, ConfigError, DomainError, SolveError
 from elshape.forward import disk_series, record_from_disk_series, ring_sources
 from elshape.modal import (
     ModalField,
+    _tables,
     bracket,
     choose_truncation,
     eval_field,
@@ -120,6 +122,36 @@ class TestModalRhs:
         with pytest.raises(ConfigError):
             modal_rhs(rec, N=4)
 
+
+class TestTables:
+    RADII = np.array([3.0, 0.6, 1.0, 3.0, 1.7])
+
+    @pytest.mark.parametrize("R", [None, 0.5])
+    def test_numpy_and_amos_routes_agree(self, R):
+        k = (SYS5.k_p, SYS5.k_s)
+        ours = _tables(specfun.hankel1_table, k, 20, self.RADII, R)
+        amos = _tables(forward._amos(specfun.hankel1), k, 20, self.RADII, R)
+        for got, want in zip(ours, amos):
+            assert got.shape == (2, 41, 5)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_one_table_call_on_distinct_radii_then_R(self):
+        calls = []
+
+        def recording(m, t):
+            calls.append((m, t))
+            return specfun.hankel1_table(m, t)
+
+        k = (SYS5.k_p, SYS5.k_s)
+        alpha, beta, kappa = _tables(recording, k, 6, self.RADII, 0.5)
+        [(m, t)] = calls
+        assert m == 6
+        assert np.array_equal(t, np.reshape(k, (2, 1)) * [0.6, 1.0, 1.7, 3.0, 0.5])
+        assert alpha.shape == beta.shape == kappa.shape == (2, 13, 5)
+        # the repeated radius is scattered back from its one column
+        assert np.array_equal(beta[..., 0], beta[..., 3])
+
+
 class TestModalMatrix:
     def test_zero_mode_decouples(self):
         m = oracles.modal_matrix(0, RHO, 0.5, SYS5)
@@ -129,10 +161,8 @@ class TestModalMatrix:
     def test_determinant_identity(self, n):
         m = oracles.modal_matrix(n, RHO, 0.5, SYS5)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        from elshape.modal import _hankel_table
-
-        beta_p = _hankel_table(SYS5.k_p, 0.5, abs(n), np.array([RHO]))[1][n + abs(n), 0]
-        beta_s = _hankel_table(SYS5.k_s, 0.5, abs(n), np.array([RHO]))[1][n + abs(n), 0]
+        beta_p, beta_s = _tables(specfun.hankel1_table, (SYS5.k_p, SYS5.k_s), abs(n),
+                                 np.array([RHO]), 0.5)[1][:, n + abs(n), 0]
         want = beta_p * beta_s * lambda_n(n, RHO, 0.5, SYS5)
         assert abs(det - want) <= 1e-12 * abs(want)
 
@@ -296,15 +326,13 @@ class TestPolarDerivatives:
         assert np.max(np.abs(d_t - fd_t)) <= 1e-7 * np.max(np.abs(fd_t))
 
     def test_kappa_is_radial_derivative_of_alpha(self):
-        from elshape.modal import _hankel_table
-
         k, R = SYS5.k_p, 0.5
         n = 4
 
         def alpha(r):
-            return _hankel_table(k, R, n, np.array([r]))[0][n + n, 0]
+            return _tables(specfun.hankel1_table, k, n, np.array([r]), R)[0][n + n, 0]
 
-        kappa = _hankel_table(k, R, n, np.array([2.0]))[2][n + n, 0]
+        kappa = _tables(specfun.hankel1_table, k, n, np.array([2.0]), R)[2][n + n, 0]
         fd = oracles.central_diff(alpha, 2.0, 1e-6)
         assert abs(kappa - fd) <= 1e-7 * abs(fd)
 
@@ -521,7 +549,7 @@ class TestDecayAndNoise:
     def test_noise_response_linear_in_delta(self):
         from elshape.verify import noise_halving_ratios
 
-        ratios = noise_halving_ratios(n_trials=20)
+        ratios = noise_halving_ratios()
         doubling = 1.0 / ratios  # e(0.05)/e(0.025)
         med = float(np.median(doubling))
         assert 1.5 <= med <= 2.5

@@ -70,27 +70,18 @@ class TestNewtonStep:
         a = np.eye(5)
         rhs = np.zeros(5)
         rhs[0] = 1.0
-        dc = newton_step(a, rhs, reg=0.0)
+        dc = newton_step(a, rhs)
         assert np.allclose(dc, [-1.0, 0.0, 0.0, 0.0, 0.0])
-
-    def test_huge_ridge_freezes_step(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(20, 5))
-        rhs = rng.normal(size=20)
-        dc = newton_step(a, rhs, reg=1e12)
-        assert np.max(np.abs(dc)) <= 1e-10
 
     def test_underdetermined_rejected(self):
         with pytest.raises(SolveError):
-            newton_step(np.ones((3, 5)), np.ones(3), reg=0.0)
+            newton_step(np.ones((3, 5)), np.ones(3))
 
-    def test_singular_without_ridge_rejected(self):
+    def test_rank_one_system_gives_finite_step(self):
+        # the STEP_REG ridge keeps a singular system solvable
         a = np.zeros((8, 3))
         a[:, 0] = 1.0  # rank 1
-        with pytest.raises(SolveError):
-            newton_step(a, np.ones(8), reg=0.0)
-        # with a ridge the same system is solvable
-        dc = newton_step(a, np.ones(8), reg=1e-6)
+        dc = newton_step(a, np.ones(8))
         assert np.all(np.isfinite(dc))
 
 
@@ -107,7 +98,7 @@ class TestAssembleSystem:
     def test_dimensions(self, disk_setup):
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.5, 8), t_grid, SYS5)
+        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.5, 8), t_grid)
         assert a.shape == (64 + 1, 17)
         assert rhs.shape == (64 + 1,)
 
@@ -117,7 +108,7 @@ class TestAssembleSystem:
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         curve = StarCurve.circle(1.0, 8)
-        _, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
+        _, rhs = assemble_system(field, srcs, curve, t_grid)
         pts = curve.point(t_grid)
         u = eval_field(field, pts) + incident_field(pts, srcs, SYS5)
         assert np.max(np.abs(u)) <= 1e-4
@@ -127,10 +118,10 @@ class TestAssembleSystem:
     def test_zero_step_iff_zero_rhs(self, disk_setup):
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.3, 8), t_grid, SYS5)
-        dc = newton_step(a, np.zeros_like(rhs), reg=0.0)
+        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.3, 8), t_grid)
+        dc = newton_step(a, np.zeros_like(rhs))
         assert np.max(np.abs(dc)) == 0.0
-        dc2 = newton_step(a, rhs, reg=0.0)
+        dc2 = newton_step(a, rhs)
         assert np.max(np.abs(dc2)) > 0.0
 
     def test_quadrature_refinement_stable(self, disk_setup):
@@ -139,15 +130,15 @@ class TestAssembleSystem:
         sols = []
         for m in (64, 128):
             t_grid = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-            a, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
-            sols.append(newton_step(a, rhs, reg=0.0))
+            a, rhs = assemble_system(field, srcs, curve, t_grid)
+            sols.append(newton_step(a, rhs))
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-6
 
     def test_point_inside_expansion_disk_named(self, disk_setup):
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         with pytest.raises(DomainError):
-            assemble_system(field, srcs, StarCurve.circle(0.4, 8), t_grid, SYS5)
+            assemble_system(field, srcs, StarCurve.circle(0.4, 8), t_grid)
 
 
     def test_rows_stack_per_source_linearizations(self):
@@ -158,7 +149,7 @@ class TestAssembleSystem:
         field = extract_field(rec, 10, 0.5)
         curve = StarCurve.circle(1.3, 4)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        a, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
+        a, rhs = assemble_system(field, srcs, curve, t_grid)
 
         pts = curve.point(t_grid)
         xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
@@ -178,10 +169,9 @@ class TestAssembleSystem:
         want_a = np.concatenate([a_c.real, a_c.imag])
         want_r = np.concatenate([r_c.real, r_c.imag])
 
-        for reg in (0.0, 1e-10, 1e-3):
-            want = newton_step(want_a, want_r, reg=reg)
-            got = newton_step(a, rhs, reg=reg)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = newton_step(want_a, want_r)
+        got = newton_step(a, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         s_want = np.linalg.svd(want_a, compute_uv=False)
         s_got = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(s_got - s_want)) <= 1e-13 * s_want[0]
@@ -199,7 +189,7 @@ class TestAssembleSystem:
         field = extract_field(rec, 10, 0.5)
         curve = StarCurve.circle(1.3, 4)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        _, rhs = assemble_system(field, srcs, curve, t_grid, SYS5)
+        _, rhs = assemble_system(field, srcs, curve, t_grid)
         pts = curve.point(t_grid)
         u = eval_field(field, pts) + np.concatenate([incident_field(pts, (s,), SYS5) for s in srcs])
         assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
@@ -213,8 +203,8 @@ class TestOneStepContraction:
         field = solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(1.0 + err0, 8)
-        a, rhs = assemble_system(field, (src,), start, t_grid, SYS5)
-        dc = newton_step(a, rhs, reg=1e-10)
+        a, rhs = assemble_system(field, (src,), start, t_grid)
+        dc = newton_step(a, rhs)
         new_err = abs(start.coeffs[0] + dc[0] - 1.0)
         assert new_err <= 0.6 * err0
 
@@ -225,8 +215,8 @@ class TestOneStepContraction:
         field = solve_modal(modal_rhs(rec, 15), 3.0, 0.8, SYS1)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(2.0, 8)
-        a, rhs = assemble_system(field, (src,), start, t_grid, SYS1)
-        dc = newton_step(a, rhs, reg=1e-10)
+        a, rhs = assemble_system(field, (src,), start, t_grid)
+        dc = newton_step(a, rhs)
         assert abs(2.0 + dc[0] - 1.0) < 1.0
 
 
@@ -298,7 +288,7 @@ class TestReconstruct:
         assert run.termination == "diverged"
 
     def test_failed_step_diverges_with_its_message(self, disk_record, monkeypatch):
-        def refuse(a, rhs, reg):
+        def refuse(a, rhs):
             raise SolveError("step refused")
 
         monkeypatch.setattr(newton, "newton_step", refuse)
@@ -309,7 +299,7 @@ class TestReconstruct:
         # a0: 2 -> 102 stays admissible, but the relative update 100 / 2 = 50
         # exceeds the divergence guard
         monkeypatch.setattr(
-            newton, "newton_step", lambda a, rhs, reg: np.eye(a.shape[1])[0] * 100.0
+            newton, "newton_step", lambda a, rhs: np.eye(a.shape[1])[0] * 100.0
         )
         run = reconstruct(disk_record, disk_config())
         assert (run.termination, run.e_history) == ("diverged", (50.0,))
