@@ -18,8 +18,14 @@ fundamental displacement tensor of the Navier operator is
 
 with H_2(t) = (2/t) H_1(t) - H_0(t): two complex scalars per pair from one
 order-0/1 table for both wavenumbers.  With a direction it also gives
-G's derivative along it, so the incident fields and their derivatives
-contract one kernel; no finite differences are used outside the test suite.
+G's derivative along it; no finite differences are used outside the test
+suite.  Each consumer is three steps: the arguments (``_separation``, then
+``_arguments``), one ``specfun.hankel01`` pass over them, and the result
+from the kernel rows (``_radial_scalars``, then ``_tensors`` for
+``green_tensor`` or ``_contracted`` for ``incident_field``, which applies
+G and d_e G to the polarizations without forming them).  A caller that
+batches the arguments of several consumers into one pass, as the Newton
+iterate does, runs the same three steps.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -100,12 +106,26 @@ def _separation(x, y):
     return dx, dy, r
 
 
-def _radial_scalars(r, sys: LameSystem, derivative=False):
-    """alpha and beta of G = alpha I + beta D at the distances r, and with
-    ``derivative`` also alpha' and beta' in r, from one order-0/1 table
-    for both wavenumbers (H_0' = -H_1, H_2' = H_1 - (2/t) H_2)."""
-    t = np.multiply.outer((sys.k_s, sys.k_p), r)
-    h0, h2 = specfun.hankel1_table(1, t)
+def _sources(srcs, ndim: int):
+    """Locations z and polarizations p of the sources, each (S, 1, .., 1, 2)
+    so that they broadcast against points x with x.ndim == ndim."""
+    shape = (len(srcs),) + (1,) * (ndim - 1) + (2,)
+    z = np.reshape([src.location for src in srcs], shape)
+    p = np.reshape([src.polarization for src in srcs], shape)
+    return z, p
+
+
+def _arguments(r, sys: LameSystem):
+    """The order-0/1 kernel's arguments k r for both wavenumbers, (2,) + r.shape."""
+    return np.multiply.outer((sys.k_s, sys.k_p), r)
+
+
+def _radial_scalars(h, t, sys: LameSystem, derivative=False):
+    """alpha and beta of G = alpha I + beta D at t = ``_arguments(r, sys)``
+    from the kernel rows h = (H_0(t), H_1(t)), and with ``derivative`` also
+    alpha' and beta' in r (H_0' = -H_1, H_2' = H_1 - (2/t) H_2).  h's H_1
+    row is overwritten."""
+    h0, h2 = h
     h1 = h2.copy() if derivative else None
     two_t = 2.0 / t
     h2 *= two_t  # H_1 becomes H_2 = (2/t) H_1 - H_0 in place
@@ -120,6 +140,12 @@ def _radial_scalars(r, sys: LameSystem, derivative=False):
     return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
 
 
+def _directional(de, r, beta, dalpha, dbeta):
+    """a, b and c of d_e G = a I + b d d^T + c (e d^T + d e^T), de = d.e
+    (see ``green_tensor``)."""
+    return (dalpha - dbeta) * de, (2.0 * dbeta - 4.0 * beta / r) * de, 2.0 * beta / r
+
+
 def _tensor_array(shape):
     """Empty complex array of shape + (2, 2) whose memory runs (..., i, n, j)
     over the last axis n of shape: a matrix with rows (..., i) and columns
@@ -128,6 +154,61 @@ def _tensor_array(shape):
     if not shape:
         return np.empty((2, 2), dtype=complex)
     return np.empty(shape[:-1] + (2, shape[-1], 2), dtype=complex).swapaxes(-3, -2)
+
+
+def _tensors(dx, dy, r, scalars, e=None):
+    """G, and with a direction e also d_e G, from the offsets and
+    ``_radial_scalars``."""
+    alpha, beta, *slopes = scalars
+    # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
+    b_r2 = beta / (r * r)
+    b_xx = b_r2 * (dx * dx - dy * dy)
+    g = _tensor_array(r.shape)
+    np.add(alpha, b_xx, out=g[..., 0, 0])
+    np.subtract(alpha, b_xx, out=g[..., 1, 1])
+    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
+    g[..., 1, 0] = g[..., 0, 1]
+    if e is None:
+        return g
+
+    e = np.asarray(e, dtype=float)
+    ux, uy, ex, ey = dx / r, dy / r, e[..., 0], e[..., 1]  # d = (ux, uy)
+    a, b, c = _directional(ux * ex + uy * ey, r, beta, *slopes)
+    dg = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    dg[..., 0, 0] = a + b * (ux * ux) + c * (2.0 * ex * ux)
+    dg[..., 1, 1] = a + b * (uy * uy) + c * (2.0 * ey * uy)
+    dg[..., 0, 1] = b * (ux * uy) + c * (ex * uy + ux * ey)
+    dg[..., 1, 0] = dg[..., 0, 1]
+    return g, dg
+
+
+def _contracted(dx, dy, r, p, scalars, e=None):
+    """G p, and with a direction e also (d_e G) p, for polarizations p that
+    broadcast against the offsets, without forming G:
+
+        G p = (alpha - beta) p + 2 beta (d.p) d,
+        (d_e G) p = a p + b (d.p) d + c ((d.p) e + (e.p) d).
+    """
+    alpha, beta, *slopes = scalars
+    ux, uy, px, py = dx / r, dy / r, p[..., 0], p[..., 1]
+    dp = ux * px + uy * py
+    a, two_b_dp = alpha - beta, 2.0 * beta * dp
+    u = np.empty(np.shape(two_b_dp) + (2,), dtype=complex)
+    np.multiply(a, px, out=u[..., 0])
+    u[..., 0] += two_b_dp * ux
+    np.multiply(a, py, out=u[..., 1])
+    u[..., 1] += two_b_dp * uy
+    if e is None:
+        return u
+
+    e = np.asarray(e, dtype=float)
+    ex, ey = e[..., 0], e[..., 1]
+    a, b, c = _directional(ux * ex + uy * ey, r, beta, *slopes)
+    b_dp, c_dp, c_ep = b * dp, c * dp, c * (ex * px + ey * py)
+    du = np.empty(np.shape(b_dp) + (2,), dtype=complex)
+    du[..., 0] = a * px + b_dp * ux + c_dp * ex + c_ep * ux
+    du[..., 1] = a * py + b_dp * uy + c_dp * ey + c_ep * uy
+    return u, du
 
 
 def green_tensor(x, z, sys: LameSystem, e=None):
@@ -141,48 +222,29 @@ def green_tensor(x, z, sys: LameSystem, e=None):
 
         d_e G = a I + b d d^T + c (e d^T + d e^T),      c = 2 beta / r,
         a = (alpha' - beta') (d.e),      b = (2 beta' - 4 beta / r) (d.e).
+
+    Offsets, then one order-0/1 kernel pass on ``_arguments``, then the
+    tensors.
     """
     dx, dy, r = _separation(x, z)
-    alpha, beta, *slopes = _radial_scalars(r, sys, derivative=e is not None)
-    # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
-    b_r2 = beta / (r * r)
-    b_xx = b_r2 * (dx * dx - dy * dy)
-    g = _tensor_array(r.shape)
-    np.add(alpha, b_xx, out=g[..., 0, 0])
-    np.subtract(alpha, b_xx, out=g[..., 1, 1])
-    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
-    g[..., 1, 0] = g[..., 0, 1]
-    if e is None:
-        return g
-
-    dalpha, dbeta = slopes
-    e = np.asarray(e, dtype=float)
-    ux, uy, ex, ey = dx / r, dy / r, e[..., 0], e[..., 1]  # d = (ux, uy)
-    de = ux * ex + uy * ey
-    a = (dalpha - dbeta) * de
-    b = (2.0 * dbeta - 4.0 * beta / r) * de
-    c = 2.0 * beta / r
-    dg = np.empty(de.shape + (2, 2), dtype=complex)
-    dg[..., 0, 0] = a + b * (ux * ux) + c * (2.0 * ex * ux)
-    dg[..., 1, 1] = a + b * (uy * uy) + c * (2.0 * ey * uy)
-    dg[..., 0, 1] = b * (ux * uy) + c * (ex * uy + ux * ey)
-    dg[..., 1, 0] = dg[..., 0, 1]
-    return g, dg
+    t = _arguments(r, sys)
+    return _tensors(dx, dy, r, _radial_scalars(specfun.hankel01(t), t, sys, e is not None), e)
 
 
 def incident_field(x, srcs, sys: LameSystem, e=None):
     """Displacements G(x, z) p of the sources in ``srcs``, each with its own
-    polarization: shape (S,) + x.shape, from one green_tensor call.  With a
-    direction ``e``, (G p, (d_e G) p), the second of shape (S,) + broadcast(x, e).
+    polarization: shape (S,) + x.shape.  With a direction ``e``,
+    (G p, (d_e G) p), the second of shape (S,) + broadcast(x, e).
+
+    The same offsets, arguments and kernel pass as ``green_tensor``, but G
+    and d_e G are contracted with p from alpha, beta and their slopes
+    directly (``_contracted``): no (S, ..., 2, 2) tensor is built.
     """
     x = np.asarray(x, dtype=float)
-    shape = (len(srcs),) + (1,) * (x.ndim - 1) + (2,)  # broadcasts against x
-    z = np.reshape([src.location for src in srcs], shape)
-    p = np.reshape([src.polarization for src in srcs], shape).astype(complex)
-    g = green_tensor(x, z, sys, e)
-    if e is None:
-        return np.einsum("...ij,...j->...i", g, p)
-    return tuple(np.einsum("...ij,...j->...i", tensor, p) for tensor in g)
+    z, p = _sources(srcs, x.ndim)
+    dx, dy, r = _separation(x, z)
+    t = _arguments(r, sys)
+    return _contracted(dx, dy, r, p, _radial_scalars(specfun.hankel01(t), t, sys, e is not None), e)
 
 
 def grad_incident_field(x, srcs, sys: LameSystem):

@@ -258,8 +258,8 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     # u_inc + v = 0 at r = radius, per mode: the H frame of b is minus the J
     # frame of a, solved for c = b H(k radius), whose frame has entries O(m)
     k, rim = (sys.k_p, sys.k_s), np.array([radius])
-    j_alpha, j_beta, _ = (tab[..., 0] for tab in _tables(_amos(specfun.bessel_j), k, n_modes, rim))
-    alpha, beta, _ = (tab[..., 0] for tab in _tables(_amos(specfun.hankel1), k, n_modes, rim))
+    j_alpha, j_beta = (tab[..., 0] for tab in _tables(_amos(specfun.bessel_j), k, n_modes, rim))
+    alpha, beta = (tab[..., 0] for tab in _tables(_amos(specfun.hankel1), k, n_modes, rim))
     (u_p, v_p), (u_s, v_s) = _frame(m, radius, j_alpha, j_beta)
     with np.errstate(invalid="ignore"):  # inf / inf where H_m overflows: _invert refuses it
         ratio = alpha / beta

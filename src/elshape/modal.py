@@ -19,22 +19,28 @@ per mode, a 2x2 system with determinant beta_{p,n} beta_{s,n} Lambda_n,
 
 nonzero for every integer n, so the coefficients follow in closed form.
 This per-mode algebra is written once, here: ``_tables`` (alpha, beta,
-kappa from one table call, over C_n(kR) given R), ``_frame`` (the U_n / V_n
-amplitudes of a unit coefficient), ``_basis`` (their Cartesian components
-times e^{in theta}), ``_expand`` (their contraction with the coefficients)
-and ``_invert`` (the 2x2 inverse, with the one determinant guard).  The
-disk oracle in ``forward`` shares them all but the Hankel library (its
-tables are AMOS's, without R), so mpmath's per-mode matrix
-(``tests/oracles.modal_matrix``) is their independent check.  The
-projection of full-circle data (one matrix product with the trapezoid
-weights) and the inverse act on each mode alone, so an extraction at order
-N holds every lower order's coefficients.  The d/dr frame is the frame of
-the tables (kappa, alpha - beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r); the
-angular derivative needs no table of its own, since U_n' = in U_n + V_n and
-V_n' = in V_n - U_n make d/dtheta v the field of the coefficients in c plus
-v turned a quarter.  The evaluators are ``eval_field`` (v), ``eval_radial``
-(v and d/dr v, the Newton step's pair) and ``eval_gradient`` (the Cartesian
-Jacobian, one ``eval_radial`` of the rows c and in c).
+and kappa when asked, from one table call, over C_n(kR) given R),
+``_frame`` (the U_n / V_n amplitudes of a unit coefficient), ``_basis``
+(their Cartesian components times e^{in theta}), ``_expand`` (their
+contraction with the coefficients) and ``_invert`` (the 2x2 inverse, with
+the one determinant guard).  ``_tables`` is its arguments (``_arguments``)
+followed by the tables built on them (``_tables_at``), and ``_basis`` is
+the tables followed by ``_basis_of`` at the ``_angles`` of the points, so
+the Newton iterate can share one kernel pass with the incident field and
+keep the angles for the whole run.  The disk oracle in ``forward`` shares
+them all but the Hankel library (its tables are AMOS's, without R), so
+mpmath's per-mode matrix (``tests/oracles.modal_matrix``) is their
+independent check.  The projection of full-circle data (one matrix
+product with the trapezoid weights) and the inverse act on each mode
+alone, so an extraction at order N holds every lower order's
+coefficients.  The d/dr frame is the frame of the tables
+(kappa, alpha - beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r), which only
+the d/dr callers build; the angular derivative needs no table of its own,
+since U_n' = in U_n + V_n and V_n' = in V_n - U_n make d/dtheta v the
+field of the coefficients in c plus v turned a quarter.  The evaluators
+are ``eval_field`` (v), ``eval_radial`` (v and d/dr v) and
+``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the
+rows c and in c).
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
@@ -75,22 +81,36 @@ __all__ = [
 # coefficient tables
 # ---------------------------------------------------------------------------
 
-def _tables(table, k, N: int, r: np.ndarray, R=None):
-    """[alpha, beta, kappa] = [k C', C, k^2 C''], each np.shape(k) + (2N+1, P), orders
-    -N..N, at the 1-D radii r: one ``specfun.cylinder_tables`` call on ``table`` for
-    every k on the distinct radii (a circle has a few), scattered back.  Given R,
-    its column goes last and every table is divided by C_n(kR)."""
+def _arguments(k, r: np.ndarray, R=None):
+    """(t, back): k times the sorted distinct values of the 1-D radii r (a
+    circle has a few), then R as the last column when given, shape
+    np.shape(k) + (columns,), and the index that scatters the columns back to r."""
     k = np.reshape(k, np.shape(k) + (1,))
     r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
-    t = k * (r_uniq if R is None else np.append(r_uniq, R))
-    c, dc, ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t))
-    k = k[..., None]
-    if R is None:
-        return [tab[..., back] for tab in (k * dc, c, k * k * ddc)]
-    denom = c[..., -1:]
-    if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
-        raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
-    return [tab[..., back] for tab in (k * dc / denom, c / denom, k * k * ddc / denom)]
+    return k * (r_uniq if R is None else np.append(r_uniq, R)), back
+
+
+def _tables(table, k, N: int, r: np.ndarray, R=None, kappa=False):
+    """[alpha, beta] = [k C', C], and with ``kappa`` also k^2 C'', each
+    np.shape(k) + (2N+1, P), orders -N..N, at the 1-D radii r, over C_n(kR)
+    given R: ``_tables_at`` on ``_arguments``."""
+    return _tables_at(table, k, N, *_arguments(k, r, R), R, kappa)
+
+
+def _tables_at(table, k, N: int, t, back, R=None, kappa=False):
+    """``_tables`` at the arguments (t, back) = ``_arguments(k, r, R)``: one
+    ``specfun.cylinder_tables`` call on ``table`` for every k, scattered back.
+    Given R, its column is last and every table is divided by C_n(kR)."""
+    c, dc, *ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t, kappa))
+    if R is not None:  # checked before any arithmetic on an overflowed table
+        denom = c[..., -1:]
+        if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
+            raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
+    k = np.reshape(k, np.shape(k) + (1, 1))
+    tabs = [k * dc, c] + [k * k * tab for tab in ddc]
+    if R is not None:
+        tabs = [tab / denom for tab in tabs]
+    return [tab[..., back] for tab in tabs]
 
 
 def _polar(x):
@@ -161,7 +181,7 @@ def modal_rhs(rec: ScatterRecord, N: int) -> ModalRhs:
         raise ConfigError("modal_rhs needs equispaced receivers")
 
     # U_n (as p's unit frame) and V_n (as s's) in Cartesian components
-    proj = _cartesian([((1.0, 0.0), (0.0, 1.0))], np.arange(-N, N + 1), theta).conj() / m
+    proj = _cartesian([((1.0, 0.0), (0.0, 1.0))], _angles(N, theta)).conj() / m
     f = rec.values.reshape(rec.n_sources, 2 * m) @ proj.reshape(2 * (2 * N + 1), 2 * m).T
     return ModalRhs(N=N, f_p=f[:, : 2 * N + 1], f_s=f[:, 2 * N + 1 :])
 
@@ -199,14 +219,14 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
     shape, from one table of orders up to max |n|).
     """
     N = int(np.max(np.abs(n)))
-    alpha, beta, _ = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
+    alpha, beta = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
     return _lambda(n, rho, alpha[:, np.add(n, N), 0], beta[:, np.add(n, N), 0])
 
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
     """Invert the per-mode 2x2 systems in closed form (``_invert``), for every row of rhs."""
     N = rhs.N
-    alpha, beta, _ = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
+    alpha, beta = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
     phat_p, phat_s = _invert(np.arange(-N, N + 1), rho, alpha[..., 0], beta[..., 0],
                              rhs.f_p, rhs.f_s)
     return ModalField(N=N, R=R, rho=rho, sys=sys, phat_p=phat_p, phat_s=phat_s)
@@ -225,38 +245,60 @@ def _basis(table, N: int, sys: LameSystem, r, theta, d_r: bool, R=None) -> np.nd
     U_n / V_n amplitudes times e^{in theta}, rotated to Cartesian
     components.  r and theta are 1-D of length P.
     """
-    alpha, beta, kappa = _tables(table, (sys.k_p, sys.k_s), N, r, R)
-    n = np.arange(-N, N + 1, dtype=float)[:, None]
+    tabs = _tables(table, (sys.k_p, sys.k_s), N, r, R, kappa=d_r)
+    return _basis_of(tabs, r, _angles(N, theta))
+
+
+def _basis_of(tabs, r, angles) -> np.ndarray:
+    """``_basis`` from its tables [alpha, beta] or [alpha, beta, kappa] (then
+    with the d/dr frame) and ``_angles(N, theta)``."""
+    alpha, beta, *kappa = tabs
+    n = angles[0]
     frames = [_frame(n, r, alpha, beta)]
-    if d_r:
-        frames.append(_frame(n, r, kappa, alpha - beta / r))
-    return _cartesian(frames, n, theta)
+    if kappa:
+        frames.append(_frame(n, r, kappa[0], alpha - beta / r))
+    return _cartesian(frames, angles)
 
 
-def _cartesian(frames, n, theta) -> np.ndarray:
+def _angles(N: int, theta) -> tuple:
+    """(n, cos theta, sin theta, e^{in theta}) for n = -N..N (a column) at the
+    1-D angles theta: what ``_cartesian`` needs of the points' directions."""
+    n = np.arange(-N, N + 1, dtype=float)[:, None]
+    n_theta = n * theta
+    phase = np.empty(n_theta.shape, dtype=complex)
+    np.cos(n_theta, out=phase.real)
+    np.sin(n_theta, out=phase.imag)
+    return n, np.cos(theta), np.sin(theta), phase
+
+
+def _cartesian(frames, angles) -> np.ndarray:
     """(a e_r + b e_theta) e^{in theta} in Cartesian components, in ``_basis``'s
-    layout, for every ((a_p, b_p), (a_s, b_s)) in ``frames`` at the 1-D angles theta."""
-    n = np.reshape(n, (-1, 1))
-    ct, st = np.cos(theta), np.sin(theta)
-    phase = np.exp(1j * n * theta)
-    basis = np.empty((2, n.size, len(frames), theta.size, 2), dtype=complex)
+    layout, for every ((a_p, b_p), (a_s, b_s)) in ``frames`` at ``_angles``."""
+    n, ct, st, phase = angles
+    basis = np.empty((2, n.size, len(frames), ct.size, 2), dtype=complex)
     for i, frame in enumerate(frames):
         for w, (a, b) in enumerate(frame):
             basis[w, :, i, :, 0] = (a * ct - b * st) * phase
             basis[w, :, i, :, 1] = (a * st + b * ct) * phase
-    return basis.reshape(2 * n.size, len(frames), theta.size, 2)
+    return basis.reshape(2 * n.size, len(frames), ct.size, 2)
+
+
+def _contract(c_p, c_s, basis) -> np.ndarray:
+    """The coefficients [c_p, c_s] (lead + (2N+1,) each) against a basis in
+    ``_basis``'s layout: lead + (frames, P, 2), one matrix product for every row."""
+    coeffs = np.concatenate([c_p, c_s], axis=-1)
+    out = coeffs @ basis.reshape(len(basis), -1)
+    return out.reshape(coeffs.shape[:-1] + basis.shape[1:])
 
 
 def _expand(c_p, c_s, x, basis_of) -> list:
     """Fields of the coefficients [c_p, c_s] in each frame of ``basis_of(r, theta)``
     (``_basis``'s layout at the 1-D polar coordinates of x), each lead + x.shape[:-1]
-    + (2,): one (lead, 2(2N+1)) @ (2(2N+1), frames * P * 2) product for every row."""
+    + (2,), from one ``_contract``."""
     r, theta = _polar(x)
     shape = c_p.shape[:-1] + r.shape
-    basis = basis_of(np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel())
-    coeffs = np.concatenate([c_p, c_s], axis=-1)
-    out = (coeffs @ basis.reshape(len(basis), -1)).reshape(coeffs.shape[:-1] + basis.shape[1:])
-    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(basis.shape[1])]
+    out = _contract(c_p, c_s, basis_of(np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()))
+    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(out.shape[-3])]
 
 
 def _evaluate(mf: ModalField, x, d_r: bool) -> list:

@@ -28,8 +28,21 @@ every dc satisfies
 so the (P + 1)-row system [sqrt(w) B; 0] dc + [g / sqrt(w); sqrt(sum rho^2)]
 has the full system's singular values, least-squares step and residual
 norm.  One ridge-regularized least-squares solve per iteration updates the
-coefficients; modal coefficients are extracted once per run since the data
-live on the measurement circle and do not depend on the iterate.
+coefficients.
+
+Per run: the modal coefficients are extracted once, since the data live
+on the measurement circle and do not depend on the iterate, and
+``collocation`` builds everything that depends only on the collocation
+angles t_p, the sources and the truncation order: B(t_p), the directions
+xhat_p, the modal basis's cos t_p, sin t_p and e^{i n t_p} (taken from
+t_p itself), and the source positions and polarizations.  Per iterate
+(``assemble_system``): the radii and points, the incident kernel's
+arguments k |x_p - z_s| and the modal tables' k r_p and k R, one
+order-0/1 Hankel kernel pass shared by both (``specfun.hankel01_joint``),
+the upward recurrence on the modal columns only, the incident field and
+its radial derivative contracted with the polarizations without forming
+G, the modal value and radial derivative from one basis, and the
+reduction above.
 
 Iterates must keep min_t r(t) > R; a violating step is halved up to five
 times before the run is declared divergent.  The loop stops when the
@@ -39,19 +52,20 @@ relative update e_M = ||dr|| / ||r|| (L2 norms on the circle) falls below
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import elastic, modal, specfun
 from .config import ReconstructionConfig
-from .elastic import incident_field
 from .errors import AliasingError, ConfigError, DomainError, SolveError
 from .forward import add_noise
 from .geometry import ADMISSIBILITY_GRID, StarCurve, basis_matrix
-from .modal import ModalField, eval_radial, extract_field
+from .modal import ModalField, extract_field
 from .records import ScatterRecord
 
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
-from .elastic import grad_incident_field  # noqa: F401
+from .elastic import grad_incident_field, incident_field  # noqa: F401
 from .modal import eval_field, eval_gradient  # noqa: F401
 
 #: a relative update exceeding this declares the run divergent
@@ -68,37 +82,75 @@ def gram_weights(degree: int) -> np.ndarray:
     return w
 
 
-def assemble_system(field: ModalField, srcs, curve: StarCurve, t_grid: np.ndarray):
+@dataclass(frozen=True)
+class Collocation:
+    """What every iterate of a run shares: all that depends on the
+    collocation angles t_p, the sources and the truncation order, but not
+    on the radii."""
+
+    t: np.ndarray       # collocation angles t_p, (P,)
+    basis: np.ndarray   # B(t_p), (P, 2 degree + 1)
+    xhat: np.ndarray    # directions (cos t_p, sin t_p), (P, 2)
+    angles: tuple       # modal._angles(N, t): n, cos t_p, sin t_p and e^{i n t_p}
+    z: np.ndarray       # source locations, (S, 1, 2)
+    p: np.ndarray       # source polarizations, (S, 1, 2)
+
+
+def collocation(field: ModalField, srcs, t_grid, degree: int) -> Collocation:
+    """The per-run part of ``assemble_system`` for curves of ``degree``,
+    ``field``'s truncation order and the sources ``srcs`` of its rows."""
+    t = np.asarray(t_grid, dtype=float)
+    angles = modal._angles(field.N, t)
+    return Collocation(t, basis_matrix(t, degree), np.stack(angles[1:3], axis=-1), angles,
+                       *elastic._sources(srcs, 2))
+
+
+def assemble_system(field: ModalField, grid: Collocation, curve: StarCurve):
     """Reduced linearization: returns (A, rhs) with ||A dc + rhs|| minimal.
 
-    ``field`` holds one coefficient row per source in ``srcs``, each with
+    ``field`` holds one coefficient row per source of ``grid``, each with
     its own polarization, and the medium ``field.sys`` of their incident
-    fields.  A is [sqrt(w) B; 0] with len(t_grid) + 1 rows and
+    fields.  A is [sqrt(w) B; 0] with len(grid.t) + 1 rows and
     2*degree+1 columns; the last rhs entry carries the part of the boundary
     residual no step can reach, so ||rhs|| is the full residual ||u||.
+
+    Only what the radii change is computed here: the points, the incident
+    kernel's arguments k|x_p - z_s| and the modal tables' k r_p and k R go
+    through one order-0/1 kernel pass, the upward recurrence runs on the
+    modal columns only, and the incident field is contracted with the
+    polarizations without forming G.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    basis = basis_matrix(t_grid, curve.degree)
-    radii = basis @ curve.coeffs
+    radii = grid.basis @ curve.coeffs
     bad = radii <= field.R
     if np.any(bad):
         raise DomainError(
-            f"iterate point inside expansion disk at t={t_grid[bad][0]:.4f}"
+            f"iterate point inside expansion disk at t={grid.t[bad][0]:.4f}"
         )
-    xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
-    pts = radii[:, None] * xhat
+    sys, k = field.sys, (field.sys.k_p, field.sys.k_s)
+    dx, dy, r = elastic._separation(radii[:, None] * grid.xhat, grid.z)
+    t_inc = elastic._arguments(r, sys)
+    t_mod, back = modal._arguments(k, radii, field.R)
+    h_inc, h_mod = specfun.hankel01_joint(t_inc, t_mod)
 
-    v, dv = eval_radial(field, pts)
-    u_inc, du_inc = incident_field(pts, srcs, field.sys, xhat)
-    u, du = v + u_inc, dv + du_inc
+    u_inc, du_inc = elastic._contracted(
+        dx, dy, r, grid.p, elastic._radial_scalars(h_inc, t_inc, sys, True), grid.xhat
+    )
+    tabs = modal._tables_at(partial(specfun.hankel1_table, rows=h_mod), k, field.N, t_mod, back,
+                            field.R, kappa=True)
+    total = modal._contract(field.phat_p, field.phat_s, modal._basis_of(tabs, radii, grid.angles))
+    total[..., 0, :, :] += u_inc
+    total[..., 1, :, :] += du_inc
+    # u and du per (source, point) as 4 reals: Re and Im of both components
+    both = total.view(float).reshape(-1, 2, radii.size, 4)
+    u, du = both[:, 0], both[:, 1]
 
-    w = np.sum(du.real ** 2 + du.imag ** 2, axis=(0, 2))
-    g = np.sum(du.real * u.real + du.imag * u.imag, axis=(0, 2))
+    w = np.einsum("spc,spc->p", du, du)
+    g = np.einsum("spc,spc->p", du, u)
     sqrt_w = np.sqrt(w)
     # where du vanishes the row is zero and the point's residual is remainder
     g_scaled = np.divide(g, sqrt_w, out=np.zeros_like(g), where=w > 0.0)
-    rho2 = np.sum(u.real ** 2 + u.imag ** 2, axis=(0, 2)) - g_scaled ** 2
-    a = np.concatenate([sqrt_w[:, None] * basis, np.zeros((1, basis.shape[1]))])
+    rho2 = np.einsum("spc,spc->p", u, u) - g_scaled ** 2
+    a = np.concatenate([sqrt_w[:, None] * grid.basis, np.zeros((1, grid.basis.shape[1]))])
     # rho2 >= 0 holds up to round-off
     rhs = np.append(g_scaled, np.sqrt(np.sum(np.maximum(rho2, 0.0))))
     return a, rhs
@@ -200,6 +252,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         return finish("modal_failure", str(exc))
 
     t_grid = np.linspace(0.0, 2.0 * np.pi, cfg["collocation.n"], endpoint=False)
+    grid = collocation(field, rec.sources, t_grid, guess.degree)
     # StarCurve.min_radius's grid, its basis built once for every candidate
     t_admit = np.linspace(0.0, 2.0 * np.pi, ADMISSIBILITY_GRID, endpoint=False)
     admissibility = basis_matrix(t_admit, guess.degree)
@@ -207,7 +260,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
     c1 = cfg["stop.c1"]
     for _ in range(cfg["max_iter"]):
         try:
-            a, rhs = assemble_system(field, rec.sources, current, t_grid)
+            a, rhs = assemble_system(field, grid, current)
             dc = newton_step(a, rhs)
         except (SolveError, DomainError) as exc:
             return finish("diverged", str(exc))

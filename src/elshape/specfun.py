@@ -30,7 +30,11 @@ Two routes give H_n^(1):
     tables use it: the point-source kernels in ``elastic`` (Green tensor,
     incident field and its gradient, hence the MFS solve) and the modal
     tables H_n(k r) / H_n(k R) in ``modal``, each with one call for both
-    wavenumbers.
+    wavenumbers.  The kernel pass is ``hankel01(t)`` and the recurrence
+    ``hankel1_table(N, t, rows)``, so a caller can run one pass over
+    several consumers' arguments (``hankel01_joint``, one per Newton
+    iterate for the incident field and the modal tables) and extend only
+    the columns that need higher orders.
   * ``hankel1(n, t)`` and the other AMOS wrappers (``bessel_j``,
     ``bessel_y``, ``ln_gamma``) call scipy.special, imported on first use.
     Only the disk-series oracle in ``forward`` and the checks in ``verify``
@@ -60,6 +64,8 @@ __all__ = [
     "bessel_j",
     "bessel_y",
     "hankel1",
+    "hankel01",
+    "hankel01_joint",
     "hankel1_table",
     "derivatives",
     "cylinder_tables",
@@ -248,41 +254,67 @@ def _orders01(t, out):
         _far(t, _CHEB[4:] @ T, out, ~near)
 
 
-def hankel1_table(N, t):
-    """H_0^(1)(t) .. H_N^(1)(t) for t > 0, shape (N+1,) + np.shape(t).
-
-    Orders 0 and 1 come from the numpy kernel, the rest from the upward
-    recurrence run separately on the real (J) and imaginary (Y) parts.
-    Where H_n overflows the entries become non-finite, as AMOS's do.
-    """
+def hankel01(t):
+    """H_0^(1)(t), H_1^(1)(t) for t > 0, shape (2,) + np.shape(t): one pass of
+    the order-0/1 kernel, in blocks of _BLOCK arguments."""
     t = _check_argument(t)
-    if not (isinstance(N, (int, np.integer)) and N >= 0):
-        raise DomainError("table order N must be a nonnegative integer")
-    h = np.empty((max(N, 1) + 1,) + t.shape, dtype=complex)
-    flat_t = t.reshape(-1)
-    flat_h = h.reshape(len(h), -1)
-    j, y = h.real, h.imag
+    h = np.empty((2,) + t.shape, dtype=complex)
+    flat_t, flat_h = t.reshape(-1), h.reshape(2, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, flat_t.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            _orders01(flat_t[block], flat_h[:2, block])
-        inv_t = 1.0 / t if N >= 2 else None  # only the recurrence needs it
+            _orders01(flat_t[block], flat_h[:, block])
+    return h
+
+
+def hankel01_joint(*ts):
+    """``hankel01`` of each argument array in ts, from one kernel pass over
+    all of them: each result is (2,) + that array's shape."""
+    sizes = [np.size(t) for t in ts]
+    h = hankel01(np.concatenate([np.ravel(t) for t in ts]))
+    parts = np.split(h, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape((2,) + np.shape(t)) for part, t in zip(parts, ts)]
+
+
+def hankel1_table(N, t, rows=None):
+    """H_0^(1)(t) .. H_N^(1)(t) for t > 0, shape (N+1,) + np.shape(t).
+
+    Orders 0 and 1 are ``rows`` when given (``hankel01`` at these t, e.g.
+    from a ``hankel01_joint`` pass), else one ``hankel01`` pass; the rest
+    come from the upward recurrence run separately on the real (J) and
+    imaginary (Y) parts.  Where H_n overflows the entries become
+    non-finite, as AMOS's do.
+    """
+    if not (isinstance(N, (int, np.integer)) and N >= 0):
+        raise DomainError("table order N must be a nonnegative integer")
+    if rows is None:
+        rows = hankel01(t)
+    if N <= 1:
+        return rows[: N + 1]
+    t = np.asarray(t, dtype=float)
+    h = np.empty((N + 1,) + t.shape, dtype=complex)
+    h[:2] = rows
+    j, y = h.real, h.imag
+    inv_t = 1.0 / t
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, N):
             two_n_t = (2.0 * n) * inv_t
             np.subtract(two_n_t * j[n], j[n - 1], out=j[n + 1, ...])
             np.subtract(two_n_t * y[n], y[n - 1], out=y[n + 1, ...])
-    return h[: N + 1]
+    return h
 
 
-def derivatives(c_prev, c, n, t):
-    """(C_n'(t), C_n''(t)) of any cylinder function C from C_{n-1}(t) and C_n(t)."""
+def derivatives(c_prev, c, n, t, second=True):
+    """(C_n'(t), C_n''(t)) of any cylinder function C from C_{n-1}(t) and C_n(t);
+    C_n'' is None without ``second``."""
     d1 = c_prev - (n / t) * c
-    return d1, -d1 / t - (1.0 - (n / t) ** 2) * c
+    return d1, (-d1 / t - (1.0 - (n / t) ** 2) * c) if second else None
 
 
-def cylinder_tables(table, N, t):
+def cylinder_tables(table, N, t, second=True):
     """[C, C', C''] for n = -N..N, each (2N+1,) + t.shape, from ``table(m, t)``,
-    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does).
+    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does);
+    without ``second``, [C, C'] only.
 
     Where C overflows the entries become non-finite without a warning, for
     the caller's guard to refuse.
@@ -291,8 +323,8 @@ def cylinder_tables(table, N, t):
     c = table(max(N, 1), t)  # C_1 even at N = 0: C_{-1} = -C_1 closes C_0'
     n = np.arange(N + 1).reshape((-1,) + (1,) * t.ndim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tabs = (c[: N + 1],) + derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t)
-    out = [np.concatenate([tab[:0:-1], tab]) for tab in tabs]
+        d1, d2 = derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t, second)
+    out = [np.concatenate([tab[:0:-1], tab]) for tab in (c[: N + 1], d1, d2)[: 2 + second]]
     odd = slice(1 - N % 2, N, 2)  # C_{-n} = (-1)^n C_n: the rows of -1, -3, .. -N
     for tab in out:
         np.negative(tab[odd], out=tab[odd])

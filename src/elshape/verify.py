@@ -73,8 +73,8 @@ def check_wronskian() -> CheckResult:
     n, t = ORDER_GRID[:, None], ARG_GRID
     j = specfun.bessel_j(n, t)
     y = specfun.bessel_y(n, t)
-    jp, _ = specfun.derivatives(specfun.bessel_j(n - 1, t), j, n, t)
-    yp, _ = specfun.derivatives(specfun.bessel_y(n - 1, t), y, n, t)
+    jp, _ = specfun.derivatives(specfun.bessel_j(n - 1, t), j, n, t, second=False)
+    yp, _ = specfun.derivatives(specfun.bessel_y(n - 1, t), y, n, t, second=False)
     target = 2.0 / (np.pi * t)
     worst = np.max(np.abs(j * yp - jp * y - target) / target)
     h0, h1 = specfun.hankel1_table(1, t)
@@ -115,7 +115,7 @@ def check_derivative_bound() -> CheckResult:
     # it fails for small t; the analysis treats the n = 0 mode separately)
     n, t = ORDER_GRID[1:, None], ARG_GRID
     h = specfun.hankel1(n, t)
-    hp, _ = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t)
+    hp, _ = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t, second=False)
     worst = np.max(np.abs(hp) / ((1.0 + n / t) * np.abs(h)))
     return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
                    "max |H_n'| / ((1+n/t)|H_n|), n >= 1")

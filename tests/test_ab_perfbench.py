@@ -71,12 +71,36 @@ def test_workload_and_run_length_come_from_the_benchmark(ab, tmp_path, monkeypat
     monkeypatch.setattr(ab, "run_once", lambda root, workload, seed, seconds:
                         runs.append((workload, seconds)) or ({"call_s": 0.05}, 0))
     with pytest.raises(SystemExit) as exc:
-        ab.main([str(tmp_path), str(tmp_path), "--workload", "all"])
-    assert exc.value.code == 2 and "one of w" in capsys.readouterr().err
+        ab.main([str(tmp_path), str(tmp_path), "--workload", "nope"])
+    assert exc.value.code == 2 and "all or one of w" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seconds", "20"])
     assert ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]) == 0
     assert runs == [("w", 7)] * 4
+
+
+def test_all_runs_every_workload_with_the_same_pairs(ab, tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    b.mkdir()
+    (b / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "call_s", "better": "lower", "bound": 0.25}]}))
+    runs = []
+
+    def run_once(root, workload, seed, seconds):
+        runs.append((root.name, workload, seed, seconds))
+        return {"call_s": 0.05 if root.name == "a" else 0.04}, 0
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(a), str(b), "--workload", "all", "--pairs", "2", "--seed", "5"]) == 0
+    # all pairs of one workload, then the next; each pair alternates the side that runs first
+    assert runs == [(side, w, seed, 7) for w in ("w1", "w2")
+                    for seed, order in ((5, "ab"), (6, "ba")) for side in order]
+    out = capsys.readouterr().out
+    tables = [line for line in out.splitlines() if line.startswith(("w1:", "w2:"))]
+    assert [t.split(":")[0] for t in tables] == ["w1", "w2"]
+    rows = [line.split() for line in out.splitlines() if line.startswith("call_s")]
+    assert len(rows) == 2 and all(row[-2:] == ["yes", "ok"] for row in rows)
 
 
 A_RUNS = [0.0630, 0.0632, 0.0628, 0.0631, 0.0629, 0.0630, 0.0633, 0.0627, 0.0630, 0.0631]

@@ -259,7 +259,8 @@ class TestDiskSeries:
             asked.append(np.unique(n).tolist())
             return specfun.hankel1(n, t)
 
-        tabs = _tables(forward._amos(recording), (SYS5.k_p, SYS5.k_s), 6, np.array([1.0, 2.0]))
+        tabs = _tables(forward._amos(recording), (SYS5.k_p, SYS5.k_s), 6, np.array([1.0, 2.0]),
+                       kappa=True)
         assert asked == [list(range(7))]
         assert [tab.shape for tab in tabs] == [(2, 13, 2)] * 3
 
@@ -421,7 +422,7 @@ class TestSimulate:
     @pytest.mark.parametrize("n_sources", [1, 7])
     def test_one_factorization_per_record(self, monkeypatch, n_sources):
         # a per-source loop would scale both counts with the number of sources
-        calls = {"qr": 0, "green_tensor": 0}
+        calls = {"qr": 0, "green_tensor": 0, "incident_field": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -430,14 +431,15 @@ class TestSimulate:
             return wrapper
 
         monkeypatch.setattr(forward.np.linalg, "qr", counted("qr", np.linalg.qr))
-        # the collocation matrix looks green_tensor up in forward, the
-        # incident field in elastic
         for owner in (forward, elastic):
             monkeypatch.setattr(owner, "green_tensor", counted("green_tensor", owner.green_tensor))
+        monkeypatch.setattr(forward, "incident_field",
+                            counted("incident_field", forward.incident_field))
         simulate(disk(1.0), ring_sources(n_sources, 3.0, POL), SYS5, 3.0, 16,
                  n_collocation=32, n_charges=16, shrink=0.7, warn_above=None)
-        # collocation matrix, right-hand sides, receiver table
-        assert calls == {"qr": 1, "green_tensor": 3}
+        # collocation matrix and receiver table; the right-hand sides
+        # contract the incident kernel without a tensor
+        assert calls == {"qr": 1, "green_tensor": 2, "incident_field": 1}
 
     def test_rho_must_exceed_obstacle(self):
         with pytest.raises(ConfigError):

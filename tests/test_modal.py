@@ -129,8 +129,9 @@ class TestTables:
     @pytest.mark.parametrize("R", [None, 0.5])
     def test_numpy_and_amos_routes_agree(self, R):
         k = (SYS5.k_p, SYS5.k_s)
-        ours = _tables(specfun.hankel1_table, k, 20, self.RADII, R)
-        amos = _tables(forward._amos(specfun.hankel1), k, 20, self.RADII, R)
+        ours = _tables(specfun.hankel1_table, k, 20, self.RADII, R, kappa=True)
+        amos = _tables(forward._amos(specfun.hankel1), k, 20, self.RADII, R, kappa=True)
+        assert len(ours) == len(amos) == 3
         for got, want in zip(ours, amos):
             assert got.shape == (2, 41, 5)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
@@ -143,13 +144,21 @@ class TestTables:
             return specfun.hankel1_table(m, t)
 
         k = (SYS5.k_p, SYS5.k_s)
-        alpha, beta, kappa = _tables(recording, k, 6, self.RADII, 0.5)
+        alpha, beta, kappa = _tables(recording, k, 6, self.RADII, 0.5, kappa=True)
         [(m, t)] = calls
         assert m == 6
         assert np.array_equal(t, np.reshape(k, (2, 1)) * [0.6, 1.0, 1.7, 3.0, 0.5])
         assert alpha.shape == beta.shape == kappa.shape == (2, 13, 5)
         # the repeated radius is scattered back from its one column
         assert np.array_equal(beta[..., 0], beta[..., 3])
+
+    def test_kappa_only_when_asked(self):
+        k = (SYS5.k_p, SYS5.k_s)
+        both = _tables(specfun.hankel1_table, k, 6, self.RADII, 0.5)
+        three = _tables(specfun.hankel1_table, k, 6, self.RADII, 0.5, kappa=True)
+        assert len(both) == 2
+        for got, want in zip(both, three):
+            assert np.array_equal(got, want)
 
 
 class TestModalMatrix:
@@ -332,7 +341,7 @@ class TestPolarDerivatives:
         def alpha(r):
             return _tables(specfun.hankel1_table, k, n, np.array([r]), R)[0][n + n, 0]
 
-        kappa = _tables(specfun.hankel1_table, k, n, np.array([2.0]), R)[2][n + n, 0]
+        kappa = _tables(specfun.hankel1_table, k, n, np.array([2.0]), R, kappa=True)[2][n + n, 0]
         fd = oracles.central_diff(alpha, 2.0, 1e-6)
         assert abs(kappa - fd) <= 1e-7 * abs(fd)
 

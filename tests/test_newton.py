@@ -5,18 +5,27 @@ import json
 import numpy as np
 import pytest
 
-from elshape import newton
+from elshape import newton, specfun
 from elshape.config import ReconstructionConfig, make_record, solve_truth
 from elshape.elastic import LameSystem, PointSource, grad_incident_field, incident_field
-from elshape.errors import ConfigError, DomainError, SolveError
+from elshape.errors import ConfigError, DomainError, SingularityError, SolveError
 from elshape.forward import record_from_disk_series, ring_sources
 from elshape.geometry import starfish
 from elshape.metrics import curve_hausdorff
-from elshape.modal import ModalField, eval_field, eval_gradient, extract_field, modal_rhs, solve_modal
+from elshape.modal import (
+    ModalField,
+    eval_field,
+    eval_gradient,
+    eval_radial,
+    extract_field,
+    modal_rhs,
+    solve_modal,
+)
 from elshape.newton import (
     StarCurve,
     assemble_system,
     basis_matrix,
+    collocation,
     gram_norm,
     newton_step,
     reconstruct,
@@ -26,6 +35,11 @@ from elshape.newton import (
 SYS5 = LameSystem(1.0, 1.0, 5.0)
 SYS1 = LameSystem(1.0, 1.0, 1.0)
 POL = (np.sqrt(0.5), np.sqrt(0.5))
+
+
+def assemble(field, srcs, curve, t_grid):
+    """One iterate's (A, rhs) with the run's per-collocation part built for it."""
+    return assemble_system(field, collocation(field, srcs, t_grid, curve.degree), curve)
 
 
 class TestBasis:
@@ -98,7 +112,7 @@ class TestAssembleSystem:
     def test_dimensions(self, disk_setup):
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.5, 8), t_grid)
+        a, rhs = assemble(field, srcs, StarCurve.circle(1.5, 8), t_grid)
         assert a.shape == (64 + 1, 17)
         assert rhs.shape == (64 + 1,)
 
@@ -108,7 +122,7 @@ class TestAssembleSystem:
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         curve = StarCurve.circle(1.0, 8)
-        _, rhs = assemble_system(field, srcs, curve, t_grid)
+        _, rhs = assemble(field, srcs, curve, t_grid)
         pts = curve.point(t_grid)
         u = eval_field(field, pts) + incident_field(pts, srcs, SYS5)
         assert np.max(np.abs(u)) <= 1e-4
@@ -118,7 +132,7 @@ class TestAssembleSystem:
     def test_zero_step_iff_zero_rhs(self, disk_setup):
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        a, rhs = assemble_system(field, srcs, StarCurve.circle(1.3, 8), t_grid)
+        a, rhs = assemble(field, srcs, StarCurve.circle(1.3, 8), t_grid)
         dc = newton_step(a, np.zeros_like(rhs))
         assert np.max(np.abs(dc)) == 0.0
         dc2 = newton_step(a, rhs)
@@ -130,7 +144,7 @@ class TestAssembleSystem:
         sols = []
         for m in (64, 128):
             t_grid = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-            a, rhs = assemble_system(field, srcs, curve, t_grid)
+            a, rhs = assemble(field, srcs, curve, t_grid)
             sols.append(newton_step(a, rhs))
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-6
 
@@ -138,7 +152,7 @@ class TestAssembleSystem:
         _, field, srcs = disk_setup
         t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         with pytest.raises(DomainError):
-            assemble_system(field, srcs, StarCurve.circle(0.4, 8), t_grid)
+            assemble(field, srcs, StarCurve.circle(0.4, 8), t_grid)
 
 
     def test_rows_stack_per_source_linearizations(self):
@@ -149,7 +163,7 @@ class TestAssembleSystem:
         field = extract_field(rec, 10, 0.5)
         curve = StarCurve.circle(1.3, 4)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        a, rhs = assemble_system(field, srcs, curve, t_grid)
+        a, rhs = assemble(field, srcs, curve, t_grid)
 
         pts = curve.point(t_grid)
         xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
@@ -189,10 +203,88 @@ class TestAssembleSystem:
         field = extract_field(rec, 10, 0.5)
         curve = StarCurve.circle(1.3, 4)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        _, rhs = assemble_system(field, srcs, curve, t_grid)
+        _, rhs = assemble(field, srcs, curve, t_grid)
         pts = curve.point(t_grid)
         u = eval_field(field, pts) + np.concatenate([incident_field(pts, (s,), SYS5) for s in srcs])
         assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
+
+
+#: the 3rd iterates of the benchmark's starfish and kite runs (degree 8), rounded
+STARFISH_ITERATE = [1.578, 0.001, 0.0, 0.0, 0.002, 0.15, -0.001, -0.0, -0.0,
+                    -0.0, -0.004, 0.011, 0.0, 0.0, 0.0, 0.005, 0.001]
+KITE_ITERATE = [1.664, -0.075, 0.01, 0.022, -0.045, 0.052, 0.035, -0.069, 0.059,
+                0.007, -0.024, 0.005, -0.009, -0.025, -0.004, 0.003, 0.022]
+
+
+@pytest.fixture(scope="module", params=[1, 20], ids=["S1", "S20"])
+def ring_field(request):
+    """A ring of S sources on rho = 3 and the N = 10 field of their disk record."""
+    srcs = ring_sources(request.param, 3.0, POL)
+    return extract_field(record_from_disk_series(1.0, srcs, SYS5, 3.0, 128), 10, 0.5), srcs
+
+
+def reference_system(field, srcs, curve, t_grid):
+    """(A, rhs) from the public evaluators and the reduction written out."""
+    basis = basis_matrix(t_grid, curve.degree)
+    xhat = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=-1)
+    pts = (basis @ curve.coeffs)[:, None] * xhat
+    v, dv = eval_radial(field, pts)
+    u_inc, du_inc = incident_field(pts, srcs, field.sys, xhat)
+    u, du = (v + u_inc).reshape(-1, pts.shape[0], 2), (dv + du_inc).reshape(-1, pts.shape[0], 2)
+    w = np.sum(np.abs(du) ** 2, axis=(0, 2))
+    g = np.sum((np.conj(du) * u).real, axis=(0, 2))
+    rho2 = np.sum(np.abs(u) ** 2, axis=(0, 2)) - g * g / w
+    a = np.vstack([np.sqrt(w)[:, None] * basis, np.zeros(basis.shape[1])])
+    return a, np.append(g / np.sqrt(w), np.sqrt(np.sum(rho2)))
+
+
+class TestOnePassIterate:
+    """assemble_system evaluates v, d_r v and the incident field from one
+    order-0/1 kernel pass and the run's per-collocation tables."""
+
+    @pytest.mark.parametrize("n_points", [17, 64])
+    @pytest.mark.parametrize("coeffs", [STARFISH_ITERATE, KITE_ITERATE], ids=["starfish", "kite"])
+    def test_matches_the_public_evaluators(self, ring_field, n_points, coeffs):
+        # 17 points: the kernel's batch is no multiple of 8, so its last
+        # bits differ from the reference's separate calls
+        field, srcs = ring_field
+        curve = StarCurve(np.array(coeffs))
+        t_grid = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+        a, rhs = assemble(field, srcs, curve, t_grid)
+        want_a, want_rhs = reference_system(field, srcs, curve, t_grid)
+        assert a.shape == want_a.shape == (n_points + 1, 17)
+        assert np.linalg.norm(a - want_a) <= 1e-14 * np.linalg.norm(want_a)
+        assert np.linalg.norm(rhs - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
+
+    @pytest.mark.parametrize("n_points", [17, 64])
+    def test_one_kernel_pass_per_iterate(self, monkeypatch, ring_field, n_points):
+        # a per-source, per-point or per-layer pass would scale the count
+        field, srcs = ring_field
+        grid = collocation(field, srcs, np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False), 8)
+        passes = []
+        hankel01 = specfun.hankel01
+
+        def counted(t):
+            passes.append(np.size(t))
+            return hankel01(t)
+
+        monkeypatch.setattr(specfun, "hankel01", counted)
+        assemble_system(field, grid, StarCurve(np.array(KITE_ITERATE)))
+        # both wavenumbers at every (source, point) pair, then at every radius and R
+        assert passes == [2 * len(srcs) * n_points + 2 * (n_points + 1)]
+
+    def test_guards_keep_their_errors(self, ring_field):
+        field, srcs = ring_field
+        t_grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        with pytest.raises(DomainError, match="inside expansion disk"):
+            assemble(field, srcs, StarCurve.circle(0.4, 8), t_grid)
+        on_source = StarCurve.circle(3.0, 8)
+        with pytest.raises(SingularityError):
+            assemble(field, srcs, on_source, t_grid)
+        zeros = np.zeros((len(srcs), 501), complex)
+        overflow = ModalField(N=250, R=0.5, rho=3.0, sys=SYS5, phat_p=zeros, phat_s=zeros)
+        with pytest.raises(SolveError, match="degenerate normalization"):
+            assemble(overflow, srcs, StarCurve.circle(1.5, 8), t_grid)
 
 
 class TestOneStepContraction:
@@ -203,7 +295,7 @@ class TestOneStepContraction:
         field = solve_modal(modal_rhs(rec, 25), 3.0, 0.5, SYS5)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(1.0 + err0, 8)
-        a, rhs = assemble_system(field, (src,), start, t_grid)
+        a, rhs = assemble(field, (src,), start, t_grid)
         dc = newton_step(a, rhs)
         new_err = abs(start.coeffs[0] + dc[0] - 1.0)
         assert new_err <= 0.6 * err0
@@ -215,7 +307,7 @@ class TestOneStepContraction:
         field = solve_modal(modal_rhs(rec, 15), 3.0, 0.8, SYS1)
         t_grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         start = StarCurve.circle(2.0, 8)
-        a, rhs = assemble_system(field, (src,), start, t_grid)
+        a, rhs = assemble(field, (src,), start, t_grid)
         dc = newton_step(a, rhs)
         assert abs(2.0 + dc[0] - 1.0) < 1.0
 

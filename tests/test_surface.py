@@ -82,7 +82,8 @@ def test_tracer_lookup_sites_exist():
     try:
         for owner, name in [
             (newton, "eval_gradient"), (newton, "eval_field"), (newton, "grad_incident_field"),
-            (newton, "assemble_system"), (verify, "solve_mfs"), (verify, "eval_gradient"),
+            (newton, "incident_field"), (newton, "assemble_system"), (newton, "newton_step"),
+            (newton, "extract_field"), (verify, "solve_mfs"), (verify, "eval_gradient"),
         ]:
             assert getattr(owner, name).__wrapped__ is before[owner][name], f"{owner.__name__}.{name}"
     finally:

@@ -19,6 +19,11 @@ it does not name is an error, and one without a bound gets no verdict.
 Run from anywhere:
 
     python tools/ab_perfbench.py ../parent . --workload forward-mfs --pairs 10
+    python tools/ab_perfbench.py ../parent . --workload all --pairs 10
+
+`--workload all` runs the same pairs and seeds for every workload of
+`BENCHMARK.json` in turn (all pairs of one workload, then the next) and
+prints one table per workload.
 
 A warning goes to stderr when the 1-minute load average is above 0.5
 before the first run: the benchmark's host-speed rescaling does not absorb
@@ -100,11 +105,41 @@ def verdict(a, b, better: str, bound: float) -> str:
     return "ok"
 
 
+def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
+            better: dict, bounds: dict) -> None:
+    """Run `pairs` alternating pairs of `workload` and print their table."""
+    runs, failed = [], [0, 0]
+    for i in range(pairs):
+        seed = first_seed + i
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        load = os.getloadavg()[0]
+        got = {}
+        for side in order:
+            got[side], n_failed = run_once(roots[side], workload, seed, seconds)
+            failed[side] += n_failed
+        runs.append((got[0], got[1]))
+        print(f"{workload} pair {i + 1} seed {seed} ({'AB' if order == (0, 1) else 'BA'}, "
+              f"load {load:.2f}): call_s A {got[0]['call_s']:.5f}  B {got[1]['call_s']:.5f}",
+              flush=True)
+
+    print(f"\n{workload}: {pairs} pairs of {seconds:g}-s runs, "
+          f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
+    print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
+          f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain  verdict")
+    for name, qa, qb, wins, losses, gain in summarize(runs, better, tuple(failed)):
+        sides = ([p[0][name] for p in runs], [p[1][name] for p in runs])
+        judged = "-" if bounds[name] is None else verdict(*sides, better[name], bounds[name])
+        print(f"{name:12s} {qa[0]:10.5g} {qa[1]:10.5g} {qa[2]:10.5g} "
+              f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
+              f"{'yes' if gain else 'no':4s}  {judged}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout A, the parent")
     parser.add_argument("change", type=Path, help="checkout B, the change")
-    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or all of them in turn")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
@@ -112,9 +147,8 @@ def main(argv=None) -> int:
     with open(roots[1] / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     names = [w["name"] for w in bench["workloads"]]
-    if args.workload not in names:
-        parser.error(f"--workload must be one of {', '.join(names)}")
-    seconds = bench["run_seconds"]
+    if args.workload != "all" and args.workload not in names:
+        parser.error(f"--workload must be all or one of {', '.join(names)}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
 
@@ -122,29 +156,10 @@ def main(argv=None) -> int:
     if load > LOAD_WARN:
         print(f"warning: load average {load:.2f} > {LOAD_WARN}: the host is busy, "
               "so the runs may not be comparable", file=sys.stderr)
-    pairs, failed = [], [0, 0]
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        load = os.getloadavg()[0]
-        got = {}
-        for side in order:
-            got[side], n_failed = run_once(roots[side], args.workload, seed, seconds)
-            failed[side] += n_failed
-        pairs.append((got[0], got[1]))
-        print(f"pair {i + 1} seed {seed} ({'AB' if order == (0, 1) else 'BA'}, load {load:.2f}): "
-              f"call_s A {got[0]['call_s']:.5f}  B {got[1]['call_s']:.5f}", flush=True)
-
-    print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g}-s runs, "
-          f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
-    print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
-          f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain  verdict")
-    for name, qa, qb, wins, losses, gain in summarize(pairs, better, tuple(failed)):
-        runs = ([p[0][name] for p in pairs], [p[1][name] for p in pairs])
-        judged = "-" if bounds[name] is None else verdict(*runs, better[name], bounds[name])
-        print(f"{name:12s} {qa[0]:10.5g} {qa[1]:10.5g} {qa[2]:10.5g} "
-              f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
-              f"{'yes' if gain else 'no':4s}  {judged}")
+    for i, workload in enumerate(names if args.workload == "all" else [args.workload]):
+        if i:
+            print()
+        compare(roots, workload, args.pairs, args.seed, bench["run_seconds"], better, bounds)
     return 0
 
 
