@@ -17,13 +17,13 @@ fundamental displacement tensor of the Navier operator is
     beta  = (i/8) (H_2(k_s r) / mu - H_2(k_p r) / (lambda + 2 mu)),
 
 with H_2(t) = (2/t) H_1(t) - H_0(t): two complex scalars per pair from one
-order-0/1 table for both wavenumbers.  With a direction it also gives
-G's derivative along it; no finite differences are used outside the test
-suite.  Each consumer is three steps: the arguments (``_separation``, then
-``_arguments``), one ``specfun.hankel01`` pass over them, and the result
-from the kernel rows (``_radial_scalars``, then ``_tensors`` for
-``green_tensor`` or ``_contracted`` for ``incident_field``, which applies
-G and d_e G to the polarizations without forming them).  A caller that
+order-0/1 table for both wavenumbers.  ``incident_field`` applies G to the
+sources' polarizations, and with a direction also G's derivative along it,
+without forming either tensor; no finite differences are used outside the
+test suite.  Each consumer is three steps: the arguments (``_separation``,
+then ``_arguments``), one ``specfun.hankel01`` pass over them, and the
+result from the kernel rows (``_radial_scalars``, then G's entries for
+``green_tensor`` or ``_contracted`` for ``incident_field``).  A caller that
 batches the arguments of several consumers into one pass, as the Newton
 iterate does, runs the same three steps.
 
@@ -140,12 +140,6 @@ def _radial_scalars(h, t, sys: LameSystem, derivative=False):
     return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
 
 
-def _directional(de, r, beta, dalpha, dbeta):
-    """a, b and c of d_e G = a I + b d d^T + c (e d^T + d e^T), de = d.e
-    (see ``green_tensor``)."""
-    return (dalpha - dbeta) * de, (2.0 * dbeta - 4.0 * beta / r) * de, 2.0 * beta / r
-
-
 def _tensor_array(shape):
     """Empty complex array of shape + (2, 2) whose memory runs (..., i, n, j)
     over the last axis n of shape: a matrix with rows (..., i) and columns
@@ -156,35 +150,18 @@ def _tensor_array(shape):
     return np.empty(shape[:-1] + (2, shape[-1], 2), dtype=complex).swapaxes(-3, -2)
 
 
-def _tensors(dx, dy, r, scalars, e=None):
-    """G, and with a direction e also d_e G, from the offsets and
-    ``_radial_scalars``."""
-    alpha, beta, *slopes = scalars
-    # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
-    b_r2 = beta / (r * r)
-    b_xx = b_r2 * (dx * dx - dy * dy)
-    g = _tensor_array(r.shape)
-    np.add(alpha, b_xx, out=g[..., 0, 0])
-    np.subtract(alpha, b_xx, out=g[..., 1, 1])
-    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
-    g[..., 1, 0] = g[..., 0, 1]
-    if e is None:
-        return g
-
-    e = np.asarray(e, dtype=float)
-    ux, uy, ex, ey = dx / r, dy / r, e[..., 0], e[..., 1]  # d = (ux, uy)
-    a, b, c = _directional(ux * ex + uy * ey, r, beta, *slopes)
-    dg = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    dg[..., 0, 0] = a + b * (ux * ux) + c * (2.0 * ex * ux)
-    dg[..., 1, 1] = a + b * (uy * uy) + c * (2.0 * ey * uy)
-    dg[..., 0, 1] = b * (ux * uy) + c * (ex * uy + ux * ey)
-    dg[..., 1, 0] = dg[..., 0, 1]
-    return g, dg
-
-
 def _contracted(dx, dy, r, p, scalars, e=None):
     """G p, and with a direction e also (d_e G) p, for polarizations p that
-    broadcast against the offsets, without forming G:
+    broadcast against the offsets, without forming either tensor.
+
+    G = (alpha - beta) I + 2 beta d d^T, d_e r = d.e and
+    d_e d = (e - (d.e) d) / r give, with H_0' = -H_1 and
+    H_2' = H_1 - (2/t) H_2 (so no further Hankel order),
+
+        d_e G = a I + b d d^T + c (e d^T + d e^T),      c = 2 beta / r,
+        a = (alpha' - beta') (d.e),      b = (2 beta' - 4 beta / r) (d.e),
+
+    and so
 
         G p = (alpha - beta) p + 2 beta (d.p) d,
         (d_e G) p = a p + b (d.p) d + c ((d.p) e + (e.p) d).
@@ -203,7 +180,9 @@ def _contracted(dx, dy, r, p, scalars, e=None):
 
     e = np.asarray(e, dtype=float)
     ex, ey = e[..., 0], e[..., 1]
-    a, b, c = _directional(ux * ex + uy * ey, r, beta, *slopes)
+    dalpha, dbeta = slopes
+    de = ux * ex + uy * ey
+    a, b, c = (dalpha - dbeta) * de, (2.0 * dbeta - 4.0 * beta / r) * de, 2.0 * beta / r
     b_dp, c_dp, c_ep = b * dp, c * dp, c * (ex * px + ey * py)
     du = np.empty(np.shape(b_dp) + (2,), dtype=complex)
     du[..., 0] = a * px + b_dp * ux + c_dp * ex + c_ep * ux
@@ -211,34 +190,35 @@ def _contracted(dx, dy, r, p, scalars, e=None):
     return u, du
 
 
-def green_tensor(x, z, sys: LameSystem, e=None):
+def green_tensor(x, z, sys: LameSystem):
     """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
     (..., 2, 2), with alpha and beta as in the module docstring.
 
-    With a direction ``e`` that broadcasts against x, (G, d_e G), the second
-    of shape broadcast(r, e) + (2, 2).  G = (alpha - beta) I + 2 beta d d^T,
-    d_e r = d.e and d_e d = (e - (d.e) d) / r give, with H_0' = -H_1 and
-    H_2' = H_1 - (2/t) H_2 (so no further Hankel order),
-
-        d_e G = a I + b d d^T + c (e d^T + d e^T),      c = 2 beta / r,
-        a = (alpha' - beta') (d.e),      b = (2 beta' - 4 beta / r) (d.e).
-
     Offsets, then one order-0/1 kernel pass on ``_arguments``, then the
-    tensors.
+    entries, written into a ``_tensor_array``.
     """
     dx, dy, r = _separation(x, z)
     t = _arguments(r, sys)
-    return _tensors(dx, dy, r, _radial_scalars(specfun.hankel01(t), t, sys, e is not None), e)
+    alpha, beta = _radial_scalars(specfun.hankel01(t), t, sys)
+    # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
+    b_r2 = beta / (r * r)
+    b_xx = b_r2 * (dx * dx - dy * dy)
+    g = _tensor_array(r.shape)
+    np.add(alpha, b_xx, out=g[..., 0, 0])
+    np.subtract(alpha, b_xx, out=g[..., 1, 1])
+    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
+    g[..., 1, 0] = g[..., 0, 1]
+    return g
 
 
 def incident_field(x, srcs, sys: LameSystem, e=None):
     """Displacements G(x, z) p of the sources in ``srcs``, each with its own
-    polarization: shape (S,) + x.shape.  With a direction ``e``,
-    (G p, (d_e G) p), the second of shape (S,) + broadcast(x, e).
+    polarization: shape (S,) + x.shape.  With a direction ``e``, also
+    their derivatives along e, of shape (S,) + broadcast(x, e).
 
-    The same offsets, arguments and kernel pass as ``green_tensor``, but G
-    and d_e G are contracted with p from alpha, beta and their slopes
-    directly (``_contracted``): no (S, ..., 2, 2) tensor is built.
+    The same offsets, arguments and kernel pass as ``green_tensor``, but
+    the fields come from alpha, beta and their slopes directly
+    (``_contracted``): no (S, ..., 2, 2) tensor is built.
     """
     x = np.asarray(x, dtype=float)
     z, p = _sources(srcs, x.ndim)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .elastic import LameSystem, PointSource, green_tensor, incident_field
+from .elastic import LameSystem, PointSource, _sources, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
 from .modal import _basis, _expand, _frame, _invert, _polar, _tables
@@ -200,8 +200,7 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
     c = k / (8 w^2) for 's' (plus sign inside).  Returns (S, 2M+1) arrays,
     one row per source, from one Hankel call per branch.
     """
-    z = np.array([src.location for src in srcs], dtype=float).reshape(-1, 2)
-    pol = np.array([src.polarization for src in srcs], dtype=float).reshape(-1, 2)
+    z, pol = _sources(srcs, 1)
     rz, tz = (a[:, None] for a in _polar(z))
     p_cplx = (pol[:, 0] + 1j * pol[:, 1])[:, None]
     m = np.arange(-n_modes, n_modes + 1)

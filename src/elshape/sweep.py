@@ -7,7 +7,8 @@ A sweep file is an ordinary experiment config plus three list-valued keys:
     sweep.seeds = 1, 2, 3, 4, 5
 
 Errors follow the config grammar (line numbers, a repeated key refused);
-a malformed, repeated or negative list entry is a ConfigError naming its key.
+a malformed, non-finite, repeated or negative list entry is a ConfigError
+naming its key.
 Without its three lists the file must be a valid, solvable experiment:
 neither the aperture nor the noise changes the truth's MFS solution, so
 the sweep solves it once, before any cell, and an invalid or unsolvable
@@ -22,6 +23,7 @@ they can run in a process pool.
 """
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -73,16 +75,23 @@ def _entries(key: str, text: str, sep: str, parse) -> tuple:
     return tuple(values)
 
 
+def _finite(item: str) -> float:
+    value = float(item)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {item!r}")
+    return value
+
+
 def _interval(pair: str) -> tuple:
     lo, _, hi = pair.partition(":")
-    return float(lo), float(hi)
+    return _finite(lo), _finite(hi)
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
     """The config grammar plus the three sweep.* lists."""
     base = parse_config_text(text, SWEEP_SCHEMA)
     apertures = _entries("sweep.apertures", base.pop("sweep.apertures", ""), ";", _interval)
-    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", float)
+    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", _finite)
     seeds = _entries("sweep.seeds", base.pop("sweep.seeds", ""), ",", int)
     if any(seed < 0 for seed in seeds):
         raise ConfigError("sweep.seeds: must be >= 0")

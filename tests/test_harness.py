@@ -472,6 +472,8 @@ class TestSweep:
         ("sweep.deltas = 0, 0.0", "sweep.deltas: repeated entry '0.0'"),
         ("sweep.apertures = 0:1; 0.0:1.0", "sweep.apertures: repeated entry '0.0:1.0'"),
         ("sweep.apertures = 0:1:2", "sweep.apertures: bad entry '0:1:2'"),
+        ("sweep.deltas = nan, nan", "sweep.deltas: bad entry 'nan'"),
+        ("sweep.apertures = 0:inf", "sweep.apertures: bad entry '0:inf'"),
     ])
     def test_bad_list_entry_names_its_key(self, line, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
