@@ -124,7 +124,9 @@ def _radial_scalars(h, t, sys: LameSystem, derivative=False):
     """alpha and beta of G = alpha I + beta D at t = ``_arguments(r, sys)``
     from the kernel rows h = (H_0(t), H_1(t)), and with ``derivative`` also
     alpha' and beta' in r (H_0' = -H_1, H_2' = H_1 - (2/t) H_2).  h's H_1
-    row is overwritten."""
+    row is overwritten.  This closed form stays, not ``cylinder_tables``: on
+    the kite's 262,144-argument Green-tensor calls that rule would build 15
+    rows (orders -2..2 of C, C', C''), where this one writes H_2 in place."""
     h0, h2 = h
     h1 = h2.copy() if derivative else None
     two_t = 2.0 / t

@@ -181,8 +181,8 @@ def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float
 # ---------------------------------------------------------------------------
 
 def _amos(fn):
-    """The AMOS function ``fn`` (``specfun.hankel1`` or ``bessel_j``) as a
-    ``specfun.cylinder_tables`` table of orders 0..m."""
+    """The AMOS function ``fn`` as a ``specfun.cylinder_tables`` table of
+    orders 0..m: the one adapter to AMOS tables (disk oracle, ``verify``)."""
     return lambda m, t: fn(np.arange(m + 1).reshape((-1,) + (1,) * t.ndim), t)
 
 
@@ -198,7 +198,7 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
 
     with P = p1 + i p2, c = -i k / (8 w^2) for 'p' (minus sign inside) and
     c = k / (8 w^2) for 's' (plus sign inside).  Returns (S, 2M+1) arrays,
-    one row per source, from one Hankel call per branch.
+    one row per source, from one ``cylinder_tables`` call per branch.
     """
     z, pol = _sources(srcs, 1)
     rz, tz = (a[:, None] for a in _polar(z))
@@ -207,7 +207,7 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
     out = []
     for k, sign, c in ((sys.k_p, -1.0, -1j), (sys.k_s, 1.0, 1.0)):
         # orders -M-1..M+1: H_{m-1} is columns 0..2M, H_{m+1} columns 2..2M+2
-        h = specfun.hankel1(np.arange(-n_modes - 1, n_modes + 2)[None, :], k * rz)
+        h = specfun.cylinder_tables(_amos(specfun.hankel1), n_modes + 1, k * rz[:, 0])[0].T
         term_up = p_cplx * h[:, 2:] * np.exp(-1j * (m + 1) * tz)
         term_dn = np.conj(p_cplx) * h[:, :-2] * np.exp(-1j * (m - 1) * tz)
         out.append((c * k / (8.0 * sys.omega**2)) * (term_up + sign * term_dn))

@@ -19,7 +19,7 @@ per mode, a 2x2 system with determinant beta_{p,n} beta_{s,n} Lambda_n,
 
 nonzero for every integer n, so the coefficients follow in closed form.
 This per-mode algebra is written once, here: ``_tables`` (alpha, beta,
-and kappa when asked, from one table call, over C_n(kR) given R),
+and kappa when asked, the only C'' switch, over C_n(kR) given R),
 ``_frame`` (the U_n / V_n amplitudes of a unit coefficient), ``_basis``
 (their Cartesian components times e^{in theta}), ``_expand`` (their
 contraction with the coefficients) and ``_invert`` (the 2x2 inverse, with
@@ -91,9 +91,9 @@ def _arguments(k, r: np.ndarray, R=None):
 
 
 def _tables(table, k, N: int, r: np.ndarray, R=None, kappa=False):
-    """[alpha, beta] = [k C', C], and with ``kappa`` also k^2 C'', each
-    np.shape(k) + (2N+1, P), orders -N..N, at the 1-D radii r, over C_n(kR)
-    given R: ``_tables_at`` on ``_arguments``."""
+    """[alpha, beta] = [k C', C], and with ``kappa`` (the one C'' switch)
+    also k^2 C'', each np.shape(k) + (2N+1, P), orders -N..N, at the 1-D
+    radii r, over C_n(kR) given R: ``_tables_at`` on ``_arguments``."""
     return _tables_at(table, k, N, *_arguments(k, r, R), R, kappa)
 
 
@@ -101,13 +101,13 @@ def _tables_at(table, k, N: int, t, back, R=None, kappa=False):
     """``_tables`` at the arguments (t, back) = ``_arguments(k, r, R)``: one
     ``specfun.cylinder_tables`` call on ``table`` for every k, scattered back.
     Given R, its column is last and every table is divided by C_n(kR)."""
-    c, dc, *ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t, kappa))
+    c, dc, ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t))
     if R is not None:  # checked before any arithmetic on an overflowed table
         denom = c[..., -1:]
         if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
             raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
     k = np.reshape(k, np.shape(k) + (1, 1))
-    tabs = [k * dc, c] + [k * k * tab for tab in ddc]
+    tabs = [k * dc, c] + ([k * k * ddc] if kappa else [])
     if R is not None:
         tabs = [tab / denom for tab in tabs]
     return [tab[..., back] for tab in tabs]

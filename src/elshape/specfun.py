@@ -26,15 +26,15 @@ Two routes give H_n^(1):
     upward recurrence H_{n+1} = (2n/t) H_n - H_{n-1} (1/t is formed only
     when the table goes past order 1), which is stable for
     H^(1) because Y_n, which it carries, dominates once n > t; against
-    mpmath its worst relative error on orders 0..60 is 6.5e-15.  The hot
-    tables use it: the point-source kernels in ``elastic`` (Green tensor,
-    incident field and its gradient, hence the MFS solve) and the modal
-    tables H_n(k r) / H_n(k R) in ``modal``, each with one call for both
-    wavenumbers.  The kernel pass is ``hankel01(t)`` and the recurrence
-    ``hankel1_table(N, t, rows)``, so a caller can run one pass over
-    several consumers' arguments (``hankel01_joint``, one per Newton
-    iterate for the incident field and the modal tables) and extend only
-    the columns that need higher orders.
+    mpmath its worst relative error on orders 0..60 is 6.5e-15.  The modal
+    tables H_n(k r) / H_n(k R) in ``modal`` use it, with one call for both
+    wavenumbers; the point-source kernels in ``elastic`` (Green tensor,
+    incident field and its gradient, hence the MFS solve) need orders 0..2
+    and call only the kernel pass ``hankel01(t)``, forming H_2 themselves.
+    The pass and the recurrence ``hankel1_table(N, t, rows)`` are separate,
+    so a caller can run one pass over several consumers' arguments
+    (``hankel01_joint``, one per Newton iterate for the incident field and
+    the modal tables) and extend only the columns that need higher orders.
   * ``hankel1(n, t)`` and the other AMOS wrappers (``bessel_j``,
     ``bessel_y``, ``ln_gamma``) call scipy.special, imported on first use.
     Only the disk-series oracle in ``forward`` and the checks in ``verify``
@@ -45,12 +45,12 @@ Two routes give H_n^(1):
 Conventions:
   * ``derivatives`` owns C_n' = C_{n-1} - (n/t) C_n and, by the Bessel
     equation, C_n'' = -C_n'/t - (1 - n^2/t^2) C_n (DLMF 10.6.2), checked
-    by finite differences;
-  * ``cylinder_tables`` owns the tables of orders -N..N around it: orders
-    0..max(N, 1) from either route, C_{-1} = -C_1 to close C_0', and the
-    reflection C_{-n} = (-1)^n C_n (DLMF 10.4; J, Y and H^(1) alike), which
-    AMOS's own negative orders equal exactly.  The modal tables and the
-    disk oracle take theirs from it.
+    by finite differences; it always returns both, as does
+  * ``cylinder_tables``, which owns the tables of orders -N..N around it:
+    orders 0..max(N, 1) from either route, C_{-1} = -C_1 to close C_0', and
+    C_{-n} = (-1)^n C_n (DLMF 10.4; J, Y and H^(1) alike), which AMOS's own
+    negative orders equal exactly.  Every negative order in the package
+    comes from it, so AMOS is asked for orders >= 0 only.
 
 All functions broadcast over numpy arrays in both order and argument and
 are pure, so they are safe for concurrent use.
@@ -304,17 +304,15 @@ def hankel1_table(N, t, rows=None):
     return h
 
 
-def derivatives(c_prev, c, n, t, second=True):
-    """(C_n'(t), C_n''(t)) of any cylinder function C from C_{n-1}(t) and C_n(t);
-    C_n'' is None without ``second``."""
+def derivatives(c_prev, c, n, t):
+    """(C_n'(t), C_n''(t)) of any cylinder function C from C_{n-1}(t) and C_n(t)."""
     d1 = c_prev - (n / t) * c
-    return d1, (-d1 / t - (1.0 - (n / t) ** 2) * c) if second else None
+    return d1, -d1 / t - (1.0 - (n / t) ** 2) * c
 
 
-def cylinder_tables(table, N, t, second=True):
+def cylinder_tables(table, N, t):
     """[C, C', C''] for n = -N..N, each (2N+1,) + t.shape, from ``table(m, t)``,
-    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does);
-    without ``second``, [C, C'] only.
+    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does).
 
     Where C overflows the entries become non-finite without a warning, for
     the caller's guard to refuse.
@@ -323,8 +321,8 @@ def cylinder_tables(table, N, t, second=True):
     c = table(max(N, 1), t)  # C_1 even at N = 0: C_{-1} = -C_1 closes C_0'
     n = np.arange(N + 1).reshape((-1,) + (1,) * t.ndim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d1, d2 = derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t, second)
-    out = [np.concatenate([tab[:0:-1], tab]) for tab in (c[: N + 1], d1, d2)[: 2 + second]]
+        d1, d2 = derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t)
+    out = [np.concatenate([tab[:0:-1], tab]) for tab in (c[: N + 1], d1, d2)]
     odd = slice(1 - N % 2, N, 2)  # C_{-n} = (-1)^n C_n: the rows of -1, -3, .. -N
     for tab in out:
         np.negative(tab[odd], out=tab[odd])

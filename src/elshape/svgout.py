@@ -8,6 +8,8 @@ red dots.  Floats are formatted with %.6g so identical inputs produce
 byte-identical files.
 """
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .geometry import disk
@@ -56,7 +58,7 @@ class SvgCanvas:
     def text(self, s, x=MARGIN, y=MARGIN):
         self.elements.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12"'
-            f' font-family="sans-serif">{s}</text>'
+            f' font-family="sans-serif">{escape(s)}</text>'
         )
 
     def render(self) -> str:

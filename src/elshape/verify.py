@@ -36,8 +36,8 @@ import numpy as np
 from . import specfun
 from .elastic import POLARIZATION, LameSystem, PointSource
 from .forward import (
-    ORACLE_TOL, disk_series, measure, noise_perturbation, oracle_gap, record_from_disk_series,
-    ring_sources, solve_mfs,
+    ORACLE_TOL, _amos, disk_series, measure, noise_perturbation, oracle_gap,
+    record_from_disk_series, ring_sources, solve_mfs,
 )
 from .geometry import disk
 from .modal import ModalField, eval_field, eval_gradient, lambda_n, modal_rhs, solve_modal
@@ -70,11 +70,9 @@ def check_wronskian() -> CheckResult:
     """J_n Y_n' - J_n' Y_n = 2/(pi t) on the AMOS grid, and J_1 Y_0 - J_0 Y_1 =
     2/(pi t) on the rows hankel1_table computes directly (orders 0 and 1;
     above n ~ t its recurrence carries J_n only to within eps |Y_n|)."""
-    n, t = ORDER_GRID[:, None], ARG_GRID
-    j = specfun.bessel_j(n, t)
-    y = specfun.bessel_y(n, t)
-    jp, _ = specfun.derivatives(specfun.bessel_j(n - 1, t), j, n, t, second=False)
-    yp, _ = specfun.derivatives(specfun.bessel_y(n - 1, t), y, n, t, second=False)
+    t, N = ARG_GRID, int(ORDER_GRID[-1])
+    j, jp, _ = (tab[N:] for tab in specfun.cylinder_tables(_amos(specfun.bessel_j), N, t))
+    y, yp, _ = (tab[N:] for tab in specfun.cylinder_tables(_amos(specfun.bessel_y), N, t))
     target = 2.0 / (np.pi * t)
     worst = np.max(np.abs(j * yp - jp * y - target) / target)
     h0, h1 = specfun.hankel1_table(1, t)
@@ -93,12 +91,11 @@ def _recurrence_defect(n, t, h, h_up, h_dn) -> float:
 def check_recurrence() -> CheckResult:
     """Three-term recurrence closure of AMOS's H_n and of hankel1_table's rows."""
     n, t = ORDER_GRID[:, None], ARG_GRID
-    table = specfun.hankel1_table(ORDER_GRID[-1] + 1, t)  # orders 0..31
-    below = np.concatenate([-table[1:2], table[: n.size - 1]])  # H_{n-1}, H_{-1} = -H_1
-    worst = max(
-        _recurrence_defect(n, t, table[: n.size], table[1:], below),
-        _recurrence_defect(n, t, *(specfun.hankel1(m, t) for m in (n, n + 1, n - 1))),
-    )
+    N = n.size  # orders -N..N: H_{n-1}, H_n and H_{n+1} at n = 0 are rows N-1, N, N+1
+    tables = (specfun.cylinder_tables(table, N, t)[0]
+              for table in (specfun.hankel1_table, _amos(specfun.hankel1)))
+    worst = max(_recurrence_defect(n, t, h[N : 2 * N], h[N + 1 :], h[N - 1 : 2 * N - 1])
+                for h in tables)
     return _result("recurrence_closure", worst <= 1e-9, worst, 1e-9,
                    "three-term recurrence residual relative to |H_n| max(1,n), AMOS and table")
 
@@ -113,9 +110,8 @@ def check_magnitude_monotone() -> CheckResult:
 def check_derivative_bound() -> CheckResult:
     # |H_{n-1}| <= |H_n| underpins this bound, so it needs n >= 1 (at n = 0
     # it fails for small t; the analysis treats the n = 0 mode separately)
-    n, t = ORDER_GRID[1:, None], ARG_GRID
-    h = specfun.hankel1(n, t)
-    hp, _ = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t, second=False)
+    n, t, N = ORDER_GRID[1:, None], ARG_GRID, int(ORDER_GRID[-1])
+    h, hp, _ = (tab[N + 1 :] for tab in specfun.cylinder_tables(_amos(specfun.hankel1), N, t))
     worst = np.max(np.abs(hp) / ((1.0 + n / t) * np.abs(h)))
     return _result("derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,
                    "max |H_n'| / ((1+n/t)|H_n|), n >= 1")
@@ -138,9 +134,9 @@ def check_tail_sandwich() -> CheckResult:
 
 def check_second_derivative_bound() -> CheckResult:
     """|H_n''(t)| <= ((2n^2 + t)/t^2) |H_n(t)| for n >= max(2, 4t)."""
-    n, t = np.arange(2, 41)[:, None], np.array([0.3, 0.5, 1.0, 2.0, 5.0])
-    h = specfun.hankel1(n, t)
-    _, hpp = specfun.derivatives(specfun.hankel1(n - 1, t), h, n, t)
+    N, t = 40, np.array([0.3, 0.5, 1.0, 2.0, 5.0])
+    n = np.arange(2, N + 1)[:, None]
+    h, _, hpp = (tab[N + 2 :] for tab in specfun.cylinder_tables(_amos(specfun.hankel1), N, t))
     bound = (2.0 * n * n + t) / (t * t) * np.abs(h)
     worst = np.max(np.abs(hpp) / bound, where=n >= np.maximum(2, 4.0 * t), initial=0.0)
     return _result("second_derivative_bound", worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12,

@@ -148,3 +148,40 @@ def test_verdict_column_uses_each_metrics_bound(ab, tmp_path, monkeypatch, capsy
     rows = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()
             if line.split() and line.split()[0] in ("call_s", "steps", "ok_frac")}
     assert rows == {"call_s": "ok", "steps": "worse", "ok_frac": "-"}
+
+
+def test_json_document_holds_pairs_tables_and_env(ab, tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    (b / "perfbench" / "out" / "w").mkdir(parents=True)
+    (b / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "call_s", "better": "lower", "bound": 0.25},
+                       {"name": "steps", "better": "lower"}]}))
+    # only B's seed-3 run left a result file
+    (b / "perfbench" / "out" / "w" / "result-seed3-trace0.json").write_text(
+        json.dumps({"env": {"cpu": "x"}, "result": {}}))
+
+    def run_once(root, workload, seed, seconds):
+        return {"call_s": 0.05 if root.name == "a" else 0.04, "steps": 10.0}, int(seed == 4)
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    assert ab.main([str(a), str(b), "--workload", "w", "--pairs", "2", "--seed", "3",
+                    "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert (doc["A"], doc["B"], doc["run_seconds"]) == (str(a), str(b), 7)
+    w = doc["workloads"]["w"]
+    assert [(p["seed"], p["order"]) for p in w["pairs"]] == [(3, "AB"), (4, "BA")]
+    first = w["pairs"][0]
+    assert first["A"] == {"metrics": {"call_s": 0.05, "steps": 10.0}, "failed": 0, "env": None}
+    assert first["B"]["env"] == {"cpu": "x"} and w["pairs"][1]["B"]["env"] is None
+    assert w["failed"] == {"A": 1, "B": 1}
+    assert w["metrics"]["call_s"] == {
+        "A": {"q1": 0.05, "median": 0.05, "q3": 0.05},
+        "B": {"q1": 0.04, "median": 0.04, "q3": 0.04},
+        "wins": 2, "losses": 0, "gain": True, "verdict": "ok"}
+    assert w["metrics"]["steps"]["verdict"] is None
+    # the table prints the same figures
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["call_s"], ["steps"])}
+    assert rows["call_s"][-4:] == ["2", "0", "yes", "ok"] and rows["steps"][-1] == "-"

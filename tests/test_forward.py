@@ -220,6 +220,46 @@ class TestQrSolve:
             solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
 
 
+def reciprocity_gap(name, sys):
+    """||P - P^T||_F / ||P||_F for P_ij = p . v_j(z_i), the scattered field of
+    source j at source i: the scattered Green tensor is reciprocal, so P is
+    symmetric whatever the shape (the check needs no oracle)."""
+    curve = {"disk": disk(1.0), "starfish": starfish(), "kite": kite()}[name]
+    srcs = ring_sources(20, 3.0, elastic.POLARIZATION)
+    sol = solve_mfs(curve, srcs, sys, *_MFS_BY_SHAPE[name], warn_above=None)
+    z = np.array([src.location for src in srcs])
+    p = np.array(elastic.POLARIZATION)
+    P = sol.eval(z) @ p
+    return np.linalg.norm(P - P.T) / np.linalg.norm(P)
+
+
+class TestMfsReciprocity:
+    """Reciprocity of the MFS fields on the shipped layouts: the independent
+    check of forward data for shapes that have no series oracle."""
+
+    @pytest.mark.parametrize("name, sys, bound", [
+        ("disk", SYS1, 1e-12),      # measured 9.5e-16
+        ("disk", SYS5, 1e-12),      # measured 2.7e-14
+        ("starfish", SYS5, 1e-5),   # measured 1.51e-6
+        ("kite", SYS5, 2e-4),       # measured 3.91e-5
+    ], ids=["disk-1", "disk-5", "starfish-5", "kite-5"])
+    def test_source_to_source_matrix_is_symmetric(self, name, sys, bound):
+        assert reciprocity_gap(name, sys) <= bound
+
+    @pytest.mark.parametrize("name", ["starfish", "kite"])
+    def test_turned_polarization_breaks_symmetry(self, monkeypatch, name):
+        # right-hand sides from polarizations turned by 90 degrees: the
+        # fields are no longer those of the sources P is read against
+        incident = forward.incident_field
+
+        def turned(x, srcs, sys, *args):
+            srcs = [PointSource(s.location, (-s.polarization[1], s.polarization[0])) for s in srcs]
+            return incident(x, srcs, sys, *args)
+
+        monkeypatch.setattr(forward, "incident_field", turned)
+        assert reciprocity_gap(name, SYS5) >= 0.5  # measured 1.44 starfish, 1.24 kite
+
+
 class TestDiskSeries:
     def test_rigid_boundary_condition(self):
         fld = disk_series(1.0, (SRC,), SYS5, 40)
@@ -263,6 +303,21 @@ class TestDiskSeries:
                        kappa=True)
         assert asked == [list(range(7))]
         assert [tab.shape for tab in tabs] == [(2, 13, 2)] * 3
+
+    def test_disk_series_asks_amos_for_nonnegative_orders_only(self, monkeypatch):
+        # the incident potentials' H_{m-1}, H_{m+1} included: every negative
+        # order comes from cylinder_tables' reflection
+        asked = []
+        amos = specfun.hankel1
+
+        def recording(n, t):
+            asked.extend(np.unique(n).tolist())
+            return amos(n, t)
+
+        monkeypatch.setattr(specfun, "hankel1", recording)
+        disk_series(1.0, (SRC, PointSource((-1.0, -4.0), (0.6, -0.8))), SYS5, 12)
+        assert asked and min(asked) >= 0
+        assert max(asked) == 13  # H_{M+1} for the incident potentials
 
     @pytest.mark.parametrize("omega", [1.0, 5.0])
     @pytest.mark.parametrize("n_modes", [20, 40])

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 from concurrent.futures import Future
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -359,6 +360,12 @@ class TestSvg:
     def test_deterministic_bytes(self):
         rec, run = self.case((0.0, np.pi))
         assert overlay_svg(rec, run, disk(1.0), "case") == overlay_svg(rec, run, disk(1.0), "case")
+
+    def test_title_markup_is_escaped(self):
+        rec, run = self.case((0.0, np.pi))
+        root = ElementTree.fromstring(overlay_svg(rec, run, disk(1.0), "R < rho & N = 3"))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["R < rho & N = 3"]
 
     def test_marks_partial_aperture_arc(self):
         rec, run = self.case((3 * np.pi / 4, 5 * np.pi / 4))

@@ -25,6 +25,15 @@ Run from anywhere:
 `BENCHMARK.json` in turn (all pairs of one workload, then the next) and
 prints one table per workload.
 
+`--json PATH` also writes one JSON document for the invocation: both
+roots and `run_seconds`, and per workload each pair's seed, order, load,
+both sides' metrics, failed counts and `env` (read from the run's
+`perfbench/out/<workload>/result-seed<seed>-trace0.json`, null when that
+file is absent), then per metric the quartiles, wins, losses, gain and
+verdict that the table prints (verdict null where the metric has no bound):
+
+    python tools/ab_perfbench.py ../parent . --workload all --json BENCH_tag.json
+
 A warning goes to stderr when the 1-minute load average is above 0.5
 before the first run: the benchmark's host-speed rescaling does not absorb
 concurrent load, so a run on a busy host can read far too fast or too
@@ -44,6 +53,8 @@ from pathlib import Path
 LOAD_WARN = 0.5
 #: share of pairs the change must win to claim a gain
 WIN_SHARE = 0.9
+#: keys of each side's quartiles in the `--json` document
+QUARTILES = ("q1", "median", "q3")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -58,6 +69,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
         raise SystemExit(f"run in {root} failed (exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}, result["failed"]
+
+
+def run_env(root: Path, workload: str, seed: int):
+    """The `env` block of the untraced run's result file in `root`, or None."""
+    path = root / "perfbench" / "out" / workload / f"result-seed{seed}-trace0.json"
+    if not path.is_file():
+        return None
+    with open(path) as fh:
+        return json.load(fh).get("env")
 
 
 def quartiles(values) -> tuple:
@@ -106,19 +126,25 @@ def verdict(a, b, better: str, bound: float) -> str:
 
 
 def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
-            better: dict, bounds: dict) -> None:
-    """Run `pairs` alternating pairs of `workload` and print their table."""
-    runs, failed = [], [0, 0]
+            better: dict, bounds: dict) -> dict:
+    """Run `pairs` alternating pairs of `workload`, print their table and
+    return it as the workload's part of the `--json` document."""
+    runs, failed, records = [], [0, 0], []
     for i in range(pairs):
         seed = first_seed + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
         load = os.getloadavg()[0]
-        got = {}
+        got, n_failed, env = {}, {}, {}
         for side in order:
-            got[side], n_failed = run_once(roots[side], workload, seed, seconds)
-            failed[side] += n_failed
+            got[side], n_failed[side] = run_once(roots[side], workload, seed, seconds)
+            env[side] = run_env(roots[side], workload, seed)
+            failed[side] += n_failed[side]
         runs.append((got[0], got[1]))
-        print(f"{workload} pair {i + 1} seed {seed} ({'AB' if order == (0, 1) else 'BA'}, "
+        order_name = "AB" if order == (0, 1) else "BA"
+        records.append({"seed": seed, "order": order_name, "load": load, **{
+            side: {"metrics": got[k], "failed": n_failed[k], "env": env[k]}
+            for k, side in enumerate("AB")}})
+        print(f"{workload} pair {i + 1} seed {seed} ({order_name}, "
               f"load {load:.2f}): call_s A {got[0]['call_s']:.5f}  B {got[1]['call_s']:.5f}",
               flush=True)
 
@@ -126,12 +152,16 @@ def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
           f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
     print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
           f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain  verdict")
+    metrics = {}
     for name, qa, qb, wins, losses, gain in summarize(runs, better, tuple(failed)):
         sides = ([p[0][name] for p in runs], [p[1][name] for p in runs])
-        judged = "-" if bounds[name] is None else verdict(*sides, better[name], bounds[name])
+        judged = None if bounds[name] is None else verdict(*sides, better[name], bounds[name])
+        metrics[name] = {"A": dict(zip(QUARTILES, qa)), "B": dict(zip(QUARTILES, qb)),
+                         "wins": wins, "losses": losses, "gain": gain, "verdict": judged}
         print(f"{name:12s} {qa[0]:10.5g} {qa[1]:10.5g} {qa[2]:10.5g} "
               f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
-              f"{'yes' if gain else 'no':4s}  {judged}", flush=True)
+              f"{'yes' if gain else 'no':4s}  {judged or '-'}", flush=True)
+    return {"pairs": records, "failed": {"A": failed[0], "B": failed[1]}, "metrics": metrics}
 
 
 def main(argv=None) -> int:
@@ -142,6 +172,7 @@ def main(argv=None) -> int:
                         help="a workload of BENCHMARK.json, or all of them in turn")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--json", type=Path, help="also write the pairs and tables here")
     args = parser.parse_args(argv)
     roots = (args.parent.resolve(), args.change.resolve())
     with open(roots[1] / "BENCHMARK.json") as fh:
@@ -156,10 +187,16 @@ def main(argv=None) -> int:
     if load > LOAD_WARN:
         print(f"warning: load average {load:.2f} > {LOAD_WARN}: the host is busy, "
               "so the runs may not be comparable", file=sys.stderr)
+    tables = {}
     for i, workload in enumerate(names if args.workload == "all" else [args.workload]):
         if i:
             print()
-        compare(roots, workload, args.pairs, args.seed, bench["run_seconds"], better, bounds)
+        tables[workload] = compare(roots, workload, args.pairs, args.seed, bench["run_seconds"],
+                                   better, bounds)
+    if args.json is not None:
+        doc = {"A": str(roots[0]), "B": str(roots[1]), "run_seconds": bench["run_seconds"],
+               "workloads": tables}
+        args.json.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
