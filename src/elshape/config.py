@@ -17,7 +17,8 @@ of three input rules and reports their refusals under its keys:
 (``shape``, ``shape.radius``, ``shape.coeffs``) and ``choose_truncation``
 (``truncation``).  It checks the rest itself: every float finite, a
 nonzero polarization, at least one source, a nonnegative seed, rho >
-guess radius > R > 0, delta in [0,1), epsilon > 0, degree >= 1,
+guess radius > R > 0, delta in [0,1) (``delta_error``, which also checks
+the sweep's deltas), epsilon > 0, degree >= 1,
 r_policy.value and stop.c1 >= 0 (0 selects the auto R and the
 relative-update stop), and a measurement circle that clears the truth.
 """
@@ -77,6 +78,11 @@ _MFS_BY_SHAPE = {
 }
 
 
+def delta_error(delta) -> str:
+    """Why ``delta`` is not a noise level in [0, 1); "" if it is."""
+    return "" if 0.0 <= delta < 1.0 else "delta: must lie in [0, 1)"
+
+
 def parse_config_text(text: str, schema: dict = CONFIG_SCHEMA) -> dict:
     """Parse the flat key-value format; values typed per ``schema``."""
     values = {}
@@ -132,9 +138,9 @@ class ReconstructionConfig:
             raise ConfigError("; ".join(f"{k}: must be finite" for k in bad))
         # the owners check their own rules; a refusal comes back under its key
         shape_key = {"disk": "shape.radius", "custom": "shape.coeffs"}.get(g["shape"], "shape")
-        delta_ok = 0.0 <= g["delta"] < 1.0  # else reported once, below, for every mode
+        delta_problem = delta_error(g["delta"])  # reported once, below, for every mode
         owners = {"lame": lambda: self.sys, shape_key: lambda: make_shape(self),
-                  **({"truncation": self.resolve_truncation} if delta_ok else {})}
+                  **({} if delta_problem else {"truncation": self.resolve_truncation})}
         built, errors = {}, []
         for key, build in owners.items():
             try:
@@ -143,8 +149,8 @@ class ReconstructionConfig:
                 errors.append(f"{key}: {exc}")
         if g["polarization.x"] == 0.0 and g["polarization.y"] == 0.0:
             errors.append("polarization.x, polarization.y: must not both be zero")
-        if not delta_ok:
-            errors.append("delta: must lie in [0, 1)")
+        if delta_problem:
+            errors.append(delta_problem)
         if g["epsilon"] <= 0.0:
             errors.append("epsilon: must be positive")
         if g["np"] < 1:

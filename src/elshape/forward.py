@@ -116,7 +116,7 @@ def solve_mfs(
         raise ConfigError("shrink must lie in (0, 1)")
     if n_collocation < n_charges:
         raise ConfigError("need at least as many collocation points as charges")
-    if any(curve.contains(src.xy) for src in srcs):
+    if np.any(curve.contains(_sources(srcs, 1)[0])):
         raise ConfigError("source point lies inside the obstacle")
 
     centroid = curve.centroid()
@@ -353,7 +353,12 @@ def noise_perturbation(values: np.ndarray, delta: float, seed: int) -> np.ndarra
     rng = np.random.default_rng(seed)
     r1 = rng.uniform(-1.0, 1.0, values.shape)
     r2 = rng.uniform(-1.0, 1.0, values.shape)
-    return delta * r1 * np.abs(values) * np.exp(1j * np.pi * r2)
+    out = np.empty(values.shape, dtype=complex)
+    scale = delta * r1 * np.abs(values)
+    r2 *= np.pi
+    np.multiply(scale, np.cos(r2), out=out.real)
+    np.multiply(scale, np.sin(r2), out=out.imag)
+    return out
 
 
 def add_noise(rec: ScatterRecord, delta: float, seed: int) -> ScatterRecord:

@@ -58,14 +58,16 @@ class ParametricCurve:
     def max_radius(self) -> float:
         return float(np.max(np.linalg.norm(self.sample(512), axis=-1)))
 
-    def contains(self, x) -> bool:
-        """Winding-number test of a point against the 720-point polygon."""
-        pts = self.sample(720)
-        rel = pts - np.asarray(x, dtype=float)
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        dang = np.diff(np.concatenate([ang, ang[:1]]))
+    def contains(self, x):
+        """Winding-number test of points x, shape (..., 2), against the
+        720-point polygon, sampled once: a bool array of shape x.shape[:-1],
+        a bool for one point."""
+        rel = self.sample(720) - np.asarray(x, dtype=float)[..., None, :]
+        ang = np.arctan2(rel[..., 1], rel[..., 0])
+        dang = np.diff(ang, axis=-1, append=ang[..., :1])
         dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-        return bool(abs(dang.sum()) > np.pi)
+        inside = np.abs(dang.sum(axis=-1)) > np.pi
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def kite() -> ParametricCurve:

@@ -14,15 +14,18 @@ Two routes give H_n^(1):
       - t > T1, in x = 2 (T1/t)^2 - 1: the modulus-phase factors P_nu and
         t Q_nu of H_nu = sqrt(2/(pi t)) (P_nu + i Q_nu) e^{i(t - (2nu+1)pi/4)},
         rebuilt from one cos t and one sin t (t - pi/4 is never rounded).
-    On a block of arguments from both regions the logarithm is taken only
-    where t <= T1 and the square root, cosine and sine only where t > T1
-    (ufunc ``where=``), and the far branch writes its entries straight into
-    the output.  The 16-term coefficients are fitted from mpmath by
-    ``tools/fit_hankel01.py``.  Against mpmath on 2000 log-spaced points
-    of [1e-3, 100] the worst relative error of H_0 and H_1 is 1.5e-15
-    (cephes j0/y0/j1/y1, which this kernel replaced: 6.3e-15).  The series
-    sums are one BLAS product per region, so a value may differ in the last
-    bit with the array it is evaluated in.  Higher orders follow from the
+    Each region runs on its own arguments, gathered from the block, and its
+    two rows are written back into the block's output: the logarithm is
+    taken only for t <= T1, the square root, cosine and sine only for
+    t > T1.  A region's four series are one BLAS product with its T_k
+    table, whose columns are zero-padded to a multiple of 8 so that every
+    column takes the same micro-kernel; a value then does not depend on the
+    batch it is evaluated in (a property of the BLAS build, which
+    ``tests/test_specfun.py`` pins bit for bit).  The 16-term coefficients
+    are fitted from mpmath by ``tools/fit_hankel01.py``.  Against mpmath on
+    2000 log-spaced points of [1e-3, 100] the worst relative error of H_0
+    and H_1 is 1.5e-15 (cephes j0/y0/j1/y1, which this kernel replaced:
+    6.3e-15).  Higher orders follow from the
     upward recurrence H_{n+1} = (2n/t) H_n - H_{n-1} (1/t is formed only
     when the table goes past order 1), which is stable for
     H^(1) because Y_n, which it carries, dominates once n > t; against
@@ -186,24 +189,35 @@ _CHEB = np.array([
 _SIGN = np.array([[1.0], [-1.0]])
 
 
-def _chebyshev_table(u):
-    """T_0(u) .. T_{K-1}(u) for the K terms of _CHEB, shape (K, u.size)."""
-    T = np.empty((_CHEB.shape[1], u.size))
+def _series(x, rows):
+    """The Chebyshev series of the _CHEB ``rows`` in u = 2x - 1 at the 1-D x,
+    shape (len(rows), x.size), from one product with the T_k table.  The
+    table's columns are zero-padded to a multiple of 8, so every column
+    takes the same BLAS micro-kernel and a value does not depend on its
+    batch."""
+    n = x.size
+    u = 2.0 * x
+    u -= 1.0
+    table = np.empty((_CHEB.shape[1], -(-n // 8) * 8))
+    table[:, n:] = 0.0
+    T = table[:, :n]
     T[0] = 1.0
     T[1] = u
     two_u = u + u
     for k in range(1, len(T) - 1):
         np.multiply(two_u, T[k], out=T[k + 1])
         T[k + 1] -= T[k - 1]
-    return T
+    return (rows @ table)[:, :n]
 
 
-def _near(t, f, out, where):
-    """J_nu + i Y_nu, nu = 0, 1, into out from the t <= T1 rows f, with the
-    logarithm taken only at ``where`` (out is finite elsewhere, for _far)."""
-    j, y = out.real, out.imag
-    log_term = 0.5 * t
-    np.log(log_term, out=log_term, where=where)
+def _near(t):
+    """J_nu + i Y_nu, nu = 0, 1, at 0 < t <= T1, shape (2, t.size)."""
+    q = t * (1.0 / T1)
+    q *= q
+    f = _series(q, _CHEB[:4])
+    h = np.empty((2, t.size), dtype=complex)
+    j, y = h.real, h.imag
+    log_term = np.log(0.5 * t)
     log_term *= 2.0 / np.pi
     j[0] = f[0]
     np.multiply(t, f[1], out=j[1])
@@ -211,47 +225,46 @@ def _near(t, f, out, where):
     np.multiply(t, f[3], out=y[1])
     y[1] -= (2.0 / np.pi) / t
     y += log_term * j
+    return h
 
 
-def _far(t, f, out, where):
-    """H_nu, nu = 0, 1, into out at ``where`` from the t > T1 rows f
-    (P_nu, t Q_nu); out is left as it is elsewhere.
+def _far(t):
+    """H_nu, nu = 0, 1, at t > T1, shape (2, t.size), from the rows
+    (P_nu, t Q_nu).
 
     (P + iQ) e^{-i(2nu+1)pi/4} = (X + iY)/sqrt(2) with X = Q + s P and
     Y = s Q - P, s = +1 (nu = 0) or -1 (nu = 1), so that
     H_nu = (X + iY)(cos t + i sin t) / sqrt(pi t).
     """
+    q = t * (1.0 / T1)
+    q *= q
+    f = _series(1.0 / q, _CHEB[4:])
     inv_t = 1.0 / t
-    scale = inv_t * (1.0 / np.pi)
-    np.sqrt(scale, out=scale, where=where)
-    c = np.cos(t, out=np.zeros_like(t), where=where)
-    s = np.sin(t, out=np.zeros_like(t), where=where)
+    scale = np.sqrt(inv_t * (1.0 / np.pi))
+    c = np.cos(t)
     c *= scale
+    s = np.sin(t)
     s *= scale
     p, q = f[0::2], f[1::2] * inv_t
     x = q + _SIGN * p
     y = _SIGN * q - p
-    re, im = out.real, out.imag
-    np.multiply(x, c, out=re, where=where)
-    np.subtract(re, y * s, out=re, where=where)
-    np.multiply(x, s, out=im, where=where)
-    np.add(im, y * c, out=im, where=where)
+    h = np.empty((2, t.size), dtype=complex)
+    re, im = h.real, h.imag
+    np.multiply(x, c, out=re)
+    re -= y * s
+    np.multiply(x, s, out=im)
+    im += y * c
+    return h
 
 
 def _orders01(t, out):
-    """H_0^(1), H_1^(1) at the 1-D array t into out, shape (2, t.size)."""
+    """H_0^(1), H_1^(1) at the 1-D array t into out, shape (2, t.size):
+    each region on its own arguments, written back row by row."""
     near = t <= T1
-    q = t * (1.0 / T1)
-    q *= q
-    u = np.where(near, q, 1.0 / q)
-    u *= 2.0
-    u -= 1.0
-    T = _chebyshev_table(u)
-    n_near = np.count_nonzero(near)
-    if n_near:
-        _near(t, _CHEB[:4] @ T, out, near)
-    if n_near < t.size:
-        _far(t, _CHEB[4:] @ T, out, ~near)
+    for where, branch in ((near, _near), (~near, _far)):
+        if where.any():
+            for row, value in zip(out, branch(t[where])):
+                row[where] = value
 
 
 def hankel01(t):

@@ -7,8 +7,10 @@ A sweep file is an ordinary experiment config plus three list-valued keys:
     sweep.seeds = 1, 2, 3, 4, 5
 
 Errors follow the config grammar (line numbers, a repeated key refused);
-a malformed, non-finite, repeated or negative list entry is a ConfigError
-naming its key.
+a malformed, non-finite, repeated or negative list entry, and an aperture
+or delta that the owner of its rule refuses (``records.aperture_error``,
+``config.delta_error``), is a ConfigError naming its key, raised when the
+file is parsed.
 Without its three lists the file must be a valid, solvable experiment:
 neither the aperture nor the noise changes the truth's MFS solution, so
 the sweep solves it once, before any cell, and an invalid or unsolvable
@@ -30,11 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    CONFIG_SCHEMA, ReconstructionConfig, make_record, make_shape, parse_config_text, solve_truth,
+    CONFIG_SCHEMA, ReconstructionConfig, delta_error, make_record, make_shape, parse_config_text,
+    solve_truth,
 )
 from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
 from .metrics import curve_hausdorff, radial_l2
 from .newton import StarCurve, reconstruct
+from .records import aperture_error
 
 SWEEP_KEYS = ("sweep.apertures", "sweep.deltas", "sweep.seeds")
 SWEEP_SCHEMA = {**CONFIG_SCHEMA, **{key: (str, "") for key in SWEEP_KEYS}}
@@ -61,8 +65,9 @@ class SweepSpec:
     seeds: tuple
 
 
-def _entries(key: str, text: str, sep: str, parse) -> tuple:
-    """Distinct parsed entries of one sweep list, in file order."""
+def _entries(key: str, text: str, sep: str, parse, refusal=lambda value: "") -> tuple:
+    """Distinct parsed entries of one sweep list, in file order; an entry
+    whose ``refusal`` is not empty is refused under the list's key."""
     values = []
     for item in filter(None, (v.strip() for v in text.split(sep))):
         try:
@@ -71,6 +76,8 @@ def _entries(key: str, text: str, sep: str, parse) -> tuple:
             raise ConfigError(f"{key}: bad entry {item!r}") from None
         if value in values:
             raise ConfigError(f"{key}: repeated entry {item!r}")
+        if problem := refusal(value):
+            raise ConfigError(f"{key}: entry {item!r}: {problem}")
         values.append(value)
     return tuple(values)
 
@@ -88,10 +95,13 @@ def _interval(pair: str) -> tuple:
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
-    """The config grammar plus the three sweep.* lists."""
+    """The config grammar plus the three sweep.* lists; each aperture and
+    delta is checked by the owner of its rule (``aperture_error``,
+    ``delta_error``) before any cell runs."""
     base = parse_config_text(text, SWEEP_SCHEMA)
-    apertures = _entries("sweep.apertures", base.pop("sweep.apertures", ""), ";", _interval)
-    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", _finite)
+    apertures = _entries("sweep.apertures", base.pop("sweep.apertures", ""), ";", _interval,
+                         aperture_error)
+    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", _finite, delta_error)
     seeds = _entries("sweep.seeds", base.pop("sweep.seeds", ""), ",", int)
     if any(seed < 0 for seed in seeds):
         raise ConfigError("sweep.seeds: must be >= 0")

@@ -291,6 +291,21 @@ class TestIncidentFieldDirectional:
             want_v = incident_field(x, (src,), SYS5)[0]
             assert np.max(np.abs(value[i] - want_v)) <= 1e-13 * np.max(np.abs(want_v))
 
+    @pytest.mark.parametrize("n_points", [1, 3, 5, 17, 63, 100])
+    def test_rows_equal_one_source_calls_at_any_point_count(self, n_points):
+        # the kernel's values do not depend on their batch, so the S-source
+        # rows equal the one-source calls bit for bit at point counts that
+        # are not multiples of 8, too
+        rng = np.random.default_rng(n_points)
+        srcs = [PointSource(tuple(rng.uniform(2.5, 3.5, size=2)), tuple(rng.normal(size=2)))
+                for _ in range(5)]
+        x = rng.uniform(-1.5, 1.5, size=(n_points, 2))
+        e = rng.normal(size=(n_points, 2))
+        value, deriv = incident_field(x, srcs, SYS5, e)
+        for i, src in enumerate(srcs):
+            v1, d1 = incident_field(x, (src,), SYS5, e)
+            assert np.array_equal(value[i], v1[0]) and np.array_equal(deriv[i], d1[0])
+
     @pytest.mark.parametrize(
         "r, bound", [(1e-3, 1e-10), (1e-2, 1e-12), (0.1, 2e-14), (0.5, 2e-14),
                      (2.0, 2e-14), (10.0, 2e-14)],

@@ -192,8 +192,9 @@ class TestQrSolve:
 
     @pytest.mark.parametrize("n_points", [13, 100])
     def test_charge_matrix_is_green_tensor_laid_out(self, monkeypatch, n_points):
-        # point counts that are not a multiple of 8, so no BLAS batch
-        # effect can hide a layout slip
+        # point counts that are not a multiple of 8, the width the kernel
+        # pads its series to: its values do not depend on the batch, so any
+        # layout slip shows as inequality
         rng = np.random.default_rng(n_points)
         x = rng.uniform(2.0, 3.0, (n_points, 2))
         charges = rng.uniform(-1.0, 1.0, (21, 2))

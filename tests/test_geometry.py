@@ -41,6 +41,26 @@ def test_contains():
     assert not k.contains((0.0, 1.6))
 
 
+@pytest.mark.parametrize("make", [kite, starfish])
+def test_contains_batch_equals_point_calls(make):
+    curve = make()
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 2.0 * np.pi, 40)
+    normal = curve.tangent(t) @ np.array([[0.0, -1.0], [1.0, 0.0]])
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    # points within 1e-3 of the boundary on both sides, and scattered ones
+    offsets = rng.uniform(-1e-3, 1e-3, (40, 1))
+    pts = np.concatenate([curve.point(t) + offsets * normal, rng.uniform(-2.5, 2.5, (60, 2))])
+    batch = curve.contains(pts)
+    assert batch.shape == (100,) and batch.dtype == bool
+    assert batch.tolist() == [curve.contains(p) for p in pts]
+    assert 0 < np.count_nonzero(batch[:40]) < 40 and 0 < np.count_nonzero(batch[40:]) < 60
+    assert curve.contains(pts.reshape(10, 10, 2)).tolist() == batch.reshape(10, 10).tolist()
+    # one point gives a bool, not a 0-d array; no points give an empty array
+    assert curve.contains(pts[0]) is bool(batch[0])
+    assert curve.contains(np.empty((0, 2))).shape == (0,)
+
+
 def test_kite_known_points():
     k = kite()
     assert np.allclose(k.point(0.0), [1.0, 0.0])

@@ -464,10 +464,10 @@ class TestBoundaryError:
 class TestSweep:
     def test_parse_lists(self):
         spec = parse_sweep_text(
-            "shape = disk\nsweep.apertures = 0:6.2832; 1.0:4.0\n"
+            "shape = disk\nsweep.apertures = 0:6.283185307179586; 1.0:4.0\n"
             "sweep.deltas = 0, 0.05\nsweep.seeds = 1, 2, 3\n"
         )
-        assert spec.apertures == ((0.0, 6.2832), (1.0, 4.0))
+        assert spec.apertures == ((0.0, 6.283185307179586), (1.0, 4.0))
         assert spec.deltas == (0.0, 0.05)
         assert spec.seeds == (1, 2, 3)
         assert spec.base["shape"] == "disk"
@@ -485,6 +485,28 @@ class TestSweep:
     def test_bad_list_entry_names_its_key(self, line, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_sweep_text(f"shape = disk\n{line}\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("sweep.deltas = -0.1, 2", "sweep.deltas: entry '-0.1': delta: must lie in [0, 1)"),
+        ("sweep.deltas = 0.05, 2", "sweep.deltas: entry '2': delta: must lie in [0, 1)"),
+        ("sweep.apertures = 0:100",
+         "sweep.apertures: entry '0:100': aperture: span cannot exceed 2*pi"),
+        ("sweep.apertures = 0:6.283185307179586; 5.0:1.0",
+         "sweep.apertures: entry '5.0:1.0': aperture: need lo < hi"),
+    ])
+    def test_entry_refused_by_its_rule_owner_before_any_solve(
+        self, monkeypatch, tmp_path, capsys, line, message
+    ):
+        solved = []
+        monkeypatch.setattr(sweep, "solve_truth", solved.append)
+        text = f"{DISK_CFG}{line}\nsweep.seeds = 1\n"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_sweep_text(text)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert solved == [] and not (tmp_path / "sweep.csv").exists()
 
     def test_config_error_keeps_its_line_number(self):
         text = (
@@ -537,9 +559,19 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0][0] == "aperture_lo"
 
-    def test_cell_failure_recorded_and_continues(self):
+    def test_cell_failure_recorded_and_continues(self, monkeypatch):
+        # every listed arc is valid (a bad one is refused when the file is
+        # parsed), so the second cell fails in a stand-in make_record
+        make = sweep.make_record
+
+        def failing(cfg, truth):
+            if cfg.aperture[0] == 1.0:
+                raise SolveError("no fit")
+            return make(cfg, truth)
+
+        monkeypatch.setattr(sweep, "make_record", failing)
         spec = parse_sweep_text(
-            DISK_CFG + "sweep.apertures = 0:6.283185307179586; 5.0:1.0\n"
+            DISK_CFG + "sweep.apertures = 0:6.283185307179586; 1.0:5.0\n"
             "sweep.deltas = 0\nsweep.seeds = 1\n"
         )
         rows = run_sweep(spec)

@@ -245,8 +245,9 @@ class TestOnePassIterate:
     @pytest.mark.parametrize("n_points", [17, 64])
     @pytest.mark.parametrize("coeffs", [STARFISH_ITERATE, KITE_ITERATE], ids=["starfish", "kite"])
     def test_matches_the_public_evaluators(self, ring_field, n_points, coeffs):
-        # 17 points: the kernel's batch is no multiple of 8, so its last
-        # bits differ from the reference's separate calls
+        # 17 points: no multiple of 8, the width the kernel pads its series
+        # to; its values do not depend on the batch, but the reference
+        # forms the system in its own order, so the match is to a bound
         field, srcs = ring_field
         curve = StarCurve(np.array(coeffs))
         t_grid = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)

@@ -337,6 +337,26 @@ class TestOrderZeroOneKernel:
             want = specfun.hankel1_table(1, t)
             assert np.max(np.abs(part - want) / np.abs(want)) <= 1e-15
 
+    def test_value_does_not_depend_on_its_batch(self):
+        # each region sums its series over its own arguments, with the T_k
+        # columns padded to a multiple of 8, so a value's bits are the same
+        # in any batch: sub-batches, single calls, a reordering, and a batch
+        # whose second kernel block holds a few arguments
+        grid = np.geomspace(1e-3, 100.0, 20000)
+        whole = specfun.hankel01(grid)
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            n = rng.integers(1, 301)
+            lo = rng.integers(0, grid.size - n + 1)
+            assert np.array_equal(specfun.hankel01(grid[lo : lo + n]), whole[:, lo : lo + n])
+        singles = [specfun.hankel01(t)[:, None] for t in grid[::20]]
+        assert np.array_equal(np.hstack(singles), whole[:, ::20])
+        order = rng.permutation(grid.size)
+        assert np.array_equal(specfun.hankel01(grid[order]), whole[:, order])
+        lo = 3
+        straddle = slice(lo, lo + specfun._BLOCK + 37)
+        assert np.array_equal(specfun.hankel01(grid[straddle]), whole[:, straddle])
+
     @pytest.mark.parametrize("check, row", [
         (verify.check_wronskian, 1), (verify.check_recurrence, 2),
     ], ids=["wronskian", "recurrence"])
