@@ -21,11 +21,11 @@ order-0/1 table for both wavenumbers.  ``incident_field`` applies G to the
 sources' polarizations, and with a direction also G's derivative along it,
 without forming either tensor; no finite differences are used outside the
 test suite.  Each consumer is three steps: the arguments (``_separation``,
-then ``_arguments``), one ``specfun.hankel01`` pass over them, and the
-result from the kernel rows (``_radial_scalars``, then G's entries for
-``green_tensor`` or ``_contracted`` for ``incident_field``).  A caller that
-batches the arguments of several consumers into one pass, as the Newton
-iterate does, runs the same three steps.
+then ``_arguments``, k_p before k_s as in ``modal``), one ``specfun.hankel01``
+pass over them, and the result from the kernel rows: ``_radial_scalars``
+then G's entries for ``green_tensor``, ``_contracted`` for ``incident_field``
+and for a caller that batches the arguments of several consumers into one
+pass, as the Newton iterate does.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -116,16 +116,16 @@ def _sources(srcs, ndim: int):
 
 
 def _arguments(r, sys: LameSystem):
-    """The order-0/1 kernel's arguments k r for both wavenumbers, (2,) + r.shape."""
-    return np.multiply.outer((sys.k_s, sys.k_p), r)
+    """The order-0/1 kernel's arguments (k_p r, k_s r), (2,) + r.shape."""
+    return np.multiply.outer((sys.k_p, sys.k_s), r)
 
 
 def _radial_scalars(h, t, sys: LameSystem, derivative=False):
     """alpha and beta of G = alpha I + beta D at t = ``_arguments(r, sys)``
-    from the kernel rows h = (H_0(t), H_1(t)), and with ``derivative`` also
-    alpha' and beta' in r (H_0' = -H_1, H_2' = H_1 - (2/t) H_2).  h's H_1
-    row is overwritten.  This closed form stays, not ``cylinder_tables``: on
-    the kite's 262,144-argument Green-tensor calls that rule would build 15
+    from the kernel rows h = (H_0(t), H_1(t)), k_p r first in each, and with
+    ``derivative`` also alpha' and beta' in r (H_0' = -H_1, H_2' = H_1 - (2/t) H_2).
+    h's H_1 row is overwritten.  This closed form stays, not ``cylinder_tables``:
+    on the kite's 262,144-argument Green-tensor calls that rule would build 15
     rows (orders -2..2 of C, C', C''), where this one writes H_2 in place."""
     h0, h2 = h
     h1 = h2.copy() if derivative else None
@@ -133,13 +133,13 @@ def _radial_scalars(h, t, sys: LameSystem, derivative=False):
     h2 *= two_t  # H_1 becomes H_2 = (2/t) H_1 - H_0 in place
     h2 -= h0
     c_s, c_p = 0.125j / sys.mu, 0.125j / (sys.lam + 2.0 * sys.mu)
-    alpha = c_s * h0[0] + c_p * h0[1]
-    beta = c_s * h2[0] - c_p * h2[1]
+    alpha = c_s * h0[1] + c_p * h0[0]
+    beta = c_s * h2[1] - c_p * h2[0]
     if not derivative:
         return alpha, beta
     dh2 = h1 - two_t * h2
     c_s, c_p = c_s * sys.k_s, c_p * sys.k_p
-    return alpha, beta, -(c_s * h1[0] + c_p * h1[1]), c_s * dh2[0] - c_p * dh2[1]
+    return alpha, beta, -(c_s * h1[1] + c_p * h1[0]), c_s * dh2[1] - c_p * dh2[0]
 
 
 def _tensor_array(shape):
@@ -152,9 +152,9 @@ def _tensor_array(shape):
     return np.empty(shape[:-1] + (2, shape[-1], 2), dtype=complex).swapaxes(-3, -2)
 
 
-def _contracted(dx, dy, r, p, scalars, e=None):
-    """G p, and with a direction e also (d_e G) p, for polarizations p that
-    broadcast against the offsets, without forming either tensor.
+def _contracted(dx, dy, r, p, h, t, sys: LameSystem, e=None):
+    """G p, and with a direction e also (d_e G) p, from the kernel rows h at t, for
+    polarizations p that broadcast against the offsets, without forming either tensor.
 
     G = (alpha - beta) I + 2 beta d d^T, d_e r = d.e and
     d_e d = (e - (d.e) d) / r give, with H_0' = -H_1 and
@@ -168,7 +168,7 @@ def _contracted(dx, dy, r, p, scalars, e=None):
         G p = (alpha - beta) p + 2 beta (d.p) d,
         (d_e G) p = a p + b (d.p) d + c ((d.p) e + (e.p) d).
     """
-    alpha, beta, *slopes = scalars
+    alpha, beta, *slopes = _radial_scalars(h, t, sys, e is not None)
     ux, uy, px, py = dx / r, dy / r, p[..., 0], p[..., 1]
     dp = ux * px + uy * py
     a, two_b_dp = alpha - beta, 2.0 * beta * dp
@@ -226,7 +226,7 @@ def incident_field(x, srcs, sys: LameSystem, e=None):
     z, p = _sources(srcs, x.ndim)
     dx, dy, r = _separation(x, z)
     t = _arguments(r, sys)
-    return _contracted(dx, dy, r, p, _radial_scalars(specfun.hankel01(t), t, sys, e is not None), e)
+    return _contracted(dx, dy, r, p, specfun.hankel01(t), t, sys, e)
 
 
 def grad_incident_field(x, srcs, sys: LameSystem):

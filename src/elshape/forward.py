@@ -22,10 +22,10 @@ Two independent routes produce scattered fields for a rigid obstacle
   theorem for H_0^(1)), the scattered potentials in the outgoing basis,
   and the rigid condition couples them modewise through 2x2 systems,
   solved in closed form for every mode and source at once.  It shares
-  ``modal``'s per-mode algebra (the table layout of ``_tables``, the basis
-  assembly of ``_basis``, the inverse and the contraction), whose own
-  check is against mpmath, but not its Hankel library: its tables come
-  from AMOS (``specfun.hankel1``/``bessel_j``) and are not normalized.
+  ``modal``'s per-mode algebra (``_tables``, ``_frame`` and ``_invert`` for
+  the solve, ``_fields`` for evaluation), whose own check is against
+  mpmath, but not its Hankel library: it passes AMOS's tables
+  (``specfun.hankel1``/``bessel_j``), which are not normalized.
 
 The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``)
 and keeps inversion tests free of the inverse crime.  Both solutions
@@ -45,7 +45,7 @@ from . import specfun
 from .elastic import LameSystem, PointSource, _sources, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
-from .modal import _basis, _expand, _frame, _invert, _polar, _tables
+from .modal import _fields, _frame, _invert, _polar, _tables
 from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
@@ -114,8 +114,8 @@ def solve_mfs(
     srcs = tuple(sources)
     if not 0.0 < shrink < 1.0:
         raise ConfigError("shrink must lie in (0, 1)")
-    if n_collocation < n_charges:
-        raise ConfigError("need at least as many collocation points as charges")
+    if not 1 <= n_charges <= n_collocation:
+        raise ConfigError("need at least one charge and as many collocation points as charges")
     if np.any(curve.contains(_sources(srcs, 1)[0])):
         raise ConfigError("source point lies inside the obstacle")
 
@@ -230,13 +230,10 @@ class DiskField:
 
     def eval(self, x) -> np.ndarray:
         """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
-        return _expand(self.b_p, self.b_s, x, self._basis)[0]
-
-    def _basis(self, r, theta) -> np.ndarray:
-        """The outgoing basis at the 1-D polar points (r, theta), ``modal._basis``'s layout."""
+        r, theta = _polar(x)
         if np.any(r < self.radius * (1.0 - 1e-12)):
             raise DomainError("disk series evaluated inside the disk")
-        return _basis(_amos(specfun.hankel1), self.n_modes, self.sys, r, theta, False)
+        return _fields(self.b_p, self.b_s, r, theta, _amos(specfun.hankel1), self.sys, False)[0]
 
 
 def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:

@@ -21,14 +21,15 @@ nonzero for every integer n, so the coefficients follow in closed form.
 This per-mode algebra is written once, here: ``_tables`` (alpha, beta,
 and kappa when asked, the only C'' switch, over C_n(kR) given R),
 ``_frame`` (the U_n / V_n amplitudes of a unit coefficient), ``_basis``
-(their Cartesian components times e^{in theta}), ``_expand`` (their
-contraction with the coefficients) and ``_invert`` (the 2x2 inverse, with
-the one determinant guard).  ``_tables`` is its arguments (``_arguments``)
+(their Cartesian components times e^{in theta}), ``_fields`` (the basis
+on a given table at polar points, contracted with the coefficients:
+every outgoing-wave field) and ``_invert`` (the 2x2 inverse, with the
+one determinant guard).  ``_tables`` is its arguments (``_arguments``)
 followed by the tables built on them (``_tables_at``), and ``_basis`` is
 the tables followed by ``_basis_of`` at the ``_angles`` of the points, so
 the Newton iterate can share one kernel pass with the incident field and
 keep the angles for the whole run.  The disk oracle in ``forward`` shares
-them all but the Hankel library (its tables are AMOS's, without R), so
+them all but the Hankel library (it passes AMOS's table, without R), so
 mpmath's per-mode matrix (``tests/oracles.modal_matrix``) is their
 independent check.  The projection of full-circle data (one matrix
 product with the trapezoid weights) and the inverse act on each mode
@@ -82,9 +83,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _arguments(k, r: np.ndarray, R=None):
-    """(t, back): k times the sorted distinct values of the 1-D radii r (a
-    circle has a few), then R as the last column when given, shape
-    np.shape(k) + (columns,), and the index that scatters the columns back to r."""
+    """(t, back): k, one row each ((k_p, k_s) for every caller, as in ``elastic``), times
+    the sorted distinct 1-D radii r (a circle has a few), then R as the last column when
+    given, and the index that scatters the columns back to r."""
     k = np.reshape(k, np.shape(k) + (1,))
     r_uniq, back = np.unique(np.asarray(r, dtype=float), return_inverse=True)
     return k * (r_uniq if R is None else np.append(r_uniq, R)), back
@@ -124,6 +125,11 @@ def _polar(x):
 # data types
 # ---------------------------------------------------------------------------
 
+def _check_reference(R: float, rho: float):
+    if not 0.0 < R < rho:
+        raise ConfigError("reference radius must lie in (0, rho)")
+
+
 def _check_coefficients(N: int, a: np.ndarray, b: np.ndarray):
     if a.shape[-1:] != (2 * N + 1,) or b.shape != a.shape:
         raise ValueError("coefficient arrays must share a shape (..., 2N+1)")
@@ -153,8 +159,7 @@ class ModalField:
     phat_s: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.R < self.rho):
-            raise ValueError("need 0 < R < rho")
+        _check_reference(self.R, self.rho)
         _check_coefficients(self.N, self.phat_p, self.phat_s)
 
 
@@ -225,6 +230,7 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
 
 def solve_modal(rhs: ModalRhs, rho: float, R: float, sys: LameSystem) -> ModalField:
     """Invert the per-mode 2x2 systems in closed form (``_invert``), for every row of rhs."""
+    _check_reference(R, rho)
     N = rhs.N
     alpha, beta = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
     phat_p, phat_s = _invert(np.arange(-N, N + 1), rho, alpha[..., 0], beta[..., 0],
@@ -291,25 +297,23 @@ def _contract(c_p, c_s, basis) -> np.ndarray:
     return out.reshape(coeffs.shape[:-1] + basis.shape[1:])
 
 
-def _expand(c_p, c_s, x, basis_of) -> list:
-    """Fields of the coefficients [c_p, c_s] in each frame of ``basis_of(r, theta)``
-    (``_basis``'s layout at the 1-D polar coordinates of x), each lead + x.shape[:-1]
-    + (2,), from one ``_contract``."""
-    r, theta = _polar(x)
-    shape = c_p.shape[:-1] + r.shape
-    out = _contract(c_p, c_s, basis_of(np.atleast_1d(r).ravel(), np.atleast_1d(theta).ravel()))
-    return [out[..., i, :, :].reshape(shape + (2,)) for i in range(out.shape[-3])]
+def _fields(c_p, c_s, r, theta, table, sys: LameSystem, d_r: bool, R=None) -> list:
+    """[v] or, with ``d_r``, [v, d/dr v] of the coefficients [c_p, c_s] at the
+    polar points (r, theta), each lead + r.shape + (2,): ``_basis`` on ``table``
+    at the flattened points, then one ``_contract``."""
+    N = c_p.shape[-1] // 2
+    out = _contract(c_p, c_s, _basis(table, N, sys, np.ravel(r), np.ravel(theta), d_r, R))
+    shape = c_p.shape[:-1] + np.shape(r) + (2,)
+    return [out[..., i, :, :].reshape(shape) for i in range(out.shape[-3])]
 
 
 def _evaluate(mf: ModalField, x, d_r: bool) -> list:
-    """[v] or, with ``d_r``, [v, d/dr v] at x, each lead + (..., 2) Cartesian;
-    a DomainError unless every |x| > R."""
-    def basis_of(r, theta):
-        if np.any(r <= mf.R):
-            raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
-        return _basis(specfun.hankel1_table, mf.N, mf.sys, r, theta, d_r, mf.R)
-
-    return _expand(mf.phat_p, mf.phat_s, x, basis_of)
+    """``_fields`` of mf at x, each lead + (..., 2) Cartesian; a DomainError
+    unless every |x| > R."""
+    r, theta = _polar(x)
+    if np.any(r <= mf.R):
+        raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
+    return _fields(mf.phat_p, mf.phat_s, r, theta, specfun.hankel1_table, mf.sys, d_r, mf.R)
 
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
@@ -366,8 +370,7 @@ def limited_aperture_fit(rec: ScatterRecord, N: int, reg: float, R: float) -> Mo
             f"underdetermined fit: {2 * m} equations for {n_unknowns} unknowns"
         )
     rho = rec.rho
-    if not 0.0 < R < rho:
-        raise ConfigError("reference radius must lie in (0, rho)")
+    _check_reference(R, rho)
     basis = _basis(specfun.hankel1_table, N, rec.sys, np.full(m, rho), theta, False, R)
     a = basis.reshape(n_unknowns, 2 * m).T
     b = rec.values.reshape(rec.n_sources, 2 * m)

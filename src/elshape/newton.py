@@ -132,9 +132,7 @@ def assemble_system(field: ModalField, grid: Collocation, curve: StarCurve):
     t_mod, back = modal._arguments(k, radii, field.R)
     h_inc, h_mod = specfun.hankel01_joint(t_inc, t_mod)
 
-    u_inc, du_inc = elastic._contracted(
-        dx, dy, r, grid.p, elastic._radial_scalars(h_inc, t_inc, sys, True), grid.xhat
-    )
+    u_inc, du_inc = elastic._contracted(dx, dy, r, grid.p, h_inc, t_inc, sys, grid.xhat)
     tabs = modal._tables_at(partial(specfun.hankel1_table, rows=h_mod), k, field.N, t_mod, back,
                             field.R, kappa=True)
     total = modal._contract(field.phat_p, field.phat_s, modal._basis_of(tabs, radii, grid.angles))

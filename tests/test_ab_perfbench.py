@@ -169,7 +169,9 @@ def test_json_document_holds_pairs_tables_and_env(ab, tmp_path, monkeypatch, cap
     assert ab.main([str(a), str(b), "--workload", "w", "--pairs", "2", "--seed", "3",
                     "--json", str(path)]) == 0
     doc = json.loads(path.read_text())
-    assert (doc["A"], doc["B"], doc["run_seconds"]) == (str(a), str(b), 7)
+    # neither root is a git checkout: each side is labelled by its directory name
+    assert (doc["A"], doc["B"], doc["run_seconds"]) == ("a", "b", 7)
+    assert str(tmp_path) not in path.read_text()
     w = doc["workloads"]["w"]
     assert [(p["seed"], p["order"]) for p in w["pairs"]] == [(3, "AB"), (4, "BA")]
     first = w["pairs"][0]

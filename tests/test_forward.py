@@ -75,6 +75,22 @@ class TestSolveMfs:
         with pytest.raises(ConfigError):
             solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 1.2)
 
+    @pytest.mark.parametrize("n_col, n_chg", [(4, 0), (0, 0), (8, -1)])
+    @pytest.mark.parametrize("route", ["solve_mfs", "simulate"])
+    def test_no_charge_refused_before_the_solve(self, monkeypatch, route, n_col, n_chg):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the collocation system was built")
+
+        monkeypatch.setattr(forward, "green_tensor", unreachable)
+        monkeypatch.setattr(forward, "incident_field", unreachable)
+        srcs = ring_sources(2, 3.0, (1.0, 0.0))
+        with pytest.raises(ConfigError, match="at least one charge"):
+            if route == "solve_mfs":
+                solve_mfs(disk(1.0), srcs, SYS1, n_col, n_chg, shrink=0.7, warn_above=None)
+            else:
+                simulate(disk(1.0), srcs, SYS1, 3.0, 16, n_collocation=n_col, n_charges=n_chg,
+                         shrink=0.7, warn_above=None)
+
 
 MIXED = tuple(
     PointSource((3.0 * np.cos(a), 3.0 * np.sin(a)), pol)
@@ -285,6 +301,12 @@ class TestDiskSeries:
         fld = disk_series(1.0, (SRC,), SYS5, 20)
         with pytest.raises(DomainError):
             fld.eval(np.array([0.5, 0.0]))
+
+    def test_eval_guard_allows_round_off_at_the_rim(self):
+        fld = disk_series(2.0, (SRC,), SYS5, 20)
+        assert np.all(np.isfinite(fld.eval(np.array([2.0 * (1.0 - 5e-13), 0.0]))))
+        with pytest.raises(DomainError):
+            fld.eval(np.array([0.0, 2.0 * (1.0 - 2e-12)]))
 
     def test_truncation_tail_below_1e12(self):
         pts = circle_points(3.0, 64)

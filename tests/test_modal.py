@@ -277,6 +277,13 @@ class TestEvalField:
         with pytest.raises(DomainError):
             eval_field(mf, np.array([0.3, 0.0]))
 
+    @pytest.mark.parametrize("evaluate", [eval_field, eval_radial])
+    def test_guard_refuses_r_and_accepts_just_outside(self, random_field, evaluate):
+        R = random_field.R
+        with pytest.raises(DomainError):
+            evaluate(random_field, np.array([R, 0.0]))
+        assert np.all(np.isfinite(evaluate(random_field, np.array([0.0, R * (1.0 + 1e-12)]))))
+
     def test_disk_data_reproduces_series_on_circle(self):
         rec = record_from_disk_series(1.0, (SRC,), SYS5, RHO, 128)
         mf = solve_modal(modal_rhs(rec, 25), RHO, 0.5, SYS5)
@@ -450,6 +457,19 @@ class TestLimitedApertureFit:
         rec = record_from_disk_series(1.0, (SRC,), SYS5, RHO, 16)
         with pytest.raises(ConfigError):
             limited_aperture_fit(rec, 10, reg=0.0, R=0.5)
+
+
+@pytest.mark.parametrize("aperture", [(0.0, 2.0 * np.pi), (np.pi / 4, 7 * np.pi / 4)])
+@pytest.mark.parametrize("R", [0.0, RHO, 5.0])
+def test_both_routes_refuse_a_bad_reference_radius_before_any_table(monkeypatch, aperture, R):
+    rec = record_from_disk_series(1.0, (SRC,), SYS5, RHO, 64, aperture=aperture)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was built before R was checked")
+
+    monkeypatch.setattr(specfun, "cylinder_tables", unreachable)
+    with pytest.raises(ConfigError, match=r"reference radius must lie in \(0, rho\)"):
+        extract_field(rec, 3, R)
 
 
 @pytest.fixture(scope="module", params=["full", "arc"])

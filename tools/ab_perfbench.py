@@ -26,8 +26,10 @@ Run from anywhere:
 prints one table per workload.
 
 `--json PATH` also writes one JSON document for the invocation: both
-roots and `run_seconds`, and per workload each pair's seed, order, load,
-both sides' metrics, failed counts and `env` (read from the run's
+checkouts' labels (`git describe --always --dirty`, or the directory name
+of a root that is not a git checkout), `run_seconds`, and per workload
+each pair's seed, order, load, both sides' metrics, failed counts and
+`env` (read from the run's
 `perfbench/out/<workload>/result-seed<seed>-trace0.json`, null when that
 file is absent), then per metric the quartiles, wins, losses, gain and
 verdict that the table prints (verdict null where the metric has no bound):
@@ -148,8 +150,8 @@ def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
               f"load {load:.2f}): call_s A {got[0]['call_s']:.5f}  B {got[1]['call_s']:.5f}",
               flush=True)
 
-    print(f"\n{workload}: {pairs} pairs of {seconds:g}-s runs, "
-          f"A = {roots[0]}, B = {roots[1]}; failed operations A {failed[0]}, B {failed[1]}")
+    print(f"\n{workload}: {pairs} pairs of {seconds:g}-s runs; "
+          f"failed operations A {failed[0]}, B {failed[1]}")
     print(f"{'metric':12s} {'A q1':>10s} {'A median':>10s} {'A q3':>10s} "
           f"{'B q1':>10s} {'B median':>10s} {'B q3':>10s}  B wins  B loses  gain  verdict")
     metrics = {}
@@ -162,6 +164,17 @@ def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
               f"{qb[0]:10.5g} {qb[1]:10.5g} {qb[2]:10.5g}  {wins:6d}  {losses:7d}  "
               f"{'yes' if gain else 'no':4s}  {judged or '-'}", flush=True)
     return {"pairs": records, "failed": {"A": failed[0], "B": failed[1]}, "metrics": metrics}
+
+
+def label(root: Path) -> str:
+    """`git describe --always --dirty` of the checkout at `root`, or its
+    directory name when `root` is not a git checkout."""
+    if (root / ".git").exists():
+        proc = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True)
+        if proc.returncode == 0:
+            return proc.stdout.strip()
+    return root.name
 
 
 def main(argv=None) -> int:
@@ -187,6 +200,8 @@ def main(argv=None) -> int:
     if load > LOAD_WARN:
         print(f"warning: load average {load:.2f} > {LOAD_WARN}: the host is busy, "
               "so the runs may not be comparable", file=sys.stderr)
+    labels = [label(root) for root in roots]
+    print(f"A = {labels[0]}, B = {labels[1]}")
     tables = {}
     for i, workload in enumerate(names if args.workload == "all" else [args.workload]):
         if i:
@@ -194,7 +209,7 @@ def main(argv=None) -> int:
         tables[workload] = compare(roots, workload, args.pairs, args.seed, bench["run_seconds"],
                                    better, bounds)
     if args.json is not None:
-        doc = {"A": str(roots[0]), "B": str(roots[1]), "run_seconds": bench["run_seconds"],
+        doc = {"A": labels[0], "B": labels[1], "run_seconds": bench["run_seconds"],
                "workloads": tables}
         args.json.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
