@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import load_config, make_record, make_shape, solve_truth
 from .errors import ConfigError, DomainError, SingularityError, SolveError
-from .forward import ORACLE_TOL, disk_series, oracle_gap
+from .forward import ORACLE_TOL, disk_series, oracle_gap, reciprocity_gap
 from .metrics import curve_hausdorff
 from .newton import reconstruct
 from .records import ScatterRecord
@@ -48,7 +48,8 @@ def cmd_forward(args) -> int:
     rec.save(path)
     print(
         f"MFS residuals over {len(sol.residuals)} sources: "
-        f"max {sol.residual:.3e}, median {np.median(sol.residuals):.3e}"
+        f"max {sol.residual:.3e}, median {np.median(sol.residuals):.3e}; "
+        f"reciprocity gap {reciprocity_gap(sol):.3e}"
     )
     print(f"wrote {path} ({rec.n_sources} sources x {rec.n_receivers} receivers)")
 

@@ -8,8 +8,11 @@ Two independent routes produce scattered fields for a rigid obstacle
   of the boundary, fitted by oversampled least-squares collocation of
   v = -u_inc on the boundary.  Works for any smooth parametric curve.
   A is a view of ``green_tensor``'s array, not a copy (``elastic``
-  lays G out for it, see ``elastic._tensor_array``).  One Householder QR
-  of [A | B] gives A's triangle R and Q^H B, and one blocked
+  lays G out for it, see ``elastic._tensor_array``).  On a curve symmetric
+  about the x-axis (``ParametricCurve.mirrored``) A commutes with the mirror,
+  is evaluated on half the collocation points, and [A | B] splits exactly
+  into an even and an odd block; any other curve is one block.  One stacked
+  Householder QR gives each block's triangle R and Q^H B, and one blocked
   back-substitution on R (64-row diagonal blocks, one product per block
   column for the rows above) gives every source's charges.
   No rank is truncated: the system is ill-conditioned (cond up to ~1e9 at
@@ -107,9 +110,11 @@ def solve_mfs(
     """Fit interior charges so that u_inc + v vanishes on the boundary.
 
     ``sources`` is a sequence of S point sources.  The collocation matrix
-    does not depend on the source, so it is built once and one QR of
-    [A | B] fits every source's right-hand side.  A zero on R's diagonal
-    (an exactly rank-deficient A) is a ``SolveError``.
+    does not depend on the source, so it is built once and one stacked QR
+    of [A | B] fits every source's right-hand side: on a ``mirrored`` curve
+    A is evaluated at the collocation points j <= n/2 and [A | B] is split
+    into an even and an odd block (``_fold_system``), otherwise it is one
+    block.  A zero on a block's R diagonal is a ``SolveError``.
     """
     srcs = tuple(sources)
     if not 0.0 < shrink < 1.0:
@@ -119,25 +124,27 @@ def solve_mfs(
     if np.any(curve.contains(_sources(srcs, 1)[0])):
         raise ConfigError("source point lies inside the obstacle")
 
-    centroid = curve.centroid()
-    t_chg = np.linspace(0.0, 2.0 * np.pi, n_charges, endpoint=False)
-    charges = centroid + shrink * (curve.point(t_chg) - centroid)
-    t_col = np.linspace(0.0, 2.0 * np.pi, n_collocation, endpoint=False)
-    colloc = curve.point(t_col)
-
-    a = _charge_matrix(colloc, charges, sys)
+    mirrored = curve.mirrored
+    centroid = curve.centroid() * (1.0, not mirrored)  # on a mirrored curve's axis
+    charges = centroid + shrink * (_grid(curve, n_charges) - centroid)
+    colloc = _grid(curve, n_collocation)
+    a = _charge_matrix(colloc[: n_collocation // 2 + 1 if mirrored else None], charges, sys)
     # column s is -u_inc of source s on the grid
     b = -incident_field(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
-    # R of [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
-    n = a.shape[1]
-    r = np.linalg.qr(np.hstack([a, b]), mode="r")
-    if not np.all(np.diagonal(r[:n, :n])):
+    stack = _fold_system(a, b, n_collocation, n_charges) if mirrored else np.hstack([a, b])[None]
+    # R of a block [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
+    n = stack.shape[2] - len(srcs)
+    r = np.linalg.qr(stack, mode="r")
+    if not np.all(np.diagonal(r[:, :n, :n], axis1=1, axis2=2)):
         raise SolveError("rank-deficient MFS collocation matrix")
-    coef = _back_substitute(r[:n, :n], r[:n, n:])
-    residuals = np.max(np.abs(a @ coef - b), axis=0)
+    coef = _back_substitute(r[:, :n, :n], r[:, :n, n:])
+    res = stack[..., :n] @ coef - stack[..., n:]
+    if mirrored:
+        coef, res = _unfold(coef, n_charges), _unfold(res, n_collocation)
+    residuals = np.max(np.abs(res), axis=-2).reshape(len(srcs))
     if warn_above is not None and np.any(residuals > warn_above):
         worst = int(np.argmax(residuals))
         warnings.warn(
@@ -151,8 +158,59 @@ def solve_mfs(
     )
 
 
+def _grid(curve: ParametricCurve, n: int) -> np.ndarray:
+    """x(2 pi j / n) for j < n; on a ``mirrored`` curve for j <= n/2 only, with
+    y = 0 at j = 0 (and n/2), and point n - j point j mirrored, exactly."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if not curve.mirrored:
+        return curve.point(t)
+    half = curve.point(t[: n // 2 + 1])
+    half[[0, -1] if n % 2 == 0 else 0, 1] = 0.0
+    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1] * (1.0, -1.0)])
+
+
+def _fold(n: int):
+    """Orthonormal even/odd split of (point, component) vectors v on an n-point
+    mirrored ``_grid``: (v[rep] +- s v[mir]) w over the points j <= n/2 and
+    their mirrors -j mod n, sign s = 1 (x), -1 (y), w = 1/sqrt 2 (1/2 on the
+    axis).  Entries run axis x, pairs, axis y: the parts are [:n] and [-n:]."""
+    j = np.arange(n // 2 + 1)
+    on_axis = j == -j % n
+    point = np.concatenate([j[on_axis], np.repeat(j[~on_axis], 2), j[on_axis]])
+    comp = np.concatenate([0 * j[on_axis], np.tile([0, 1], np.sum(~on_axis)), 0 * j[on_axis] + 1])
+    w = np.where(point == -point % n, 0.5, np.sqrt(0.5))
+    return 2 * point + comp, 2 * (-point % n) + comp, 1.0 - 2.0 * comp, w
+
+
+def _fold_system(a, b, n: int, m: int) -> np.ndarray:
+    """The (2, n, m + S) even and odd blocks of [A | B] for n collocation points
+    and m charges, from A at the points j <= n/2 and all of B: A commutes with
+    the mirror, so a pair's even or odd row is sqrt 2 times its first point's."""
+    (rep, mir, s, w), (c_rep, c_mir, c_s, c_w) = _fold(n), _fold(m)
+    w_a = 2.0 * w[:, None] * c_w
+    x, y = a[rep[:, None], c_rep] * w_a, a[rep[:, None], c_mir] * (w_a * c_s)
+    bx, by = b[rep] * w[:, None], b[mir] * (s * w)[:, None]
+    stack = np.empty((2, n, m + b.shape[1]), dtype=complex)
+    np.add(x[:n, :m], y[:n, :m], out=stack[0, :, :m])
+    np.subtract(x[-n:, -m:], y[-n:, -m:], out=stack[1, :, :m])
+    np.add(bx[:n], by[:n], out=stack[0, :, m:])
+    np.subtract(bx[-n:], by[-n:], out=stack[1, :, m:])
+    return stack
+
+
+def _unfold(x, n: int) -> np.ndarray:
+    """The (2n, ...) vectors whose ``_fold`` even and odd parts are x[0] and x[1]."""
+    rep, mir, s, w = _fold(n)
+    e, o = np.zeros((2, len(rep)) + x.shape[2:], dtype=x.dtype)
+    e[:n], o[-n:] = x
+    full = np.empty((2 * n,) + x.shape[2:], dtype=x.dtype)
+    full[mir] = (e - o) * (0.5 * s / w)[:, None]
+    full[rep] = (e + o) * (0.5 / w)[:, None]
+    return full
+
+
 def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve r x = y for an upper-triangular r with nonzero diagonal.
+    """Solve r x = y for an upper-triangular r, or a stack of them, with nonzero diagonal.
 
     numpy has no triangular solver, so the diagonal blocks of
     BACK_SUB_BLOCK rows are solved bottom-up with ``np.linalg.solve``: on
@@ -163,9 +221,10 @@ def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x = np.array(y, dtype=np.result_type(r, y))
     b = BACK_SUB_BLOCK
-    for lo in range((r.shape[0] - 1) // b * b, -1, -b):
-        x[lo : lo + b] = np.linalg.solve(r[lo : lo + b, lo : lo + b], x[lo : lo + b])
-        x[:lo] -= r[:lo, lo : lo + b] @ x[lo : lo + b]
+    for lo in range((r.shape[-1] - 1) // b * b, -1, -b):
+        hi = lo + b
+        x[..., lo:hi, :] = np.linalg.solve(r[..., lo:hi, lo:hi], x[..., lo:hi, :])
+        x[..., :lo, :] -= r[..., :lo, lo:hi] @ x[..., lo:hi, :]
     return x
 
 
@@ -174,6 +233,15 @@ def boundary_residual(sol: MfsSolution, curve: ParametricCurve, n: int) -> float
     sources (quality probe)."""
     pts = curve.sample(n)
     return float(np.max(np.abs(sol.eval(pts) + incident_field(pts, sol.sources, sol.sys))))
+
+
+def reciprocity_gap(field) -> float:
+    """||P - P^T||_F / ||P||_F (0 if P = 0), P_ij = p_i . v_j(z_i), of a solved
+    field (``MfsSolution`` or ``DiskField``): the scattered Green tensor is
+    reciprocal, so P is symmetric whatever the shape, a check without oracle."""
+    z, p = _sources(field.sources, 1)
+    P = np.sum(field.eval(z) * p, axis=-1)
+    return float(np.linalg.norm(P - P.T) / max(np.linalg.norm(P), np.finfo(float).tiny))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +291,6 @@ class DiskField:
     b_p: np.ndarray   # (S, 2M+1) outgoing-basis coefficients, orders -M..M
     b_s: np.ndarray
     sources: tuple    # the S point sources, in row order
-
-    @property
-    def n_modes(self) -> int:
-        return (self.b_p.shape[-1] - 1) // 2
 
     def eval(self, x) -> np.ndarray:
         """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""

@@ -38,6 +38,11 @@ class ParametricCurve:
         object.__setattr__(self, "cos", cos)
         object.__setattr__(self, "sin", sin)
 
+    @property
+    def mirrored(self) -> bool:
+        """x(-t) = (x_1(t), -x_2(t)): no cos term in x_2, no sin term in x_1."""
+        return not (np.any(self.cos[:, 1]) or np.any(self.sin[:, 0]))
+
     def point(self, t) -> np.ndarray:
         jt = np.asarray(t, dtype=float)[..., None] * np.arange(self.cos.shape[0])
         return np.cos(jt) @ self.cos + np.sin(jt) @ self.sin

@@ -307,10 +307,9 @@ def _fields(c_p, c_s, r, theta, table, sys: LameSystem, d_r: bool, R=None) -> li
     return [out[..., i, :, :].reshape(shape) for i in range(out.shape[-3])]
 
 
-def _evaluate(mf: ModalField, x, d_r: bool) -> list:
-    """``_fields`` of mf at x, each lead + (..., 2) Cartesian; a DomainError
-    unless every |x| > R."""
-    r, theta = _polar(x)
+def _evaluate(mf: ModalField, r, theta, d_r: bool) -> list:
+    """``_fields`` of mf at the polar points (r, theta), each lead + r.shape
+    + (2,) Cartesian; a DomainError unless every r > R."""
     if np.any(r <= mf.R):
         raise DomainError(f"evaluation requires |x| > R = {mf.R:g}")
     return _fields(mf.phat_p, mf.phat_s, r, theta, specfun.hankel1_table, mf.sys, d_r, mf.R)
@@ -318,25 +317,26 @@ def _evaluate(mf: ModalField, x, d_r: bool) -> list:
 
 def eval_field(mf: ModalField, x) -> np.ndarray:
     """Truncated scattered field at x (shape (..., 2)), |x| > R: lead + (..., 2)."""
-    return _evaluate(mf, x, False)[0]
+    return _evaluate(mf, *_polar(x), False)[0]
 
 
 def eval_radial(mf: ModalField, x):
     """(v, d/dr v) at x from one set of Hankel tables, as Cartesian vectors."""
-    return tuple(_evaluate(mf, x, True))
+    return tuple(_evaluate(mf, *_polar(x), True))
 
 
 def eval_gradient(mf: ModalField, x) -> np.ndarray:
     """Cartesian Jacobian, entry (i, j) = d v_i / d x_j, shape lead + (..., 2, 2).
 
-    d/dtheta v = v[in c] + J v with J (x, y) = (-y, x), so one eval_radial of
-    the rows (c, in c) yields v, d/dr v and d/dtheta v.
+    d/dtheta v = v[in c] + J v with J (x, y) = (-y, x), so one ``_evaluate``
+    with d/dr of the rows (c, in c), at x's one polar form, yields v, d/dr v
+    and d/dtheta v.
     """
     r, theta = _polar(x)
     i_n = 1j * np.arange(-mf.N, mf.N + 1)
     both = replace(mf, phat_p=np.stack([mf.phat_p, i_n * mf.phat_p]),
                    phat_s=np.stack([mf.phat_s, i_n * mf.phat_s]))
-    (v, v_in), (d_r, _) = eval_radial(both, x)
+    (v, v_in), (d_r, _) = _evaluate(both, r, theta, True)
     d_t = v_in + np.stack([-v[..., 1], v[..., 0]], axis=-1)
     ct = np.cos(theta)[..., None]
     st = np.sin(theta)[..., None]

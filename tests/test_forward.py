@@ -20,7 +20,7 @@ from elshape.forward import (
     simulate,
     solve_mfs,
 )
-from elshape.geometry import disk, kite, starfish
+from elshape.geometry import ParametricCurve, StarCurve, disk, kite, starfish
 from elshape.modal import ModalField, _tables, eval_field
 from elshape.records import ScatterRecord
 
@@ -28,6 +28,15 @@ SYS5 = LameSystem(1.0, 1.0, 5.0)
 SYS1 = LameSystem(1.0, 1.0, 1.0)
 POL = (np.sqrt(0.5), np.sqrt(0.5))
 SRC = PointSource((3.0, 0.0), POL)
+
+
+#: rotation by 0.3 rad: no shipped curve is symmetric about the turned x-axis
+TURN = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
+def turned(curve):
+    """The curve rotated by TURN about the origin."""
+    return ParametricCurve(curve.cos @ TURN.T, curve.sin @ TURN.T, curve.name)
 
 
 def circle_points(rho, n):
@@ -223,31 +232,100 @@ class TestQrSolve:
         # the matrix is green_tensor's own array, not a rearranged copy
         assert a.flags.c_contiguous and np.shares_memory(a, made[0])
 
-    @pytest.mark.parametrize("zeroed", [slice(None), slice(5, 6)], ids=["all", "one_column"])
-    def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed):
+    @pytest.mark.parametrize("zeroed, mirror_zeroed", [(slice(None), slice(None)), ([5], [5, 61])],
+                             ids=["all", "one_column"])
+    def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed, mirror_zeroed):
+        # on both layouts: the turned disk is one block of the full matrix;
+        # the disk's mirrored layout folds column 5 (charge 2, y) with its
+        # mirror's column 61 (charge 30, y), so one column there is both
         charge_matrix = forward._charge_matrix
+        for curve, cols in ((turned(disk(1.0)), zeroed), (disk(1.0), mirror_zeroed)):
 
-        def deficient(x, charges, sys):
-            a = charge_matrix(x, charges, sys)
-            a[:, zeroed] = 0.0
-            return a
+            def deficient(x, charges, sys):
+                a = charge_matrix(x, charges, sys)
+                a[:, cols] = 0.0
+                return a
 
-        monkeypatch.setattr(forward, "_charge_matrix", deficient)
-        with pytest.raises(SolveError, match="rank-deficient"):
-            solve_mfs(disk(1.0), (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
+            monkeypatch.setattr(forward, "_charge_matrix", deficient)
+            with pytest.raises(SolveError, match="rank-deficient"):
+                solve_mfs(curve, (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
 
 
-def reciprocity_gap(name, sys):
-    """||P - P^T||_F / ||P||_F for P_ij = p . v_j(z_i), the scattered field of
-    source j at source i: the scattered Green tensor is reciprocal, so P is
-    symmetric whatever the shape (the check needs no oracle)."""
+class TestMirroredSolve:
+    """A curve symmetric about the x-axis is solved as an even and an odd
+    block; any other curve as one block of the full matrix."""
+
+    @pytest.mark.parametrize("curve, mirrored", [
+        (disk(1.0), True),
+        (starfish(), True),
+        (kite(), True),
+        (StarCurve([1.0, 0.2, 0.1, 0.0, 0.0]).as_curve(), True),
+        (StarCurve([1.0, 0.2, 0.1, 0.15, 0.0]).as_curve(), False),
+        (turned(kite()), False),
+    ], ids=["disk", "starfish", "kite", "cosine-star", "sine-star", "turned-kite"])
+    def test_mirrored_truth_table(self, curve, mirrored):
+        assert curve.mirrored is mirrored
+
+    @pytest.mark.parametrize("curve, rows, blocks", [
+        (kite(), 65, (2, 129, 63 + 3)),
+        (turned(kite()), 129, (1, 258, 126 + 3)),
+    ], ids=["mirrored", "turned"])
+    def test_stack_layout(self, monkeypatch, curve, rows, blocks):
+        seen = {}
+        charge_matrix, qr = forward._charge_matrix, np.linalg.qr
+
+        def rows_seen(x, *args):
+            seen["rows"] = len(x)
+            return charge_matrix(x, *args)
+
+        def stack_seen(a, **kwargs):
+            seen["stack"] = a.shape
+            return qr(a, **kwargs)
+
+        monkeypatch.setattr(forward, "_charge_matrix", rows_seen)
+        monkeypatch.setattr(forward.np.linalg, "qr", stack_seen)
+        sol = solve_mfs(curve, ring_sources(3, 3.0, POL), SYS5, 129, 63, 0.9, warn_above=None)
+        assert seen == {"rows": rows, "stack": blocks}
+        if curve.mirrored:
+            # the grids are their own mirror images, point -j mod n of point j
+            j = np.arange(63)
+            assert np.array_equal(sol.charges[-j % 63], sol.charges * (1.0, -1.0))
+
+    @pytest.mark.parametrize("n_col, n_chg", [(129, 63), (128, 63), (129, 64)])
+    def test_odd_counts_match_svd_reference(self, n_col, n_chg):
+        srcs = ring_sources(5, 3.0, POL)
+        sol = solve_mfs(kite(), srcs, SYS5, n_col, n_chg, 0.9, warn_above=None)
+        strengths, residuals = lstsq_reference(kite(), srcs, SYS5, n_col, n_chg, 0.9)
+        ref = forward.MfsSolution(sol.charges, strengths, residuals, SYS5, srcs)
+        pts = disk(3.0).point(receiver_angles(128))
+        assert rel_max(sol.eval(pts), ref.eval(pts)) <= 1e-9
+        assert np.allclose(sol.residuals, residuals, rtol=1e-6, atol=0.0)
+
+    def test_residuals_are_those_of_the_full_grid(self):
+        srcs = ring_sources(4, 3.0, POL)
+        sol = solve_mfs(starfish(), srcs, SYS5, 101, 50, 0.85, warn_above=None)
+        colloc = forward._grid(starfish(), 101)
+        a = forward._charge_matrix(colloc, sol.charges, SYS5)
+        misfit = a @ sol.strengths.reshape(4, -1).T
+        misfit += incident_field(colloc, srcs, SYS5).reshape(4, -1).T
+        assert np.allclose(sol.residuals, np.max(np.abs(misfit), axis=0), rtol=1e-6, atol=0.0)
+
+    def test_turned_kite_fields_turn(self):
+        # the turned kite takes the one-block path, the kite the mirrored one
+        srcs = ring_sources(20, 3.0, POL)
+        srcs_t = tuple(PointSource(TURN @ s.xy, TURN @ np.array(s.polarization)) for s in srcs)
+        sol = solve_mfs(kite(), srcs, SYS5, *_MFS_BY_SHAPE["kite"], warn_above=None)
+        sol_t = solve_mfs(turned(kite()), srcs_t, SYS5, *_MFS_BY_SHAPE["kite"], warn_above=None)
+        pts = disk(3.0).point(receiver_angles(128))
+        # measured 9.7e-11
+        assert rel_max(sol_t.eval(pts @ TURN.T), sol.eval(pts) @ TURN.T) <= 1e-9
+
+
+def solved(name, sys):
+    """The MFS solution of 20 ring sources on a shipped shape and layout."""
     curve = {"disk": disk(1.0), "starfish": starfish(), "kite": kite()}[name]
     srcs = ring_sources(20, 3.0, elastic.POLARIZATION)
-    sol = solve_mfs(curve, srcs, sys, *_MFS_BY_SHAPE[name], warn_above=None)
-    z = np.array([src.location for src in srcs])
-    p = np.array(elastic.POLARIZATION)
-    P = sol.eval(z) @ p
-    return np.linalg.norm(P - P.T) / np.linalg.norm(P)
+    return solve_mfs(curve, srcs, sys, *_MFS_BY_SHAPE[name], warn_above=None)
 
 
 class TestMfsReciprocity:
@@ -255,13 +333,20 @@ class TestMfsReciprocity:
     check of forward data for shapes that have no series oracle."""
 
     @pytest.mark.parametrize("name, sys, bound", [
-        ("disk", SYS1, 1e-12),      # measured 9.5e-16
+        ("disk", SYS1, 1e-12),      # measured 1.0e-15
         ("disk", SYS5, 1e-12),      # measured 2.7e-14
         ("starfish", SYS5, 1e-5),   # measured 1.51e-6
         ("kite", SYS5, 2e-4),       # measured 3.91e-5
     ], ids=["disk-1", "disk-5", "starfish-5", "kite-5"])
     def test_source_to_source_matrix_is_symmetric(self, name, sys, bound):
-        assert reciprocity_gap(name, sys) <= bound
+        assert forward.reciprocity_gap(solved(name, sys)) <= bound
+
+    def test_series_field_and_zero_field(self):
+        srcs = ring_sources(20, 3.0, elastic.POLARIZATION)
+        # the series field's gap reads 5.3e-16
+        assert forward.reciprocity_gap(disk_series(1.0, srcs, SYS5, 40)) <= 1e-12
+        silent = ring_sources(3, 3.0, (0.0, 0.0))
+        assert forward.reciprocity_gap(solve_mfs(disk(1.0), silent, SYS5, 64, 32, 0.7)) == 0.0
 
     @pytest.mark.parametrize("name", ["starfish", "kite"])
     def test_turned_polarization_breaks_symmetry(self, monkeypatch, name):
@@ -274,7 +359,8 @@ class TestMfsReciprocity:
             return incident(x, srcs, sys, *args)
 
         monkeypatch.setattr(forward, "incident_field", turned)
-        assert reciprocity_gap(name, SYS5) >= 0.5  # measured 1.44 starfish, 1.24 kite
+        # measured 1.44 starfish, 1.24 kite
+        assert forward.reciprocity_gap(solved(name, SYS5)) >= 0.5
 
 
 class TestDiskSeries:
@@ -395,7 +481,7 @@ class TestBatchedDiskSeries:
     def test_one_source_keeps_source_axis(self):
         fld = disk_series(1.0, (SRC,), SYS5, 20)
         assert fld.b_p.shape == fld.b_s.shape == (1, 41)
-        assert fld.n_modes == 20
+        assert fld.b_p.shape[-1] == 41
         assert fld.eval(circle_points(3.0, 5)).shape == (1, 5, 2)
         assert fld.eval(np.array([3.0, 1.0])).shape == (1, 2)
         assert fld.eval(np.ones((2, 3, 2))).shape == (1, 2, 3, 2)
