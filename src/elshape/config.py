@@ -18,7 +18,7 @@ of three input rules and reports their refusals under its keys:
 (``truncation``).  It checks the rest itself: every float finite, a
 nonzero polarization, at least one source, a nonnegative seed, rho >
 guess radius > R > 0, delta in [0,1) (``delta_error``, which also checks
-the sweep's deltas), epsilon > 0, degree >= 1,
+the sweep's deltas, by the truncation rule too), epsilon > 0, degree >= 1,
 r_policy.value and stop.c1 >= 0 (0 selects the auto R and the
 relative-update stop), and a measurement circle that clears the truth.
 """
@@ -78,8 +78,14 @@ _MFS_BY_SHAPE = {
 }
 
 
-def delta_error(delta) -> str:
-    """Why ``delta`` is not a noise level in [0, 1); "" if it is."""
+def delta_error(delta, mode: str = "fixed", tau2: float = 0.0) -> str:
+    """Why ``delta`` is not a noise level in [0, 1) or, under a truncation
+    ``mode`` other than fixed, why ``choose_truncation`` refuses it; "" if neither."""
+    try:
+        if mode != "fixed" and 0.0 <= delta < 1.0:
+            choose_truncation(delta, mode, tau2)
+    except ValueError as exc:
+        return f"truncation: {exc}"
     return "" if 0.0 <= delta < 1.0 else "delta: must lie in [0, 1)"
 
 

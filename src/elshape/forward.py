@@ -30,13 +30,15 @@ Two independent routes produce scattered fields for a rigid obstacle
   mpmath, but not its Hankel library: it passes AMOS's tables
   (``specfun.hankel1``/``bessel_j``), which are not normalized.
 
-The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``)
-and keeps inversion tests free of the inverse crime.  Both solutions
-carry the sources they were solved for, and ``measure`` samples either
-one on the receiver arc into a ScatterRecord; ``simulate`` is one MFS
-solve for all sources plus ``measure``.  ``add_noise`` applies the
-multiplicative noise v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1)
-per component; ``noise_perturbation`` draws the added term alone.
+The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``) and
+keeps inversion tests free of the inverse crime.  Both solutions carry the
+sources they were solved for, and ``measure`` samples either one on the
+receiver arc into a ScatterRecord; on the full circle the receivers are
+exactly mirror-closed, so an MFS field with mirror-closed charges is
+evaluated on half of them (no tolerance).  ``simulate`` is one MFS solve for
+all sources plus ``measure``.  ``add_noise`` applies the multiplicative
+noise v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1) per component;
+``noise_perturbation`` draws the added term alone.
 """
 
 import warnings
@@ -83,11 +85,22 @@ class MfsSolution:
         return float(np.max(self.residuals, initial=0.0))
 
     def eval(self, x) -> np.ndarray:
-        """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
+        """Scattered displacement at x (shape (..., 2)): (S,) + x.shape.
+
+        If the points and the charges are both ``_mirror_closed`` (else G is full),
+        G is built on the points j <= M/2 only: G(R x, y_k) = R G(x, R y_k) R with
+        R = diag(1, -1), so one product with the 2S rows [c ; R c_sigma], sigma the
+        charge mirror k -> -k mod m, gives point j's field and R times point M - j's."""
         x = np.asarray(x, dtype=float)
-        g = _charge_matrix(x.reshape(-1, 2), self.charges, self.sys)
-        coef = self.strengths.reshape(-1, g.shape[1])
-        return (coef @ g.T).reshape(self.strengths.shape[:1] + x.shape)
+        pts, c, m = x.reshape(-1, 2), self.strengths, len(self.charges)
+        n, mirrored = len(pts), _mirror_closed(pts) and _mirror_closed(self.charges)
+        g = _charge_matrix(pts[: n // 2 + 1 if mirrored else None], self.charges, self.sys)
+        if not mirrored:
+            return (c.reshape(-1, g.shape[1]) @ g.T).reshape(c.shape[:1] + x.shape)
+        coef = np.concatenate([c, c[:, -np.arange(m) % m] * (1.0, -1.0)]).reshape(-1, 2 * m)
+        half = (coef @ g.T).reshape(2, len(c), g.shape[0] // 2, 2)
+        mirror = half[1, :, (n - 1) // 2 : 0 : -1] * (1.0, -1.0)
+        return np.concatenate([half[0], mirror], axis=1).reshape(c.shape[:1] + x.shape)
 
 
 def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
@@ -167,6 +180,11 @@ def _grid(curve: ParametricCurve, n: int) -> np.ndarray:
     half = curve.point(t[: n // 2 + 1])
     half[[0, -1] if n % 2 == 0 else 0, 1] = 0.0
     return np.concatenate([half, half[(n - 1) // 2 : 0 : -1] * (1.0, -1.0)])
+
+
+def _mirror_closed(p) -> bool:
+    """Point -j mod n of the (n, 2) points p is point j mirrored, exactly (``_grid``)."""
+    return bool(np.array_equal(p[-np.arange(len(p)) % max(len(p), 1)], p * (1.0, -1.0)))
 
 
 def _fold(n: int):
@@ -349,13 +367,14 @@ def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
 
 
 def measure(field, rho: float, n_receivers: int, aperture=FULL_APERTURE) -> ScatterRecord:
-    """Sample a solved field (``MfsSolution`` or ``DiskField``) on the
-    receiver arc of radius ``rho``: one record of all its sources."""
+    """Sample a solved field (``MfsSolution`` or ``DiskField``) on the receiver arc
+    of radius ``rho``: one record of all its sources.  On exactly FULL_APERTURE the
+    receivers are the mirror-closed ``_grid(disk(rho), M)``, the angles ``receiver_angles``."""
     theta = receiver_angles(n_receivers, aperture)
-    return ScatterRecord(
-        rho=rho, sys=field.sys, sources=field.sources, receivers=theta,
-        values=field.eval(disk(rho).point(theta)), aperture=tuple(aperture),
-    )
+    full = n_receivers > 0 and tuple(aperture) == FULL_APERTURE
+    x = _grid(disk(rho), n_receivers) if full else disk(rho).point(theta)
+    return ScatterRecord(rho=rho, sys=field.sys, sources=field.sources, receivers=theta,
+                         values=field.eval(x), aperture=tuple(aperture))
 
 
 def simulate(

@@ -64,14 +64,17 @@ class ParametricCurve:
         return float(np.max(np.linalg.norm(self.sample(512), axis=-1)))
 
     def contains(self, x):
-        """Winding-number test of points x, shape (..., 2), against the
-        720-point polygon, sampled once: a bool array of shape x.shape[:-1],
-        a bool for one point."""
-        rel = self.sample(720) - np.asarray(x, dtype=float)[..., None, :]
+        """Winding-number test of points x, shape (..., 2), against the 720-point polygon,
+        sampled once, skipped for points beyond its farthest vertex's radius (outside):
+        a bool array of shape x.shape[:-1], a bool for one point."""
+        poly, x = self.sample(720), np.asarray(x, dtype=float)
+        near = np.linalg.norm(x, axis=-1) <= np.max(np.linalg.norm(poly, axis=-1))
+        rel = poly - x[near][:, None, :]
         ang = np.arctan2(rel[..., 1], rel[..., 0])
         dang = np.diff(ang, axis=-1, append=ang[..., :1])
         dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-        inside = np.abs(dang.sum(axis=-1)) > np.pi
+        inside = np.zeros(x.shape[:-1], dtype=bool)
+        inside[near] = np.abs(dang.sum(axis=-1)) > np.pi
         return bool(inside) if inside.ndim == 0 else inside
 
 

@@ -3,14 +3,14 @@
 A sweep file is an ordinary experiment config plus three list-valued keys:
 
     sweep.apertures = 0:6.283185307179586; 0.785398:5.497787
-    sweep.deltas = 0, 0.01, 0.05
+    sweep.deltas = 0.01, 0.05, 0.1
     sweep.seeds = 1, 2, 3, 4, 5
 
 Errors follow the config grammar (line numbers, a repeated key refused);
 a malformed, non-finite, repeated or negative list entry, and an aperture
 or delta that the owner of its rule refuses (``records.aperture_error``,
-``config.delta_error``), is a ConfigError naming its key, raised when the
-file is parsed.
+``config.delta_error``, by ``choose_truncation`` unless the truncation is
+fixed), is a ConfigError naming its key, raised when the file is parsed.
 Without its three lists the file must be a valid, solvable experiment:
 neither the aperture nor the noise changes the truth's MFS solution, so
 the sweep solves it once, before any cell, and an invalid or unsolvable
@@ -97,11 +97,13 @@ def _interval(pair: str) -> tuple:
 def parse_sweep_text(text: str) -> SweepSpec:
     """The config grammar plus the three sweep.* lists; each aperture and
     delta is checked by the owner of its rule (``aperture_error``,
-    ``delta_error``) before any cell runs."""
+    ``delta_error`` under the base's truncation rule) before any cell runs."""
     base = parse_config_text(text, SWEEP_SCHEMA)
     apertures = _entries("sweep.apertures", base.pop("sweep.apertures", ""), ";", _interval,
                          aperture_error)
-    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", _finite, delta_error)
+    rule = [base.get(k, CONFIG_SCHEMA[k][1]) for k in ("truncation.mode", "truncation.tau2")]
+    deltas = _entries("sweep.deltas", base.pop("sweep.deltas", ""), ",", _finite,
+                      lambda delta: delta_error(delta, *rule))
     seeds = _entries("sweep.seeds", base.pop("sweep.seeds", ""), ",", int)
     if any(seed < 0 for seed in seeds):
         raise ConfigError("sweep.seeds: must be >= 0")

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -187,3 +189,25 @@ def test_json_document_holds_pairs_tables_and_env(ab, tmp_path, monkeypatch, cap
     rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
             if line.split()[:1] in (["call_s"], ["steps"])}
     assert rows["call_s"][-4:] == ["2", "0", "yes", "ok"] and rows["steps"][-1] == "-"
+
+
+def test_dirty_label_names_the_diff(ab, tmp_path):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "f.py").write_text("x = 1\n")
+    subprocess.run(git + ["add", "f.py"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    head = subprocess.run(git + ["describe", "--always"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert ab.label(tmp_path) == head
+    labels = []
+    for edit in ("x = 2\n", "x = 3\n"):
+        (tmp_path / "f.py").write_text(edit)
+        labels.append(ab.label(tmp_path))
+    assert labels[0] != labels[1]
+    assert all(re.fullmatch(re.escape(head) + r"-dirty-[0-9a-f]{12}", name) for name in labels)
+    # the same edit gives the same label; undoing it gives the plain describe
+    (tmp_path / "f.py").write_text("x = 2\n")
+    assert ab.label(tmp_path) == labels[0]
+    (tmp_path / "f.py").write_text("x = 1\n")
+    assert ab.label(tmp_path) == head

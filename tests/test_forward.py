@@ -22,7 +22,7 @@ from elshape.forward import (
 )
 from elshape.geometry import ParametricCurve, StarCurve, disk, kite, starfish
 from elshape.modal import ModalField, _tables, eval_field
-from elshape.records import ScatterRecord
+from elshape.records import FULL_APERTURE, ScatterRecord
 
 SYS5 = LameSystem(1.0, 1.0, 5.0)
 SYS1 = LameSystem(1.0, 1.0, 1.0)
@@ -361,6 +361,81 @@ class TestMfsReciprocity:
         monkeypatch.setattr(forward, "incident_field", turned)
         # measured 1.44 starfish, 1.24 kite
         assert forward.reciprocity_gap(solved(name, SYS5)) >= 0.5
+
+
+def plain_eval(sol, pts):
+    """The field at (n, 2) points pts by the full charge matrix, one product."""
+    g = forward._charge_matrix(pts, sol.charges, sol.sys)
+    return (sol.strengths.reshape(len(sol.strengths), -1) @ g.T).reshape(-1, len(pts), 2)
+
+
+class TestMirroredReceivers:
+    """A full-aperture record samples mirror-closed receivers, and a field of
+    mirror-closed charges is evaluated on half of them."""
+
+    @pytest.mark.parametrize("n", [128, 127])
+    def test_full_aperture_layout_is_mirror_closed(self, n):
+        seen = []
+
+        class Probe:
+            sys, sources = SYS5, (SRC,)
+
+            def eval(self, x):
+                seen.append(x)
+                return np.zeros((1,) + x.shape, dtype=complex)
+
+        rec = forward.measure(Probe(), 3.0, n)
+        x = seen[0]
+        j = np.arange(n)
+        assert np.array_equal(x[-j % n], x * (1.0, -1.0)) and forward._mirror_closed(x)
+        assert x[0, 1] == 0.0 and (n % 2 or x[n // 2, 1] == 0.0)
+        assert np.array_equal(rec.receivers, receiver_angles(n))
+        assert np.max(np.abs(x - disk(3.0).point(rec.receivers))) <= 1e-14
+        # a limited aperture samples its angles' points as they are
+        forward.measure(Probe(), 3.0, n, (0.5, 4.0))
+        assert np.array_equal(seen[1], disk(3.0).point(receiver_angles(n, (0.5, 4.0))))
+        assert forward.measure(Probe(), 3.0, 0).values.shape == (1, 0, 2)
+
+    @pytest.mark.parametrize("name, bound", [
+        ("disk", 1e-12),      # measured 1.2e-14
+        ("starfish", 1e-9),   # measured 1.8e-13
+        ("kite", 1e-9),       # measured 2.7e-12
+    ])
+    @pytest.mark.parametrize("n", [128, 127])
+    def test_half_path_matches_the_full_matrix(self, monkeypatch, name, bound, n):
+        sol = solved(name, SYS5)
+        pts = forward._grid(disk(3.0), n)
+        rows, charge_matrix = [], forward._charge_matrix
+
+        def rows_seen(x, *args):
+            rows.append(len(x))
+            return charge_matrix(x, *args)
+
+        monkeypatch.setattr(forward, "_charge_matrix", rows_seen)
+        half = sol.eval(pts)
+        assert rows == [n // 2 + 1]
+        assert half.shape == (20, n, 2)
+        assert rel_max(half, plain_eval(sol, pts)) <= bound
+
+    def test_other_inputs_take_the_full_matrix_bit_for_bit(self):
+        srcs = ring_sources(20, 3.0, elastic.POLARIZATION)
+        layout = _MFS_BY_SHAPE["kite"]
+        # a limited aperture: its receivers are not mirror-closed
+        arc = simulate(kite(), srcs, SYS5, 3.0, 128, (0.0, np.pi), *layout, warn_above=None)
+        arc_pts = disk(3.0).point(arc.receivers)
+        assert np.array_equal(arc.values, plain_eval(solved("kite", SYS5), arc_pts))
+        # the turned kite's one-block solve: its charges are not mirror-closed
+        rec = simulate(turned(kite()), srcs, SYS5, 3.0, 128, FULL_APERTURE, *layout,
+                       warn_above=None)
+        sol = solve_mfs(turned(kite()), srcs, SYS5, *layout, warn_above=None)
+        assert not forward._mirror_closed(sol.charges)
+        assert np.array_equal(rec.values, plain_eval(sol, forward._grid(disk(3.0), 128)))
+
+    def test_one_point_on_the_axis(self):
+        sol = solved("disk", SYS5)
+        x = np.array([3.0, 0.0])
+        assert sol.eval(x).shape == (20, 2)
+        assert rel_max(sol.eval(x), plain_eval(sol, x[None])[:, 0]) <= 1e-12
 
 
 class TestDiskSeries:

@@ -61,6 +61,35 @@ def test_contains_batch_equals_point_calls(make):
     assert curve.contains(np.empty((0, 2))).shape == (0,)
 
 
+def winding_contains(curve, x):
+    """The plain winding-number test of every point against the 720-point polygon."""
+    rel = curve.sample(720) - np.asarray(x, dtype=float)[..., None, :]
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    dang = np.diff(ang, axis=-1, append=ang[..., :1])
+    return np.abs(((dang + np.pi) % (2.0 * np.pi) - np.pi).sum(axis=-1)) > np.pi
+
+
+TURN = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+@pytest.mark.parametrize("curve", [
+    kite(), starfish(), disk(1.0), ParametricCurve(kite().cos @ TURN.T, kite().sin @ TURN.T),
+], ids=["kite", "starfish", "disk", "turned-kite"])
+def test_contains_equals_the_plain_winding_test(curve):
+    # radii up to and just past the polygon's bounding circle, where the
+    # winding sum is skipped; the circle holds points outside the curve too
+    bound = np.max(np.linalg.norm(curve.sample(720), axis=-1))
+    radius = np.concatenate([np.linspace(0.0, 1.2, 25) * bound,
+                             bound * (1.0 + np.array([-1e-12, 0.0, 1e-12, 1e-6]))])
+    angle = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
+    pts = radius[:, None, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    got, want = curve.contains(pts), winding_contains(curve, pts)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    inside_circle = np.linalg.norm(pts, axis=-1) <= bound
+    assert np.any(inside_circle & ~want) and np.any(want)
+    assert not np.any(got[np.linalg.norm(pts, axis=-1) > bound])
+
+
 def test_kite_known_points():
     k = kite()
     assert np.allclose(k.point(0.0), [1.0, 0.0])

@@ -464,7 +464,8 @@ class TestBoundaryError:
 class TestSweep:
     def test_parse_lists(self):
         spec = parse_sweep_text(
-            "shape = disk\nsweep.apertures = 0:6.283185307179586; 1.0:4.0\n"
+            "shape = disk\ntruncation.mode = fixed\n"
+            "sweep.apertures = 0:6.283185307179586; 1.0:4.0\n"
             "sweep.deltas = 0, 0.05\nsweep.seeds = 1, 2, 3\n"
         )
         assert spec.apertures == ((0.0, 6.283185307179586), (1.0, 4.0))
@@ -484,7 +485,7 @@ class TestSweep:
     ])
     def test_bad_list_entry_names_its_key(self, line, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            parse_sweep_text(f"shape = disk\n{line}\n")
+            parse_sweep_text(f"shape = disk\ntruncation.mode = fixed\n{line}\n")
 
     @pytest.mark.parametrize("line,message", [
         ("sweep.deltas = -0.1, 2", "sweep.deltas: entry '-0.1': delta: must lie in [0, 1)"),
@@ -507,6 +508,24 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert solved == [] and not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("rule, deltas, message", [
+        ("", "0.05, 0", "entry '0': truncation: delta must lie in (0, 1)"),
+        ("truncation.mode = practical", "0.05, 0",
+         "entry '0': truncation: delta must lie in (0, 1)"),
+        ("truncation.mode = theoretical\ntruncation.tau2 = 1.5", "0.05, 0",
+         "entry '0': truncation: delta must lie in (0, 1)"),
+        ("truncation.mode = theoretical", "0.05",
+         "entry '0.05': truncation: theoretical rule needs tau2 > 1"),
+    ], ids=["default", "practical", "theoretical", "theoretical-no-tau2"])
+    def test_delta_refused_by_the_truncation_rule(self, rule, deltas, message):
+        # refused at parse time, not by each cell of the sweep
+        with pytest.raises(ConfigError, match=re.escape(f"sweep.deltas: {message}")):
+            parse_sweep_text(f"shape = disk\n{rule}\nsweep.deltas = {deltas}\n")
+
+    def test_delta_zero_accepted_under_fixed_truncation(self):
+        text = "shape = disk\ntruncation.mode = fixed\nsweep.deltas = 0.05, 0\n"
+        assert parse_sweep_text(text).deltas == (0.05, 0.0)
 
     def test_config_error_keeps_its_line_number(self):
         text = (
@@ -544,7 +563,8 @@ class TestSweep:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(sweep, "run_cell", lambda base, truth, ap, d, seeds: [ap, d])
         deltas = ", ".join(str(0.01 * i) for i in range(n_cells))
-        spec = parse_sweep_text(f"shape = disk\nsweep.apertures = 0:1\nsweep.deltas = {deltas}\n")
+        spec = parse_sweep_text(f"shape = disk\ntruncation.mode = fixed\nsweep.apertures = 0:1\n"
+                                f"sweep.deltas = {deltas}\n")
         rows = run_sweep(spec, workers=workers)
         assert len(rows) == n_cells
         assert sizes == ([] if pool_size is None else [pool_size])
@@ -650,7 +670,7 @@ class TestOutDirBeforeWork:
     is refused without running the work first."""
 
     SWEEP_CFG = (
-        "shape = disk\nlame.omega = 1.0\nn_sources = 2\n"
+        "shape = disk\nlame.omega = 1.0\nn_sources = 2\ntruncation.mode = fixed\n"
         "sweep.apertures = 0:6.283185307179586\nsweep.deltas = 0\nsweep.seeds = 1\n"
     )
 

@@ -26,8 +26,10 @@ Run from anywhere:
 prints one table per workload.
 
 `--json PATH` also writes one JSON document for the invocation: both
-checkouts' labels (`git describe --always --dirty`, or the directory name
-of a root that is not a git checkout), `run_seconds`, and per workload
+checkouts' labels (`git describe --always --dirty`, a dirty checkout's
+followed by `-` and the first 12 hex digits of the SHA-256 of its
+`git diff HEAD`, or the directory name of a root that is not a git
+checkout), `run_seconds`, and per workload
 each pair's seed, order, load, both sides' metrics, failed counts and
 `env` (read from the run's
 `perfbench/out/<workload>/result-seed<seed>-trace0.json`, null when that
@@ -44,6 +46,7 @@ load of the run before; each pair's line shows the average it started at.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -167,13 +170,21 @@ def compare(roots, workload: str, pairs: int, first_seed: int, seconds: float,
 
 
 def label(root: Path) -> str:
-    """`git describe --always --dirty` of the checkout at `root`, or its
-    directory name when `root` is not a git checkout."""
+    """`git describe --always --dirty` of the checkout at `root`, a dirty one
+    followed by the first 12 hex digits of the SHA-256 of its `git diff HEAD`
+    so that the label names the measured tree, or the directory name when
+    `root` is not a git checkout."""
     if (root / ".git").exists():
-        proc = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+        git = ["git", "-C", str(root)]
+        proc = subprocess.run(git + ["describe", "--always", "--dirty"],
                               capture_output=True, text=True)
         if proc.returncode == 0:
-            return proc.stdout.strip()
+            name = proc.stdout.strip()
+            if name.endswith("-dirty"):
+                diff = subprocess.run(git + ["diff", "--binary", "HEAD"], capture_output=True,
+                                      check=True).stdout
+                name += "-" + hashlib.sha256(diff).hexdigest()[:12]
+            return name
     return root.name
 
 
