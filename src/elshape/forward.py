@@ -35,9 +35,14 @@ keeps inversion tests free of the inverse crime.  Both solutions carry the
 sources they were solved for, and ``measure`` samples either one on the
 receiver arc into a ScatterRecord; on the full circle the receivers are
 exactly mirror-closed, so an MFS field with mirror-closed charges is
-evaluated on half of them (no tolerance).  ``simulate`` is one MFS solve for
-all sources plus ``measure``.  ``add_noise`` applies the multiplicative
-noise v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1) per component;
+evaluated on half of them (no tolerance), and a disk series by
+``modal._ring``: one inverse FFT per circular component v_x +- i v_y, with
+orders beyond M/2 folded modulo M (exact on the grid).  Arcs, other full
+spans and ``DiskField.eval`` keep ``_fields``, as their points are off the
+grid 2 pi j / M.  Receiver and mode counts must be nonnegative integers.
+``simulate`` is one MFS solve for all sources plus ``measure``.
+``add_noise`` applies the multiplicative noise
+v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1) per component;
 ``noise_perturbation`` draws the added term alone.
 """
 
@@ -50,7 +55,7 @@ from . import specfun
 from .elastic import LameSystem, PointSource, _sources, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
-from .modal import _fields, _frame, _invert, _polar, _tables
+from .modal import _fields, _frame, _invert, _polar, _ring, _tables
 from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
@@ -313,9 +318,14 @@ class DiskField:
     def eval(self, x) -> np.ndarray:
         """Scattered displacement at x (shape (..., 2)): (S,) + x.shape."""
         r, theta = _polar(x)
+        return _fields(self.b_p, self.b_s, self._outside(r), theta, _amos(specfun.hankel1),
+                       self.sys, False)[0]
+
+    def _outside(self, r):
+        """r, if no radius lies inside the disk (round-off allowed), else a DomainError."""
         if np.any(r < self.radius * (1.0 - 1e-12)):
             raise DomainError("disk series evaluated inside the disk")
-        return _fields(self.b_p, self.b_s, r, theta, _amos(specfun.hankel1), self.sys, False)[0]
+        return r
 
 
 def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> DiskField:
@@ -326,6 +336,8 @@ def disk_series(radius: float, sources, sys: LameSystem, n_modes: int = 40) -> D
     solved in closed form for every mode and source at once.
     """
     srcs = tuple(sources)
+    if not _count(n_modes):
+        raise DomainError(f"n_modes must be a nonnegative integer, not {n_modes!r}")
     if radius <= 0.0:
         raise DomainError("disk radius must be positive")
     if any(np.hypot(*src.xy) <= radius for src in srcs):
@@ -357,10 +369,22 @@ def oracle_gap(values, reference) -> float:
 # record assembly and noise
 # ---------------------------------------------------------------------------
 
-def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
-    """Sorted receiver angles equidistributed over the (possibly wrapped) arc."""
+def _count(n) -> bool:
+    """n is a nonnegative integer (Python or numpy, not a bool)."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
+def _check_layout(n_receivers, aperture):
+    """A ConfigError unless n_receivers is a ``_count`` and aperture an arc."""
+    if not _count(n_receivers):
+        raise ConfigError(f"n_receivers must be a nonnegative integer, not {n_receivers!r}")
     if problem := aperture_error(aperture):
         raise ConfigError(problem)
+
+
+def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
+    """Sorted receiver angles equidistributed over the (possibly wrapped) arc."""
+    _check_layout(n_receivers, aperture)
     lo, hi = aperture
     theta = lo + (hi - lo) * np.arange(n_receivers) / n_receivers
     return np.sort(np.mod(theta, 2.0 * np.pi))
@@ -369,12 +393,17 @@ def receiver_angles(n_receivers: int, aperture=FULL_APERTURE) -> np.ndarray:
 def measure(field, rho: float, n_receivers: int, aperture=FULL_APERTURE) -> ScatterRecord:
     """Sample a solved field (``MfsSolution`` or ``DiskField``) on the receiver arc
     of radius ``rho``: one record of all its sources.  On exactly FULL_APERTURE the
-    receivers are the mirror-closed ``_grid(disk(rho), M)``, the angles ``receiver_angles``."""
+    receivers are the mirror-closed ``_grid(disk(rho), M)``, the angles ``receiver_angles``,
+    and a ``DiskField`` is sampled there by inverse FFT (``modal._ring``)."""
     theta = receiver_angles(n_receivers, aperture)
     full = n_receivers > 0 and tuple(aperture) == FULL_APERTURE
-    x = _grid(disk(rho), n_receivers) if full else disk(rho).point(theta)
+    if full and isinstance(field, DiskField):
+        values = _ring(field.b_p, field.b_s, _amos(specfun.hankel1), field.sys,
+                       field._outside(rho), n_receivers)
+    else:
+        values = field.eval(_grid(disk(rho), n_receivers) if full else disk(rho).point(theta))
     return ScatterRecord(rho=rho, sys=field.sys, sources=field.sources, receivers=theta,
-                         values=field.eval(x), aperture=tuple(aperture))
+                         values=values, aperture=tuple(aperture))
 
 
 def simulate(
@@ -391,8 +420,7 @@ def simulate(
     residual_log: list | None = None,
 ) -> ScatterRecord:
     """Measure every source's MFS scattered field on the receiver arc (one solve)."""
-    if problem := aperture_error(aperture):
-        raise ConfigError(problem)
+    _check_layout(n_receivers, aperture)
     if rho <= curve.max_radius():
         raise ConfigError("measurement radius must exceed the obstacle")
     sol = solve_mfs(curve, sources, sys, n_collocation, n_charges, shrink, warn_above)
@@ -419,8 +447,7 @@ def record_from_disk_series(
     n_modes: int = 40,
 ) -> ScatterRecord:
     """ScatterRecord filled from the analytic disk solution (one series solve)."""
-    if problem := aperture_error(aperture):
-        raise ConfigError(problem)
+    _check_layout(n_receivers, aperture)
     if radius >= rho:
         raise ConfigError("measurement radius must exceed the disk")
     return measure(disk_series(radius, sources, sys, n_modes), rho, n_receivers, aperture)

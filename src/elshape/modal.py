@@ -41,7 +41,8 @@ since U_n' = in U_n + V_n and V_n' = in V_n - U_n make d/dtheta v the
 field of the coefficients in c plus v turned a quarter.  The evaluators
 are ``eval_field`` (v), ``eval_radial`` (v and d/dr v) and
 ``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the
-rows c and in c).
+rows c and in c).  ``_ring`` is ``_fields``' v on the ring (rho, 2 pi j / M)
+by one inverse FFT per circular component, not a (2N+1) x M basis.
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
@@ -305,6 +306,22 @@ def _fields(c_p, c_s, r, theta, table, sys: LameSystem, d_r: bool, R=None) -> li
     out = _contract(c_p, c_s, _basis(table, N, sys, np.ravel(r), np.ravel(theta), d_r, R))
     shape = c_p.shape[:-1] + np.shape(r) + (2,)
     return [out[..., i, :, :].reshape(shape) for i in range(out.shape[-3])]
+
+
+def _ring(c_p, c_s, table, sys: LameSystem, rho: float, M: int, R=None) -> np.ndarray:
+    """``_fields``' v of [c_p, c_s] at the M ring points (rho, 2 pi j / M), lead + (M, 2):
+    with the U_n / V_n amplitudes (a_n, b_n), v_x +- i v_y = sum_n (a_n +- i b_n)
+    e^{i(n +- 1) theta}, one inverse FFT each, order n +- 1 summed into its bin mod M."""
+    N = c_p.shape[-1] // 2
+    alpha, beta = _tables(table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
+    (a_p, b_p), (a_s, b_s) = _frame(np.arange(-N, N + 1), rho, alpha[..., 0], beta[..., 0])
+    a, b = c_p * a_p + c_s * a_s, c_p * b_p + c_s * b_s
+    lo = (-N - 1) % M  # column lo + i holds order i - N - 1; columns j and j + M share a bin
+    spec = np.zeros(a.shape[:-1] + (2, -(-(lo + 2 * N + 3) // M) * M), dtype=complex)
+    spec[..., 0, lo + 2 : lo + 2 * N + 3] = a + 1j * b
+    spec[..., 1, lo : lo + 2 * N + 1] = a - 1j * b
+    w = np.fft.ifft(spec.reshape(a.shape[:-1] + (2, -1, M)).sum(axis=-2), norm="forward")
+    return np.stack([w[..., 0, :] + w[..., 1, :], (w[..., 1, :] - w[..., 0, :]) * 1j], -1) / 2
 
 
 def _evaluate(mf: ModalField, r, theta, d_r: bool) -> list:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from elshape import elastic, forward, specfun
+from elshape import elastic, forward, modal, specfun
 from elshape.elastic import LameSystem, PointSource, incident_field
 from elshape.config import _MFS_BY_SHAPE
 from elshape.errors import ConfigError, DomainError, SolveError
@@ -458,6 +458,20 @@ class TestDiskSeries:
         with pytest.raises(DomainError):
             disk_series(2.0, (PointSource((1.0, 0.0), POL),), SYS5)
 
+    @pytest.mark.parametrize("n_modes", [-1, 2.5, 40.0, True, "40", None])
+    def test_bad_mode_count_refused_before_any_table(self, monkeypatch, n_modes):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table before the mode count was checked")
+
+        monkeypatch.setattr(specfun, "cylinder_tables", unreachable)
+        with pytest.raises(DomainError, match="n_modes must be a nonnegative integer"):
+            disk_series(1.0, (SRC,), SYS5, n_modes)
+
+    def test_integer_mode_counts_accepted(self):
+        for n_modes in (0, np.int64(3)):
+            fld = disk_series(1.0, (SRC,), SYS5, n_modes)
+            assert fld.b_p.shape == fld.b_s.shape == (1, 2 * n_modes + 1)
+
     def test_eval_inside_disk_rejected(self):
         fld = disk_series(1.0, (SRC,), SYS5, 20)
         with pytest.raises(DomainError):
@@ -518,6 +532,47 @@ class TestDiskSeries:
                         phat_s=fld.b_s * specfun.hankel1(n, sys.k_s * R))
         pts = np.concatenate([circle_points(r, 64) for r in (1.0, 1.5, 3.0)])
         assert rel_max(eval_field(mf, pts), fld.eval(pts)) <= 1e-13
+
+
+class TestRingMeasure:
+    """A full-aperture record of a DiskField is sampled by inverse FFT (``modal._ring``)."""
+
+    @pytest.mark.parametrize("n_modes", [0, 5, 40, 60])
+    @pytest.mark.parametrize("M", [1, 7, 8, 128, 256])
+    def test_matches_the_general_evaluators(self, M, n_modes):
+        # 2 n_modes + 3 > M folds orders n +- 1 into their bins mod M
+        fld = disk_series(1.0, MIXED[:3], SYS5, n_modes)
+        rec = forward.measure(fld, 3.0, M)
+        assert rec.values.shape == (3, M, 2)
+        assert np.array_equal(rec.receivers, receiver_angles(M))
+        assert rel_max(rec.values, fld.eval(forward._grid(disk(3.0), M))) <= 1e-13
+        n = np.arange(-n_modes, n_modes + 1)
+        mf = ModalField(N=n_modes, R=0.5, rho=3.0, sys=SYS5,
+                        phat_p=fld.b_p * specfun.hankel1(n, SYS5.k_p * 0.5),
+                        phat_s=fld.b_s * specfun.hankel1(n, SYS5.k_s * 0.5))
+        assert rel_max(rec.values, eval_field(mf, disk(3.0).point(rec.receivers))) <= 1e-13
+
+    @pytest.mark.parametrize("aperture", [(0.5, 4.0), (1.0, 1.0 + 2.0 * np.pi)])
+    def test_other_apertures_sample_eval_bit_for_bit(self, aperture):
+        fld = disk_series(1.0, MIXED[:3], SYS5, 40)
+        rec = forward.measure(fld, 3.0, 64, aperture)
+        assert np.array_equal(rec.values, fld.eval(disk(3.0).point(rec.receivers)))
+
+    def test_inside_the_disk_refused(self):
+        fld = disk_series(2.0, (SRC,), SYS5, 20)
+        with pytest.raises(DomainError, match="inside the disk"):
+            forward.measure(fld, 1.5, 16)
+        assert forward.measure(fld, 2.0 * (1.0 - 5e-13), 16).values.shape == (1, 16, 2)
+
+    def test_full_aperture_never_builds_the_basis(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built the (2N+1) x M basis")
+
+        monkeypatch.setattr(modal, "_basis", unreachable)
+        rec = record_from_disk_series(1.0, MIXED[:3], SYS5, 3.0, 128)
+        assert rec.values.shape == (3, 128, 2)
+        with pytest.raises(AssertionError, match="basis"):  # the patch reaches DiskField.eval
+            record_from_disk_series(1.0, MIXED[:3], SYS5, 3.0, 128, (0.0, np.pi))
 
 
 MIXED7 = tuple(
@@ -607,6 +662,27 @@ class TestSimulate:
         assert log == []
         with pytest.raises(ConfigError, match="aperture: need lo < hi"):
             record_from_disk_series(1.0, srcs, SYS5, 3.0, 128, aperture=(1.0, 0.5))
+
+    @pytest.mark.parametrize("count", [2.5, 8.0, -3, True, "8", None])
+    @pytest.mark.parametrize("aperture", [FULL_APERTURE, (0.0, 3.0)])
+    def test_bad_receiver_count_refused_before_the_solve(self, monkeypatch, count, aperture):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the receiver count was checked")
+
+        monkeypatch.setattr(forward, "solve_mfs", unreachable)
+        monkeypatch.setattr(forward, "disk_series", unreachable)
+        srcs = ring_sources(4, 3.0, POL)
+        with pytest.raises(ConfigError, match="n_receivers must be a nonnegative integer"):
+            receiver_angles(count, aperture)
+        with pytest.raises(ConfigError, match="n_receivers must be a nonnegative integer"):
+            record_from_disk_series(1.0, srcs, SYS5, 3.0, count, aperture)
+        with pytest.raises(ConfigError, match="n_receivers must be a nonnegative integer"):
+            simulate(disk(1.0), srcs, SYS5, 3.0, count, aperture)
+
+    def test_integer_receiver_counts_accepted(self):
+        assert receiver_angles(0).shape == receiver_angles(0, (0.0, 3.0)).shape == (0,)
+        assert np.array_equal(receiver_angles(np.int64(8), (0.0, 3.0)),
+                              receiver_angles(8, (0.0, 3.0)))
 
     def test_half_aperture_receiver_angles(self):
         theta = receiver_angles(128, (0.0, np.pi))

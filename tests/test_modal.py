@@ -9,6 +9,7 @@ from elshape.errors import AliasingError, ConfigError, DomainError, SolveError
 from elshape.forward import disk_series, record_from_disk_series, ring_sources
 from elshape.modal import (
     ModalField,
+    _ring,
     _tables,
     bracket,
     choose_truncation,
@@ -292,6 +293,37 @@ class TestEvalField:
         )
         v = disk_series(1.0, (SRC,), SYS5, 40).eval(pts)
         assert np.max(np.abs(eval_field(mf, pts) - v)) <= 1e-10 * np.max(np.abs(v))
+
+
+class TestRing:
+    """``_ring`` samples an expansion on the full receiver ring by inverse FFT."""
+
+    SOURCES = (PointSource((3.0, 0.0), (1.0, 0.0)), PointSource((-2.0, 3.5), (0.0, 1.0)),
+               PointSource((0.5, -4.0), POL))
+
+    @pytest.mark.parametrize("n_modes", [0, 5, 40, 60])
+    @pytest.mark.parametrize("M", [1, 7, 8, 128, 256])
+    def test_matches_eval_field_on_the_ring(self, M, n_modes):
+        # 2 n_modes + 3 > M folds orders n +- 1 into their bins mod M
+        fld = disk_series(1.0, self.SOURCES, SYS5, n_modes)
+        n = np.arange(-n_modes, n_modes + 1)
+        mf = ModalField(N=n_modes, R=0.5, rho=RHO, sys=SYS5,
+                        phat_p=fld.b_p * specfun.hankel1(n, SYS5.k_p * 0.5),
+                        phat_s=fld.b_s * specfun.hankel1(n, SYS5.k_s * 0.5))
+        theta = 2.0 * np.pi * np.arange(M) / M
+        ref = eval_field(mf, RHO * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        ring = _ring(mf.phat_p, mf.phat_s, specfun.hankel1_table, SYS5, RHO, M, mf.R)
+        assert ring.shape == (3, M, 2)
+        assert np.max(np.abs(ring - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_leading_axes_pass_through(self, random_field):
+        c_p = np.stack([random_field.phat_p, 2.0 * random_field.phat_p])[:, None]
+        c_s = np.stack([random_field.phat_s, -random_field.phat_s])[:, None]
+        ring = _ring(c_p, c_s, specfun.hankel1_table, SYS5, RHO, 16, random_field.R)
+        assert ring.shape == (2, 1, 16, 2)
+        for i in range(2):
+            row = _ring(c_p[i, 0], c_s[i, 0], specfun.hankel1_table, SYS5, RHO, 16, random_field.R)
+            assert np.array_equal(ring[i, 0], row)
 
 
 @pytest.fixture(scope="module")

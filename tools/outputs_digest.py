@@ -12,7 +12,9 @@ written into either tree.  Per checkout the digests cover:
   fixes its own seeds, so it runs once);
 * `green_tensor`, `incident_field` with and without a direction,
   `grad_incident_field`, `DiskField.eval`, `eval_field`, `eval_radial`,
-  `eval_gradient` and an arc fit (`limited_aperture_fit`), on fixed inputs.
+  `eval_gradient`, an arc fit (`limited_aperture_fit`) and
+  `record_from_disk_series` on the full receiver ring and on an arc, on
+  fixed inputs.
 
 An output that raises is digested as its exception's repr, so an error on
 one side only is a difference too.  The script prints every output that
@@ -84,6 +86,10 @@ def _fixed_outputs(records) -> dict:
         "eval_radial": lambda: modal.eval_radial(full, x),
         "eval_gradient": lambda: modal.eval_gradient(full, x),
         "arc_fit": arc_fit,
+        "disk_series_record/full": lambda: forward.record_from_disk_series(
+            1.0, srcs, sys5, 3.0, 64, n_modes=30).values,
+        "disk_series_record/arc": lambda: forward.record_from_disk_series(
+            1.0, srcs, sys5, 3.0, 64, (0.5, 4.0), n_modes=30).values,
     }
 
 
