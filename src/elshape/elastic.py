@@ -25,7 +25,7 @@ then ``_arguments``, k_p before k_s as in ``modal``), one ``specfun.hankel01``
 pass over them, and the result from the kernel rows: ``_radial_scalars``
 then G's entries for ``green_tensor``, ``_contracted`` for ``incident_field``
 and for a caller that batches the arguments of several consumers into one
-pass, as the Newton iterate does.
+pass, as the Newton iterate does; ``green_tensor`` runs them per L2-sized block of rows.
 
 Point evaluations broadcast over leading axes: x may be an (..., 2) array.
 The incident-field functions take a sequence of S sources and prepend (S,).
@@ -196,20 +196,40 @@ def green_tensor(x, z, sys: LameSystem):
     """Fundamental displacement tensor G(x, z) = alpha I + beta D, shape
     (..., 2, 2), with alpha and beta as in the module docstring.
 
-    Offsets, then one order-0/1 kernel pass on ``_arguments``, then the
-    entries, written into a ``_tensor_array``.
+    Built into a ``_tensor_array`` in blocks of ``specfun._BLOCK`` pairs (or one
+    leading-axis row), each through the whole pipeline (``_green_block``): the kernel's
+    value does not depend on its batch and every other step is element-wise, so no bit moves.
+    Pairs are checked block by block, so the first block holding a bad pair decides
+    the error: ``SingularityError`` for a coincident pair, ``DomainError`` for a
+    non-finite one, ``SingularityError`` if the block holds both.
     """
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
+    g = None
+    step = max(1, specfun._BLOCK // max(1, int(np.prod(shape[1:]))))
+    for lo in range(0, shape[0] if shape else 1, step):
+        rows = slice(lo, lo + step) if shape else ()
+        x_rows, z_rows = (a[rows] if a.ndim > len(shape) and a.shape[0] > 1 else a for a in (x, z))
+        g = _green_block(x_rows, z_rows, sys, g, shape, rows)
+    return _tensor_array(shape) if g is None else g
+
+
+def _green_block(x, z, sys: LameSystem, g, shape, rows):
+    """``green_tensor``'s offsets, kernel pass and entries for x and z, into the
+    ``rows`` of g, which is allocated (as ``shape``) after the first kernel pass: a
+    one-block call then peaks no higher than its pass (~2 MB on the disk's matrix)."""
     dx, dy, r = _separation(x, z)
     t = _arguments(r, sys)
     alpha, beta = _radial_scalars(specfun.hankel01(t), t, sys)
     # D is traceless: D_xx = -D_yy = (dx^2 - dy^2) / r^2, D_xy = 2 dx dy / r^2
     b_r2 = beta / (r * r)
     b_xx = b_r2 * (dx * dx - dy * dy)
-    g = _tensor_array(r.shape)
-    np.add(alpha, b_xx, out=g[..., 0, 0])
-    np.subtract(alpha, b_xx, out=g[..., 1, 1])
-    np.multiply(b_r2, 2.0 * dx * dy, out=g[..., 0, 1])
-    g[..., 1, 0] = g[..., 0, 1]
+    g = _tensor_array(shape) if g is None else g
+    out = g[rows]
+    np.add(alpha, b_xx, out=out[..., 0, 0])
+    np.subtract(alpha, b_xx, out=out[..., 1, 1])
+    np.multiply(b_r2, 2.0 * dx * dy, out=out[..., 0, 1])
+    out[..., 1, 0] = out[..., 0, 1]
     return g
 
 

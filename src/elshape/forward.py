@@ -11,7 +11,8 @@ Two independent routes produce scattered fields for a rigid obstacle
   lays G out for it, see ``elastic._tensor_array``).  On a curve symmetric
   about the x-axis (``ParametricCurve.mirrored``) A commutes with the mirror,
   is evaluated on half the collocation points, and [A | B] splits exactly
-  into an even and an odd block; any other curve is one block.  One stacked
+  into an even and an odd block, folded in L2-sized row blocks (element-wise, so
+  bit for bit); any other curve is one block.  One stacked
   Householder QR gives each block's triangle R and Q^H B, and one blocked
   back-substitution on R (64-row diagonal blocks, one product per block
   column for the rows above) gives every source's charges.
@@ -55,7 +56,7 @@ from . import specfun
 from .elastic import LameSystem, PointSource, _sources, green_tensor, incident_field
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import ParametricCurve, disk
-from .modal import _fields, _frame, _invert, _polar, _ring, _tables
+from .modal import _arguments, _fields, _frame, _invert, _polar, _ring, _tables
 from .records import FULL_APERTURE, ScatterRecord, aperture_error
 
 #: collocation residual above this emits an accuracy warning
@@ -153,6 +154,7 @@ def solve_mfs(
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
     stack = _fold_system(a, b, n_collocation, n_charges) if mirrored else np.hstack([a, b])[None]
+    del a, b  # freed before the QR, whose copies of the stack then reuse their pages
     # R of a block [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
     n = stack.shape[2] - len(srcs)
     r = np.linalg.qr(stack, mode="r")
@@ -210,14 +212,19 @@ def _fold_system(a, b, n: int, m: int) -> np.ndarray:
     and m charges, from A at the points j <= n/2 and all of B: A commutes with
     the mirror, so a pair's even or odd row is sqrt 2 times its first point's."""
     (rep, mir, s, w), (c_rep, c_mir, c_s, c_w) = _fold(n), _fold(m)
-    w_a = 2.0 * w[:, None] * c_w
-    x, y = a[rep[:, None], c_rep] * w_a, a[rep[:, None], c_mir] * (w_a * c_s)
-    bx, by = b[rep] * w[:, None], b[mir] * (s * w)[:, None]
     stack = np.empty((2, n, m + b.shape[1]), dtype=complex)
-    np.add(x[:n, :m], y[:n, :m], out=stack[0, :, :m])
-    np.subtract(x[-n:, -m:], y[-n:, -m:], out=stack[1, :, :m])
-    np.add(bx[:n], by[:n], out=stack[0, :, m:])
-    np.subtract(bx[-n:], by[-n:], out=stack[1, :, m:])
+    d = len(rep) - n  # the even part is entries [:n], the odd part entries [d:]
+    step = max(1, specfun._BLOCK // len(c_rep))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        i, k = slice(lo, hi + d), hi - lo
+        w_a = 2.0 * w[i, None] * c_w
+        x, y = a[rep[i, None], c_rep] * w_a, a[rep[i, None], c_mir] * (w_a * c_s)
+        bx, by = b[rep[i]] * w[i, None], b[mir[i]] * (s[i] * w[i])[:, None]
+        np.add(x[:k, :m], y[:k, :m], out=stack[0, lo:hi, :m])
+        np.subtract(x[-k:, -m:], y[-k:, -m:], out=stack[1, lo:hi, :m])
+        np.add(bx[:k], by[:k], out=stack[0, lo:hi, m:])
+        np.subtract(bx[-k:], by[-k:], out=stack[1, lo:hi, m:])
     return stack
 
 
@@ -289,7 +296,7 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
 
     with P = p1 + i p2, c = -i k / (8 w^2) for 'p' (minus sign inside) and
     c = k / (8 w^2) for 's' (plus sign inside).  Returns (S, 2M+1) arrays,
-    one row per source, from one ``cylinder_tables`` call per branch.
+    one row per source, from one ``cylinder_tables`` call per branch on the distinct |z|.
     """
     z, pol = _sources(srcs, 1)
     rz, tz = (a[:, None] for a in _polar(z))
@@ -297,8 +304,9 @@ def _incident_potential_coeffs(srcs, sys: LameSystem, n_modes: int):
     m = np.arange(-n_modes, n_modes + 1)
     out = []
     for k, sign, c in ((sys.k_p, -1.0, -1j), (sys.k_s, 1.0, 1.0)):
-        # orders -M-1..M+1: H_{m-1} is columns 0..2M, H_{m+1} columns 2..2M+2
-        h = specfun.cylinder_tables(_amos(specfun.hankel1), n_modes + 1, k * rz[:, 0])[0].T
+        # orders -M-1..M+1 on the distinct radii: H_{m-1} is columns 0..2M, H_{m+1} 2..2M+2
+        t, back = _arguments(k, rz[:, 0])
+        h = specfun.cylinder_tables(_amos(specfun.hankel1), n_modes + 1, t)[0].T[back]
         term_up = p_cplx * h[:, 2:] * np.exp(-1j * (m + 1) * tz)
         term_dn = np.conj(p_cplx) * h[:, :-2] * np.exp(-1j * (m - 1) * tz)
         out.append((c * k / (8.0 * sys.omega**2)) * (term_up + sign * term_dn))

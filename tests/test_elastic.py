@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elshape import specfun
+from elshape import elastic, specfun
 from elshape.elastic import (
     LameSystem,
     PointSource,
@@ -11,7 +11,7 @@ from elshape.elastic import (
     green_tensor,
     incident_field,
 )
-from elshape.errors import SingularityError
+from elshape.errors import DomainError, SingularityError
 
 import oracles
 
@@ -320,3 +320,79 @@ class TestIncidentFieldDirectional:
         want = np.array([oracles.mp_green_directional(pt, p, e, SYS5) for pt in x])
         deriv = incident_field(x, (src,), SYS5, e)[1][0]
         assert np.max(np.abs(deriv - want)) <= bound * np.max(np.abs(want))
+
+
+def _blocks_counted(monkeypatch):
+    """Record each row block that ``green_tensor`` hands to ``_green_block``."""
+    seen, block = [], elastic._green_block
+
+    def counted(x, z, *args):
+        seen.append(np.broadcast_shapes(x.shape[:-1], z.shape[:-1]))
+        return block(x, z, *args)
+
+    monkeypatch.setattr(elastic, "_green_block", counted)
+    return seen
+
+
+class TestBlockedGreen:
+    """green_tensor builds G in blocks of leading-axis rows, one pipeline each."""
+
+    #: 100 columns: 81 rows per block, so 260 rows are three blocks and 17 rows
+    COLUMNS, ROWS = 100, 3 * (specfun._BLOCK // 100) + 17
+
+    def points(self):
+        rng = np.random.default_rng(33)
+        x = rng.uniform(1.5, 4.0, (self.ROWS, 1, 2)) * rng.choice([-1.0, 1.0], (self.ROWS, 1, 2))
+        return x, rng.uniform(-1.0, 1.0, (1, self.COLUMNS, 2))
+
+    @pytest.mark.parametrize("rows_on", ["x", "z"])
+    def test_blocks_equal_row_by_row(self, monkeypatch, rows_on):
+        # either operand may carry the leading axis; every block, the partial
+        # last one too, equals one call per row bit for bit
+        x, z = self.points()
+        if rows_on == "z":
+            x, z = z[0], x
+        seen = _blocks_counted(monkeypatch)
+        g = green_tensor(x, z, SYS5)
+        step = specfun._BLOCK // self.COLUMNS
+        assert seen == [(step, self.COLUMNS)] * 3 + [(17, self.COLUMNS)]
+        for i in range(self.ROWS):
+            row = green_tensor(x[i], z[0], SYS5) if rows_on == "x" else green_tensor(x, z[i], SYS5)
+            assert np.array_equal(g[i], row)
+
+    @pytest.mark.parametrize("x_shape, z_shape, shape", [
+        ((0, 1, 2), (1, 7, 2), (0, 7, 2, 2)),
+        ((5, 1, 2), (1, 0, 2), (5, 0, 2, 2)),
+        ((2,), (2,), (2, 2)),
+        ((3, 2), (2,), (3, 2, 2)),
+    ])
+    def test_shapes(self, x_shape, z_shape, shape):
+        # G on broadcast shapes equals one call on the flattened pairs
+        x = np.reshape(np.arange(np.prod(x_shape)) + 2.0, x_shape)
+        z = np.reshape(-0.5 * np.arange(np.prod(z_shape)), z_shape)
+        g = green_tensor(x, z, SYS5)
+        assert g.shape == shape
+        flat_x, flat_z = (np.broadcast_to(a, shape[:-2] + (2,)).reshape(-1, 2) for a in (x, z))
+        assert np.array_equal(g.reshape(-1, 2, 2), green_tensor(flat_x, flat_z, SYS5))
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, DomainError, "bessel argument must be finite"),
+        (None, SingularityError, "coincides"),
+    ])
+    def test_bad_pair_in_a_later_block(self, monkeypatch, bad, error, message):
+        x, z = self.points()
+        x[-1, 0] = bad if bad is not None else z[0, 3]
+        seen = _blocks_counted(monkeypatch)
+        with pytest.raises(error, match=message):
+            green_tensor(x, z, SYS5)
+        assert len(seen) == 4
+
+    def test_first_bad_block_decides_the_error(self, monkeypatch):
+        # pairs are checked block by block: a NaN in block 1 raises before the
+        # coincident pair in block 4 is reached
+        x, z = self.points()
+        x[0, 0], x[-1, 0] = np.nan, z[0, 3]
+        seen = _blocks_counted(monkeypatch)
+        with pytest.raises(DomainError, match="bessel argument must be finite"):
+            green_tensor(x, z, SYS5)
+        assert len(seen) == 1

@@ -320,6 +320,26 @@ class TestMirroredSolve:
         # measured 9.7e-11
         assert rel_max(sol_t.eval(pts @ TURN.T), sol.eval(pts) @ TURN.T) <= 1e-9
 
+    @pytest.mark.parametrize("n_col, n_chg", [(512, 256), (129, 63), (128, 63)])
+    def test_fold_matches_the_whole_array_formula(self, n_col, n_chg):
+        # the row-blocked fold against the formula on whole arrays, bit for bit:
+        # 512/256 is 17 blocks with a partial last one, 129/63 one full block and
+        # one row, 128/63 exactly one block
+        sol = solve_mfs(kite(), ring_sources(5, 3.0, POL), SYS5, n_col, n_chg, 0.9,
+                        warn_above=None)
+        colloc = forward._grid(kite(), n_col)
+        a = forward._charge_matrix(colloc[: n_col // 2 + 1], sol.charges, SYS5)
+        b = -incident_field(colloc, sol.sources, SYS5).reshape(5, 2 * n_col).T
+        (rep, mir, s, w), (c_rep, c_mir, c_s, c_w) = forward._fold(n_col), forward._fold(n_chg)
+        w_a = 2.0 * w[:, None] * c_w
+        x, y = a[rep[:, None], c_rep] * w_a, a[rep[:, None], c_mir] * (w_a * c_s)
+        bx, by = b[rep] * w[:, None], b[mir] * (s * w)[:, None]
+        n, m = n_col, n_chg
+        want = np.empty((2, n, m + 5), dtype=complex)
+        want[0, :, :m], want[1, :, :m] = x[:n, :m] + y[:n, :m], x[-n:, -m:] - y[-n:, -m:]
+        want[0, :, m:], want[1, :, m:] = bx[:n] + by[:n], bx[-n:] - by[-n:]
+        assert np.array_equal(forward._fold_system(a, b, n_col, n_chg), want)
+
 
 def solved(name, sys):
     """The MFS solution of 20 ring sources on a shipped shape and layout."""
@@ -619,6 +639,27 @@ class TestBatchedDiskSeries:
     def test_any_source_inside_rejected(self):
         with pytest.raises(DomainError):
             disk_series(1.0, MIXED7 + (PointSource((0.0, 0.5), POL),), SYS5)
+
+    def test_incident_coefficients_on_distinct_radii(self, monkeypatch):
+        # AMOS sees each distinct source radius once per branch, and the
+        # scattered-back rows equal one-source calls bit for bit
+        want = [forward._incident_potential_coeffs((src,), SYS5, 40) for src in MIXED7]
+        seen, hankel1 = [], forward.specfun.hankel1
+
+        def counted(n, t):
+            seen.append(np.array(t))
+            return hankel1(n, t)
+
+        monkeypatch.setattr(forward.specfun, "hankel1", counted)
+        got = forward._incident_potential_coeffs(MIXED7, SYS5, 40)
+        radii = np.unique(np.hypot(*np.array([src.location for src in MIXED7]).T))
+        assert [t.shape for t in seen] == [radii.shape] * 2
+        assert len(radii) < len(MIXED7)
+        for t, k in zip(seen, (SYS5.k_p, SYS5.k_s)):
+            assert np.array_equal(t, k * radii)
+        for branch, rows in zip(got, zip(*want)):
+            assert branch.shape == (len(MIXED7), 81)
+            assert np.array_equal(branch, np.concatenate(rows))
 
     @pytest.mark.parametrize("n_sources,n_receivers", [(1, 16), (7, 16), (1, 128), (7, 128)])
     def test_hankel_calls_independent_of_sources_and_receivers(

@@ -10,11 +10,13 @@ written into either tree.  Per checkout the digests cover:
   run's `ReconRun.to_json_dict()` JSON (the benchmark's workloads);
 * the `verify-battery` checks' `measured` values, by repr (the battery
   fixes its own seeds, so it runs once);
-* `green_tensor`, `incident_field` with and without a direction,
-  `grad_incident_field`, `DiskField.eval`, `eval_field`, `eval_radial`,
-  `eval_gradient`, an arc fit (`limited_aperture_fit`) and
-  `record_from_disk_series` on the full receiver ring and on an arc, on
-  fixed inputs.
+* `green_tensor` (on 23 x 5 pairs, and on 300 x 64 pairs: two full row
+  blocks and a partial one), `incident_field` with and without a
+  direction, `grad_incident_field`, `DiskField.eval`, `eval_field`,
+  `eval_radial`, `eval_gradient`, an arc fit (`limited_aperture_fit`),
+  `record_from_disk_series` on the full receiver ring and on an arc, the
+  kite's `solve_mfs` strengths and residuals at 512/256/0.92, and the
+  `disk_series` coefficients of 20 ring sources, on fixed inputs.
 
 An output that raises is digested as its exception's repr, so an error on
 one side only is a difference too.  The script prints every output that
@@ -60,7 +62,7 @@ def _fixed_outputs(records) -> dict:
     """name -> thunk of each point-source field and modal evaluator on fixed inputs."""
     import numpy as np
 
-    from elshape import elastic, forward, modal
+    from elshape import elastic, forward, geometry, modal
     from elshape.elastic import LameSystem, PointSource
 
     sys5 = LameSystem(1.0, 1.0, 5.0)
@@ -76,8 +78,22 @@ def _fixed_outputs(records) -> dict:
         fit = modal.limited_aperture_fit(records["starfish_arc"], 7, 1e-8, 1.0)
         return fit.phat_p, fit.phat_s
 
+    def kite_mfs():
+        sol = forward.solve_mfs(geometry.kite(), srcs, sys5, 512, 256, 0.92, warn_above=None)
+        return sol.strengths, sol.residuals
+
+    def ring_series():
+        fld = forward.disk_series(1.0, forward.ring_sources(20, 3.0, srcs[0].polarization), sys5)
+        return fld.b_p, fld.b_s
+
+    # 300 x 64 pairs: two full row blocks of green_tensor and a partial one
+    turns = np.linspace(0.0, 6.0 * np.pi, 300)
+    spiral = (1.2 + 0.1 * turns)[:, None] * np.stack([np.cos(turns), np.sin(turns)], axis=-1)
+    inner = 0.8 * np.stack([np.cos(0.1 * np.arange(64)), np.sin(0.1 * np.arange(64))], axis=-1)
+
     return {
         "green_tensor": lambda: elastic.green_tensor(x[:, None], 0.4 * x[None, :5], sys5),
+        "green_tensor/blocks": lambda: elastic.green_tensor(spiral[:, None], inner[None], sys5),
         "incident_field": lambda: elastic.incident_field(x, srcs, sys5),
         "incident_field_e": lambda: elastic.incident_field(x, srcs, sys5, e),
         "grad_incident_field": lambda: elastic.grad_incident_field(x, srcs, sys5),
@@ -90,6 +106,8 @@ def _fixed_outputs(records) -> dict:
             1.0, srcs, sys5, 3.0, 64, n_modes=30).values,
         "disk_series_record/arc": lambda: forward.record_from_disk_series(
             1.0, srcs, sys5, 3.0, 64, (0.5, 4.0), n_modes=30).values,
+        "solve_mfs/kite": kite_mfs,
+        "disk_series/ring20": ring_series,
     }
 
 
