@@ -222,7 +222,9 @@ def lambda_n(n, rho: float, R: float, sys: LameSystem):
     """Per-mode determinant factor n^2/rho^2 - alpha_p alpha_s / (beta_p beta_s).
 
     ``n`` is an int (complex result) or an integer array (array of the same
-    shape, from one table of orders up to max |n|).
+    shape, from one table of orders up to max |n|).  Lambda_n does not depend
+    on R: the tables divide alpha and beta by the same C_n(kR), and only their
+    ratio enters.
     """
     N = int(np.max(np.abs(n)))
     alpha, beta = _tables(specfun.hankel1_table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
@@ -308,14 +310,20 @@ def _fields(c_p, c_s, r, theta, table, sys: LameSystem, d_r: bool, R=None) -> li
     return [out[..., i, :, :].reshape(shape) for i in range(out.shape[-3])]
 
 
-def _ring(c_p, c_s, table, sys: LameSystem, rho: float, M: int, R=None) -> np.ndarray:
-    """``_fields``' v of [c_p, c_s] at the M ring points (rho, 2 pi j / M), lead + (M, 2):
-    with the U_n / V_n amplitudes (a_n, b_n), v_x +- i v_y = sum_n (a_n +- i b_n)
-    e^{i(n +- 1) theta}, one inverse FFT each, order n +- 1 summed into its bin mod M."""
+def _amplitudes(c_p, c_s, table, sys: LameSystem, rho: float, R=None):
+    """The U_n / V_n amplitudes (a_n, b_n) of [c_p, c_s] on the circle r = rho, where
+    v_x +- i v_y = sum_n (a_n +- i b_n) e^{i(n +- 1) theta}."""
     N = c_p.shape[-1] // 2
     alpha, beta = _tables(table, (sys.k_p, sys.k_s), N, np.array([rho]), R)
     (a_p, b_p), (a_s, b_s) = _frame(np.arange(-N, N + 1), rho, alpha[..., 0], beta[..., 0])
-    a, b = c_p * a_p + c_s * a_s, c_p * b_p + c_s * b_s
+    return c_p * a_p + c_s * a_s, c_p * b_p + c_s * b_s
+
+
+def _ring(c_p, c_s, table, sys: LameSystem, rho: float, M: int, R=None) -> np.ndarray:
+    """``_fields``' v of [c_p, c_s] at the M ring points (rho, 2 pi j / M), lead + (M, 2):
+    one inverse FFT per component v_x +- i v_y of the ``_amplitudes``, order n +- 1
+    summed into its bin mod M."""
+    N, (a, b) = c_p.shape[-1] // 2, _amplitudes(c_p, c_s, table, sys, rho, R)
     lo = (-N - 1) % M  # column lo + i holds order i - N - 1; columns j and j + M share a bin
     spec = np.zeros(a.shape[:-1] + (2, -(-(lo + 2 * N + 3) // M) * M), dtype=complex)
     spec[..., 0, lo + 2 : lo + 2 * N + 3] = a + 1j * b

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import elastic, modal, specfun
 from .config import ReconstructionConfig
-from .errors import AliasingError, ConfigError, DomainError, SolveError
+from .errors import AliasingError, ConfigError, DomainError, SingularityError, SolveError
 from .forward import add_noise
 from .geometry import ADMISSIBILITY_GRID, StarCurve, basis_matrix
 from .modal import ModalField, extract_field
@@ -260,7 +260,7 @@ def reconstruct(rec: ScatterRecord, cfg: ReconstructionConfig) -> ReconRun:
         try:
             a, rhs = assemble_system(field, grid, current)
             dc = newton_step(a, rhs)
-        except (SolveError, DomainError) as exc:
+        except (SolveError, DomainError, SingularityError) as exc:
             return finish("diverged", str(exc))
 
         for _ in range(6):

@@ -40,7 +40,9 @@ from .forward import (
     record_from_disk_series, ring_sources, solve_mfs,
 )
 from .geometry import disk
-from .modal import ModalField, _ring, eval_field, eval_gradient, lambda_n, modal_rhs, solve_modal
+from .modal import (
+    ModalField, _amplitudes, _ring, eval_field, eval_gradient, lambda_n, modal_rhs, solve_modal,
+)
 from .records import ScatterRecord
 
 
@@ -182,7 +184,7 @@ def check_lambda_nonvanishing() -> CheckResult:
             lam = lambda_n(np.arange(0, 41), 3.0, R, sys)
             smallest = min(smallest, float(np.min(np.abs(lam))))
     return _result("lambda_nonvanishing", smallest > 0.0, smallest, 0.0,
-                   "min |Lambda_n| over omega, R, |n| <= 40")
+                   "min |Lambda_n| over omega, R, |n| <= 40 (Lambda_n does not depend on R)")
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +236,10 @@ def noise_halving_ratios() -> np.ndarray:
     Extraction and evaluation are linear in the data, so v_N^d - v_N is
     the field extracted from the noise term alone.  All 2 n_trials noise
     terms go through one extraction as one record with 2 n_trials times the
-    sources; each norm is taken over its record's sources on the receivers
-    (the field has degree N + 1 < M/2 on the circle, so the receiver mean
-    is the circle's L2 mean).
+    sources; each norm is taken over its record's sources on the receivers.
+    The field has degree N + 1 < M/2 on the circle, so the receiver mean of
+    |v|^2 is the circle's, which by Parseval is sum_n |a_n|^2 + |b_n|^2 over
+    the field's ``_amplitudes``.
     """
     n_trials, N = 20, 7
     sys = LameSystem(1.0, 1.0, 5.0)
@@ -249,8 +252,8 @@ def noise_halving_ratios() -> np.ndarray:
     batch = replace(clean, sources=clean.sources * len(noise),
                     values=noise.reshape((-1,) + clean.values.shape[1:]))
     mf = solve_modal(modal_rhs(batch, N), batch.rho, 0.5, sys)
-    field = eval_field(mf, disk(batch.rho).point(batch.receivers))
-    per_source = np.mean(np.sum(np.abs(field) ** 2, axis=-1), axis=-1)
+    a, b = _amplitudes(mf.phat_p, mf.phat_s, specfun.hankel1_table, sys, batch.rho, mf.R)
+    per_source = np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=-1)
     norms = np.sqrt(np.sum(per_source.reshape(n_trials, 2, len(srcs)), axis=-1))
     return norms[:, 1] / norms[:, 0]
 

@@ -3,22 +3,26 @@
 Nothing here touches the library's evaluation paths: Bessel values come
 from ascending power series or mpmath, derivatives from central
 differences, PDE residuals from explicit stencils, tail sums from direct
-summation.  Two helpers are exceptions: ``hessian_green_tensor``, a
+summation.  Three helpers are exceptions: ``hessian_green_tensor``, a
 second double-precision route to G that shares the library's Hankel
 table, so that a test can compare two algebras on the same Hankel values,
-and ``decay_profile_per_order``, which runs the library's extraction and
-evaluation once per truncation order, so that a test can check the
-one-extraction profile against it.
+and ``decay_profile_per_order`` and ``noise_halving_ratios_on_the_receivers``,
+which run the library's extraction and evaluation the way the battery once
+did (once per truncation order; on the receivers), so that a test can
+check the battery's shortcut against them.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 
 from elshape import specfun
-from elshape.elastic import POLARIZATION, PointSource
-from elshape.forward import disk_series, measure
+from elshape.elastic import POLARIZATION, LameSystem, PointSource
+from elshape.forward import (
+    disk_series, measure, noise_perturbation, record_from_disk_series, ring_sources,
+)
 from elshape.geometry import disk
 from elshape.modal import eval_field, modal_rhs, solve_modal
 
@@ -166,6 +170,25 @@ def decay_profile_per_order(radius, source_xy, sys, R, orders, rho=3.0, n_receiv
         errs.append(np.sqrt(np.mean(np.sum(np.abs(approx - rec.values) ** 2, axis=-1))))
     scale = float(np.sqrt(np.mean(np.sum(np.abs(rec.values) ** 2, axis=-1))))
     return np.array(errs), scale
+
+
+def noise_halving_ratios_on_the_receivers():
+    """``verify.noise_halving_ratios`` with each norm taken on the receivers: the
+    extracted field evaluated there and |v|^2 averaged over them."""
+    n_trials, N, sys = 20, 7, LameSystem(1.0, 1.0, 5.0)
+    srcs = ring_sources(20, 3.0, POLARIZATION)
+    clean = record_from_disk_series(1.0, srcs, sys, 3.0, 128)
+    noise = np.stack([
+        noise_perturbation(clean.values, delta, seed)
+        for i in range(n_trials) for delta, seed in ((0.05, 100 + i), (0.025, 500 + i))
+    ])
+    batch = replace(clean, sources=clean.sources * len(noise),
+                    values=noise.reshape((-1,) + clean.values.shape[1:]))
+    mf = solve_modal(modal_rhs(batch, N), batch.rho, 0.5, sys)
+    field = eval_field(mf, disk(batch.rho).point(batch.receivers))
+    per_source = np.mean(np.sum(np.abs(field) ** 2, axis=-1), axis=-1)
+    norms = np.sqrt(np.sum(per_source.reshape(n_trials, 2, len(srcs)), axis=-1))
+    return norms[:, 1] / norms[:, 0]
 
 
 def modal_matrix(n: int, rho: float, R: float, sys) -> np.ndarray:

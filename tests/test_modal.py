@@ -9,6 +9,7 @@ from elshape.errors import AliasingError, ConfigError, DomainError, SolveError
 from elshape.forward import disk_series, record_from_disk_series, ring_sources
 from elshape.modal import (
     ModalField,
+    _amplitudes,
     _ring,
     _tables,
     bracket,
@@ -614,6 +615,30 @@ class TestDecayAndNoise:
         doubling = 1.0 / ratios  # e(0.05)/e(0.025)
         med = float(np.median(doubling))
         assert 1.5 <= med <= 2.5
+
+    def test_noise_norms_by_parseval_match_the_receivers(self):
+        # sum_n |a_n|^2 + |b_n|^2 against the receiver mean of |v|^2: measured 2.1e-16
+        from elshape.verify import noise_halving_ratios
+
+        ratios, ref = noise_halving_ratios(), oracles.noise_halving_ratios_on_the_receivers()
+        assert np.max(np.abs(ratios - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_parseval_power_is_the_ring_mean(self, random_field):
+        a, b = _amplitudes(random_field.phat_p, random_field.phat_s, specfun.hankel1_table,
+                           SYS5, RHO, random_field.R)
+        ring = _ring(random_field.phat_p, random_field.phat_s, specfun.hankel1_table, SYS5,
+                     RHO, 2 * random_field.N + 4, random_field.R)
+        power = np.sum(np.abs(a) ** 2 + np.abs(b) ** 2)
+        assert abs(power - np.mean(np.sum(np.abs(ring) ** 2, axis=-1))) <= 1e-13 * power
+
+    def test_lambda_does_not_depend_on_R(self):
+        # the tables divide alpha and beta by one C_n(kR); measured 5.6e-14 at
+        # omega = 1 and 1.3e-15 at omega = 5
+        n = np.arange(-40, 41)
+        for omega in (1.0, 5.0):
+            sys = LameSystem(1.0, 1.0, omega)
+            lam = np.array([lambda_n(n, RHO, R, sys) for R in (0.3, 0.5, 0.8)])
+            assert np.max(np.abs(lam - lam[1])) <= 1e-12 * np.max(np.abs(lam[1]))
 
     def test_lambda_nonvanishing_configured_geometries(self):
         for omega in (1.0, 5.0):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from elshape import newton, specfun
+from elshape import elastic, newton, specfun
 from elshape.config import ReconstructionConfig, make_record, solve_truth
 from elshape.elastic import LameSystem, PointSource, grad_incident_field, incident_field
 from elshape.errors import ConfigError, DomainError, SingularityError, SolveError
@@ -387,6 +387,17 @@ class TestReconstruct:
         monkeypatch.setattr(newton, "newton_step", refuse)
         run = reconstruct(disk_record, disk_config())
         assert (run.termination, run.iterations, run.note) == ("diverged", 0, "step refused")
+
+    def test_coincident_source_diverges_with_its_message(self, disk_record, monkeypatch):
+        # elastic._separation refuses a point within SEPARATION_GUARD of a source
+        # with a SingularityError, which is not a DomainError
+        def coincident(x, y):
+            raise SingularityError("evaluation point coincides with the source point")
+
+        monkeypatch.setattr(elastic, "_separation", coincident)
+        run = reconstruct(disk_record, disk_config())
+        assert (run.termination, run.iterations) == ("diverged", 0)
+        assert run.note == "evaluation point coincides with the source point"
 
     def test_huge_update_diverges_after_one_iterate(self, disk_record, monkeypatch):
         # a0: 2 -> 102 stays admissible, but the relative update 100 / 2 = 50

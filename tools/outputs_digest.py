@@ -14,9 +14,11 @@ written into either tree.  Per checkout the digests cover:
   blocks and a partial one), `incident_field` with and without a
   direction, `grad_incident_field`, `DiskField.eval`, `eval_field`,
   `eval_radial`, `eval_gradient`, an arc fit (`limited_aperture_fit`),
-  `record_from_disk_series` on the full receiver ring and on an arc, the
-  kite's `solve_mfs` strengths and residuals at 512/256/0.92, and the
-  `disk_series` coefficients of 20 ring sources, on fixed inputs.
+  `record_from_disk_series` on the full receiver ring and on an arc,
+  `solve_mfs` strengths and residuals on each shipped shape's layout (the
+  kite at 512/256/0.92, the disk at 128/64/0.6 with omega = 1, the
+  starfish at 384/192/0.85), and the `disk_series` coefficients of 20
+  ring sources, on fixed inputs.
 
 An output that raises is digested as its exception's repr, so an error on
 one side only is a difference too.  The script prints every output that
@@ -78,8 +80,8 @@ def _fixed_outputs(records) -> dict:
         fit = modal.limited_aperture_fit(records["starfish_arc"], 7, 1e-8, 1.0)
         return fit.phat_p, fit.phat_s
 
-    def kite_mfs():
-        sol = forward.solve_mfs(geometry.kite(), srcs, sys5, 512, 256, 0.92, warn_above=None)
+    def mfs(curve, sys, *layout):
+        sol = forward.solve_mfs(curve, srcs, sys, *layout, warn_above=None)
         return sol.strengths, sol.residuals
 
     def ring_series():
@@ -106,7 +108,9 @@ def _fixed_outputs(records) -> dict:
             1.0, srcs, sys5, 3.0, 64, n_modes=30).values,
         "disk_series_record/arc": lambda: forward.record_from_disk_series(
             1.0, srcs, sys5, 3.0, 64, (0.5, 4.0), n_modes=30).values,
-        "solve_mfs/kite": kite_mfs,
+        "solve_mfs/kite": lambda: mfs(geometry.kite(), sys5, 512, 256, 0.92),
+        "solve_mfs/disk": lambda: mfs(geometry.disk(1.0), LameSystem(1.0, 1.0, 1.0), 128, 64, 0.6),
+        "solve_mfs/starfish": lambda: mfs(geometry.starfish(), sys5, 384, 192, 0.85),
         "disk_series/ring20": ring_series,
     }
 
