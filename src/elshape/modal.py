@@ -18,31 +18,32 @@ per mode, a 2x2 system with determinant beta_{p,n} beta_{s,n} Lambda_n,
     Lambda_n = n^2/rho^2 - alpha_{p,n} alpha_{s,n} / (beta_{p,n} beta_{s,n}),
 
 nonzero for every integer n, so the coefficients follow in closed form.
-This per-mode algebra is written once, here: ``_tables`` (alpha, beta,
-and kappa when asked, the only C'' switch, over C_n(kR) given R),
-``_frame`` (the U_n / V_n amplitudes of a unit coefficient), ``_basis``
-(their Cartesian components times e^{in theta}), ``_fields`` (the basis
-on a given table at polar points, contracted with the coefficients:
-every outgoing-wave field) and ``_invert`` (the 2x2 inverse, with the
-one determinant guard).  ``_tables`` is its arguments (``_arguments``)
-followed by the tables built on them (``_tables_at``), and ``_basis`` is
+This per-mode algebra is written once, here: ``_tables`` (alpha, beta, and
+kappa when asked, the only C'' switch, over C_n(kR) given R), ``_frame``
+(the U_n / V_n amplitudes of a unit coefficient), ``_basis`` (their
+Cartesian components times e^{in theta}), ``_fields`` (the basis on a
+given table at polar points, contracted with the coefficients: every
+outgoing-wave field) and ``_invert`` (the 2x2 inverse, with the one
+determinant guard).  ``_tables`` is its arguments (``_arguments``, on the
+distinct radii) followed by the tables built on them (``_tables_at``,
+which divides all of them by C_n(kR) in one operation), and ``_basis`` is
 the tables followed by ``_basis_of`` at the ``_angles`` of the points, so
-the Newton iterate can share one kernel pass with the incident field and
-keep the angles for the whole run.  The disk oracle in ``forward`` shares
-them all but the Hankel library (it passes AMOS's table, without R), so
-mpmath's per-mode matrix (``tests/oracles.modal_matrix``) is their
-independent check.  The projection of full-circle data (one matrix
-product with the trapezoid weights) and the inverse act on each mode
-alone, so an extraction at order N holds every lower order's
-coefficients.  The d/dr frame is the frame of the tables
-(kappa, alpha - beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r), which only
-the d/dr callers build; the angular derivative needs no table of its own,
-since U_n' = in U_n + V_n and V_n' = in V_n - U_n make d/dtheta v the
-field of the coefficients in c plus v turned a quarter.  The evaluators
-are ``eval_field`` (v), ``eval_radial`` (v and d/dr v) and
-``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the
-rows c and in c).  ``_ring`` is ``_fields``' v on the ring (rho, 2 pi j / M)
-by one inverse FFT per circular component, not a (2N+1) x M basis.
+the Newton iterate can build the tables on its own radii from the kernel
+pass it shares with the incident field and keep the angles for the whole
+run.  The disk oracle in ``forward`` shares them all but the Hankel
+library (it passes AMOS's table, without R), so mpmath's per-mode matrix
+(``tests/oracles.modal_matrix``) is their independent check.  The
+projection of full-circle data (one matrix product with the trapezoid
+weights) and the inverse act on each mode alone, so an extraction at order
+N holds every lower order's coefficients.  The d/dr frame is the frame of
+the tables (kappa, alpha - beta/r), kappa_{xi,n}(r) = alpha_{xi,n}'(r),
+which only the d/dr callers build; the angular derivative needs no table
+of its own, since U_n' = in U_n + V_n and V_n' = in V_n - U_n make
+d/dtheta v the field of the coefficients in c plus v turned a quarter.
+The evaluators are ``eval_field`` (v), ``eval_radial`` (v and d/dr v) and
+``eval_gradient`` (the Cartesian Jacobian, one ``eval_radial`` of the rows
+c and in c).  ``_ring`` is ``_fields``' v on the ring (rho, 2 pi j / M) by
+one inverse FFT per circular component, not a (2N+1) x M basis.
 
 Coefficient arrays are ordered n = -N..N along their last axis; leading
 axes (one row per source for a record) pass through every evaluator, which
@@ -100,19 +101,24 @@ def _tables(table, k, N: int, r: np.ndarray, R=None, kappa=False):
 
 
 def _tables_at(table, k, N: int, t, back, R=None, kappa=False):
-    """``_tables`` at the arguments (t, back) = ``_arguments(k, r, R)``: one
-    ``specfun.cylinder_tables`` call on ``table`` for every k, scattered back.
-    Given R, its column is last and every table is divided by C_n(kR)."""
-    c, dc, ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t))
+    """``_tables`` at the arguments t, read back through ``back`` (an index or
+    a slice): one ``specfun.cylinder_tables`` call on ``table`` for every k.
+    Given R, its column is last and the tables, written into one array, are
+    divided by C_n(kR) in one operation."""
+    c, dc, ddc = specfun.cylinder_tables(table, N, t)
     if R is not None:  # checked before any arithmetic on an overflowed table
         denom = c[..., -1:]
         if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
             raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
-    k = np.reshape(k, np.shape(k) + (1, 1))
-    tabs = [k * dc, c] + ([k * k * ddc] if kappa else [])
+    k = np.reshape(k, np.shape(k) + (1,))
+    tabs = np.empty((2 + kappa,) + c.shape, dtype=c.dtype)
+    np.multiply(k, dc, out=tabs[0])
+    tabs[1] = c
+    if kappa:
+        np.multiply(k * k, ddc, out=tabs[2])
     if R is not None:
-        tabs = [tab / denom for tab in tabs]
-    return [tab[..., back] for tab in tabs]
+        tabs /= denom
+    return list(np.moveaxis(tabs, 1, -2)[..., back])
 
 
 def _polar(x):

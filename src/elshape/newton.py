@@ -36,13 +36,14 @@ on the measurement circle and do not depend on the iterate, and
 angles t_p, the sources and the truncation order: B(t_p), the directions
 xhat_p, the modal basis's cos t_p, sin t_p and e^{i n t_p} (taken from
 t_p itself), and the source positions and polarizations.  Per iterate
-(``assemble_system``): the radii and points, the incident kernel's
-arguments k |x_p - z_s| and the modal tables' k r_p and k R, one
-order-0/1 Hankel kernel pass shared by both (``specfun.hankel01_joint``),
-the upward recurrence on the modal columns only, the incident field and
-its radial derivative contracted with the polarizations without forming
-G, the modal value and radial derivative from one basis, and the
-reduction above.
+(``assemble_system``): the radii and points; one argument buffer holding
+the incident kernel's k |x_p - z_s|, then the modal tables' k r_p on the
+iterate's own P radii (not deduplicated, read back through a slice) and
+k R; one order-0/1 Hankel kernel pass over that buffer, whose rows each
+consumer reads as views; the upward recurrence on the modal columns
+only; the incident field and its radial derivative contracted with the
+polarizations without forming G; the modal value and radial derivative
+from one basis; and the reduction above.
 
 Iterates must keep min_t r(t) > R; a violating step is halved up to five
 times before the run is declared divergent.  The loop stops when the
@@ -114,11 +115,11 @@ def assemble_system(field: ModalField, grid: Collocation, curve: StarCurve):
     2*degree+1 columns; the last rhs entry carries the part of the boundary
     residual no step can reach, so ||rhs|| is the full residual ||u||.
 
-    Only what the radii change is computed here: the points, the incident
-    kernel's arguments k|x_p - z_s| and the modal tables' k r_p and k R go
-    through one order-0/1 kernel pass, the upward recurrence runs on the
-    modal columns only, and the incident field is contracted with the
-    polarizations without forming G.
+    Only what the radii change is computed here: the points, then one
+    buffer of the incident kernel's arguments k|x_p - z_s| and the modal
+    tables' k r_p and k R through one order-0/1 kernel pass, the upward
+    recurrence on the modal columns only, and the incident field
+    contracted with the polarizations without forming G.
     """
     radii = grid.basis @ curve.coeffs
     bad = radii <= field.R
@@ -128,13 +129,15 @@ def assemble_system(field: ModalField, grid: Collocation, curve: StarCurve):
         )
     sys, k = field.sys, (field.sys.k_p, field.sys.k_s)
     dx, dy, r = elastic._separation(radii[:, None] * grid.xhat, grid.z)
-    t_inc = elastic._arguments(r, sys)
-    t_mod, back = modal._arguments(k, radii, field.R)
-    h_inc, h_mod = specfun.hankel01_joint(t_inc, t_mod)
+    # one argument buffer (k |x_p - z_s|, then k r_p and k R), one kernel pass, and views
+    t = elastic._arguments(np.concatenate([r.reshape(-1), radii, [field.R]]), sys)
+    h = specfun.hankel01(t)
+    t_inc, h_inc = (a[..., : r.size].reshape(a.shape[:-1] + r.shape) for a in (t, h))
+    t_mod, h_mod = t[:, r.size :], h[..., r.size :]
 
     u_inc, du_inc = elastic._contracted(dx, dy, r, grid.p, h_inc, t_inc, sys, grid.xhat)
-    tabs = modal._tables_at(partial(specfun.hankel1_table, rows=h_mod), k, field.N, t_mod, back,
-                            field.R, kappa=True)
+    tabs = modal._tables_at(partial(specfun.hankel1_table, rows=h_mod), k, field.N, t_mod,
+                            slice(radii.size), field.R, kappa=True)
     total = modal._contract(field.phat_p, field.phat_s, modal._basis_of(tabs, radii, grid.angles))
     total[..., 0, :, :] += u_inc
     total[..., 1, :, :] += du_inc

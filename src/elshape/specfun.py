@@ -35,9 +35,13 @@ Two routes give H_n^(1):
     incident field and its gradient, hence the MFS solve) need orders 0..2
     and call only the kernel pass ``hankel01(t)``, forming H_2 themselves.
     The pass and the recurrence ``hankel1_table(N, t, rows)`` are separate,
-    so a caller can run one pass over several consumers' arguments
-    (``hankel01_joint``, one per Newton iterate for the incident field and
-    the modal tables) and extend only the columns that need higher orders.
+    so a caller can run one pass over several consumers' arguments (the
+    Newton iterate writes the incident field's and the modal tables' into
+    one buffer) and extend only the columns that need higher orders.  The
+    recurrence steps J and Y together on the table's float view, three
+    ufunc calls per order for both (two each would take five), with the
+    same arithmetic for each float entry; that pays on small tables such
+    as a Newton iterate's, where call overhead dominates.
   * ``hankel1(n, t)`` and the other AMOS wrappers (``bessel_j``,
     ``bessel_y``, ``ln_gamma``) call scipy.special, imported on first use.
     Only the disk-series oracle in ``forward`` and the checks in ``verify``
@@ -68,7 +72,6 @@ __all__ = [
     "bessel_y",
     "hankel1",
     "hankel01",
-    "hankel01_joint",
     "hankel1_table",
     "derivatives",
     "cylinder_tables",
@@ -280,22 +283,14 @@ def hankel01(t):
     return h
 
 
-def hankel01_joint(*ts):
-    """``hankel01`` of each argument array in ts, from one kernel pass over
-    all of them: each result is (2,) + that array's shape."""
-    sizes = [np.size(t) for t in ts]
-    h = hankel01(np.concatenate([np.ravel(t) for t in ts]))
-    parts = np.split(h, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape((2,) + np.shape(t)) for part, t in zip(parts, ts)]
-
-
 def hankel1_table(N, t, rows=None):
     """H_0^(1)(t) .. H_N^(1)(t) for t > 0, shape (N+1,) + np.shape(t).
 
     Orders 0 and 1 are ``rows`` when given (``hankel01`` at these t, e.g.
-    from a ``hankel01_joint`` pass), else one ``hankel01`` pass; the rest
-    come from the upward recurrence run separately on the real (J) and
-    imaginary (Y) parts.  Where H_n overflows the entries become
+    sliced from a pass over several consumers' arguments), else one
+    ``hankel01`` pass; the rest come from the upward recurrence, run on the
+    real (J) and imaginary (Y) parts together through the float view, with
+    1/t repeated for each.  Where H_n overflows the entries become
     non-finite, as AMOS's do.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 0):
@@ -307,13 +302,11 @@ def hankel1_table(N, t, rows=None):
     t = np.asarray(t, dtype=float)
     h = np.empty((N + 1,) + t.shape, dtype=complex)
     h[:2] = rows
-    j, y = h.real, h.imag
-    inv_t = 1.0 / t
+    jy = h.reshape(N + 1, -1).view(float)  # (J, Y) interleaved per argument
+    inv_t = np.repeat(1.0 / t.reshape(-1), 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, N):
-            two_n_t = (2.0 * n) * inv_t
-            np.subtract(two_n_t * j[n], j[n - 1], out=j[n + 1, ...])
-            np.subtract(two_n_t * y[n], y[n - 1], out=y[n + 1, ...])
+            np.subtract((2.0 * n) * inv_t * jy[n], jy[n - 1], out=jy[n + 1])
     return h
 
 

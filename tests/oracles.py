@@ -9,7 +9,11 @@ table, so that a test can compare two algebras on the same Hankel values,
 and ``decay_profile_per_order`` and ``noise_halving_ratios_on_the_receivers``,
 which run the library's extraction and evaluation the way the battery once
 did (once per truncation order; on the receivers), so that a test can
-check the battery's shortcut against them.
+check the battery's shortcut against them.  ``dedup_assemble_system``
+likewise runs the Newton iterate the way it was built before its tables
+moved onto the iterate's own radii (with ``hankel1_table_j_then_y`` and
+``tables_one_by_one``, the recurrence and the normalization of that
+route), so that a test can pin the lean iterate to it bit for bit.
 """
 
 import math
@@ -18,7 +22,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from elshape import specfun
+from elshape import elastic, modal, specfun
 from elshape.elastic import POLARIZATION, LameSystem, PointSource
 from elshape.forward import (
     disk_series, measure, noise_perturbation, record_from_disk_series, ring_sources,
@@ -267,3 +271,61 @@ def tail_sum_direct(N: int, tau: float) -> float:
         if term < 1e-22 * total and n > N + 10:
             return total
         n += 1
+
+
+def hankel1_table_j_then_y(N: int, t, rows=None) -> np.ndarray:
+    """``specfun.hankel1_table`` with the upward recurrence run on the real (J)
+    parts, then separately on the imaginary (Y) parts."""
+    t = np.asarray(t, dtype=float)
+    h = np.empty((N + 1,) + t.shape, dtype=complex)
+    h[:2] = specfun.hankel01(t) if rows is None else rows
+    j, y = h.real, h.imag
+    inv_t = 1.0 / t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, N):
+            two_n_t = (2.0 * n) * inv_t
+            np.subtract(two_n_t * j[n], j[n - 1], out=j[n + 1, ...])
+            np.subtract(two_n_t * y[n], y[n - 1], out=y[n + 1, ...])
+    return h
+
+
+def tables_one_by_one(table, k, N: int, t, back, R=None, kappa=False) -> list:
+    """``modal._tables_at``'s k C', C and k^2 C'', each formed and divided by
+    C_n(kR) on its own, then gathered through ``back``."""
+    c, dc, ddc = (np.moveaxis(tab, 0, -2) for tab in specfun.cylinder_tables(table, N, t))
+    k = np.reshape(k, np.shape(k) + (1, 1))
+    tabs = [k * dc, c] + ([k * k * ddc] if kappa else [])
+    if R is not None:
+        tabs = [tab / c[..., -1:] for tab in tabs]
+    return [tab[..., back] for tab in tabs]
+
+
+def dedup_assemble_system(field, grid, curve):
+    """``newton.assemble_system``'s (A, rhs) by the dedup-and-gather route: the
+    modal arguments on the sorted distinct radii (``modal._arguments``), the
+    incident and modal arguments concatenated for one kernel pass and split
+    after it, the J-then-Y recurrence, and every table divided on its own and
+    gathered back to the P radii."""
+    radii = grid.basis @ curve.coeffs
+    sys, k = field.sys, (field.sys.k_p, field.sys.k_s)
+    dx, dy, r = elastic._separation(radii[:, None] * grid.xhat, grid.z)
+    t_inc = elastic._arguments(r, sys)
+    t_mod, back = modal._arguments(k, radii, field.R)
+    h = specfun.hankel01(np.concatenate([t_inc.ravel(), t_mod.ravel()]))
+    h_inc, h_mod = (part.reshape((2,) + t.shape)
+                    for part, t in zip(np.split(h, [t_inc.size], axis=1), (t_inc, t_mod)))
+    u_inc, du_inc = elastic._contracted(dx, dy, r, grid.p, h_inc, t_inc, sys, grid.xhat)
+    tabs = tables_one_by_one(lambda m, t: hankel1_table_j_then_y(m, t, h_mod), k, field.N,
+                             t_mod, back, field.R, kappa=True)
+    total = modal._contract(field.phat_p, field.phat_s, modal._basis_of(tabs, radii, grid.angles))
+    total[..., 0, :, :] += u_inc
+    total[..., 1, :, :] += du_inc
+    both = total.view(float).reshape(-1, 2, radii.size, 4)
+    u, du = both[:, 0], both[:, 1]
+    w = np.einsum("spc,spc->p", du, du)
+    g = np.einsum("spc,spc->p", du, u)
+    sqrt_w = np.sqrt(w)
+    g_scaled = np.divide(g, sqrt_w, out=np.zeros_like(g), where=w > 0.0)
+    rho2 = np.einsum("spc,spc->p", u, u) - g_scaled ** 2
+    a = np.concatenate([sqrt_w[:, None] * grid.basis, np.zeros((1, grid.basis.shape[1]))])
+    return a, np.append(g_scaled, np.sqrt(np.sum(np.maximum(rho2, 0.0))))

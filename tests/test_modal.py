@@ -12,6 +12,7 @@ from elshape.modal import (
     _amplitudes,
     _ring,
     _tables,
+    _tables_at,
     bracket,
     choose_truncation,
     eval_field,
@@ -153,6 +154,33 @@ class TestTables:
         assert alpha.shape == beta.shape == kappa.shape == (2, 13, 5)
         # the repeated radius is scattered back from its one column
         assert np.array_equal(beta[..., 0], beta[..., 3])
+
+    @pytest.mark.parametrize("back", [np.array([3, 0, 1, 3, 2]), slice(4)], ids=["index", "slice"])
+    def test_one_division_equals_tables_one_by_one(self, back):
+        k = (SYS5.k_p, SYS5.k_s)
+        t = np.multiply.outer(k, [0.6, 1.0, 1.7, 3.0, 0.5])
+        got = _tables_at(specfun.hankel1_table, k, 9, t, back, 0.5, kappa=True)
+        want = oracles.tables_one_by_one(specfun.hankel1_table, k, 9, t, back, 0.5, kappa=True)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_real_table_without_R_stays_real(self):
+        # the disk oracle's J tables: no normalization, and no complex dtype forced on them
+        k, t = (SYS5.k_p, SYS5.k_s), np.multiply.outer((SYS5.k_p, SYS5.k_s), [1.0, 2.0])
+        table = forward._amos(specfun.bessel_j)
+        got = _tables_at(table, k, 6, t, slice(None))
+        want = oracles.tables_one_by_one(table, k, 6, t, slice(None))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == float and g.tobytes() == w.tobytes()
+
+    def test_degenerate_normalization_refused_before_any_arithmetic(self):
+        # H_n(k 0.01) overflows at N = 250: any product or quotient on it would
+        # raise FloatingPointError here before the guard's SolveError
+        k = (SYS1.k_p, SYS1.k_s)
+        t = np.multiply.outer(k, [2.0, 0.01])
+        with np.errstate(all="raise"), pytest.raises(SolveError, match="degenerate normalization"):
+            _tables_at(specfun.hankel1_table, k, 250, t, slice(1), 0.01, kappa=True)
 
     def test_kappa_only_when_asked(self):
         k = (SYS5.k_p, SYS5.k_s)

@@ -32,6 +32,8 @@ from elshape.newton import (
     relative_update,
 )
 
+import oracles
+
 SYS5 = LameSystem(1.0, 1.0, 5.0)
 SYS1 = LameSystem(1.0, 1.0, 1.0)
 POL = (np.sqrt(0.5), np.sqrt(0.5))
@@ -209,6 +211,8 @@ class TestAssembleSystem:
         assert abs(np.linalg.norm(rhs) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
 
 
+#: the benchmark's first iterate, the initial guess: a circle of radius 1.5 (degree 8)
+CIRCLE_ITERATE = list(StarCurve.circle(1.5, 8).coeffs)
 #: the 3rd iterates of the benchmark's starfish and kite runs (degree 8), rounded
 STARFISH_ITERATE = [1.578, 0.001, 0.0, 0.0, 0.002, 0.15, -0.001, -0.0, -0.0,
                     -0.0, -0.004, 0.011, 0.0, 0.0, 0.0, 0.005, 0.001]
@@ -258,11 +262,24 @@ class TestOnePassIterate:
         assert np.linalg.norm(rhs - want_rhs) <= 1e-14 * np.linalg.norm(want_rhs)
 
     @pytest.mark.parametrize("n_points", [17, 64])
+    @pytest.mark.parametrize("coeffs", [CIRCLE_ITERATE, STARFISH_ITERATE, KITE_ITERATE],
+                             ids=["circle", "starfish", "kite"])
+    def test_matches_the_dedup_route_bit_for_bit(self, ring_field, n_points, coeffs):
+        # on the circle every radius coincides, so the dedup route builds its
+        # tables on one column where the iterate builds them on P
+        field, srcs = ring_field
+        grid = collocation(field, srcs, np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False), 8)
+        curve = StarCurve(np.array(coeffs))
+        got = assemble_system(field, grid, curve)
+        want = oracles.dedup_assemble_system(field, grid, curve)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n_points", [17, 64])
     def test_one_kernel_pass_per_iterate(self, monkeypatch, ring_field, n_points):
         # a per-source, per-point or per-layer pass would scale the count
         field, srcs = ring_field
         grid = collocation(field, srcs, np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False), 8)
-        passes = []
         hankel01 = specfun.hankel01
 
         def counted(t):
@@ -270,9 +287,12 @@ class TestOnePassIterate:
             return hankel01(t)
 
         monkeypatch.setattr(specfun, "hankel01", counted)
-        assemble_system(field, grid, StarCurve(np.array(KITE_ITERATE)))
-        # both wavenumbers at every (source, point) pair, then at every radius and R
-        assert passes == [2 * len(srcs) * n_points + 2 * (n_points + 1)]
+        for coeffs in (KITE_ITERATE, CIRCLE_ITERATE):
+            passes = []
+            assemble_system(field, grid, StarCurve(np.array(coeffs)))
+            # both wavenumbers at every (source, point) pair, then at every
+            # radius (all P of them, even where they coincide, as on the circle) and R
+            assert passes == [2 * len(srcs) * n_points + 2 * (n_points + 1)]
 
     def test_guards_keep_their_errors(self, ring_field):
         field, srcs = ring_field

@@ -282,6 +282,17 @@ class TestHankelTable:
         with pytest.raises(DomainError):
             specfun.hankel1_table(N, 1.0)
 
+    def test_float_view_recurrence_equals_j_then_y_bit_for_bit(self):
+        # N = 120 overflows H_n from order 66 at t = 1e-3 and 107 at t = 0.1
+        t = np.array([[1e-3, 0.1, 5.0], [5.0, 1e-3, 0.1]])
+        got = specfun.hankel1_table(120, t)
+        want = oracles.hankel1_table_j_then_y(120, t)
+        finite = np.isfinite(got)
+        assert not finite[:, 0, 0].all() and not finite[:, 0, 1].all() and finite[:, 0, 2].all()
+        assert np.array_equal(finite, np.isfinite(want))
+        assert np.array_equal(np.isfinite(got.view(float)), np.isfinite(want.view(float)))
+        assert got.tobytes() == want.tobytes()
+
     def test_overflow_is_non_finite_and_ends_in_modal_guard(self):
         from elshape.elastic import LameSystem
         from elshape.errors import SolveError

@@ -7,7 +7,10 @@ that imports its own `src/` and `perfbench/workloads.py`; no bytecode is
 written into either tree.  Per checkout the digests cover:
 
 * per seed, every `forward-mfs` record's values and every `reconstruct`
-  run's `ReconRun.to_json_dict()` JSON (the benchmark's workloads);
+  run's `ReconRun.to_json_dict()` JSON (the benchmark's workloads), and
+  from the same `reconstruct` run the Newton layer itself:
+  `assemble_system`'s (A, rhs) at the run's first three iterates, the
+  initial circle (where all radii coincide) first;
 * the `verify-battery` checks' `measured` values, by repr (the battery
   fixes its own seeds, so it runs once);
 * `green_tensor` (on 23 x 5 pairs, and on 300 x 64 pairs: two full row
@@ -17,8 +20,9 @@ written into either tree.  Per checkout the digests cover:
   `record_from_disk_series` on the full receiver ring and on an arc,
   `solve_mfs` strengths and residuals on each shipped shape's layout (the
   kite at 512/256/0.92, the disk at 128/64/0.6 with omega = 1, the
-  starfish at 384/192/0.85), and the `disk_series` coefficients of 20
-  ring sources, on fixed inputs.
+  starfish at 384/192/0.85), the `disk_series` coefficients of 20
+  ring sources, and `hankel1_table` and `cylinder_tables` of orders 0..120
+  on 23 arguments, two of which overflow the top orders, on fixed inputs.
 
 An output that raises is digested as its exception's repr, so an error on
 one side only is a difference too.  The script prints every output that
@@ -35,6 +39,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 
@@ -64,7 +69,7 @@ def _fixed_outputs(records) -> dict:
     """name -> thunk of each point-source field and modal evaluator on fixed inputs."""
     import numpy as np
 
-    from elshape import elastic, forward, geometry, modal
+    from elshape import elastic, forward, geometry, modal, specfun
     from elshape.elastic import LameSystem, PointSource
 
     sys5 = LameSystem(1.0, 1.0, 5.0)
@@ -92,6 +97,8 @@ def _fixed_outputs(records) -> dict:
     turns = np.linspace(0.0, 6.0 * np.pi, 300)
     spiral = (1.2 + 0.1 * turns)[:, None] * np.stack([np.cos(turns), np.sin(turns)], axis=-1)
     inner = 0.8 * np.stack([np.cos(0.1 * np.arange(64)), np.sin(0.1 * np.arange(64))], axis=-1)
+    # H_n overflows from order 66 at t = 1e-3 and from order 107 at t = 0.1
+    t_tab = np.concatenate([[1e-3, 0.1], np.geomspace(0.05, 60.0, 21)])
 
     return {
         "green_tensor": lambda: elastic.green_tensor(x[:, None], 0.4 * x[None, :5], sys5),
@@ -112,7 +119,31 @@ def _fixed_outputs(records) -> dict:
         "solve_mfs/disk": lambda: mfs(geometry.disk(1.0), LameSystem(1.0, 1.0, 1.0), 128, 64, 0.6),
         "solve_mfs/starfish": lambda: mfs(geometry.starfish(), sys5, 384, 192, 0.85),
         "disk_series/ring20": ring_series,
+        "hankel1_table": lambda: specfun.hankel1_table(120, t_tab),
+        "cylinder_tables": lambda: tuple(specfun.cylinder_tables(specfun.hankel1_table, 120,
+                                                                 t_tab)),
     }
+
+
+def _reconstruct_outputs(call, newton, count=3) -> dict:
+    """"run" -> the `ReconRun` JSON of the reconstruct run `call`, and "iterate<i>"
+    -> `newton.assemble_system`'s (A, rhs) at each of its first `count` iterates,
+    recorded as the run makes them."""
+    systems = {}
+    assemble = newton.assemble_system
+
+    def recording(*args):
+        out = assemble(*args)
+        if len(systems) < count:
+            systems[f"iterate{len(systems)}"] = out
+        return out
+
+    newton.assemble_system = recording
+    try:
+        run = call()
+    finally:
+        newton.assemble_system = assemble
+    return {"run": json.dumps(run.to_json_dict(), sort_keys=True), **systems}
 
 
 def digests(root: Path, seeds) -> dict:
@@ -124,19 +155,18 @@ def digests(root: Path, seeds) -> dict:
         sys.path.insert(0, str(path))
     import elshape
     import workloads
+    from elshape import newton
 
     if Path(elshape.__file__).resolve().parent != (root / "src" / "elshape").resolve():
         raise SystemExit(f"imported elshape from {elshape.__file__}, not from {root}")
     records = workloads.load_records()
     thunks = {}
     for seed in seeds:
-        for kind, make, output in (
-            ("forward-mfs", workloads.forward_mfs, lambda rec: rec.values),
-            ("reconstruct", workloads.reconstruct,
-             lambda run: json.dumps(run.to_json_dict(), sort_keys=True)),
-        ):
-            for case in make(seed, records).cases:
-                thunks[f"{kind}/seed{seed}/{case.name}"] = lambda c=case, o=output: o(c.call())
+        for case in workloads.forward_mfs(seed, records).cases:
+            thunks[f"forward-mfs/seed{seed}/{case.name}"] = lambda c=case: c.call().values
+        for case in workloads.reconstruct(seed, records).cases:
+            thunks[f"reconstruct/seed{seed}/{case.name}"] = partial(_reconstruct_outputs,
+                                                                    case.call, newton)
     battery = workloads.verify_battery(seeds[0], records).cases[0]
     thunks["verify-battery"] = lambda: {r.name: repr(r.measured) for r in battery.call()}
     thunks.update(_fixed_outputs(records))
