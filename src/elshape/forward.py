@@ -8,11 +8,13 @@ Two independent routes produce scattered fields for a rigid obstacle
   of the boundary, fitted by oversampled least-squares collocation of
   v = -u_inc on the boundary.  Works for any smooth parametric curve.
   A is a view of ``green_tensor``'s array, not a copy (``elastic``
-  lays G out for it, see ``elastic._tensor_array``).  On a curve symmetric
-  about the x-axis (``ParametricCurve.mirrored``) A commutes with the mirror,
-  is evaluated on half the collocation points, and [A | B] splits exactly
-  into an even and an odd block, folded in L2-sized row blocks (element-wise, so
-  bit for bit); any other curve is one block.  One stacked
+  lays G out for it, see ``elastic._tensor_array``).  If a turn by 2 pi / g maps
+  the curve and both grids onto themselves (``_symmetry``), A is evaluated on one
+  orbit, and one FFT over the orbit index splits [A | B] exactly into g blocks:
+  the disk at 128/64 is g = 64 blocks of 4 x (2 + S).  Else a curve symmetric about
+  the x-axis (``mirrored``: the starfish and the kite, g = 1) has A on half the points
+  and an even and an odd block, folded in L2-sized row blocks, bit for bit; any other
+  curve is the turns' g = 1 case, one block, bit for bit.  One stacked
   Householder QR gives each block's triangle R and Q^H B, and one blocked
   back-substitution on R (64-row diagonal blocks, one product per block
   column for the rows above) gives every source's charges.
@@ -130,10 +132,10 @@ def solve_mfs(
 
     ``sources`` is a sequence of S point sources.  The collocation matrix
     does not depend on the source, so it is built once and one stacked QR
-    of [A | B] fits every source's right-hand side: on a ``mirrored`` curve
-    A is evaluated at the collocation points j <= n/2 and [A | B] is split
-    into an even and an odd block (``_fold_system``), otherwise it is one
-    block.  A zero on a block's R diagonal is a ``SolveError``.
+    of [A | B] fits every source's right-hand side.  [A | B] is split into g blocks
+    (``_turn_system``) if g = ``_symmetry`` > 1 or the curve is not ``mirrored``,
+    else into an even and an odd block (``_fold_system``, A at the points j <= n/2).
+    A zero on a block's R diagonal is a ``SolveError``.
     """
     srcs = tuple(sources)
     if not 0.0 < shrink < 1.0:
@@ -143,17 +145,23 @@ def solve_mfs(
     if np.any(curve.contains(_sources(srcs, 1)[0])):
         raise ConfigError("source point lies inside the obstacle")
 
-    mirrored = curve.mirrored
-    centroid = curve.centroid() * (1.0, not mirrored)  # on a mirrored curve's axis
-    charges = centroid + shrink * (_grid(curve, n_charges) - centroid)
-    colloc = _grid(curve, n_collocation)
-    a = _charge_matrix(colloc[: n_collocation // 2 + 1 if mirrored else None], charges, sys)
+    g = _symmetry(curve, n_collocation, n_charges)
+    mirrored = curve.mirrored and g == 1
+    colloc, charges = _grid(curve, n_collocation), _grid(curve, n_charges)
+    if not mirrored:  # orbits l of n/g and m/g representatives, turned by 2 pi l / g
+        turns = _grid(disk(1.0), g)
+        colloc, charges = (_turn(p[: len(p) // g], turns, -1.0).reshape(-1, 2)
+                           for p in (colloc, charges))
+    centre = 0.0 if g > 1 else curve.centroid() * (1.0, not mirrored)  # on the mirror's axis
+    charges = centre + shrink * (charges - centre)
+    rows = n_collocation // 2 + 1 if mirrored else n_collocation // g
+    a = _charge_matrix(colloc[:rows], charges, sys)
     # column s is -u_inc of source s on the grid
     b = -incident_field(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
 
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SolveError("non-finite MFS collocation system")
-    stack = _fold_system(a, b, n_collocation, n_charges) if mirrored else np.hstack([a, b])[None]
+    stack = _fold_system(a, b, n_collocation, n_charges) if mirrored else _turn_system(a, b, turns)
     del a, b  # freed before the QR, whose copies of the stack then reuse their pages
     # R of a block [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
     n = stack.shape[2] - len(srcs)
@@ -162,9 +170,9 @@ def solve_mfs(
         raise SolveError("rank-deficient MFS collocation matrix")
     coef = _back_substitute(r[:, :n, :n], r[:, :n, n:])
     res = stack[..., :n] @ coef - stack[..., n:]
-    if mirrored:
-        coef, res = _unfold(coef, n_charges), _unfold(res, n_collocation)
-    residuals = np.max(np.abs(res), axis=-2).reshape(len(srcs))
+    coef, res = ((_unfold(coef, n_charges), _unfold(res, n_collocation)) if mirrored
+                 else (_unturn(coef, turns), _unturn(res, turns)))
+    residuals = np.max(np.abs(res), axis=0)
     if warn_above is not None and np.any(residuals > warn_above):
         worst = int(np.argmax(residuals))
         warnings.warn(
@@ -192,6 +200,42 @@ def _grid(curve: ParametricCurve, n: int) -> np.ndarray:
 def _mirror_closed(p) -> bool:
     """Point -j mod n of the (n, 2) points p is point j mirrored, exactly (``_grid``)."""
     return bool(np.array_equal(p[-np.arange(len(p)) % max(len(p), 1)], p * (1.0, -1.0)))
+
+
+def _symmetry(curve: ParametricCurve, n: int, m: int) -> int:
+    """The largest g dividing n and m with e = 1 mod g for every e with z_e != 0 in
+    Z = x_1 + i x_2 = sum_e z_e e^{iet}, z_{+-j} = (C_j1 +- S_j2 + i (C_j2 -+ S_j1)) / 2:
+    then the turn by 2 pi / g about the origin maps the curve and both grids onto themselves."""
+    j = np.arange(len(curve.cos))
+    (c1, c2), (s1, s2) = curve.cos.T, curve.sin.T * (j > 0)  # sin 0t = 0
+    e = np.concatenate([j[(c1 + s2 != 0) | (c2 - s1 != 0)], -j[(c1 - s2 != 0) | (c2 + s1 != 0)]])
+    return int(np.gcd.reduce(np.append(e - 1, [n, m])))
+
+
+def _turn(v, turns, sense=1.0) -> np.ndarray:
+    """The (x, y) pairs on v's last axis, those of orbit l (axis -3) turned by
+    -2 pi l / g, or by +2 pi l / g with sense -1; turns[l] is (cos, sin) of 2 pi l / g."""
+    c, s = turns[:, None, 0], sense * turns[:, None, 1]
+    x, y = v[..., 0], v[..., 1]
+    return np.stack([x * c + y * s, y * c - x * s], axis=-1)
+
+
+def _turn_system(a, b, turns) -> np.ndarray:
+    """The (g, 2n/g, 2m/g + S) blocks of [A | B] for n points and m charges in g orbits,
+    from A at orbit 0's points: each orbit in its representative's frame, then one FFT
+    over the orbit index; block r of A is sum_d G(x_a, R^d y_b) R^d e^{2 pi i r d / g}."""
+    g, rows, s = len(turns), len(a), b.shape[1]
+    a_hat = np.fft.ifft(_turn(a.reshape(rows, g, -1, 2), turns), axis=1, norm="forward")
+    b_hat = np.fft.fft(_turn(b.T.reshape(s, g, rows // 2, 2), turns), axis=1)
+    return np.concatenate([a_hat.reshape(rows, g, -1).swapaxes(0, 1),
+                           b_hat.reshape(s, g, rows).transpose(1, 2, 0)], axis=2)
+
+
+def _unturn(x, turns) -> np.ndarray:
+    """The (2 g k, S) vectors, in global components, whose ``_turn_system`` blocks are x."""
+    g, k2, s = x.shape
+    v = np.fft.ifft(x, axis=0).transpose(2, 0, 1).reshape(s, g, k2 // 2, 2)
+    return _turn(v, turns, -1.0).reshape(s, g * k2).T
 
 
 def _fold(n: int):

@@ -61,7 +61,7 @@ class ParametricCurve:
         return self.sample(512).mean(axis=0)
 
     def max_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.sample(512), axis=-1)))
+        return float(np.max(np.hypot(*self.sample(512).T)))  # no overflow on huge curves
 
     def contains(self, x):
         """Winding-number test of points x, shape (..., 2), against the 720-point polygon,

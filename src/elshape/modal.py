@@ -105,20 +105,19 @@ def _tables_at(table, k, N: int, t, back, R=None, kappa=False):
     a slice): one ``specfun.cylinder_tables`` call on ``table`` for every k.
     Given R, its column is last and the tables, written into one array, are
     divided by C_n(kR) in one operation."""
-    c, dc, ddc = specfun.cylinder_tables(table, N, t)
+    tabs = specfun.cylinder_tables(table, N, t)[: 2 + kappa]  # C, C' (and C''), scaled in place
     if R is not None:  # checked before any arithmetic on an overflowed table
-        denom = c[..., -1:]
+        denom = tabs[0, ..., -1:].copy()
         if np.any(np.abs(denom) == 0.0) or not np.all(np.isfinite(denom)):
             raise SolveError("degenerate normalization H_n(kR) (zero or overflow)")
     k = np.reshape(k, np.shape(k) + (1,))
-    tabs = np.empty((2 + kappa,) + c.shape, dtype=c.dtype)
-    np.multiply(k, dc, out=tabs[0])
-    tabs[1] = c
+    tabs[1] *= k
     if kappa:
-        np.multiply(k * k, ddc, out=tabs[2])
+        tabs[2] *= k * k
     if R is not None:
         tabs /= denom
-    return list(np.moveaxis(tabs, 1, -2)[..., back])
+    c, dc, *ddc = np.moveaxis(tabs, 1, -2)[..., back]
+    return [dc, c, *ddc]
 
 
 def _polar(x):
@@ -221,7 +220,11 @@ def _invert(n, r, alpha, beta, f_u, f_v):
     bad = (np.abs(denom) < 1e-300) | ~np.isfinite(denom)
     if np.any(bad):
         raise SolveError(f"mode determinant tiny or non-finite at n={n[bad][0]} (|n| <= {n.max()})")
-    return (v_s * f_u - u_s * f_v) / denom, (u_p * f_v - v_p * f_u) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # data that overflow are refused below
+        c = (v_s * f_u - u_s * f_v) / denom, (u_p * f_v - v_p * f_u) / denom
+    if not (np.all(np.isfinite(c[0])) and np.all(np.isfinite(c[1]))):
+        raise SolveError("non-finite modal coefficients (the data overflow)")
+    return c
 
 
 def lambda_n(n, rho: float, R: float, sys: LameSystem):

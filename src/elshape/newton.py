@@ -145,12 +145,15 @@ def assemble_system(field: ModalField, grid: Collocation, curve: StarCurve):
     both = total.view(float).reshape(-1, 2, radii.size, 4)
     u, du = both[:, 0], both[:, 1]
 
-    w = np.einsum("spc,spc->p", du, du)
+    w, uu = np.einsum("spc,spc->p", du, du), np.einsum("spc,spc->p", u, u)
+    # |g_p| <= sqrt(w_p uu_p): finite totals of w and uu (einsum does not warn) bound the system
+    if not (np.isfinite(np.einsum("p->", w)) and np.isfinite(np.einsum("p->", uu))):
+        raise SolveError("non-finite Newton system (the data overflow its squares)")
     g = np.einsum("spc,spc->p", du, u)
     sqrt_w = np.sqrt(w)
     # where du vanishes the row is zero and the point's residual is remainder
     g_scaled = np.divide(g, sqrt_w, out=np.zeros_like(g), where=w > 0.0)
-    rho2 = np.einsum("spc,spc->p", u, u) - g_scaled ** 2
+    rho2 = uu - g_scaled ** 2
     a = np.concatenate([sqrt_w[:, None] * grid.basis, np.zeros((1, grid.basis.shape[1]))])
     # rho2 >= 0 holds up to round-off
     rhs = np.append(g_scaled, np.sqrt(np.sum(np.maximum(rho2, 0.0))))

@@ -164,7 +164,7 @@ class ScatterRecord:
                 sys=sys,
                 sources=sources,
                 receivers=receivers,
-                values=raw[..., 0::2] + 1j * raw[..., 1::2],
+                values=raw.view(complex),  # no arithmetic, so an inf stays for the check
                 aperture=tuple(_numbers(doc["aperture"], "aperture")),
             )
         except ConfigError:

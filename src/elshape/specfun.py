@@ -317,8 +317,9 @@ def derivatives(c_prev, c, n, t):
 
 
 def cylinder_tables(table, N, t):
-    """[C, C', C''] for n = -N..N, each (2N+1,) + t.shape, from ``table(m, t)``,
-    which gives C_0(t) .. C_m(t) on a leading axis (as ``hankel1_table`` does).
+    """[C, C', C''] for n = -N..N as one (3, 2N+1) + t.shape array, which a caller
+    may scale in place, from ``table(m, t)``, which gives C_0(t) .. C_m(t) on a
+    leading axis (as ``hankel1_table`` does).
 
     Where C overflows the entries become non-finite without a warning, for
     the caller's guard to refuse.
@@ -326,12 +327,13 @@ def cylinder_tables(table, N, t):
     t = np.asarray(t, dtype=float)
     c = table(max(N, 1), t)  # C_1 even at N = 0: C_{-1} = -C_1 closes C_0'
     n = np.arange(N + 1).reshape((-1,) + (1,) * t.ndim)
+    out = np.empty((3, 2 * N + 1) + c.shape[1:], dtype=c.dtype)
+    out[0, N:] = c[: N + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d1, d2 = derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t)
-    out = [np.concatenate([tab[:0:-1], tab]) for tab in (c[: N + 1], d1, d2)]
+        out[1, N:], out[2, N:] = derivatives(np.concatenate([-c[1:2], c[:N]]), c[: N + 1], n, t)
     odd = slice(1 - N % 2, N, 2)  # C_{-n} = (-1)^n C_n: the rows of -1, -3, .. -N
-    for tab in out:
-        np.negative(tab[odd], out=tab[odd])
+    out[:, :N] = out[:, : N : -1]
+    np.negative(out[:, odd], out=out[:, odd])
     return out
 
 

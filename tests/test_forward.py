@@ -232,28 +232,33 @@ class TestQrSolve:
         # the matrix is green_tensor's own array, not a rearranged copy
         assert a.flags.c_contiguous and np.shares_memory(a, made[0])
 
-    @pytest.mark.parametrize("zeroed, mirror_zeroed", [(slice(None), slice(None)), ([5], [5, 61])],
-                             ids=["all", "one_column"])
-    def test_rank_deficient_matrix_refused(self, monkeypatch, zeroed, mirror_zeroed):
-        # on both layouts: the turned disk is one block of the full matrix;
-        # the disk's mirrored layout folds column 5 (charge 2, y) with its
-        # mirror's column 61 (charge 30, y), so one column there is both
+    @pytest.mark.parametrize("one", [False, True], ids=["all", "one_column"])
+    def test_rank_deficient_matrix_refused(self, monkeypatch, one):
+        # on every layout.  The turned kite is one block of the full matrix (g = 1).
+        # The kite's mirrored layout folds column 5 (charge 2, y) with its mirror's
+        # column 61 (charge 30, y), so one column there is both.  The disk's turns mix
+        # a charge's two columns over its orbit: at 66/32 (g = 2, 16 charges an orbit)
+        # charge 2 is columns 4, 5 and 36, 37; the turned disk at 64/32 (g = 32) has one
+        # charge an orbit, so its one charge is every column
         charge_matrix = forward._charge_matrix
-        for curve, cols in ((turned(disk(1.0)), zeroed), (disk(1.0), mirror_zeroed)):
+        for curve, n_col, cols in ((turned(kite()), 64, [5]), (kite(), 64, [5, 61]),
+                                   (disk(1.0), 66, [4, 5, 36, 37]),
+                                   (turned(disk(1.0)), 64, slice(None))):
 
             def deficient(x, charges, sys):
                 a = charge_matrix(x, charges, sys)
-                a[:, cols] = 0.0
+                a[:, cols if one else slice(None)] = 0.0
                 return a
 
             monkeypatch.setattr(forward, "_charge_matrix", deficient)
             with pytest.raises(SolveError, match="rank-deficient"):
-                solve_mfs(curve, (SRC,), SYS5, 64, 32, 0.7, warn_above=None)
+                solve_mfs(curve, (SRC,), SYS5, n_col, 32, 0.7, warn_above=None)
 
 
 class TestMirroredSolve:
-    """A curve symmetric about the x-axis is solved as an even and an odd
-    block; any other curve as one block of the full matrix."""
+    """A curve symmetric about the x-axis and without a turn (g = 1) is solved
+    as an even and an odd block; the disk as 64 turned blocks; any other curve
+    as one block of the full matrix."""
 
     @pytest.mark.parametrize("curve, mirrored", [
         (disk(1.0), True),
@@ -266,11 +271,12 @@ class TestMirroredSolve:
     def test_mirrored_truth_table(self, curve, mirrored):
         assert curve.mirrored is mirrored
 
-    @pytest.mark.parametrize("curve, rows, blocks", [
-        (kite(), 65, (2, 129, 63 + 3)),
-        (turned(kite()), 129, (1, 258, 126 + 3)),
-    ], ids=["mirrored", "turned"])
-    def test_stack_layout(self, monkeypatch, curve, rows, blocks):
+    @pytest.mark.parametrize("curve, counts, rows, blocks", [
+        (kite(), (129, 63), 65, (2, 129, 63 + 3)),
+        (turned(kite()), (129, 63), 129, (1, 258, 126 + 3)),
+        (disk(1.0), (128, 64), 2, (64, 4, 2 + 3)),
+    ], ids=["mirrored", "turned", "disk"])
+    def test_stack_layout(self, monkeypatch, curve, counts, rows, blocks):
         seen = {}
         charge_matrix, qr = forward._charge_matrix, np.linalg.qr
 
@@ -284,12 +290,13 @@ class TestMirroredSolve:
 
         monkeypatch.setattr(forward, "_charge_matrix", rows_seen)
         monkeypatch.setattr(forward.np.linalg, "qr", stack_seen)
-        sol = solve_mfs(curve, ring_sources(3, 3.0, POL), SYS5, 129, 63, 0.9, warn_above=None)
+        sol = solve_mfs(curve, ring_sources(3, 3.0, POL), SYS5, *counts, 0.9, warn_above=None)
         assert seen == {"rows": rows, "stack": blocks}
         if curve.mirrored:
-            # the grids are their own mirror images, point -j mod n of point j
-            j = np.arange(63)
-            assert np.array_equal(sol.charges[-j % 63], sol.charges * (1.0, -1.0))
+            # the charges are their own mirror image, charge -j mod m of charge j:
+            # the disk's turns come from a mirror-closed grid, so eval keeps its half path
+            j = np.arange(counts[1])
+            assert np.array_equal(sol.charges[-j % counts[1]], sol.charges * (1.0, -1.0))
 
     @pytest.mark.parametrize("n_col, n_chg", [(129, 63), (128, 63), (129, 64)])
     def test_odd_counts_match_svd_reference(self, n_col, n_chg):
@@ -339,6 +346,69 @@ class TestMirroredSolve:
         want[0, :, :m], want[1, :, :m] = x[:n, :m] + y[:n, :m], x[-n:, -m:] - y[-n:, -m:]
         want[0, :, m:], want[1, :, m:] = bx[:n] + by[:n], bx[-n:] - by[-n:]
         assert np.array_equal(forward._fold_system(a, b, n_col, n_chg), want)
+
+
+class TestRotationFold:
+    """A curve whose table has only exponents e = 1 mod g in Z = x_1 + i x_2 is solved
+    as g blocks, one per Fourier mode of the orbit index; g = 1 is the one-block solve."""
+
+    @pytest.mark.parametrize("curve, counts, g", [
+        (disk(1.0), (128, 64), 64),
+        (disk(1.0), (128, 63), 1),
+        (turned(disk(1.0)), (64, 32), 32),
+        (starfish(), (384, 192), 1),
+        (starfish(), (400, 200), 5),
+        (kite(), (512, 256), 1),
+        (turned(kite()), (512, 256), 1),
+    ], ids=["disk", "disk-128-63", "turned-disk", "starfish", "starfish-400-200", "kite",
+            "turned-kite"])
+    def test_symmetry_truth_table(self, curve, counts, g):
+        assert forward._symmetry(curve, *counts) == g
+
+    def test_turned_starfish_matches_the_mirror_fold(self, monkeypatch):
+        # 400/200 takes the turns (g = 5, blocks of 160 x 80 + S); with g forced
+        # to 1 the same layout takes the mirror fold
+        srcs = ring_sources(5, 3.0, POL)
+        pts = disk(3.0).point(receiver_angles(128))
+        turns = solve_mfs(starfish(), srcs, SYS5, 400, 200, 0.85, warn_above=None)
+        monkeypatch.setattr(forward, "_symmetry", lambda *args: 1)
+        mirror = solve_mfs(starfish(), srcs, SYS5, 400, 200, 0.85, warn_above=None)
+        # measured 5.3e-12 and residuals within 1.1e-9 relative
+        assert rel_max(turns.eval(pts), mirror.eval(pts)) <= 5e-11
+        assert np.allclose(turns.residuals, mirror.residuals, rtol=1e-6, atol=0.0)
+
+
+class TestInteriorSource:
+    """An exact oracle for any shape: with u_inc = -G(., z0) q for z0 inside the
+    obstacle, the scattered field outside is G(., z0) q, the source's own field."""
+
+    Q = (0.6, -0.8)
+
+    @pytest.mark.parametrize("curve, layout, depth, bound", [
+        (disk(1.0), "disk", 0.3, 5e-15),          # measured 1.83e-15 (1.76e-15 mirror fold)
+        (disk(1.0), "disk", 0.5, 5e-15),          # measured 1.51e-15 (1.44e-15 mirror fold)
+        (disk(1.0), "disk", 0.8, 1e-11),          # measured 4.89e-12 (4.91e-12 mirror fold)
+        (starfish(), "starfish", 0.3, 5e-12),     # measured 2.45e-12
+        (starfish(), "starfish", 0.5, 1.5e-11),   # measured 6.46e-12
+        (starfish(), "starfish", 0.8, 5e-12),     # measured 2.22e-12
+        (kite(), "kite", 0.3, 2.5e-4),            # measured 1.09e-4
+        (kite(), "kite", 0.5, 3e-4),              # measured 1.42e-4
+        (kite(), "kite", 0.8, 1e-4),              # measured 4.59e-5
+        (turned(kite()), "kite", 0.3, 3e-4),      # measured 1.34e-4
+        (turned(kite()), "kite", 0.5, 3e-4),      # measured 1.55e-4
+        (turned(kite()), "kite", 0.8, 1e-4),      # measured 4.71e-5
+    ], ids=[f"{name}-{f}" for name in ("disk", "starfish", "kite", "turned-kite")
+            for f in (0.3, 0.5, 0.8)])
+    def test_scattered_field_is_the_source_field(self, monkeypatch, curve, layout, depth,
+                                                 bound):
+        # the disk takes the turns (g = 64), the starfish and the kite the mirror
+        # fold, the turned kite the one-block solve (g = 1)
+        inner = (PointSource(tuple(depth * curve.point(0.7)), self.Q),)
+        monkeypatch.setattr(forward, "incident_field",
+                            lambda x, srcs, sys: -incident_field(x, inner, sys))
+        sol = solve_mfs(curve, (SRC,), SYS5, *_MFS_BY_SHAPE[layout], warn_above=None)
+        pts = forward._grid(disk(3.0), 128)
+        assert forward.oracle_gap(sol.eval(pts), incident_field(pts, inner, SYS5)) <= bound
 
 
 def solved(name, sys):

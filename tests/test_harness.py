@@ -292,6 +292,22 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
 
+    def test_overflowing_record_exits_numerical_failure(self, workspace, tmp_path, capsys):
+        # a finite 1e200 passes the record's checks, but its squares overflow
+        # the Newton system, which is refused: the run ends diverged
+        root, cfg = workspace
+        doc = json.loads((root / "record.json").read_text())
+        doc["values"][0][0][0] = 1e200
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "reconstruct", "--config", str(cfg),
+            "--record", str(bad), "--out-dir", str(tmp_path),
+        ])
+        assert code == 3
+        assert "termination: diverged after 0 iterations" in capsys.readouterr().out
+        assert json.loads((tmp_path / "run.json").read_text())["note"].startswith("non-finite")
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.pop("rho"),
         lambda doc: doc.update(rho="three"),

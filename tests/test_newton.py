@@ -1,6 +1,7 @@
 """Boundary parameterization, linearized system and the full iteration."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +32,15 @@ from elshape.newton import (
     reconstruct,
     relative_update,
 )
+from elshape.records import ScatterRecord
 
 import oracles
 
 SYS5 = LameSystem(1.0, 1.0, 5.0)
 SYS1 = LameSystem(1.0, 1.0, 1.0)
 POL = (np.sqrt(0.5), np.sqrt(0.5))
+#: the benchmark's stored starfish record (read only)
+STARFISH_RECORD = Path(__file__).resolve().parent.parent / "perfbench" / "records" / "starfish.json"
 
 
 def assemble(field, srcs, curve, t_grid):
@@ -418,6 +422,18 @@ class TestReconstruct:
         run = reconstruct(disk_record, disk_config())
         assert (run.termination, run.iterations) == ("diverged", 0)
         assert run.note == "evaluation point coincides with the source point"
+
+    def test_overflowing_record_diverges(self):
+        # one finite value of 1e200 in the stored starfish record: w_p = sum |du|^2
+        # overflows, and the system is refused before the divide by sqrt(w_p) (under
+        # the suite's error::RuntimeWarning filter, so no warning escapes either)
+        doc = json.loads(STARFISH_RECORD.read_text())
+        doc["values"][3][5][1] = 1e200
+        cfg = ReconstructionConfig({"shape": "starfish", "lame.omega": 5.0, "guess.radius": 1.5,
+                                    "max_iter": 2})
+        run = reconstruct(ScatterRecord.from_json_dict(doc), cfg)
+        assert (run.termination, run.iterations) == ("diverged", 0)
+        assert run.note.startswith("non-finite Newton system")
 
     def test_huge_update_diverges_after_one_iterate(self, disk_record, monkeypatch):
         # a0: 2 -> 102 stays admissible, but the relative update 100 / 2 = 50

@@ -20,7 +20,9 @@ written into either tree.  Per checkout the digests cover:
   `record_from_disk_series` on the full receiver ring and on an arc,
   `solve_mfs` strengths and residuals on each shipped shape's layout (the
   kite at 512/256/0.92, the disk at 128/64/0.6 with omega = 1, the
-  starfish at 384/192/0.85), the `disk_series` coefficients of 20
+  starfish at 384/192/0.85), on the battery's one-source disk (128/64/0.8,
+  omega = 5) and on a turned kite (512/256/0.92, the one-block solve), the
+  `disk_series` coefficients of 20
   ring sources, and `hankel1_table` and `cylinder_tables` of orders 0..120
   on 23 arguments, two of which overflow the top orders, on fixed inputs.
 
@@ -85,9 +87,14 @@ def _fixed_outputs(records) -> dict:
         fit = modal.limited_aperture_fit(records["starfish_arc"], 7, 1e-8, 1.0)
         return fit.phat_p, fit.phat_s
 
-    def mfs(curve, sys, *layout):
-        sol = forward.solve_mfs(curve, srcs, sys, *layout, warn_above=None)
+    def mfs(curve, sys, *layout, sources=srcs):
+        sol = forward.solve_mfs(curve, sources, sys, *layout, warn_above=None)
         return sol.strengths, sol.residuals
+
+    # the kite turned by 0.3 rad: no mirror and no turn maps it onto itself (g = 1)
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    turned_kite = geometry.ParametricCurve(geometry.kite().cos @ turn.T,
+                                           geometry.kite().sin @ turn.T)
 
     def ring_series():
         fld = forward.disk_series(1.0, forward.ring_sources(20, 3.0, srcs[0].polarization), sys5)
@@ -118,6 +125,9 @@ def _fixed_outputs(records) -> dict:
         "solve_mfs/kite": lambda: mfs(geometry.kite(), sys5, 512, 256, 0.92),
         "solve_mfs/disk": lambda: mfs(geometry.disk(1.0), LameSystem(1.0, 1.0, 1.0), 128, 64, 0.6),
         "solve_mfs/starfish": lambda: mfs(geometry.starfish(), sys5, 384, 192, 0.85),
+        "solve_mfs/disk-battery": lambda: mfs(geometry.disk(1.0), sys5, 128, 64, 0.8, sources=(
+            PointSource((3.0, 0.0), elastic.POLARIZATION),)),
+        "solve_mfs/turned-kite": lambda: mfs(turned_kite, sys5, 512, 256, 0.92),
         "disk_series/ring20": ring_series,
         "hankel1_table": lambda: specfun.hankel1_table(120, t_tab),
         "cylinder_tables": lambda: tuple(specfun.cylinder_tables(specfun.hankel1_table, 120,
