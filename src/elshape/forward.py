@@ -13,10 +13,11 @@ Two independent routes produce scattered fields for a rigid obstacle
   orbit, and one FFT over the orbit index splits [A | B] exactly into g blocks:
   the disk at 128/64 is g = 64 blocks of 4 x (2 + S).  Else a curve symmetric about
   the x-axis (``mirrored``: the starfish and the kite, g = 1) has A on half the points
-  and an even and an odd block, folded in L2-sized row blocks, bit for bit; any other
-  curve is the turns' g = 1 case, one block, bit for bit.  One stacked
-  Householder QR gives each block's triangle R and Q^H B, and one blocked
-  back-substitution on R (64-row diagonal blocks, one product per block
+  and an even and an odd block, folded from strided views (the mirrors by reversed
+  strides, nothing gathered) in L2-sized blocks, bit for bit; any other curve is the
+  turns' g = 1 case, one block, bit for bit.  After the layout, ``_charge_fit`` does
+  the rest: one stacked Householder QR gives each block's triangle R and Q^H B, and
+  one blocked back-substitution on R (64-row diagonal blocks, one product per block
   column for the rows above) gives every source's charges.
   No rank is truncated: the system is ill-conditioned (cond up to ~1e9 at
   the shipped resolutions, ~1e16 when over-resolved), but a
@@ -36,13 +37,17 @@ Two independent routes produce scattered fields for a rigid obstacle
 The pair cross-validates itself (``oracle_gap`` within ``ORACLE_TOL``) and
 keeps inversion tests free of the inverse crime.  Both solutions carry the
 sources they were solved for, and ``measure`` samples either one on the
-receiver arc into a ScatterRecord; on the full circle the receivers are
-exactly mirror-closed, so an MFS field with mirror-closed charges is
-evaluated on half of them (no tolerance), and a disk series by
-``modal._ring``: one inverse FFT per circular component v_x +- i v_y, with
-orders beyond M/2 folded modulo M (exact on the grid).  Arcs, other full
-spans and ``DiskField.eval`` keep ``_fields``, as their points are off the
-grid 2 pi j / M.  Receiver and mode counts must be nonnegative integers.
+receiver arc into a ScatterRecord.  On the full circle the receivers are
+exactly mirror-closed, and g orbits of M/g points when g divides M.  So an MFS
+field of the turns (g > 1) is measured from G on one orbit of M/g receivers
+(``_orbit_ring``: in the orbits' frames the field is a circular correlation
+over the orbit index, one FFT and one product per mode); otherwise an MFS field
+with mirror-closed charges is evaluated on half of them (no tolerance); a disk
+series by ``modal._ring``: one inverse FFT per circular component
+v_x +- i v_y, with orders beyond M/2 folded modulo M (exact on the grid).
+Arcs, other full spans and ``DiskField.eval`` keep ``_fields``, as their
+points are off the grid 2 pi j / M.  Receiver and mode counts must be
+nonnegative integers.
 ``simulate`` is one MFS solve for all sources plus ``measure``.
 ``add_noise`` applies the multiplicative noise
 v -> v + delta r1 |v| exp(i pi r2),  r1, r2 ~ U(-1, 1) per component;
@@ -82,6 +87,7 @@ class MfsSolution:
     residuals: np.ndarray   # (S,); max residual on the collocation grid
     sys: LameSystem
     sources: tuple          # the S point sources, in row order
+    g: int = 1              # the charges are g orbits of the turn by 2 pi / g (solve_mfs)
 
     def __post_init__(self):
         if self.strengths.shape[1:] != self.charges.shape:
@@ -111,6 +117,19 @@ class MfsSolution:
         return np.concatenate([half[0], mirror], axis=1).reshape(c.shape[:1] + x.shape)
 
 
+def _orbit_ring(sol: MfsSolution, rho: float, n: int) -> np.ndarray:
+    """``sol``'s field at the ``_grid(disk(rho), n)`` receivers, n a multiple of g = sol.g,
+    (S, n, 2), from G at orbit 0's n/g receivers x_a.  In the orbits' own frames the
+    field is a circular correlation over the orbit index, v'_l = sum_d K_{d-l} c'_d with
+    K_e = G(x_a, R^e y_b) R^e, so per Fourier mode it is one product of the
+    ``_turn_rows`` and ``_turn_vectors`` blocks, and ``_unturn`` gives v."""
+    turns = _grid(disk(1.0), sol.g)
+    k = _charge_matrix(_grid(disk(rho), n)[: n // sol.g], sol.charges, sol.sys)
+    c = sol.strengths.reshape(-1, k.shape[1]).T
+    v = _unturn(_turn_rows(k, turns) @ _turn_vectors(c, turns), turns)
+    return v.T.reshape(len(c.T), n, 2)
+
+
 def _charge_matrix(x, charges, sys: LameSystem) -> np.ndarray:
     """G(x_i, y_j) laid out with rows (point, component), columns (charge,
     component): a view of green_tensor's array, which ``elastic._tensor_array``
@@ -135,6 +154,7 @@ def solve_mfs(
     of [A | B] fits every source's right-hand side.  [A | B] is split into g blocks
     (``_turn_system``) if g = ``_symmetry`` > 1 or the curve is not ``mirrored``,
     else into an even and an odd block (``_fold_system``, A at the points j <= n/2).
+    This function lays out the grids and builds A and B; ``_charge_fit`` fits.
     A zero on a block's R diagonal is a ``SolveError``.
     """
     srcs = tuple(sources)
@@ -148,30 +168,19 @@ def solve_mfs(
     g = _symmetry(curve, n_collocation, n_charges)
     mirrored = curve.mirrored and g == 1
     colloc, charges = _grid(curve, n_collocation), _grid(curve, n_charges)
+    turns = None if mirrored else _grid(disk(1.0), g)
     if not mirrored:  # orbits l of n/g and m/g representatives, turned by 2 pi l / g
-        turns = _grid(disk(1.0), g)
         colloc, charges = (_turn(p[: len(p) // g], turns, -1.0).reshape(-1, 2)
                            for p in (colloc, charges))
     centre = 0.0 if g > 1 else curve.centroid() * (1.0, not mirrored)  # on the mirror's axis
     charges = centre + shrink * (charges - centre)
     rows = n_collocation // 2 + 1 if mirrored else n_collocation // g
-    a = _charge_matrix(colloc[:rows], charges, sys)
-    # column s is -u_inc of source s on the grid
-    b = -incident_field(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T
-
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise SolveError("non-finite MFS collocation system")
-    stack = _fold_system(a, b, n_collocation, n_charges) if mirrored else _turn_system(a, b, turns)
-    del a, b  # freed before the QR, whose copies of the stack then reuse their pages
-    # R of a block [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
-    n = stack.shape[2] - len(srcs)
-    r = np.linalg.qr(stack, mode="r")
-    if not np.all(np.diagonal(r[:, :n, :n], axis1=1, axis2=2)):
-        raise SolveError("rank-deficient MFS collocation matrix")
-    coef = _back_substitute(r[:, :n, :n], r[:, :n, n:])
-    res = stack[..., :n] @ coef - stack[..., n:]
-    coef, res = ((_unfold(coef, n_charges), _unfold(res, n_collocation)) if mirrored
-                 else (_unturn(coef, turns), _unturn(res, turns)))
+    # column s of B is -u_inc of source s on the grid; A and B are passed unnamed, so
+    # that _charge_fit can free them before its QR
+    coef, res = _charge_fit(
+        _charge_matrix(colloc[:rows], charges, sys),
+        -incident_field(colloc, srcs, sys).reshape(len(srcs), 2 * n_collocation).T,
+        n_collocation, n_charges, turns)
     residuals = np.max(np.abs(res), axis=0)
     if warn_above is not None and np.any(residuals > warn_above):
         worst = int(np.argmax(residuals))
@@ -181,9 +190,30 @@ def solve_mfs(
             stacklevel=2,
         )
     strengths = coef.T.reshape(len(srcs), n_charges, 2)
-    return MfsSolution(
-        charges=charges, strengths=strengths, residuals=residuals, sys=sys, sources=srcs
-    )
+    return MfsSolution(charges=charges, strengths=strengths, residuals=residuals, sys=sys,
+                       sources=srcs, g=g)
+
+
+def _charge_fit(a, b, n: int, m: int, turns=None):
+    """The charges (2m, S) and collocation misfits A c - B (2n, S) of the least-squares
+    fit to each column of B, for n collocation points and m charges: [A | B] split by
+    ``_fold_system`` (turns None, A at the points j <= n/2) or ``_turn_system`` (A on
+    orbit 0's rows), one stacked QR, a ``SolveError`` for a non-finite system or a zero
+    on a block's R diagonal, ``_back_substitute``, and ``_unfold`` or ``_unturn``."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise SolveError("non-finite MFS collocation system")
+    stack = _fold_system(a, b, n, m) if turns is None else _turn_system(a, b, turns)
+    k = stack.shape[2] - b.shape[1]
+    del a, b  # freed before the QR, whose copies of the stack then reuse their pages
+    # R of a block [A | B] holds A's triangle and Q^H B side by side, so Q is never formed
+    r = np.linalg.qr(stack, mode="r")
+    if not np.all(np.diagonal(r[:, :k, :k], axis1=1, axis2=2)):
+        raise SolveError("rank-deficient MFS collocation matrix")
+    coef = _back_substitute(r[:, :k, :k], r[:, :k, k:])
+    res = stack[..., :k] @ coef - stack[..., k:]
+    if turns is None:
+        return _unfold(coef, m), _unfold(res, n)
+    return _unturn(coef, turns), _unturn(res, turns)
 
 
 def _grid(curve: ParametricCurve, n: int) -> np.ndarray:
@@ -220,19 +250,31 @@ def _turn(v, turns, sense=1.0) -> np.ndarray:
     return np.stack([x * c + y * s, y * c - x * s], axis=-1)
 
 
+def _turn_rows(a, turns) -> np.ndarray:
+    """The (g, rows, 2m/g) blocks of the rows a against m charges in g orbits: each
+    orbit's columns in its representative's frame, then one FFT over the orbit index;
+    block r is sum_d G(x_a, R^d y_b) R^d e^{2 pi i r d / g}."""
+    g, rows = len(turns), len(a)
+    a_hat = np.fft.ifft(_turn(a.reshape(rows, g, -1, 2), turns), axis=1, norm="forward")
+    return a_hat.reshape(rows, g, -1).swapaxes(0, 1)
+
+
+def _turn_vectors(v, turns) -> np.ndarray:
+    """The (g, 2k, S) blocks of the (2gk, S) vectors v on g orbits of k points: each
+    orbit in its representative's frame, then one FFT over the orbit index."""
+    g, s = len(turns), v.shape[1]
+    v_hat = np.fft.fft(_turn(v.T.reshape(s, g, len(v) // (2 * g), 2), turns), axis=1)
+    return v_hat.reshape(s, g, len(v) // g).transpose(1, 2, 0)
+
+
 def _turn_system(a, b, turns) -> np.ndarray:
     """The (g, 2n/g, 2m/g + S) blocks of [A | B] for n points and m charges in g orbits,
-    from A at orbit 0's points: each orbit in its representative's frame, then one FFT
-    over the orbit index; block r of A is sum_d G(x_a, R^d y_b) R^d e^{2 pi i r d / g}."""
-    g, rows, s = len(turns), len(a), b.shape[1]
-    a_hat = np.fft.ifft(_turn(a.reshape(rows, g, -1, 2), turns), axis=1, norm="forward")
-    b_hat = np.fft.fft(_turn(b.T.reshape(s, g, rows // 2, 2), turns), axis=1)
-    return np.concatenate([a_hat.reshape(rows, g, -1).swapaxes(0, 1),
-                           b_hat.reshape(s, g, rows).transpose(1, 2, 0)], axis=2)
+    from A at orbit 0's points: ``_turn_rows`` of A beside ``_turn_vectors`` of B."""
+    return np.concatenate([_turn_rows(a, turns), _turn_vectors(b, turns)], axis=2)
 
 
 def _unturn(x, turns) -> np.ndarray:
-    """The (2 g k, S) vectors, in global components, whose ``_turn_system`` blocks are x."""
+    """The (2 g k, S) vectors, in global components, whose ``_turn_vectors`` blocks are x."""
     g, k2, s = x.shape
     v = np.fft.ifft(x, axis=0).transpose(2, 0, 1).reshape(s, g, k2 // 2, 2)
     return _turn(v, turns, -1.0).reshape(s, g * k2).T
@@ -242,7 +284,9 @@ def _fold(n: int):
     """Orthonormal even/odd split of (point, component) vectors v on an n-point
     mirrored ``_grid``: (v[rep] +- s v[mir]) w over the points j <= n/2 and
     their mirrors -j mod n, sign s = 1 (x), -1 (y), w = 1/sqrt 2 (1/2 on the
-    axis).  Entries run axis x, pairs, axis y: the parts are [:n] and [-n:]."""
+    axis).  Entries run axis x, pairs, axis y: the parts are [:n] and [-n:].
+    This is the layout by index arrays; ``_fold_system`` and ``_unfold`` build
+    it from views."""
     j = np.arange(n // 2 + 1)
     on_axis = j == -j % n
     point = np.concatenate([j[on_axis], np.repeat(j[~on_axis], 2), j[on_axis]])
@@ -251,35 +295,74 @@ def _fold(n: int):
     return 2 * point + comp, 2 * (-point % n) + comp, 1.0 - 2.0 * comp, w
 
 
+#: the fold's sign s per component, x then y
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _axis(n: int) -> slice:
+    """The on-axis points of an n-point mirrored ``_grid``, 0 and n/2 when n is even,
+    among its points j <= n/2 or all n of them."""
+    return slice(0, None, n // 2) if n % 2 == 0 else slice(0, 1)
+
+
+def _fold_columns(a, weight, even=None, odd=None):
+    """The even and odd column parts of the (r, m, 2) rows a of A (charge, component
+    on the last two axes) into the (r, m) views ``even`` and ``odd``, where given, with
+    the rows' fold weight 2 w in ``weight``: on-axis charges, then the pairs k, m - k.
+    Each entry takes the index form's operations in its order (a w + a (w s)), bit for bit."""
+    r, m = len(a), a.shape[1]
+    q, ax = (m - 1) // 2, _axis(m)
+    na, w = m - 2 * q, weight * 0.5
+    if even is not None:
+        np.add(a[:, ax, 0] * w, a[:, ax, 0] * (w * 1.0), out=even[:, :na])
+    if odd is not None:
+        np.subtract(a[:, ax, 1] * w, a[:, ax, 1] * (w * -1.0), out=odd[:, 2 * q :])
+    w = weight * np.sqrt(0.5)
+    x, mirror = a[:, 1 : q + 1] * w, a[:, m - 1 : m - q - 1 : -1]
+    y = np.empty(x.shape, dtype=complex)
+    for c, s in enumerate(_SIGNS):  # one product per component: no inner loop of two
+        np.multiply(mirror[..., c], w * s, out=y[..., c])
+    if even is not None:
+        np.add(x, y, out=even[:, na:].reshape(r, q, 2))
+    if odd is not None:
+        np.subtract(x, y, out=odd[:, : 2 * q].reshape(r, q, 2))
+
+
 def _fold_system(a, b, n: int, m: int) -> np.ndarray:
     """The (2, n, m + S) even and odd blocks of [A | B] for n collocation points
     and m charges, from A at the points j <= n/2 and all of B: A commutes with
-    the mirror, so a pair's even or odd row is sqrt 2 times its first point's."""
-    (rep, mir, s, w), (c_rep, c_mir, c_s, c_w) = _fold(n), _fold(m)
-    stack = np.empty((2, n, m + b.shape[1]), dtype=complex)
-    d = len(rep) - n  # the even part is entries [:n], the odd part entries [d:]
-    step = max(1, specfun._BLOCK // len(c_rep))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        i, k = slice(lo, hi + d), hi - lo
-        w_a = 2.0 * w[i, None] * c_w
-        x, y = a[rep[i, None], c_rep] * w_a, a[rep[i, None], c_mir] * (w_a * c_s)
-        bx, by = b[rep[i]] * w[i, None], b[mir[i]] * (s[i] * w[i])[:, None]
-        np.add(x[:k, :m], y[:k, :m], out=stack[0, lo:hi, :m])
-        np.subtract(x[-k:, -m:], y[-k:, -m:], out=stack[1, lo:hi, :m])
-        np.add(bx[:k], by[:k], out=stack[0, lo:hi, m:])
-        np.subtract(bx[-k:], by[-k:], out=stack[1, lo:hi, m:])
+    the mirror, so a pair's even or odd row is sqrt 2 times its first point's.
+    Every part is a strided view (the mirrors m - k and n - j by reversed strides):
+    B's columns fold over the points as A's rows fold over the charges, the on-axis
+    rows of A apart, its pair rows in L2-sized blocks of points."""
+    s, p, ax = b.shape[1], (n - 1) // 2, _axis(n)
+    nr, a4 = n - 2 * p, a.reshape(len(a) // 2, 2, m, 2)
+    stack = np.empty((2, n, m + s), dtype=complex)
+    even, odd = stack[:, :, :m]
+    _fold_columns(b.T.reshape(s, n, 2), 1.0, stack[0, :, m:].T, stack[1, :, m:].T)
+    _fold_columns(a4[ax, 0], 1.0, even=even[:nr])
+    _fold_columns(a4[ax, 1], 1.0, odd=odd[2 * p :])
+    step = max(1, specfun._BLOCK // m)  # pair points per block: 2 _BLOCK entries of A
+    for lo in range(0, p, step):
+        hi = min(lo + step, p)
+        _fold_columns(a4[1 + lo : 1 + hi].reshape(-1, m, 2), 2.0 * np.sqrt(0.5),
+                      even[nr + 2 * lo : nr + 2 * hi], odd[2 * lo : 2 * hi])
     return stack
 
 
 def _unfold(x, n: int) -> np.ndarray:
-    """The (2n, ...) vectors whose ``_fold`` even and odd parts are x[0] and x[1]."""
-    rep, mir, s, w = _fold(n)
-    e, o = np.zeros((2, len(rep)) + x.shape[2:], dtype=x.dtype)
-    e[:n], o[-n:] = x
-    full = np.empty((2 * n,) + x.shape[2:], dtype=x.dtype)
-    full[mir] = (e - o) * (0.5 * s / w)[:, None]
-    full[rep] = (e + o) * (0.5 / w)[:, None]
+    """The (2n, S) vectors whose ``_fold`` even and odd parts are x[0] and x[1]."""
+    p, ax = (n - 1) // 2, _axis(n)
+    nr, s = n - 2 * p, x.shape[2]
+    full = np.empty((2 * n, s), dtype=x.dtype)
+    full3, f = full.reshape(n, 2, s), 0.5 / np.sqrt(0.5)
+    e, o = x[0, nr:].reshape(p, 2, s), x[1, : 2 * p].reshape(p, 2, s)
+    np.multiply(e - o, f * _SIGNS[:, None], out=full3[n - 1 : n - p - 1 : -1])
+    np.multiply(e + o, f, out=full3[1 : p + 1])
+    # on the axis the index form adds a zero part and weighs by 1; so do these, for
+    # the signs of zeros
+    full3[ax, 0] = (x[0, :nr] + 0.0) * 1.0
+    full3[ax, 1] = (x[1, 2 * p :] + 0.0) * 1.0
     return full
 
 
@@ -446,12 +529,15 @@ def measure(field, rho: float, n_receivers: int, aperture=FULL_APERTURE) -> Scat
     """Sample a solved field (``MfsSolution`` or ``DiskField``) on the receiver arc
     of radius ``rho``: one record of all its sources.  On exactly FULL_APERTURE the
     receivers are the mirror-closed ``_grid(disk(rho), M)``, the angles ``receiver_angles``,
-    and a ``DiskField`` is sampled there by inverse FFT (``modal._ring``)."""
+    a ``DiskField`` is sampled there by inverse FFT (``modal._ring``), and an
+    ``MfsSolution`` of g > 1 turns, g dividing M, on one orbit (``_orbit_ring``)."""
     theta = receiver_angles(n_receivers, aperture)
     full = n_receivers > 0 and tuple(aperture) == FULL_APERTURE
     if full and isinstance(field, DiskField):
         values = _ring(field.b_p, field.b_s, _amos(specfun.hankel1), field.sys,
                        field._outside(rho), n_receivers)
+    elif full and isinstance(field, MfsSolution) and field.g > 1 and n_receivers % field.g == 0:
+        values = _orbit_ring(field, rho, n_receivers)
     else:
         values = field.eval(_grid(disk(rho), n_receivers) if full else disk(rho).point(theta))
     return ScatterRecord(rho=rho, sys=field.sys, sources=field.sources, receivers=theta,

@@ -19,16 +19,29 @@ from .geometry import ParametricCurve
 SAMPLES = 512
 
 
-def _pair_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+#: points of the first sample per block of ``hausdorff``'s pairwise distances
+HAUSDORFF_ROWS = 64
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point samples (n, 2)."""
+    """Symmetric Hausdorff distance between two point samples (n, 2).
+
+    The squared distances dx^2 + dy^2 are formed in blocks of HAUSDORFF_ROWS
+    points of a and reduced to each point's nearest one; the square root, which
+    is monotone, is taken of the two largest, so every minimum is that of the
+    whole (n_a, n_b) distance array, bit for bit."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    d = _pair_distance(a, b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    near_a, near_b = np.empty(len(a)), np.full(len(b), np.inf)
+    for lo in range(0, len(a), HAUSDORFF_ROWS):
+        block = a[lo : lo + HAUSDORFF_ROWS, None, :]
+        dx, dy = block[..., 0] - b[:, 0], block[..., 1] - b[:, 1]
+        d2 = dx * dx
+        d2 += dy * dy
+        near_a[lo : lo + HAUSDORFF_ROWS] = d2.min(axis=1)
+        np.minimum(near_b, d2.min(axis=0), out=near_b)
+    return float(max(np.sqrt(near_a.max()), np.sqrt(near_b.max())))
 
 
 def curve_hausdorff(recon: ParametricCurve, truth: ParametricCurve) -> float:

@@ -17,11 +17,12 @@ Two routes give H_n^(1):
     Each region runs on its own arguments, gathered from the block, and its
     two rows are written back into the block's output: the logarithm is
     taken only for t <= T1, the square root, cosine and sine only for
-    t > T1.  A region's four series are one BLAS product with its T_k
-    table, whose columns are zero-padded to a multiple of 8 so that every
-    column takes the same micro-kernel; a value then does not depend on the
-    batch it is evaluated in (a property of the BLAS build, which
-    ``tests/test_specfun.py`` pins bit for bit).  The 16-term coefficients
+    t > T1.  Both regions' series arguments lie side by side in one T_k
+    table, filled by one recurrence; a region's four series are one BLAS
+    product with its column segment, zero-padded to a multiple of 8 columns
+    so that every column takes the same micro-kernel; a value then does not
+    depend on the batch it is evaluated in (a property of the BLAS build,
+    which ``tests/test_specfun.py`` pins bit for bit).  The 16-term coefficients
     are fitted from mpmath by ``tools/fit_hankel01.py``.  Against mpmath on
     2000 log-spaced points of [1e-3, 100] the worst relative error of H_0
     and H_1 is 1.5e-15 (cephes j0/y0/j1/y1, which this kernel replaced:
@@ -192,32 +193,9 @@ _CHEB = np.array([
 _SIGN = np.array([[1.0], [-1.0]])
 
 
-def _series(x, rows):
-    """The Chebyshev series of the _CHEB ``rows`` in u = 2x - 1 at the 1-D x,
-    shape (len(rows), x.size), from one product with the T_k table.  The
-    table's columns are zero-padded to a multiple of 8, so every column
-    takes the same BLAS micro-kernel and a value does not depend on its
-    batch."""
-    n = x.size
-    u = 2.0 * x
-    u -= 1.0
-    table = np.empty((_CHEB.shape[1], -(-n // 8) * 8))
-    table[:, n:] = 0.0
-    T = table[:, :n]
-    T[0] = 1.0
-    T[1] = u
-    two_u = u + u
-    for k in range(1, len(T) - 1):
-        np.multiply(two_u, T[k], out=T[k + 1])
-        T[k + 1] -= T[k - 1]
-    return (rows @ table)[:, :n]
-
-
-def _near(t):
-    """J_nu + i Y_nu, nu = 0, 1, at 0 < t <= T1, shape (2, t.size)."""
-    q = t * (1.0 / T1)
-    q *= q
-    f = _series(q, _CHEB[:4])
+def _near(t, f):
+    """J_nu + i Y_nu, nu = 0, 1, at 0 < t <= T1, shape (2, t.size), from the
+    rows 0-3 of _CHEB summed at x = (t/T1)^2 (f)."""
     h = np.empty((2, t.size), dtype=complex)
     j, y = h.real, h.imag
     log_term = np.log(0.5 * t)
@@ -231,17 +209,14 @@ def _near(t):
     return h
 
 
-def _far(t):
+def _far(t, f):
     """H_nu, nu = 0, 1, at t > T1, shape (2, t.size), from the rows
-    (P_nu, t Q_nu).
+    (P_nu, t Q_nu) of _CHEB 4-7 summed at x = (T1/t)^2 (f).
 
     (P + iQ) e^{-i(2nu+1)pi/4} = (X + iY)/sqrt(2) with X = Q + s P and
     Y = s Q - P, s = +1 (nu = 0) or -1 (nu = 1), so that
     H_nu = (X + iY)(cos t + i sin t) / sqrt(pi t).
     """
-    q = t * (1.0 / T1)
-    q *= q
-    f = _series(1.0 / q, _CHEB[4:])
     inv_t = 1.0 / t
     scale = np.sqrt(inv_t * (1.0 / np.pi))
     c = np.cos(t)
@@ -260,13 +235,44 @@ def _far(t):
     return h
 
 
+def _series(parts):
+    """The four _CHEB series of each region, (4, part.size), at the arguments t <= T1
+    and t > T1 in ``parts``, from one T_k table: the regions' arguments lie side by
+    side, x = (t/T1)^2 and then x = (T1/t)^2, each segment padded with x = 0 to a
+    multiple of 8 columns, so that every column takes the same BLAS micro-kernel and
+    a value does not depend on its batch; one recurrence fills the table, and one
+    product per region on its column view sums the series.  Returning frees the
+    table before the regions' own arithmetic allocates its temporaries."""
+    width = [-(-part.size // 8) * 8 for part in parts]
+    table = np.empty((_CHEB.shape[1], sum(width)))
+    table[0] = 1.0
+    u = table[1]  # u = 2x - 1, and -1 in the padding
+    u[:] = 0.0
+    for part, lo, inverse in zip(parts, (0, width[0]), (False, True)):
+        x = part * (1.0 / T1)
+        x *= x
+        if inverse:
+            np.divide(1.0, x, out=x)
+        np.multiply(2.0, x, out=u[lo : lo + part.size])
+    u -= 1.0
+    two_u = u + u
+    for k in range(1, len(table) - 1):
+        np.multiply(two_u, table[k], out=table[k + 1])
+        table[k + 1] -= table[k - 1]
+    cols = slice(0, width[0]), slice(width[0], None)
+    return [(_CHEB[4 * i : 4 * i + 4] @ table[:, c])[:, : part.size]
+            for i, (part, c) in enumerate(zip(parts, cols))]
+
+
 def _orders01(t, out):
-    """H_0^(1), H_1^(1) at the 1-D array t into out, shape (2, t.size):
-    each region on its own arguments, written back row by row."""
+    """H_0^(1), H_1^(1) at the 1-D array t into out, shape (2, t.size): both
+    regions' series from one ``_series`` table, then each region's rows written
+    back by a 1-D mask."""
     near = t <= T1
-    for where, branch in ((near, _near), (~near, _far)):
-        if where.any():
-            for row, value in zip(out, branch(t[where])):
+    parts = t[near], t[~near]
+    for where, part, branch, f in zip((near, ~near), parts, (_near, _far), _series(parts)):
+        if part.size:
+            for row, value in zip(out, branch(part, f)):
                 row[where] = value
 
 

@@ -14,6 +14,8 @@ likewise runs the Newton iterate the way it was built before its tables
 moved onto the iterate's own radii (with ``hankel1_table_j_then_y`` and
 ``tables_one_by_one``, the recurrence and the normalization of that
 route), so that a test can pin the lean iterate to it bit for bit.
+``orders01_two_tables`` is the order-0/1 kernel as it was built with one
+T_k table per region, which pins the one-table kernel bit for bit.
 """
 
 import math
@@ -287,6 +289,42 @@ def hankel1_table_j_then_y(N: int, t, rows=None) -> np.ndarray:
             np.subtract(two_n_t * j[n], j[n - 1], out=j[n + 1, ...])
             np.subtract(two_n_t * y[n], y[n - 1], out=y[n + 1, ...])
     return h
+
+
+def _two_tables_series(x, rows):
+    """The series of the _CHEB ``rows`` in u = 2x - 1 at the 1-D x from the
+    region's own T_k table, zero-padded to a multiple of 8 columns."""
+    n = x.size
+    u = 2.0 * x
+    u -= 1.0
+    table = np.empty((specfun._CHEB.shape[1], -(-n // 8) * 8))
+    table[:, n:] = 0.0
+    T = table[:, :n]
+    T[0] = 1.0
+    T[1] = u
+    two_u = u + u
+    for k in range(1, len(T) - 1):
+        np.multiply(two_u, T[k], out=T[k + 1])
+        T[k + 1] -= T[k - 1]
+    return (rows @ table)[:, :n]
+
+
+def orders01_two_tables(t) -> np.ndarray:
+    """H_0^(1), H_1^(1) at the 1-D t, shape (2, t.size), by the order-0/1 kernel
+    with one T_k table and one recurrence per region (``specfun._near`` and
+    ``specfun._far`` on each region's series)."""
+    out = np.empty((2, t.size), dtype=complex)
+    near = t <= specfun.T1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for where, branch, rows, inverse in ((near, specfun._near, specfun._CHEB[:4], False),
+                                             (~near, specfun._far, specfun._CHEB[4:], True)):
+            if where.any():
+                q = t[where] * (1.0 / specfun.T1)
+                q *= q
+                f = _two_tables_series(1.0 / q if inverse else q, rows)
+                for row, value in zip(out, branch(t[where], f)):
+                    row[where] = value
+    return out
 
 
 def tables_one_by_one(table, k, N: int, t, back, R=None, kappa=False) -> list:

@@ -327,11 +327,13 @@ class TestMirroredSolve:
         # measured 9.7e-11
         assert rel_max(sol_t.eval(pts @ TURN.T), sol.eval(pts) @ TURN.T) <= 1e-9
 
-    @pytest.mark.parametrize("n_col, n_chg", [(512, 256), (129, 63), (128, 63)])
+    @pytest.mark.parametrize("n_col, n_chg", [(512, 256), (129, 63), (128, 63), (129, 64),
+                                              (127, 64)])
     def test_fold_matches_the_whole_array_formula(self, n_col, n_chg):
-        # the row-blocked fold against the formula on whole arrays, bit for bit:
-        # 512/256 is 17 blocks with a partial last one, 129/63 one full block and
-        # one row, 128/63 exactly one block
+        # the fold from views against the formula on whole arrays, bit for bit:
+        # 512/256 folds its 255 pair points in 8 blocks, the last one partial, the
+        # others in one block; the counts take every parity of points and charges,
+        # so one or two on-axis rows and columns
         sol = solve_mfs(kite(), ring_sources(5, 3.0, POL), SYS5, n_col, n_chg, 0.9,
                         warn_above=None)
         colloc = forward._grid(kite(), n_col)
@@ -407,6 +409,28 @@ class TestInteriorSource:
         monkeypatch.setattr(forward, "incident_field",
                             lambda x, srcs, sys: -incident_field(x, inner, sys))
         sol = solve_mfs(curve, (SRC,), SYS5, *_MFS_BY_SHAPE[layout], warn_above=None)
+        pts = forward._grid(disk(3.0), 128)
+        assert forward.oracle_gap(sol.eval(pts), incident_field(pts, inner, SYS5)) <= bound
+
+    @pytest.mark.parametrize("curve, layout, depth, bound", [
+        (starfish(), "starfish", 0.3, 5e-12),     # measured 2.45e-12
+        (starfish(), "starfish", 0.8, 5e-12),     # measured 2.22e-12
+        (kite(), "kite", 0.3, 2.5e-4),            # measured 1.09e-4
+        (kite(), "kite", 0.8, 1e-4),              # measured 4.59e-5
+    ], ids=["starfish-0.3", "starfish-0.8", "kite-0.3", "kite-0.8"])
+    def test_charge_fit_alone_gives_the_source_field(self, curve, layout, depth, bound):
+        # the fit core driven directly with B = G(colloc, z0) q on the solve's own
+        # layout (the mirror fold, A at the points j <= n/2)
+        n, m, shrink = _MFS_BY_SHAPE[layout]
+        inner = (PointSource(tuple(depth * curve.point(0.7)), self.Q),)
+        charges = solve_mfs(curve, (SRC,), SYS5, n, m, shrink, warn_above=None).charges
+        colloc = forward._grid(curve, n)
+        a = forward._charge_matrix(colloc[: n // 2 + 1], charges, SYS5)
+        b = incident_field(colloc, inner, SYS5).reshape(1, 2 * n).T
+        coef, res = forward._charge_fit(a, b, n, m)
+        assert coef.shape == (2 * m, 1) and res.shape == (2 * n, 1)
+        sol = forward.MfsSolution(charges, coef.T.reshape(1, m, 2),
+                                  np.max(np.abs(res), axis=0), SYS5, inner)
         pts = forward._grid(disk(3.0), 128)
         assert forward.oracle_gap(sol.eval(pts), incident_field(pts, inner, SYS5)) <= bound
 
@@ -526,6 +550,57 @@ class TestMirroredReceivers:
         x = np.array([3.0, 0.0])
         assert sol.eval(x).shape == (20, 2)
         assert rel_max(sol.eval(x), plain_eval(sol, x[None])[:, 0]) <= 1e-12
+
+
+class TestOrbitMeasure:
+    """A full-aperture record of a turned solve (g > 1) is measured on one orbit of
+    the receiver ring when g divides the receiver count, else as before."""
+
+    # disk layouts of g = 64, 32 and 2 turns
+    LAYOUTS = {64: (128, 64), 32: (64, 32), 2: (66, 32)}
+
+    @pytest.mark.parametrize("g", [2, 32, 64])
+    @pytest.mark.parametrize("n_sources", [1, 20])
+    @pytest.mark.parametrize("omega, bound", [
+        (1.0, 1e-14),   # measured at most 1.3e-15
+        (5.0, 5e-14),   # measured at most 9.2e-15
+    ])
+    def test_matches_the_full_matrix(self, monkeypatch, g, n_sources, omega, bound):
+        sys = LameSystem(1.0, 1.0, omega)
+        srcs = ring_sources(n_sources, 3.0, elastic.POLARIZATION)
+        sol = solve_mfs(disk(1.0), srcs, sys, *self.LAYOUTS[g], 0.8, warn_above=None)
+        assert sol.g == g
+        rows, charge_matrix = [], forward._charge_matrix
+
+        def rows_seen(x, *args):
+            rows.append(len(x))
+            return charge_matrix(x, *args)
+
+        monkeypatch.setattr(forward, "_charge_matrix", rows_seen)
+        rec = forward.measure(sol, 3.0, 128)
+        assert rows == [128 // g]
+        assert rec.values.shape == (n_sources, 128, 2)
+        assert rel_max(rec.values, plain_eval(sol, forward._grid(disk(3.0), 128))) <= bound
+
+    @pytest.mark.parametrize("curve, counts, n_receivers", [
+        (disk(1.0), (128, 64), 96),       # g = 64 does not divide 96
+        (disk(1.0), (66, 32), 127),       # nor g = 2 127
+        (disk(1.0), (128, 63), 128),      # g = 1
+        (starfish(), (384, 192), 128),
+        (kite(), (512, 256), 128),
+        (turned(kite()), (512, 256), 128),
+    ], ids=["disk-96", "disk-2-127", "disk-128-63", "starfish", "kite", "turned-kite"])
+    def test_other_layouts_keep_eval_bit_for_bit(self, curve, counts, n_receivers):
+        srcs = ring_sources(3, 3.0, elastic.POLARIZATION)
+        sol = solve_mfs(curve, srcs, SYS5, *counts, 0.8, warn_above=None)
+        rec = forward.measure(sol, 3.0, n_receivers)
+        assert np.array_equal(rec.values, sol.eval(forward._grid(disk(3.0), n_receivers)))
+        arc = forward.measure(sol, 3.0, 128, (0.5, 4.0))
+        assert np.array_equal(arc.values, sol.eval(disk(3.0).point(arc.receivers)))
+
+    def test_no_sources(self):
+        sol = solve_mfs(disk(1.0), (), SYS5, 128, 64, 0.6)
+        assert forward.measure(sol, 3.0, 128).values.shape == (0, 128, 2)
 
 
 class TestDiskSeries:

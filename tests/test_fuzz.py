@@ -1,5 +1,6 @@
 """A seeded fuzz of the command line: a malformed record or config ends in a
-documented exit code (0, 2, 3 or 4), never in a traceback or a warning."""
+documented exit code (0, 2, 3 or 4), never in a traceback or a warning; and of
+the sweep parser: a malformed sweep file is a ``SweepSpec`` or a ``ConfigError``."""
 
 import json
 import random
@@ -9,6 +10,8 @@ import warnings
 import pytest
 
 from elshape.cli import main
+from elshape.errors import ConfigError
+from elshape.sweep import SweepSpec, parse_sweep_text
 
 #: a small disk run: two sources, 16 receivers, five modes, one Newton iterate
 CFG = """shape = disk
@@ -119,3 +122,64 @@ def test_malformed_inputs_end_in_an_exit_code(clean, tmp_path, capsys):
     assert not failures, failures[:5]
     assert cases >= 300
     print(f"{cases} fuzz cases in {seconds:.2f} s")
+
+
+#: a sweep file: CFG under the practical truncation rule, plus the three lists
+SWEEP = CFG.replace("truncation.mode = fixed\ntruncation.n = 5\n", "truncation.mode = practical\n") + (
+    "sweep.apertures = 0:6.283185307179586; 0.785398:5.497787\n"
+    "sweep.deltas = 0.01, 0.05, 0.1\n"
+    "sweep.seeds = 1, 2, 3\n"
+)
+#: what a sweep list entry becomes
+BAD_ENTRIES = BAD_TOKENS + ["1:2:3", ":", "0:", ":1", "nan:1", "1e308:1e309", "6:1", "0:7",
+                            "-0.5", "1.5", "3, 3", ";", ",", ",,", "1;2", "0:1, 2:3", "1e-320",
+                            "0x10", "1_000", "+1", " "]
+
+
+def _mutated_sweep(rng):
+    """SWEEP with one to three edits: a list entry set to a bad one, an entry
+    repeated, a separator swapped, a line dropped or repeated, or a value set to a
+    bad token."""
+    lines = SWEEP.splitlines()
+    for _ in range(rng.choice([1, 2, 3])):
+        i = rng.randrange(len(lines))
+        key, _, value = lines[i].partition("=")
+        how = rng.random()
+        if how < 0.4 and key.startswith("sweep."):
+            sep = ";" if "apertures" in key else ","
+            entries = value.split(sep)
+            entries[rng.randrange(len(entries))] = " " + rng.choice(BAD_ENTRIES)
+            lines[i] = key + "=" + sep.join(entries)
+        elif how < 0.5 and key.startswith("sweep."):
+            lines[i] += (";" if "apertures" in key else ",") + value.split(";")[0].split(",")[-1]
+        elif how < 0.6:
+            swap = rng.choice([(",", ";"), (";", ","), (":", ","), (",", ":")])
+            lines[i] = key + "=" + value.replace(*swap)
+        elif how < 0.7:
+            del lines[i]
+        elif how < 0.8:
+            lines.append(lines[i])
+        else:
+            lines[i] = key + "= " + rng.choice(BAD_TOKENS)
+    return "\n".join(lines) + "\n"
+
+
+def test_malformed_sweep_text_is_a_spec_or_a_config_error():
+    rng, failures, outcomes = random.Random(20261021), [], {"spec": 0, "refused": 0}
+    start = time.perf_counter()
+    for case in range(200):
+        text = _mutated_sweep(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = parse_sweep_text(text)
+            assert isinstance(spec, SweepSpec)
+            outcomes["spec"] += 1
+        except ConfigError:
+            outcomes["refused"] += 1
+        except Exception as exc:  # any other escape is the finding
+            failures.append((case, text, repr(exc)))
+    seconds = time.perf_counter() - start
+    assert not failures, failures[:5]
+    assert outcomes["spec"] > 0 and outcomes["refused"] > 0
+    print(f"200 sweep-text cases in {seconds:.2f} s: {outcomes}")

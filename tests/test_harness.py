@@ -397,6 +397,17 @@ class TestMetrics:
         pts = disk(1.0).sample(64)
         assert hausdorff(pts, pts) == 0.0
 
+    @pytest.mark.parametrize("n_a, n_b", [(512, 512), (1, 7), (130, 64), (64, 1)])
+    def test_hausdorff_matches_the_whole_array_formula(self, n_a, n_b):
+        # the row-blocked minima of squared distances against the (n_a, n_b)
+        # norm array, bit for bit; 512 is 8 full blocks, 130 two and a partial one
+        rng = np.random.default_rng(n_a + n_b)
+        pairs = [(rng.normal(size=(n_a, 2)), 1.5 * rng.normal(size=(n_b, 2))),
+                 (kite().sample(n_a), starfish().sample(n_b))]
+        for a, b in pairs:
+            d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+            assert hausdorff(a, b) == float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
     def test_hausdorff_concentric_circles(self):
         assert curve_hausdorff(disk(1.0), disk(1.5)) == pytest.approx(0.5, abs=1e-3)
 

@@ -368,6 +368,19 @@ class TestOrderZeroOneKernel:
         straddle = slice(lo, lo + specfun._BLOCK + 37)
         assert np.array_equal(specfun.hankel01(grid[straddle]), whole[:, straddle])
 
+    @pytest.mark.parametrize("lo, hi, cut", [(1e-3, 60.0, 0), (1e-3, T1, 0), (T1, 60.0, 1)],
+                             ids=["mixed", "all-near", "all-far"])
+    @pytest.mark.parametrize("n", [1, 7, 130, 2690, 8192])
+    def test_one_table_matches_one_table_per_region(self, lo, hi, cut, n):
+        # both regions' series from one T_k table, bit for bit against the kernel
+        # with a table and a recurrence per region; t = T1 is near, so "all-far"
+        # drops it
+        t = np.random.default_rng(n).permutation(np.geomspace(lo, hi, n + cut)[cut:])
+        got = np.empty((2, n), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            specfun._orders01(t, got)
+        assert got.tobytes() == oracles.orders01_two_tables(t).tobytes()
+
     @pytest.mark.parametrize("check, row", [
         (verify.check_wronskian, 1), (verify.check_recurrence, 2),
     ], ids=["wronskian", "recurrence"])

@@ -22,6 +22,8 @@ written into either tree.  Per checkout the digests cover:
   kite at 512/256/0.92, the disk at 128/64/0.6 with omega = 1, the
   starfish at 384/192/0.85), on the battery's one-source disk (128/64/0.8,
   omega = 5) and on a turned kite (512/256/0.92, the one-block solve), the
+  record of the g = 2 disk (66/32/0.8, omega = 5) on 128 receivers (one orbit
+  of 64 receivers measured, `forward._orbit_ring`), the
   `disk_series` coefficients of 20
   ring sources, and `hankel1_table` and `cylinder_tables` of orders 0..120
   on 23 arguments, two of which overflow the top orders, on fixed inputs.
@@ -128,6 +130,8 @@ def _fixed_outputs(records) -> dict:
         "solve_mfs/disk-battery": lambda: mfs(geometry.disk(1.0), sys5, 128, 64, 0.8, sources=(
             PointSource((3.0, 0.0), elastic.POLARIZATION),)),
         "solve_mfs/turned-kite": lambda: mfs(turned_kite, sys5, 512, 256, 0.92),
+        "measure/disk-66-32": lambda: forward.measure(forward.solve_mfs(
+            geometry.disk(1.0), srcs, sys5, 66, 32, 0.8, warn_above=None), 3.0, 128).values,
         "disk_series/ring20": ring_series,
         "hankel1_table": lambda: specfun.hankel1_table(120, t_tab),
         "cylinder_tables": lambda: tuple(specfun.cylinder_tables(specfun.hankel1_table, 120,
